@@ -3,11 +3,14 @@ Copying with reads and writes in flight together
 ================================================
 
 A file copy at full speed keeps the source read and the destination
-write overlapped instead of strictly alternating.  copy_file runs a ring
-of in-flight blocks (depth of them at a time) and hands every block to a
-hook between its read landing and its write being issued; the hook is
-the natural place to checksum or inspect the stream without a second
-pass.
+write overlapped instead of strictly alternating.  copy_file runs depth
+slot threads, each reading and writing its own blocks, and hands every
+block to a hook between its read landing and its write being issued, in
+file order; the hook is the natural place to checksum or inspect the
+stream without a second pass.  The report's peak_outstanding is measured:
+the most reads and writes that were inside their system calls at once,
+which is at most depth and can be less when the transfers finish faster
+than the threads hand over.
 """
 import hashlib
 import tempfile
@@ -30,7 +33,7 @@ report = copy_file(src, dst, block=256 * 1024, depth=4,
 
 print(f"copied {report.bytes_copied:,} bytes")
 print(f"{report.read_requests} reads, {report.write_requests} writes, "
-      f"up to {report.peak_outstanding} in flight")
+      f"peak {report.peak_outstanding} of depth 4 in flight at once")
 print(f"wall time {report.wall_time * 1000:.1f} ms")
 
 # The hook saw exactly the bytes that landed in the destination.

@@ -22,10 +22,9 @@ import enum
 import os
 import re
 import statistics
+import threading
 import time
 import zlib
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +40,8 @@ from .engine import (
     allocate_aligned,
     detect_sector_geometry,
     open_file,
+    run_slots,
+    transfer_full,
     validate_direct_request,
 )
 from .errors import ConfigError, DirectRequestError
@@ -341,77 +342,75 @@ def _trial_sync(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
 
 
 def _trial_async(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
-    """Overlapped trial: a ring of ``async_depth`` positional requests.
+    """Overlapped trial: ``async_depth`` slot threads issuing positional requests.
 
-    The offset chain is generated in submission order from the rng alone,
-    and completions are harvested oldest-first, so the issued sequence is
-    identical to what a synchronous trial with the same rng would issue.
+    Each slot thread owns one buffer and loops: under a ticket lock it
+    takes the next ticket and the next offset of the ``next_offset``
+    chain, then checks a direct request, transfers the block and comes
+    back for another ticket.  Offsets are handed out in ticket order, so
+    the issued sequence is identical to what a synchronous trial with the
+    same rng would issue.  The first ``async_depth`` tickets are always
+    issued; after that a ticket is refused once ``max_requests`` have been
+    issued or the duration has run out.  preadv/pwritev release the
+    interpreter lock, so up to ``async_depth`` requests really overlap.
+    The first failure in any slot stops the others, and it is raised once
+    every slot thread has finished.
     """
     depth = cfg.async_depth or DEFAULT_ASYNC_DEPTH
-    reading = cfg.direction is Direction.READ
+    write = cfg.direction is Direction.WRITE
+    limit = max(depth, cfg.max_requests) if cfg.max_requests is not None else None
     offsets: list[int] = []
+    errors: list[BaseException] = []
+    lock = threading.Lock()
     with _open_for_trial(cfg) as handle:
         fd = handle.fileno()
         buffers = [_make_buffer(cfg, handle.geometry) for _ in range(depth)]
-        views = [_buffer_view(b) for b in buffers]
-        if not reading:
-            for view in views:
-                view[:] = bytes([_FILL_BYTE]) * cfg.block
-
-        def transfer(view: memoryview, offset: int) -> int:
-            if reading:
-                done = 0
-                while done < cfg.block:
-                    got = os.preadv(fd, [view[done : cfg.block]], offset + done)
-                    if got == 0:
-                        raise OSError(f"short read at offset {offset} in {cfg.path}")
-                    done += got
-                return done
-            done = 0
-            while done < cfg.block:
-                done += os.pwritev(fd, [view[done : cfg.block]], offset + done)
-            return done
-
-        def check_direct(buffer, offset: int) -> None:
-            if cfg.direct:
-                violations = validate_direct_request(handle.geometry, buffer, cfg.block, offset)
-                if violations:
-                    raise DirectRequestError(violations)
-
-        in_flight: deque = deque()
-        checksum = 1
-        moved = 0
-        requests = 0
-        offset = 0
+        if write:
+            for buffer in buffers:
+                _buffer_view(buffer)[:] = bytes([_FILL_BYTE]) * cfg.block
+        following = 0
         deadline = time.perf_counter() + cfg.duration
+
+        def slot(index: int) -> None:
+            nonlocal following
+            buffer = buffers[index]
+            view = _buffer_view(buffer)
+            checksum = 1
+            while True:
+                with lock:
+                    ticket = len(offsets)
+                    if errors or ticket == limit or (
+                        ticket >= depth and time.perf_counter() >= deadline
+                    ):
+                        return
+                    offset = following
+                    offsets.append(offset)
+                    following = next_offset(offset, cfg, cfg.file_size, rng)
+                if cfg.direct:
+                    violations = validate_direct_request(handle.geometry, buffer, cfg.block, offset)
+                    if violations:
+                        raise DirectRequestError(violations)
+                got = transfer_full(fd, view, offset, cfg.block, write=write)
+                if got != cfg.block:
+                    raise OSError(
+                        f"short read: {got} of {cfg.block} bytes at offset {offset} in {cfg.path}"
+                    )
+                if cfg.touch:
+                    checksum = zlib.adler32(view[: cfg.block], checksum)
+
+        def fail(exc: BaseException) -> None:
+            with lock:
+                errors.append(exc)
+
         cpu_start = time.process_time()
         wall_start = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=depth) as pool:
-            for index in range(depth):
-                check_direct(buffers[index], offset)
-                in_flight.append((pool.submit(transfer, views[index], offset), index, offset))
-                offsets.append(offset)
-                offset = next_offset(offset, cfg, cfg.file_size, rng)
-            stop = False
-            while in_flight:
-                future, index, done_offset = in_flight.popleft()
-                moved += future.result()
-                requests += 1
-                if cfg.touch:
-                    checksum = zlib.adler32(views[index][: cfg.block], checksum)
-                if not stop:
-                    if cfg.max_requests is not None and requests + len(in_flight) >= cfg.max_requests:
-                        stop = True
-                    elif time.perf_counter() >= deadline:
-                        stop = True
-                if not stop:
-                    check_direct(buffers[index], offset)
-                    in_flight.append((pool.submit(transfer, views[index], offset), index, offset))
-                    offsets.append(offset)
-                    offset = next_offset(offset, cfg, cfg.file_size, rng)
+        run_slots(depth, slot, fail)
         wall = time.perf_counter() - wall_start
         cpu = time.process_time() - cpu_start
-    return ThroughputSample(moved, wall, cpu, requests), offsets
+    if errors:
+        raise errors[0]
+    requests = len(offsets)
+    return ThroughputSample(requests * cfg.block, wall, cpu, requests), offsets
 
 
 def run_measurement(

@@ -12,16 +12,23 @@ transfer passes through.  FileHandle therefore comes in two flavours:
   of a bare EINVAL mid-run.
 
 Positions are explicit.  A handle tracks one position, read_block and
-write_block advance it, seek moves it.  Nothing here spawns threads; a
-handle must be driven by one thread at a time.
+write_block advance it, seek moves it.  A handle must be driven by one
+thread at a time.
+
+transfer_full is the one full-transfer loop in the package: every
+positional request that must move all of its bytes goes through it.
+run_slots is the one place that starts threads: the overlapped trial and
+the copy run one long-lived thread per slot on it.
 """
 from __future__ import annotations
 
 import enum
 import io
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -45,6 +52,8 @@ __all__ = [
     "AlignedBuffer",
     "allocate_aligned",
     "validate_direct_request",
+    "transfer_full",
+    "run_slots",
     "FileHandle",
     "open_file",
     "count_extents",
@@ -218,6 +227,59 @@ def validate_direct_request(geometry, buffer, length: int, file_offset: int) -> 
     return violations
 
 
+def transfer_full(fd: int, view: memoryview, offset: int, length: int, *, write: bool) -> int:
+    """Move ``length`` bytes between ``view`` and ``fd`` at ``offset``.
+
+    Short transfers are continued where they stopped.  A read that
+    returns 0 has hit the end of the file: the loop ends and the short
+    count is returned for the caller to judge.  A write that returns 0
+    cannot make progress by retrying, so it raises OSError.  Returns the
+    byte count moved.
+    """
+    call = os.pwritev if write else os.preadv
+    done = 0
+    while done < length:
+        moved = call(fd, [view[done:length]], offset + done)
+        if moved == 0:
+            if write:
+                raise OSError(
+                    f"write made no progress: {done} of {length} bytes at offset {offset}"
+                )
+            break
+        done += moved
+    return done
+
+
+def run_slots(
+    depth: int, slot: Callable[[int], None], fail: Callable[[BaseException], None]
+) -> None:
+    """Run ``slot(0)`` .. ``slot(depth - 1)`` on daemon threads and wait for all.
+
+    An exception escaping a slot, or raised while starting the threads,
+    is handed to ``fail``, which must record it and make the other slots
+    finish; the caller raises what it recorded.  Every started thread has
+    been joined when this returns.
+    """
+
+    def guarded(index: int) -> None:
+        try:
+            slot(index)
+        except BaseException as exc:  # forwarded: the caller re-raises it
+            fail(exc)
+
+    started = []
+    try:
+        for index in range(depth):
+            thread = threading.Thread(target=guarded, args=(index,), daemon=True)
+            thread.start()
+            started.append(thread)
+    except BaseException as exc:  # forwarded: the caller re-raises it
+        fail(exc)
+    finally:
+        for thread in started:
+            thread.join()
+
+
 # os.open flag bits per disposition; read/write access bits are added later.
 _DISPOSITION_FLAGS = {
     OpenDisposition.OPEN: 0,
@@ -328,9 +390,7 @@ class FileHandle:
             return 0
         view = buffer.view
         if write:
-            done = 0
-            while done < length:
-                done += os.pwritev(self._fd, [view[done:length]], self._pos + done)
+            transfer_full(self._fd, view, self._pos, length, write=True)
             self._pos += length
             return length
         got = os.preadv(self._fd, [view[:length]], self._pos)

@@ -1,63 +1,42 @@
-"""Overlapped file copy driven by a fixed ring of buffers.
+"""Overlapped file copy driven by one long-lived thread per slot.
 
-A ring of ``depth`` block buffers keeps up to ``depth`` requests in flight
-across the source and destination files combined.  Slot i owns the block
-offsets i*B, (i+depth)*B, ... in order.  The coordinator harvests completed
-reads in offset order, runs the per-buffer hook, and issues the write; each
-write completion immediately issues its slot's next read.  An explicit
-outstanding-request counter, not polling, decides when the copy is done,
-and the final block is transferred at its exact length rather than rounded
-up to the block size.
+Each of ``depth`` slot threads owns one block buffer and the block offsets
+i*B, (i+depth)*B, ...; for each block it reads, waits for the block's
+turn, runs the per-buffer hook, passes the turn on and writes.  The turn
+is a turnstile of one semaphore per slot handed on in file order, so hooks
+see blocks in file order and each write follows its own hook call, while
+transfers of different slots overlap (preadv/pwritev release the
+interpreter lock).  The final block moves at its exact length.  The first
+failure in any slot, a hook exception or a source that shrank included,
+releases every turn so that all slots finish, and the copy is aborted.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
+from .engine import run_slots, transfer_full
 from .errors import CopyAbortedError
 
 __all__ = [
-    "DEFAULT_BLOCK",
-    "DEFAULT_DEPTH",
-    "SlotState",
-    "RingSlot",
-    "CopyReport",
-    "plan_schedule",
-    "process_hook",
-    "copy_file",
+    "DEFAULT_BLOCK", "DEFAULT_DEPTH", "CopyReport", "plan_schedule", "process_hook", "copy_file",
 ]
 
 DEFAULT_BLOCK = 1 << 20  # bytes per request
-DEFAULT_DEPTH = 4  # simultaneous in-flight requests
-
-
-class SlotState(Enum):
-    IDLE = "idle"
-    READING = "reading"
-    READY = "ready"
-    WRITING = "writing"
-
-
-@dataclass
-class RingSlot:
-    """One buffer of the ring and what it is currently doing."""
-
-    index: int
-    buffer: bytearray
-    offset: int = 0
-    valid_length: int = 0
-    state: SlotState = SlotState.IDLE
+DEFAULT_DEPTH = 4  # slot threads, so at most this many requests in flight
 
 
 @dataclass(frozen=True)
 class CopyReport:
-    """Accounting for one copy: request counts, bytes, wall time, overlap."""
+    """Accounting for one copy: request counts, bytes, wall time, overlap.
+
+    ``peak_outstanding`` is the most requests, reads and writes together,
+    that were inside their system calls at the same moment.
+    """
 
     bytes_copied: int
     read_requests: int
@@ -80,31 +59,14 @@ def plan_schedule(file_size: int, block: int, depth: int) -> list[tuple[int, int
         raise ValueError(f"depth must be at least 1, got {depth}")
     if file_size < 0:
         raise ValueError(f"file size may not be negative, got {file_size}")
-    schedule = []
-    for index, offset in enumerate(range(0, file_size, block)):
-        schedule.append((index % depth, offset, min(block, file_size - offset)))
-    return schedule
+    return [
+        (index % depth, offset, min(block, file_size - offset))
+        for index, offset in enumerate(range(0, file_size, block))
+    ]
 
 
 def process_hook(block: memoryview) -> None:
     """Default per-buffer processing step: look at nothing, change nothing."""
-
-
-def _pread_full(fd: int, view: memoryview, offset: int, length: int) -> int:
-    """Read until ``length`` bytes arrive or the file ends early."""
-    done = 0
-    while done < length:
-        got = os.preadv(fd, [view[done:length]], offset + done)
-        if got == 0:
-            break
-        done += got
-    return done
-
-
-def _pwrite_full(fd: int, view: memoryview, offset: int, length: int) -> None:
-    done = 0
-    while done < length:
-        done += os.pwritev(fd, [view[done:length]], offset + done)
 
 
 def copy_file(
@@ -125,179 +87,62 @@ def copy_file(
     CopyReport of the progress made.
     """
     started = time.perf_counter()
-    src_fd = os.open(os.fspath(src), os.O_RDONLY)
-    try:
-        dst_fd = os.open(os.fspath(dst), os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except BaseException:
-        os.close(src_fd)
-        raise
-    failed = True
-    try:
-        size = os.fstat(src_fd).st_size
-        schedule = plan_schedule(size, block, depth)
-        report = _run_ring(src_fd, dst_fd, schedule, block, depth, hook, started)
-        failed = False
-        return report
-    finally:
-        os.close(src_fd)
-        os.close(dst_fd)
-        if failed:
-            try:
-                os.unlink(dst)
-            except OSError:
-                pass
-
-
-def _run_ring(src_fd, dst_fd, schedule, block, depth, hook, started) -> CopyReport:
-    if not schedule:
-        return CopyReport(0, 0, 0, time.perf_counter() - started, 0)
-
-    queues = [deque() for _ in range(depth)]
-    for slot_index, offset, length in schedule:
-        queues[slot_index].append((offset, length))
-    slots = [RingSlot(i, bytearray(block)) for i in range(depth)]
-
-    lock = threading.Lock()
-    read_done = [threading.Event() for _ in range(depth)]
-    read_futures: list = [None] * depth
-    state = {
-        "busy": 0,
-        "peak": 0,
-        "error": None,
-        "bytes_written": 0,
-        "reads_harvested": 0,
-        "writes_completed": 0,
-        "writes_pending": 0,
-        "all_writes_submitted": False,
-    }
-    drained = threading.Event()
-
-    def fail(exc, *, locked: bool) -> None:
-        if not locked:
-            with lock:
-                fail(exc, locked=True)
-            return
-        if state["error"] is None:
-            state["error"] = exc
-        for event in read_done:
-            event.set()
-        drained.set()
-
-    pool = ThreadPoolExecutor(max_workers=depth)
-
-    def read_task(slot: RingSlot) -> int:
-        return _pread_full(src_fd, memoryview(slot.buffer), slot.offset, slot.valid_length)
-
-    def write_task(slot: RingSlot) -> None:
-        _pwrite_full(dst_fd, memoryview(slot.buffer), slot.offset, slot.valid_length)
-
-    def issue_read(slot: RingSlot):
-        # Lock held.  Returns the future; the caller must attach the
-        # completion callback after releasing the lock, because a future
-        # that is already done runs its callback inline and read_finished
-        # takes the lock itself.
-        offset, length = queues[slot.index].popleft()
-        slot.offset, slot.valid_length, slot.state = offset, length, SlotState.READING
-        return pool.submit(read_task, slot)
-
-    def wire_read(slot: RingSlot, future) -> None:
-        # Lock must NOT be held here.
-        future.add_done_callback(lambda f, s=slot: read_finished(s, f))
-
-    def read_finished(slot: RingSlot, future) -> None:
-        with lock:
-            read_futures[slot.index] = future
-            if future.exception() is None:
-                slot.state = SlotState.READY
-        read_done[slot.index].set()
-
-    def write_finished(slot: RingSlot, future) -> None:
-        next_read = None
-        with lock:
-            exc = future.exception()
-            if exc is not None:
-                fail(exc, locked=True)
-                return
-            state["bytes_written"] += slot.valid_length
-            state["writes_completed"] += 1
-            state["writes_pending"] -= 1
-            slot.state = SlotState.IDLE
-            if queues[slot.index] and state["error"] is None:
-                next_read = issue_read(slot)  # the slot stays busy, no dip
-            else:
-                state["busy"] -= 1
-            if state["all_writes_submitted"] and state["writes_pending"] == 0:
-                drained.set()
-        if next_read is not None:
-            wire_read(slot, next_read)
-
-    initial_reads = []
-    with lock:
-        for slot in slots:
-            if queues[slot.index]:
-                state["busy"] += 1
-                initial_reads.append((slot, issue_read(slot)))
-        state["peak"] = state["busy"]
-    for slot, future in initial_reads:
-        wire_read(slot, future)
-
-    completed_cleanly = True
-    for slot_index, offset, length in schedule:
-        slot = slots[slot_index]
-        event = read_done[slot_index]
-        event.wait()
-        with lock:
-            if state["error"] is not None:
-                completed_cleanly = False
-                break
-            future = read_futures[slot_index]
-            read_futures[slot_index] = None
-            event.clear()
-        exc = future.exception()
-        if exc is not None:
-            fail(exc, locked=False)
-            completed_cleanly = False
-            break
-        got = future.result()
-        if got != length:
-            fail(
-                OSError(
-                    f"source shrank mid-copy: wanted {length} bytes at offset {offset}, got {got}"
-                ),
-                locked=False,
-            )
-            completed_cleanly = False
-            break
+    with open(src, "rb", buffering=0) as source, open(dst, "xb", buffering=0) as target:
         try:
-            hook(memoryview(slot.buffer)[:length].toreadonly())
-        except BaseException as hook_exc:
-            fail(hook_exc, locked=False)
-            completed_cleanly = False
-            break
-        with lock:
-            state["reads_harvested"] += 1
-            slot.state = SlotState.WRITING
-            state["writes_pending"] += 1
-            future = pool.submit(write_task, slot)
-        future.add_done_callback(lambda f, s=slot: write_finished(s, f))
+            schedule = plan_schedule(os.fstat(source.fileno()).st_size, block, depth)
+            return _copy_blocks(source.fileno(), target.fileno(), schedule, depth, hook, started)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(dst)
+            raise
 
-    if completed_cleanly:
-        with lock:
-            state["all_writes_submitted"] = True
-            if state["writes_pending"] == 0:
-                drained.set()
-        drained.wait()
-    pool.shutdown(wait=True)
 
-    with lock:
-        error = state["error"]
-        report = CopyReport(
-            bytes_copied=state["bytes_written"],
-            read_requests=state["reads_harvested"],
-            write_requests=state["writes_completed"],
-            wall_time=time.perf_counter() - started,
-            peak_outstanding=state["peak"],
-        )
-    if error is not None:
-        raise CopyAbortedError(f"copy aborted: {error}", report) from error
+def _copy_blocks(src_fd, dst_fd, schedule, depth, hook, started) -> CopyReport:
+    depth = min(depth, len(schedule))  # a slot without blocks starts no thread
+    turns = [threading.Semaphore(int(i == 0)) for i in range(depth)]  # block 0 starts
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+    reads = writes = copied = busy = peak = 0
+
+    def transfer(fd, view, offset, length, *, write) -> int:
+        nonlocal busy, peak
+        with lock:
+            busy += 1
+            peak = max(peak, busy)
+        try:
+            return transfer_full(fd, view, offset, length, write=write)
+        finally:
+            with lock:
+                busy -= 1
+
+    def slot(index: int) -> None:
+        nonlocal reads, writes, copied
+        view = memoryview(bytearray(schedule[0][2]))
+        for _, offset, length in schedule[index::depth]:
+            got = transfer(src_fd, view, offset, length, write=False)
+            if got != length:
+                raise OSError(
+                    f"source shrank mid-copy: wanted {length} bytes at offset {offset}, got {got}"
+                )
+            turns[index].acquire()
+            if errors:
+                return
+            reads += 1  # only the turn holder counts reads
+            hook(view[:length].toreadonly())
+            turns[(index + 1) % depth].release()
+            transfer(dst_fd, view, offset, length, write=True)
+            with lock:
+                writes += 1
+                copied += length
+
+    def fail(exc: BaseException) -> None:
+        with lock:
+            errors.append(exc)
+        for turn in turns:
+            turn.release()
+
+    run_slots(depth, slot, fail)
+    report = CopyReport(copied, reads, writes, time.perf_counter() - started, peak)
+    if errors:
+        raise CopyAbortedError(f"copy aborted: {errors[0]}", report) from errors[0]
     return report

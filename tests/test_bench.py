@@ -1,6 +1,10 @@
 """Measurement core: offsets, summaries, accounting, extension timing."""
+import itertools
 import math
+import os
 import statistics
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -306,6 +310,23 @@ def test_async_seek_offsets_match_sync_chain(tmp_path):
     assert logs[0] == logs[1]
 
 
+def test_async_chain_survives_thread_switch_stress(tmp_path, deadline):
+    """Eight slots on a fast switch interval: a lost ticket or offset update breaks the chain."""
+    logs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for depth in (None, 8):
+            log = tmp_path / f"log_{depth}.txt"
+            cfg = _cfg(tmp_path, seek_pct=30, async_depth=depth, max_requests=800, offset_log=log)
+            result = sb.run_measurement(cfg, trials=1, warmup=0)
+            assert result.samples[0].request_count == 800
+            logs.append(log.read_text())
+    finally:
+        sys.setswitchinterval(interval)
+    assert logs[0] == logs[1]
+
+
 def test_direct_read_measurement(tmp_path, need_direct):
     cfg = _cfg(tmp_path, direct=True, block=65536, max_requests=8)
     result = sb.run_measurement(cfg, trials=1, warmup=0)
@@ -315,6 +336,44 @@ def test_direct_read_measurement(tmp_path, need_direct):
 def test_direct_ragged_block_is_rejected(tmp_path, need_direct):
     cfg = _cfg(tmp_path, direct=True, block=1000, max_requests=4)
     with pytest.raises(sb.DirectRequestError):
+        sb.run_measurement(cfg, trials=1, warmup=0)
+
+
+def test_rejected_direct_async_trial_leaves_no_thread_behind(tmp_path, need_direct, deadline):
+    cfg = _cfg(tmp_path, direct=True, block=1000, async_depth=3, max_requests=12)
+    before = threading.active_count()
+    with pytest.raises(sb.DirectRequestError):
+        sb.run_measurement(cfg, trials=1, warmup=0)
+    assert threading.active_count() == before
+
+
+def test_failed_async_trial_leaves_no_thread_behind(tmp_path, monkeypatch, deadline):
+    cfg = _cfg(tmp_path, async_depth=3, max_requests=64)
+    real = os.preadv
+    calls = itertools.count()
+
+    def failing(fd, buffers, offset):
+        if next(calls) == 9:
+            raise OSError("injected read failure")
+        return real(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "preadv", failing)
+    before = threading.active_count()
+    with pytest.raises(OSError, match="injected read failure"):
+        sb.run_measurement(cfg, trials=1, warmup=0)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "direction, call, error",
+    [(Direction.READ, "preadv", "short read"), (Direction.WRITE, "pwritev", "no progress")],
+)
+def test_async_trial_ends_when_a_transfer_stops_making_progress(
+    tmp_path, short_then_zero, deadline, direction, call, error
+):
+    cfg = _cfg(tmp_path, direction=direction, async_depth=2, max_requests=16)
+    short_then_zero(call)
+    with pytest.raises(OSError, match=error):
         sb.run_measurement(cfg, trials=1, warmup=0)
 
 

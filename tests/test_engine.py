@@ -441,6 +441,19 @@ def test_direct_rejects_ragged_request_before_transfer(tmp_path, need_direct):
         assert h.position == 0
 
 
+def test_direct_write_ends_when_the_device_stops_making_progress(
+    tmp_path, need_direct, short_then_zero, deadline
+):
+    geom = sb.detect_sector_geometry(tmp_path)
+    buf = sb.allocate_aligned(geom.recommended_alignment, geom.recommended_alignment)
+    with sb.open_file(
+        tmp_path / "d.dat", OpenDisposition.CREATE, Direction.WRITE, io_mode=IoMode.DIRECT
+    ) as h:
+        short_then_zero("pwritev", step=geom.logical_sector)
+        with pytest.raises(OSError, match="no progress"):
+            h.write_block(buf, buf.capacity)
+
+
 def test_direct_unsupported_volume_is_a_distinct_error():
     if not os.path.isdir("/dev/shm"):
         pytest.skip("no memory-backed filesystem mounted")

@@ -1,5 +1,8 @@
 """Overlapped copy: schedule tiling, ring behavior, report accounting."""
 import hashlib
+import itertools
+import os
+import sys
 import threading
 import zlib
 
@@ -93,6 +96,7 @@ def _fill(path, size, seed=0):
         (4 * 4096 + 1, 4096, 4),
         (100_000, 1, 2),
         (65536, 65536, 1),
+        (4 * 4096 + 1, 4096, 1),
     ],
 )
 def test_copy_preserves_bytes(tmp_path, size, block, depth):
@@ -104,10 +108,55 @@ def test_copy_preserves_bytes(tmp_path, size, block, depth):
     assert report.bytes_copied == size
     assert report.read_requests == wanted_requests
     assert report.write_requests == wanted_requests
-    assert report.peak_outstanding <= depth
-    if size >= depth * block:
-        assert report.peak_outstanding == depth
+    if size:
+        assert 1 <= report.peak_outstanding <= depth  # so exactly 1 at depth 1
+    else:
+        assert report.peak_outstanding == 0  # no request was ever made
     assert report.wall_time >= 0.0
+
+
+def test_copy_peak_reaches_depth_when_reads_overlap(tmp_path, monkeypatch, deadline):
+    """Hold the first ``depth`` reads inside preadv together: the peak must see all of them."""
+    depth = 3
+    src, dst = tmp_path / "src", tmp_path / "dst"
+    _fill(src, 8 * 4096)
+    real = os.preadv
+    gate = threading.Barrier(depth, timeout=10)
+    calls = itertools.count()
+
+    def held(fd, buffers, offset):
+        if next(calls) < depth:
+            gate.wait()
+        return real(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "preadv", held)
+    report = sb.copy_file(src, dst, block=4096, depth=depth)
+    assert report.peak_outstanding == depth
+    assert _sha(src) == _sha(dst)
+
+
+def test_copy_counts_survive_thread_switch_stress(tmp_path, deadline):
+    """Eight slots on a fast switch interval: a lost count update or a turn out of order shows."""
+    src, dst = tmp_path / "src", tmp_path / "dst"
+    payload = sb.make_rng(4).bytes(3000 * 64 + 5)
+    src.write_bytes(payload)
+    running = zlib.adler32(b"")
+
+    def hook(view):
+        nonlocal running
+        running = zlib.adler32(view, running)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = sb.copy_file(src, dst, block=64, depth=8, hook=hook)
+    finally:
+        sys.setswitchinterval(interval)
+    assert running == zlib.adler32(payload)  # hooks ran in file order
+    assert dst.read_bytes() == payload
+    assert (report.read_requests, report.write_requests) == (3001, 3001)
+    assert report.bytes_copied == 3000 * 64 + 5
+    assert 1 <= report.peak_outstanding <= 8
 
 
 def test_copy_hook_sees_blocks_in_file_order(tmp_path):
@@ -139,6 +188,36 @@ def test_copy_hook_exception_aborts_and_cleans_up(tmp_path):
         sb.copy_file(src, dst, block=4096, depth=4, hook=hook)
     assert not dst.exists()
     assert info.value.progress.bytes_copied < 20 * 4096
+
+
+def test_hook_abort_leaves_no_thread_behind(tmp_path, deadline):
+    src, dst = tmp_path / "src", tmp_path / "dst"
+    _fill(src, 20 * 4096)
+    seen = []
+
+    def hook(view):
+        seen.append(len(view))
+        if len(seen) == 5:
+            raise RuntimeError("synthetic processing failure")
+
+    before = threading.active_count()
+    with pytest.raises(sb.CopyAbortedError) as info:
+        sb.copy_file(src, dst, block=4096, depth=4, hook=hook)
+    assert threading.active_count() == before
+    assert len(seen) == 5  # the abort stopped the hook calls
+    assert info.value.progress.write_requests <= 4
+
+
+@pytest.mark.parametrize("call", ["preadv", "pwritev"])
+def test_copy_ends_when_a_transfer_stops_making_progress(tmp_path, short_then_zero, deadline, call):
+    src, dst = tmp_path / "src", tmp_path / "dst"
+    _fill(src, 8 * 4096)
+    short_then_zero(call)
+    with pytest.raises(sb.CopyAbortedError) as info:
+        sb.copy_file(src, dst, block=4096, depth=2)
+    assert isinstance(info.value.__cause__, OSError)
+    assert info.value.progress.bytes_copied < 8 * 4096
+    assert not dst.exists()
 
 
 def test_copy_existing_destination_is_left_alone(tmp_path):
