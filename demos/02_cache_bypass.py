@@ -13,10 +13,10 @@ import tempfile
 from pathlib import Path
 
 from seqbench import (
+    AlignedBuffer,
     Direction,
     IoMode,
     OpenDisposition,
-    allocate_aligned,
     detect_sector_geometry,
     open_file,
     supports_direct_io,
@@ -34,7 +34,7 @@ print(f"logical sector {sector} bytes, "
 
 # Aligned buffers come from the package, not from bytearray: the base
 # address itself must sit on a sector boundary.
-buffer = allocate_aligned(4 * sector, geometry.recommended_alignment)
+buffer = AlignedBuffer(4 * sector, geometry.recommended_alignment)
 print(f"buffer base {buffer.address:#x}, capacity {buffer.capacity}")
 
 # The validator names every broken rule up front.  A request one byte
@@ -53,7 +53,7 @@ else:
         print(f"wrote {handle.length} bytes uncached")
     with open_file(path, OpenDisposition.OPEN, Direction.READ,
                    IoMode.DIRECT) as handle:
-        readback = allocate_aligned(4 * sector, geometry.recommended_alignment)
+        readback = AlignedBuffer(4 * sector, geometry.recommended_alignment)
         got = handle.read_block(readback, 2 * sector)
         same = bytes(readback.view[:got]) == bytes(buffer.view[:got])
         print(f"read {got} bytes uncached, content matches: {same}")

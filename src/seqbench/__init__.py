@@ -36,7 +36,6 @@ from .engine import (
     FlushLevel,
     IoMode,
     SectorGeometry,
-    allocate_aligned,
     count_extents,
     detect_sector_geometry,
     open_file,

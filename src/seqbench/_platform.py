@@ -1,18 +1,20 @@
 """Thin platform layer for the handful of OS services the engine needs.
 
-Capability map.  Only the Linux column is implemented and exercised by the
-test suite; the other columns document where a port would plug in.
+Capability map.  Only Linux is implemented: the Linux column is what this
+module does and what the test suite exercises.  The other columns are
+documentation of where a port would plug in; no code here runs them.
 
     capability          Linux                       macOS                  Windows
     ------------------  --------------------------  ---------------------  ---------------------------
-    cache-bypass open   O_DIRECT at open(2)         F_NOCACHE after open   FILE_FLAG_NO_BUFFERING
-    flush OS cache      fsync(2)                    fcntl F_FULLFSYNC      FlushFileBuffers
+    cache-bypass open   O_DIRECT at open(2)         fcntl no-cache flag    FILE_FLAG_NO_BUFFERING
+    flush OS cache      fsync(2)                    fcntl full fsync       FlushFileBuffers
     logical sector      /sys/dev/block/<dev>/queue  (no public query)      IOCTL_DISK_GET_DRIVE_GEOMETRY
     extent count        FIEMAP ioctl                fcntl F_LOG2PHYS loop  FSCTL_GET_RETRIEVAL_POINTERS
     access-hint         posix_fadvise(2)            F_RDAHEAD              FILE_FLAG_SEQUENTIAL_SCAN
 
-On macOS a best-effort cache-bypass path exists (F_NOCACHE); everything else
-non-Linux raises a clear error instead of guessing.
+Elsewhere the cache-bypass open, the sector-size probe and the extent count
+raise a clear error instead of guessing; flushing falls back to fsync(2) and
+the access hint to a no-op.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from pathlib import Path
 from .errors import DirectIoUnsupportedError, ExtentQueryError
 
 IS_LINUX = sys.platform.startswith("linux")
-IS_DARWIN = sys.platform == "darwin"
 
 # FIEMAP ioctl pieces, from linux/fiemap.h.  The request header is
 # fm_start, fm_length (u64); fm_flags, fm_mapped_extents, fm_extent_count,
@@ -35,13 +36,6 @@ _FIEMAP_FLAG_SYNC = 0x0001
 _FIEMAP_HEADER = struct.Struct("=QQIIII")
 
 _EOPNOTSUPP = getattr(errno, "EOPNOTSUPP", errno.ENOTSUP)
-
-
-def direct_open_available() -> bool:
-    """Whether this platform has any cache-bypass open path at all."""
-    if IS_LINUX:
-        return hasattr(os, "O_DIRECT")
-    return IS_DARWIN
 
 
 def open_raw(path: str | os.PathLike, flags: int, mode: int = 0o666, *, direct: bool = False) -> int:
@@ -54,40 +48,22 @@ def open_raw(path: str | os.PathLike, flags: int, mode: int = 0o666, *, direct: 
     path = os.fspath(path)
     if not direct:
         return os.open(path, flags, mode)
-    if IS_LINUX:
-        if not hasattr(os, "O_DIRECT"):
-            raise DirectIoUnsupportedError("this Python build exposes no O_DIRECT flag")
-        try:
-            return os.open(path, flags | os.O_DIRECT, mode)
-        except OSError as exc:
-            if exc.errno in (errno.EINVAL, _EOPNOTSUPP, errno.ENOTSUP):
-                raise DirectIoUnsupportedError(
-                    f"filesystem holding {path!r} rejects uncached opens: {exc}"
-                ) from exc
-            raise
-    if IS_DARWIN:
-        import fcntl
-
-        fd = os.open(path, flags, mode)
-        try:
-            fcntl.fcntl(fd, fcntl.F_NOCACHE, 1)
-        except OSError as exc:
-            os.close(fd)
-            raise DirectIoUnsupportedError(f"F_NOCACHE refused for {path!r}: {exc}") from exc
-        return fd
-    raise DirectIoUnsupportedError(f"no cache-bypass open path on platform {sys.platform!r}")
+    if not IS_LINUX:
+        raise DirectIoUnsupportedError(f"no cache-bypass open path on platform {sys.platform!r}")
+    if not hasattr(os, "O_DIRECT"):
+        raise DirectIoUnsupportedError("this Python build exposes no O_DIRECT flag")
+    try:
+        return os.open(path, flags | os.O_DIRECT, mode)
+    except OSError as exc:
+        if exc.errno in (errno.EINVAL, _EOPNOTSUPP, errno.ENOTSUP):
+            raise DirectIoUnsupportedError(
+                f"filesystem holding {path!r} rejects uncached opens: {exc}"
+            ) from exc
+        raise
 
 
 def flush_os_cache(fd: int) -> None:
     """Push OS-cached dirty data for ``fd`` toward the device."""
-    if IS_DARWIN:
-        import fcntl
-
-        try:
-            fcntl.fcntl(fd, fcntl.F_FULLFSYNC)
-            return
-        except OSError:
-            pass
     os.fsync(fd)
 
 

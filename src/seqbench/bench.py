@@ -37,7 +37,6 @@ from .engine import (
     FileHandle,
     FlushLevel,
     IoMode,
-    allocate_aligned,
     detect_sector_geometry,
     open_file,
     run_slots,
@@ -56,6 +55,7 @@ __all__ = [
     "ExtensionMode",
     "IoConfig",
     "ThroughputSample",
+    "Stopwatch",
     "BenchmarkResult",
     "detect_clock_ghz",
     "next_offset",
@@ -108,7 +108,6 @@ class IoConfig:
     direct: bool = False
     seek_pct: int | None = None
     touch: bool = False
-    quiet: bool = False
     seed: int = DEFAULT_SEED
     max_requests: int | None = None
     offset_log: Path | None = None
@@ -143,11 +142,25 @@ class ThroughputSample:
     request_count: int
 
 
+class Stopwatch:
+    """The one trial timer: wall and process CPU seconds since it started."""
+
+    def __init__(self):
+        self._cpu_start = time.process_time()
+        self._wall_start = time.perf_counter()
+
+    def sample(self, bytes_moved: int, requests: int) -> ThroughputSample:
+        wall = time.perf_counter() - self._wall_start
+        cpu = time.process_time() - self._cpu_start
+        return ThroughputSample(bytes_moved, wall, cpu, requests)
+
+
 @dataclass(frozen=True)
 class BenchmarkResult:
     """Median summary of a measurement's trials.
 
-    ``per_byte_cycles`` is NaN when no clock rate was available.  The
+    ``per_byte_cycles`` is NaN when no clock rate was available.  A trial
+    that moved no bytes counts as 0 MB/s with a NaN per-byte cost.  The
     warm-up trial is not included in ``samples``.
     """
 
@@ -164,11 +177,12 @@ class BenchmarkResult:
         samples = tuple(samples)
         if not samples:
             raise ValueError("cannot summarize zero samples")
-        rates = [s.bytes_moved / 1e6 / s.wall_seconds for s in samples]
+        rates = [s.bytes_moved / 1e6 / s.wall_seconds if s.bytes_moved else 0.0 for s in samples]
         mb_per_sec, stddev = summarize(rates)
-        ns_values = [per_byte_cost(s, clock_ghz)[0] for s in samples]
+        nan = float("nan")
+        ns_values = [per_byte_cost(s, clock_ghz)[0] if s.bytes_moved else nan for s in samples]
         per_byte_ns = statistics.median(ns_values)
-        cycles = float("nan") if clock_ghz is None else per_byte_ns * clock_ghz
+        cycles = nan if clock_ghz is None else per_byte_ns * clock_ghz
         return cls(samples, clock_ghz, mb_per_sec, stddev, per_byte_ns, cycles, config)
 
     @property
@@ -280,16 +294,17 @@ def _prepare_target(cfg: IoConfig) -> None:
             handle.flush(FlushLevel.OPERATING_SYSTEM_CACHE)
 
 
-def _make_buffer(cfg: IoConfig, geometry):
+def _make_buffer(cfg: IoConfig, geometry) -> tuple[AlignedBuffer | bytearray, memoryview]:
+    """A one-block transfer buffer and a view of it, pattern-filled for writes."""
     if cfg.direct:
-        return allocate_aligned(cfg.block, geometry.recommended_alignment)
-    return bytearray(cfg.block)
-
-
-def _buffer_view(buffer) -> memoryview:
-    if isinstance(buffer, AlignedBuffer):
-        return buffer.view
-    return memoryview(buffer)
+        buffer = AlignedBuffer(cfg.block, geometry.recommended_alignment)
+        view = buffer.view
+    else:
+        buffer = bytearray(cfg.block)
+        view = memoryview(buffer)
+    if cfg.direction is Direction.WRITE:
+        view[:] = bytes([_FILL_BYTE]) * cfg.block
+    return buffer, view
 
 
 def _open_for_trial(cfg: IoConfig) -> FileHandle:
@@ -302,17 +317,13 @@ def _trial_sync(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
     reading = cfg.direction is Direction.READ
     offsets: list[int] = []
     with _open_for_trial(cfg) as handle:
-        buffer = _make_buffer(cfg, handle.geometry)
-        view = _buffer_view(buffer)
-        if not reading:
-            view[:] = bytes([_FILL_BYTE]) * cfg.block
+        buffer, view = _make_buffer(cfg, handle.geometry)
         deadline = time.perf_counter() + cfg.duration
         offset = 0
         requests = 0
         moved = 0
         checksum = 1
-        cpu_start = time.process_time()
-        wall_start = time.perf_counter()
+        stopwatch = Stopwatch()
         while True:
             if handle.position != offset:
                 handle.seek(offset)
@@ -336,9 +347,8 @@ def _trial_sync(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
             offset = next_offset(offset, cfg, cfg.file_size, rng)
         if not reading:
             handle.flush(FlushLevel.APPLICATION_BUFFERS)
-        wall = time.perf_counter() - wall_start
-        cpu = time.process_time() - cpu_start
-    return ThroughputSample(moved, wall, cpu, requests), offsets
+        sample = stopwatch.sample(moved, requests)
+    return sample, offsets
 
 
 def _trial_async(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
@@ -356,7 +366,7 @@ def _trial_async(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
     The first failure in any slot stops the others, and it is raised once
     every slot thread has finished.
     """
-    depth = cfg.async_depth or DEFAULT_ASYNC_DEPTH
+    depth = cfg.async_depth
     write = cfg.direction is Direction.WRITE
     limit = max(depth, cfg.max_requests) if cfg.max_requests is not None else None
     offsets: list[int] = []
@@ -365,16 +375,12 @@ def _trial_async(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
     with _open_for_trial(cfg) as handle:
         fd = handle.fileno()
         buffers = [_make_buffer(cfg, handle.geometry) for _ in range(depth)]
-        if write:
-            for buffer in buffers:
-                _buffer_view(buffer)[:] = bytes([_FILL_BYTE]) * cfg.block
         following = 0
         deadline = time.perf_counter() + cfg.duration
 
         def slot(index: int) -> None:
             nonlocal following
-            buffer = buffers[index]
-            view = _buffer_view(buffer)
+            buffer, view = buffers[index]
             checksum = 1
             while True:
                 with lock:
@@ -402,15 +408,12 @@ def _trial_async(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
             with lock:
                 errors.append(exc)
 
-        cpu_start = time.process_time()
-        wall_start = time.perf_counter()
+        stopwatch = Stopwatch()
         run_slots(depth, slot, fail)
-        wall = time.perf_counter() - wall_start
-        cpu = time.process_time() - cpu_start
+        sample = stopwatch.sample(len(offsets) * cfg.block, len(offsets))
     if errors:
         raise errors[0]
-    requests = len(offsets)
-    return ThroughputSample(requests * cfg.block, wall, cpu, requests), offsets
+    return sample, offsets
 
 
 def run_measurement(
@@ -485,8 +488,7 @@ def measure_extension(
         if path.exists():
             path.unlink()
         requests = 0
-        cpu_start = time.process_time()
-        wall_start = time.perf_counter()
+        stopwatch = Stopwatch()
         with open_file(path, OpenDisposition.CREATE_NEW, Direction.WRITE) as handle:
             if mode is ExtensionMode.PREALLOCATED:
                 handle.preallocate(final_size)
@@ -498,7 +500,5 @@ def measure_extension(
                 written += step
                 requests += 1
             handle.flush(FlushLevel.OPERATING_SYSTEM_CACHE)
-        wall = time.perf_counter() - wall_start
-        cpu = time.process_time() - cpu_start
-        samples.append(ThroughputSample(final_size, wall, cpu, requests))
+        samples.append(stopwatch.sample(final_size, requests))
     return BenchmarkResult.from_samples(samples, clock_ghz)

@@ -19,15 +19,14 @@ import hashlib
 import os
 import sys
 import tempfile
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 from .bench import (
     DEFAULT_ASYNC_DEPTH,
+    BenchmarkResult,
     ExtensionMode,
     IoConfig,
-    ThroughputSample,
     detect_clock_ghz,
     measure_extension,
     run_measurement,
@@ -42,6 +41,7 @@ from .workloads import (
     BlockAtATime,
     ByteAtATime,
     LineAtATime,
+    SORT_RECORD_BYTES,
     run_read,
     run_write,
     write_sort_file,
@@ -147,6 +147,7 @@ class IospeedInvocation:
     config: IoConfig
     extension: ExtensionMode | None = None
     extension_size: int | None = None
+    quiet: bool = False
 
 
 @dataclass(frozen=True)
@@ -183,8 +184,6 @@ _IOSPEED_FLAGS = {
     "c": _BARE,
     "q": _BARE,
 }
-
-_FRAGDISK_FLAGS = {name: _REQUIRED for name in ("m", "Fm", "FM", "c", "d", "s", "n", "k", "f", "r")}
 
 _ASYNCCOPY_FLAGS = {"z": _REQUIRED, "b": _REQUIRED, "a": _REQUIRED}
 
@@ -290,11 +289,10 @@ def parse_iospeed(args) -> IospeedInvocation:
             direct="d" in found,
             seek_pct=seek,
             touch="c" in found,
-            quiet="q" in found,
         )
     except ConfigError as exc:
         raise ConfigError(f"iospeed: {exc}") from None
-    return IospeedInvocation(config, extension, ext_size if extension else None)
+    return IospeedInvocation(config, extension, ext_size if extension else None, "q" in found)
 
 
 def _size_mb_default(text: str, flag: str) -> int:
@@ -304,31 +302,31 @@ def _size_mb_default(text: str, flag: str) -> int:
     return _size(text, flag)
 
 
+#: fragdisk flag -> (FragConfig field, value parser); every flag needs a value.
+_FRAGDISK_FIELDS = {
+    "m": ("max_files", _int),
+    "Fm": ("min_file", _size_mb_default),
+    "FM": ("max_file", _size_mb_default),
+    "c": ("files_per_cycle", _int),
+    "d": ("max_files_per_dir", _int),
+    "s": ("max_subdirs", _int),
+    "n": ("max_cycles", _int),
+    "k": ("keep_pct", _int),
+    "f": ("fill_pct", _int),
+    "r": ("seed", _int),
+}
+
+_FRAGDISK_FLAGS = {name: _REQUIRED for name in _FRAGDISK_FIELDS}
+
+
 def parse_fragdisk(args) -> FragdiskInvocation:
     found, positionals = _scan(args, _FRAGDISK_FLAGS, "fragdisk")
     if len(positionals) != 1:
         raise ConfigError(f"fragdisk needs exactly one directory, got {positionals!r}")
     values = dict(root=Path(positionals[0]))
-    if "m" in found:
-        values["max_files"] = _int(found["m"], "m")
-    if "Fm" in found:
-        values["min_file"] = _size_mb_default(found["Fm"], "Fm")
-    if "FM" in found:
-        values["max_file"] = _size_mb_default(found["FM"], "FM")
-    if "c" in found:
-        values["files_per_cycle"] = _int(found["c"], "c")
-    if "d" in found:
-        values["max_files_per_dir"] = _int(found["d"], "d")
-    if "s" in found:
-        values["max_subdirs"] = _int(found["s"], "s")
-    if "n" in found:
-        values["max_cycles"] = _int(found["n"], "n")
-    if "k" in found:
-        values["keep_pct"] = _int(found["k"], "k")
-    if "f" in found:
-        values["fill_pct"] = _int(found["f"], "f")
-    if "r" in found:
-        values["seed"] = _int(found["r"], "r")
+    for flag, (field, parse) in _FRAGDISK_FIELDS.items():
+        if flag in found:
+            values[field] = parse(found[flag], flag)
     try:
         config = FragConfig(**values)
     except ValueError as exc:
@@ -386,28 +384,19 @@ def _human_rate(row: ResultRow) -> str:
 
 def _run_iospeed(inv: IospeedInvocation) -> int:
     cfg = inv.config
-    human = sys.stderr if cfg.quiet else sys.stdout
+    human = sys.stderr if inv.quiet else sys.stdout
     clock = detect_clock_ghz()
     rows = []
     if inv.extension is not None:
-        mode = "preallocated" if inv.extension is ExtensionMode.PREALLOCATED else "incremental"
         print(
             f"extending {cfg.path} to {inv.extension_size} bytes "
-            f"({mode}, {cfg.block} byte synchronous writes)",
+            f"({inv.extension.value}, {cfg.block} byte synchronous writes)",
             file=human,
         )
         result = measure_extension(
             cfg.path, inv.extension_size, cfg.block, inv.extension, trials=1, clock_ghz=clock
         )
-        row = result_row(
-            "iospeed-extend",
-            result,
-            direction="write",
-            block_bytes=cfg.block,
-            direct=False,
-            async_depth=None,
-            seek_pct=None,
-        )
+        row = result_row("iospeed-extend", result, block_bytes=cfg.block)
         rows.append(row)
         print(f"  extension: {_human_rate(row)}", file=human)
     print(
@@ -422,7 +411,7 @@ def _run_iospeed(inv: IospeedInvocation) -> int:
     row = result_row("iospeed", result)
     rows.append(row)
     print(f"  {cfg.direction.value}: {_human_rate(row)}", file=human)
-    sys.stdout.write(to_csv(rows, header=not cfg.quiet))
+    sys.stdout.write(to_csv(rows, header=not inv.quiet))
     return 0
 
 
@@ -445,57 +434,31 @@ def _run_fragdisk(inv: FragdiskInvocation) -> int:
     return 0
 
 
-def _workload_row(direction: str, block_bytes: int, sample) -> ResultRow:
-    if sample.bytes_moved:
-        mb = sample.bytes_moved / 1e6 / sample.wall_seconds
-        ns = sample.cpu_seconds * 1e9 / sample.bytes_moved
-    else:
-        mb, ns = 0.0, float("nan")
-    clock = detect_clock_ghz()
-    cycles = float("nan") if clock is None else ns * clock
-    return ResultRow(
-        tool="examples",
-        direction=direction,
-        block_bytes=block_bytes,
-        direct=False,
-        async_depth=None,
-        seek_pct=None,
-        trials=1,
-        bytes_moved=sample.bytes_moved,
-        wall_s=sample.wall_seconds,
-        cpu_s=sample.cpu_seconds,
-        mb_per_sec=mb,
-        ns_per_byte=ns,
-        cycles_per_byte=cycles,
-        stddev=0.0,
-    )
-
-
 def _run_examples(inv: ExamplesInvocation) -> int:
     path = inv.path
-    total = inv.record_count * 100
+    total = inv.record_count * SORT_RECORD_BYTES
     block = 64 * 1024
     rng = make_rng(DEFAULT_SEED)
+    clock = detect_clock_ghz()
     print(f"workload matrix on {path}: {inv.record_count} records, {total} bytes")
     rows = []
 
+    def row(direction: str, block_bytes: int, workload) -> None:
+        result = BenchmarkResult.from_samples([workload.sample], clock)
+        rows.append(result_row("examples", result, direction=direction, block_bytes=block_bytes))
+
     print("  write, one byte per call")
-    rows.append(_workload_row("write", 1, run_write(path, ByteAtATime(), total, rng).sample))
+    row("write", 1, run_write(path, ByteAtATime(), total, rng))
     print("  write, 64K blocks (builds the sort input file)")
-    cpu0, wall0 = time.process_time(), time.perf_counter()
-    write_sort_file(path, inv.record_count, rng, io_block=block)
-    wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
-    rows.append(
-        _workload_row("write", block, ThroughputSample(total, wall, cpu, -(-total // block)))
-    )
+    row("write", block, write_sort_file(path, inv.record_count, rng, io_block=block))
     print("  write, one line per call")
-    rows.append(_workload_row("write", 0, run_write(path, LineAtATime(), total, rng).sample))
+    row("write", 0, run_write(path, LineAtATime(), total, rng))
     print("  read, one byte per call")
-    rows.append(_workload_row("read", 1, run_read(path, ByteAtATime()).sample))
+    row("read", 1, run_read(path, ByteAtATime()))
     print("  read, one line per call")
-    rows.append(_workload_row("read", 0, run_read(path, LineAtATime()).sample))
+    row("read", 0, run_read(path, LineAtATime()))
     print("  read, 64K blocks")
-    rows.append(_workload_row("read", block, run_read(path, BlockAtATime(block)).sample))
+    row("read", block, run_read(path, BlockAtATime(block)))
 
     sys.stdout.write(to_csv(rows))
     return 0

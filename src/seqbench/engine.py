@@ -50,7 +50,6 @@ __all__ = [
     "DEFAULT_STREAM_BUFFER",
     "detect_sector_geometry",
     "AlignedBuffer",
-    "allocate_aligned",
     "validate_direct_request",
     "transfer_full",
     "run_slots",
@@ -195,11 +194,6 @@ class AlignedBuffer:
 
     def __repr__(self) -> str:
         return f"AlignedBuffer(capacity={self.capacity}, alignment={self.alignment})"
-
-
-def allocate_aligned(capacity: int, alignment: int) -> AlignedBuffer:
-    """Allocate a zero-filled buffer aligned for direct transfers."""
-    return AlignedBuffer(capacity, alignment)
 
 
 def validate_direct_request(geometry, buffer, length: int, file_offset: int) -> list[str]:
@@ -379,7 +373,7 @@ class FileHandle:
         if not (hasattr(buffer, "address") and hasattr(buffer, "capacity")):
             raise TypeError(
                 "direct transfers need an aligned buffer exposing .address and "
-                f".capacity (see allocate_aligned), got {type(buffer).__name__}"
+                f".capacity (see AlignedBuffer), got {type(buffer).__name__}"
             )
         if length is None:
             length = buffer.capacity
@@ -488,9 +482,6 @@ def open_file(
     direction: Direction,
     io_mode: IoMode = IoMode.BUFFERED,
     access_hint: AccessHint = AccessHint.SEQUENTIAL,
-    *,
-    geometry: SectorGeometry | None = None,
-    stream_buffer: int = DEFAULT_STREAM_BUFFER,
 ) -> FileHandle:
     """Open ``path`` for benchmarking-grade I/O.
 
@@ -500,9 +491,9 @@ def open_file(
     (OPEN, READ) pair yields a read-only handle.  APPEND positions at the
     current end of file; it does not pin later writes there.
 
-    Direct handles need a SectorGeometry; when ``geometry`` is None it is
-    probed from the volume after opening, and a probe failure surfaces as
-    GeometryProbeError rather than being papered over.
+    Buffered handles get a DEFAULT_STREAM_BUFFER stream buffer.  Direct
+    handles probe the volume's SectorGeometry after opening, and a probe
+    failure surfaces as GeometryProbeError rather than being papered over.
 
     Missing files, existing files under CREATE_NEW, and permission
     problems raise the standard FileNotFoundError, FileExistsError and
@@ -513,23 +504,20 @@ def open_file(
         raise TypeError(f"disposition must be an OpenDisposition, got {disposition!r}")
     if not isinstance(direction, Direction):
         raise TypeError(f"direction must be a Direction, got {direction!r}")
-    if stream_buffer < 1:
-        raise ValueError(f"stream buffer must be at least 1 byte, got {stream_buffer}")
 
     read_only = disposition is OpenDisposition.OPEN and direction is Direction.READ
     flags = _DISPOSITION_FLAGS[disposition]
     flags |= os.O_RDONLY if read_only else os.O_RDWR
-    if hasattr(os, "O_BINARY"):
-        flags |= os.O_BINARY
 
     fd = _platform.open_raw(path, flags, direct=io_mode is IoMode.DIRECT)
     try:
         _platform.advise_access(fd, sequential=access_hint is AccessHint.SEQUENTIAL)
-        if io_mode is IoMode.DIRECT and geometry is None:
-            geometry = detect_sector_geometry(path)
+        geometry = None
         stream = None
-        if io_mode is IoMode.BUFFERED:
-            stream = io.open(fd, "rb" if read_only else "r+b", buffering=stream_buffer)
+        if io_mode is IoMode.DIRECT:
+            geometry = detect_sector_geometry(path)
+        else:
+            stream = io.open(fd, "rb" if read_only else "r+b", buffering=DEFAULT_STREAM_BUFFER)
     except BaseException:
         os.close(fd)
         raise

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 
 from .core import DEFAULT_SEED, make_rng
+from .engine import transfer_full
 
 __all__ = [
     "FragConfig",
@@ -195,15 +196,15 @@ def plan_directory_tree(cfg: FragConfig, volume_capacity: int | None = None) -> 
 
 
 def _write_file(path: Path, size: int) -> None:
-    """Write ``size`` pattern bytes; on a full disk, leave nothing behind."""
-    chunk = bytes([_FILL_BYTE]) * min(_WRITE_CHUNK, max(size, 1))
+    """Write ``size`` pattern bytes in full; if a write fails, leave nothing behind."""
+    chunk = memoryview(bytes([_FILL_BYTE]) * min(_WRITE_CHUNK, max(size, 1)))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        remaining = size
-        while remaining > 0:
-            step = min(len(chunk), remaining)
-            os.write(fd, chunk[:step] if step != len(chunk) else chunk)
-            remaining -= step
+        written = 0
+        while written < size:
+            step = min(len(chunk), size - written)
+            transfer_full(fd, chunk, written, step, write=True)
+            written += step
     except OSError:
         os.close(fd)
         try:

@@ -80,7 +80,9 @@ def result_row(tool: str, result, **overrides) -> ResultRow:
     """Build a ResultRow from a bench BenchmarkResult.
 
     Fields the result cannot know (or that the caller wants to restate,
-    such as the tool name for an extension run) come in as overrides.
+    such as the tool name for an extension run) come in as overrides.  A
+    result without a config (an extension run, a workload) defaults to a
+    buffered, synchronous, sequential write of block size 0.
     """
     cfg = result.config
     values = dict(

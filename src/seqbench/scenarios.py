@@ -189,12 +189,7 @@ def regen_figures(out_dir: str | Path, scale: SweepScale = QUICK, *, scratch: st
                     scratch / "extend.dat", scale.ext_size, block, mode,
                     trials=scale.trials, clock_ghz=clock,
                 )
-                rows.append(
-                    result_row(
-                        "extend", result, direction="write", block_bytes=block,
-                        direct=False, async_depth=None, seek_pct=None,
-                    )
-                )
+                rows.append(result_row("extend", result, block_bytes=block))
                 points.append((block, result.mb_per_sec))
                 deviations.append(result.stddev_mb_per_sec)
             extension_series.append(PlotSeries(mode.value, tuple(points), tuple(deviations)))

@@ -14,7 +14,6 @@ counter, and the classic 100-byte-record sort input generator.
 from __future__ import annotations
 
 import struct
-import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .bench import ThroughputSample
+from .bench import Stopwatch, ThroughputSample
 from .core import Direction, OpenDisposition
 from .engine import FlushLevel, open_file
 from .errors import StreamTruncatedError
@@ -60,7 +59,7 @@ class Granularity:
 
 @dataclass(frozen=True)
 class ByteAtATime(Granularity):
-    pass
+    block = 1  # a class attribute, not a field
 
 
 @dataclass(frozen=True)
@@ -80,6 +79,8 @@ class BlockAtATime(Granularity):
 @dataclass(frozen=True)
 class TypedRecords(Granularity):
     """Fixed 100-byte records, one record per call."""
+
+    block = RECORD_BYTES  # a class attribute, not a field
 
 
 @dataclass(frozen=True)
@@ -104,24 +105,24 @@ def _strip_terminator(line: bytes) -> bytes:
     return line
 
 
+def _fixed_block(granularity: Granularity) -> int:
+    """Bytes per call of a fixed-size granularity (byte, block, record)."""
+    block = getattr(granularity, "block", None)
+    if block is None:
+        raise TypeError(f"unknown granularity {granularity!r}")
+    return block
+
+
 def run_read(path: str | Path, granularity: Granularity) -> WorkloadResult:
     """Read the whole file at the given granularity and checksum it."""
     if isinstance(granularity, LineAtATime):
         return _read_lines(path)
-    if isinstance(granularity, ByteAtATime):
-        step = 1
-    elif isinstance(granularity, BlockAtATime):
-        step = granularity.block
-    elif isinstance(granularity, TypedRecords):
-        step = RECORD_BYTES
-    else:
-        raise TypeError(f"unknown granularity {granularity!r}")
+    step = _fixed_block(granularity)
     checksum = 1
     processed = 0
     requests = 0
     buffer = bytearray(step)
-    cpu_start = time.process_time()
-    wall_start = time.perf_counter()
+    stopwatch = Stopwatch()
     with open_file(path, OpenDisposition.OPEN, Direction.READ) as handle:
         while True:
             got = handle.read_block(buffer, step)
@@ -130,26 +131,21 @@ def run_read(path: str | Path, granularity: Granularity) -> WorkloadResult:
             checksum = zlib.adler32(memoryview(buffer)[:got], checksum)
             processed += got
             requests += 1
-    wall = time.perf_counter() - wall_start
-    cpu = time.process_time() - cpu_start
-    return WorkloadResult(processed, checksum, ThroughputSample(processed, wall, cpu, requests))
+    return WorkloadResult(processed, checksum, stopwatch.sample(processed, requests))
 
 
 def _read_lines(path: str | Path) -> WorkloadResult:
     checksum = 1
     payload = 0
     lines = 0
-    cpu_start = time.process_time()
-    wall_start = time.perf_counter()
+    stopwatch = Stopwatch()
     with open(path, "rb") as stream:
         for line in stream:
             body = _strip_terminator(line)
             checksum = zlib.adler32(body, checksum)
             payload += len(body)
             lines += 1
-    wall = time.perf_counter() - wall_start
-    cpu = time.process_time() - cpu_start
-    return WorkloadResult(payload, checksum, ThroughputSample(payload, wall, cpu, lines))
+    return WorkloadResult(payload, checksum, stopwatch.sample(payload, lines))
 
 
 def run_write(
@@ -174,20 +170,9 @@ def run_write(
         )
     checksum = 1
     requests = 0
-    cpu_start = time.process_time()
-    wall_start = time.perf_counter()
+    stopwatch = Stopwatch()
     with open_file(path, OpenDisposition.CREATE, Direction.WRITE) as handle:
-        if isinstance(granularity, ByteAtATime):
-            remaining = total_bytes
-            while remaining:
-                chunk = rng.bytes(min(DEFAULT_BLOCK, remaining))
-                checksum = zlib.adler32(chunk, checksum)
-                view = memoryview(chunk)
-                for index in range(len(chunk)):
-                    handle.write_block(view[index : index + 1], 1)
-                    requests += 1
-                remaining -= len(chunk)
-        elif isinstance(granularity, LineAtATime):
+        if isinstance(granularity, LineAtATime):
             remaining = total_bytes
             while remaining:
                 length = int(rng.integers(0, 79))
@@ -199,24 +184,20 @@ def run_write(
                 requests += 1
                 remaining -= length + 1
         else:
-            if isinstance(granularity, BlockAtATime):
-                step = granularity.block
-            elif isinstance(granularity, TypedRecords):
-                step = RECORD_BYTES
-            else:
-                raise TypeError(f"unknown granularity {granularity!r}")
+            step = _fixed_block(granularity)
+            # Single bytes are drawn 64 KiB at a time: one rng call per byte
+            # would cost more than the write being timed.
+            draw = DEFAULT_BLOCK if step == 1 else step
             remaining = total_bytes
             while remaining:
-                chunk = rng.bytes(min(step, remaining))
+                chunk = memoryview(rng.bytes(min(draw, remaining)))
                 checksum = zlib.adler32(chunk, checksum)
-                handle.write_block(chunk)
-                requests += 1
+                for index in range(0, len(chunk), step):
+                    handle.write_block(chunk[index : index + step])
+                    requests += 1
                 remaining -= len(chunk)
         handle.flush(FlushLevel.APPLICATION_BUFFERS)
-    wall = time.perf_counter() - wall_start
-    cpu = time.process_time() - cpu_start
-    sample = ThroughputSample(total_bytes, wall, cpu, requests)
-    return WorkloadResult(total_bytes, checksum, sample)
+    return WorkloadResult(total_bytes, checksum, stopwatch.sample(total_bytes, requests))
 
 
 # -- typed binary streams ----------------------------------------------
@@ -333,12 +314,13 @@ def write_sort_file(
     rng: np.random.Generator,
     *,
     io_block: int = DEFAULT_BLOCK,
-) -> None:
+) -> WorkloadResult:
     """Generate the fixed-width sort input file (see SORT_RECORD_BYTES).
 
     Record i is 10 seeded-random key bytes, i as a zero-padded 20-digit
     decimal, and spaces out to 100 bytes.  Output is written in
-    ``io_block``-byte requests regardless of record boundaries.
+    ``io_block``-byte requests regardless of record boundaries.  Returns
+    the bytes written, their checksum and the write request count.
     """
     if record_count < 0:
         raise ValueError(f"record count may not be negative, got {record_count}")
@@ -346,6 +328,9 @@ def write_sort_file(
         raise ValueError(f"io block must be at least 1 byte, got {io_block}")
     build_chunk = 4096  # records materialized per numpy batch
     pending = bytearray()
+    checksum = 1
+    requests = 0
+    stopwatch = Stopwatch()
     with open_file(path, OpenDisposition.CREATE, Direction.WRITE) as handle:
         for start in range(0, record_count, build_chunk):
             count = min(build_chunk, record_count - start)
@@ -357,10 +342,16 @@ def write_sort_file(
             records[:, _SORT_KEY_BYTES : _SORT_KEY_BYTES + _SORT_INDEX_DIGITS] = (
                 np.frombuffer(digits.encode("ascii"), dtype=np.uint8).reshape(count, -1)
             )
-            pending += records.tobytes()
+            data = records.tobytes()
+            checksum = zlib.adler32(data, checksum)
+            pending += data
             while len(pending) >= io_block:
                 handle.write_block(pending[:io_block])
                 del pending[:io_block]
+                requests += 1
         if pending:
             handle.write_block(pending)
+            requests += 1
         handle.flush(FlushLevel.APPLICATION_BUFFERS)
+    total = record_count * RECORD_BYTES
+    return WorkloadResult(total, checksum, stopwatch.sample(total, requests))

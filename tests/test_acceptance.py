@@ -199,7 +199,7 @@ def test_criterion_04_direct_io_guards(tmp_path):
         with sb.open_file(path, sb.OpenDisposition.CREATE, sb.Direction.WRITE,
                           sb.IoMode.DIRECT) as handle:
             sector = handle.geometry.logical_sector
-            buffer = sb.allocate_aligned(4 * sector, handle.geometry.recommended_alignment)
+            buffer = sb.AlignedBuffer(4 * sector, handle.geometry.recommended_alignment)
             buffer.view[:] = bytes(range(256)) * (4 * sector // 256)
 
             # every misaligned (base | length | offset) combination refused
@@ -222,7 +222,7 @@ def test_criterion_04_direct_io_guards(tmp_path):
 
         with sb.open_file(path, sb.OpenDisposition.OPEN, sb.Direction.READ,
                           sb.IoMode.DIRECT) as handle:
-            readback = sb.allocate_aligned(4 * sector, handle.geometry.recommended_alignment)
+            readback = sb.AlignedBuffer(4 * sector, handle.geometry.recommended_alignment)
             assert handle.read_block(readback, 2 * sector) == 2 * sector
             assert bytes(readback.view[:2 * sector]) == bytes(buffer.view[:2 * sector])
 
@@ -331,7 +331,7 @@ def test_criterion_09_cli_contract_table(tmp_path):
         assert cfg.file_size == 1 << 30
         assert cfg.direction is sb.Direction.READ
         assert cfg.async_depth is None and cfg.seek_pct is None
-        assert not (cfg.direct or cfg.touch or cfg.quiet)
+        assert not (cfg.direct or cfg.touch or bare.quiet)
         assert bare.extension is None and bare.extension_size is None
 
         inv = parse_iospeed(["-t60", "-p100M", "a.dat"])
@@ -352,8 +352,8 @@ def test_criterion_09_cli_contract_table(tmp_path):
         assert parse_iospeed(["-a", "a.dat"]).config.async_depth == 4
         assert parse_iospeed(["-s", "a.dat"]).config.seek_pct == 100
         assert parse_iospeed(["-s0", "a.dat"]).config.seek_pct is None
-        flagged = parse_iospeed(["-d", "-c", "-q", "a.dat"]).config
-        assert flagged.direct and flagged.touch and flagged.quiet
+        flagged = parse_iospeed(["-d", "-c", "-q", "a.dat"])
+        assert flagged.config.direct and flagged.config.touch and flagged.quiet
 
         # all ten aging-tool defaults, then the documented example override
         defaults = parse_fragdisk([str(tmp_path)]).config

@@ -193,6 +193,20 @@ def test_from_samples_medians():
         sb.bench.BenchmarkResult.from_samples([], 2.0)
 
 
+def test_from_samples_zero_bytes_is_zero_rate_and_nan_cost():
+    result = sb.bench.BenchmarkResult.from_samples([ThroughputSample(0, 0.5, 0.1, 0)], 2.0)
+    assert result.mb_per_sec == 0.0 and result.stddev_mb_per_sec == 0.0
+    assert math.isnan(result.per_byte_ns) and math.isnan(result.per_byte_cycles)
+
+
+def test_stopwatch_sample_carries_the_counts_and_elapsed_time():
+    stopwatch = sb.bench.Stopwatch()
+    sum(range(100_000))  # some CPU work to time
+    sample = stopwatch.sample(4096, 3)
+    assert (sample.bytes_moved, sample.request_count) == (4096, 3)
+    assert sample.wall_seconds > 0 and sample.cpu_seconds >= 0
+
+
 # -- clock detection ---------------------------------------------------------------
 
 def test_clock_env_override(monkeypatch):

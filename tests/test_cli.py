@@ -1,6 +1,7 @@
 """Flag grammar for all four tools and end-to-end command runs."""
 import contextlib
 import io
+import math
 import os
 
 import pytest
@@ -51,7 +52,7 @@ def test_iospeed_default_config_values():
     assert cfg.seek_pct is None
     assert cfg.direct is False
     assert cfg.touch is False
-    assert cfg.quiet is False
+    assert inv.quiet is False
     assert inv.extension is None
     assert inv.extension_size is None
 
@@ -89,8 +90,9 @@ def test_bare_s_means_full_seek_and_s0_means_sequential():
 
 
 def test_direct_touch_and_quiet_flags():
-    cfg = parse_iospeed("-d -c -q x".split()).config
-    assert cfg.direct and cfg.touch and cfg.quiet
+    inv = parse_iospeed("-d -c -q x".split())
+    cfg = inv.config
+    assert cfg.direct and cfg.touch and inv.quiet
 
 
 def test_write_direction_and_size():
@@ -374,6 +376,27 @@ def test_examples_run_emits_six_rows(tmp_path):
     for row in rows:
         if row.direction == "write" or row.block_bytes != 0:
             assert row.bytes_moved == 100 * 1000
+
+
+def test_examples_rows_derive_rate_and_cost_from_their_own_sample(tmp_path):
+    code, out, _ = run_cli(["examples", str(tmp_path / "ex.dat"), "1000"])
+    assert code == 0
+    for row in csv_rows(out):
+        assert row.tool == "examples" and row.trials == 1 and row.stddev == 0.0
+        assert not row.direct and row.async_depth is None and row.seek_pct is None
+        assert row.mb_per_sec == row.bytes_moved / 1e6 / row.wall_s
+        assert row.ns_per_byte == row.cpu_s * 1e9 / row.bytes_moved
+
+
+def test_examples_with_zero_records_emits_six_empty_rows(tmp_path):
+    code, out, _ = run_cli(["examples", str(tmp_path / "ex.dat"), "0"])
+    assert code == 0
+    rows = csv_rows(out)
+    assert len(rows) == 6
+    for row in rows:
+        assert row.bytes_moved == 0
+        assert row.mb_per_sec == 0.0
+        assert math.isnan(row.ns_per_byte) and math.isnan(row.cycles_per_byte)
 
 
 def test_asynccopy_run_verifies_and_cleans_up(tmp_path):

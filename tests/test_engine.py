@@ -326,7 +326,7 @@ def test_preallocate_rejects_negative(tmp_path):
 @pytest.mark.parametrize("alignment", [512, 4096, 65536])
 @pytest.mark.parametrize("capacity", [1, 512, 65536, 65536 + 1])
 def test_allocate_aligned_properties(capacity, alignment):
-    buf = sb.allocate_aligned(capacity, alignment)
+    buf = sb.AlignedBuffer(capacity, alignment)
     assert buf.address % alignment == 0
     assert buf.capacity == capacity
     assert len(buf) == capacity
@@ -337,11 +337,11 @@ def test_allocate_aligned_properties(capacity, alignment):
 
 def test_allocate_aligned_rejects_bad_alignment():
     with pytest.raises(ValueError):
-        sb.allocate_aligned(65536, 3000)
+        sb.AlignedBuffer(65536, 3000)
     with pytest.raises(ValueError):
-        sb.allocate_aligned(65536, 0)
+        sb.AlignedBuffer(65536, 0)
     with pytest.raises(ValueError):
-        sb.allocate_aligned(0, 512)
+        sb.AlignedBuffer(0, 512)
 
 
 # -- validate_direct_request ------------------------------------------------------
@@ -352,18 +352,18 @@ _FakeBuffer = namedtuple("_FakeBuffer", "address capacity")
 
 
 def test_validator_accepts_legal_request():
-    buf = sb.allocate_aligned(65536, 65536)
+    buf = sb.AlignedBuffer(65536, 65536)
     assert sb.validate_direct_request(_GEOM_512, buf, 65536, 0) == []
 
 
 def test_validator_flags_ragged_length():
-    buf = sb.allocate_aligned(65536, 65536)
+    buf = sb.AlignedBuffer(65536, 65536)
     violations = sb.validate_direct_request(_GEOM_512, buf, 1000, 0)
     assert len(violations) == 1 and "length" in violations[0]
 
 
 def test_validator_flags_ragged_offset():
-    buf = sb.allocate_aligned(65536, 65536)
+    buf = sb.AlignedBuffer(65536, 65536)
     violations = sb.validate_direct_request(_GEOM_4096, buf, 4096, 2048)
     assert len(violations) == 1 and "offset" in violations[0]
 
@@ -380,7 +380,7 @@ def test_validator_reports_every_violation_not_just_first():
 
 
 def test_validator_flags_negative_values():
-    buf = sb.allocate_aligned(65536, 65536)
+    buf = sb.AlignedBuffer(65536, 65536)
     violations = sb.validate_direct_request(_GEOM_512, buf, -512, -1024)
     assert any("negative length" in v for v in violations)
     assert any("negative file offset" in v for v in violations)
@@ -413,7 +413,7 @@ def test_validator_matches_brute_force_oracle(sector_log, address, capacity, len
 def test_direct_round_trip(tmp_path, need_direct):
     p = tmp_path / "d.dat"
     geom = sb.detect_sector_geometry(tmp_path)
-    buf = sb.allocate_aligned(geom.recommended_alignment, geom.recommended_alignment)
+    buf = sb.AlignedBuffer(geom.recommended_alignment, geom.recommended_alignment)
     payload = sb.make_rng(5).bytes(buf.capacity)
     buf.view[:] = payload
     with sb.open_file(p, OpenDisposition.CREATE, Direction.WRITE, io_mode=IoMode.DIRECT) as h:
@@ -422,7 +422,7 @@ def test_direct_round_trip(tmp_path, need_direct):
         assert h.position == buf.capacity
     assert p.read_bytes() == payload
 
-    back = sb.allocate_aligned(buf.capacity, geom.recommended_alignment)
+    back = sb.AlignedBuffer(buf.capacity, geom.recommended_alignment)
     with sb.open_file(p, OpenDisposition.OPEN, Direction.READ, io_mode=IoMode.DIRECT) as h:
         got = h.read_block(back, back.capacity)
     assert got == buf.capacity
@@ -432,7 +432,7 @@ def test_direct_round_trip(tmp_path, need_direct):
 def test_direct_rejects_ragged_request_before_transfer(tmp_path, need_direct):
     p = tmp_path / "d.dat"
     geom = sb.detect_sector_geometry(tmp_path)
-    buf = sb.allocate_aligned(geom.recommended_alignment, geom.recommended_alignment)
+    buf = sb.AlignedBuffer(geom.recommended_alignment, geom.recommended_alignment)
     with sb.open_file(p, OpenDisposition.CREATE, Direction.WRITE, io_mode=IoMode.DIRECT) as h:
         with pytest.raises(sb.DirectRequestError) as info:
             h.write_block(buf, 1000)
@@ -445,7 +445,7 @@ def test_direct_write_ends_when_the_device_stops_making_progress(
     tmp_path, need_direct, short_then_zero, deadline
 ):
     geom = sb.detect_sector_geometry(tmp_path)
-    buf = sb.allocate_aligned(geom.recommended_alignment, geom.recommended_alignment)
+    buf = sb.AlignedBuffer(geom.recommended_alignment, geom.recommended_alignment)
     with sb.open_file(
         tmp_path / "d.dat", OpenDisposition.CREATE, Direction.WRITE, io_mode=IoMode.DIRECT
     ) as h:

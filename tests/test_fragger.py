@@ -2,6 +2,7 @@
 import math
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -234,3 +235,44 @@ def test_final_fill_percentage_reported(tmp_path):
     cfg = _scaled(tmp_path)
     report = sb.run_cycles(cfg)
     assert 0.0 <= report.final_fill_pct <= 100.0
+
+
+# -- short and stalled writes --------------------------------------------------
+
+
+def _files_on_disk(root):
+    found = {}
+    for dirpath, _, filenames in os.walk(root):
+        for name in filenames:
+            full = Path(dirpath) / name
+            found[str(full.relative_to(root))] = full.stat().st_size
+    return found
+
+
+def test_short_writes_are_continued_to_the_recorded_size(tmp_path, monkeypatch):
+    """Every write moves at most half its bytes; survivors still reach full size."""
+    real_write, real_pwritev = os.write, os.pwritev
+
+    def half_write(fd, data):
+        view = memoryview(data)
+        return real_write(fd, view[: max(1, len(view) // 2)])
+
+    def half_pwritev(fd, buffers, offset):
+        view = memoryview(buffers[0])
+        return real_pwritev(fd, [view[: max(1, len(view) // 2)]], offset)
+
+    monkeypatch.setattr(os, "write", half_write)
+    monkeypatch.setattr(os, "pwritev", half_pwritev)
+    report = sb.run_cycles(_scaled(tmp_path))
+    assert report.survivors
+    assert _files_on_disk(tmp_path) == {str(p): s for p, s in report.survivors}
+
+
+def test_stalled_write_raises_and_leaves_nothing_behind(tmp_path, short_then_zero):
+    root = tmp_path / "aged"
+    log = tmp_path / "events.log"
+    short_then_zero("pwritev")
+    with pytest.raises(OSError, match="no progress"):
+        sb.run_cycles(_scaled(root, event_log=log))
+    assert _files_on_disk(root) == {}
+    assert log.read_text() == ""

@@ -288,3 +288,25 @@ def test_sort_file_length_is_100_per_record(tmp_path):
     for count in (1, 41, 4096, 5000):
         sb.write_sort_file(p, count, sb.make_rng(0))
         assert p.stat().st_size == 100 * count
+
+
+@pytest.mark.parametrize(
+    "count, io_block", [(0, 65536), (1, 65536), (3, 7), (128, 100), (5000, 4096), (5000, 65536)]
+)
+def test_sort_file_result_matches_a_block_read(tmp_path, count, io_block):
+    p = tmp_path / "sort.dat"
+    written = sb.write_sort_file(p, count, sb.make_rng(137), io_block=io_block)
+    read = sb.run_read(p, sb.BlockAtATime(io_block))
+    assert written.bytes_processed == written.sample.bytes_moved == 100 * count
+    assert written.checksum == read.checksum
+    assert written.sample.request_count == math.ceil(100 * count / io_block)
+    assert written.sample.request_count == read.sample.request_count
+
+
+def test_unknown_granularity_is_rejected(tmp_path):
+    p = tmp_path / "data.bin"
+    p.write_bytes(b"x")
+    with pytest.raises(TypeError):
+        sb.run_read(p, object())
+    with pytest.raises(TypeError):
+        sb.run_write(p, object(), 1, sb.make_rng(0))
