@@ -27,6 +27,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -75,6 +76,9 @@ CLOCK_ENV_VAR = "SEQBENCH_CLOCK_GHZ"
 #: Stream index offset for warm-up trials, so measured trials keep streams
 #: 0..trials-1 no matter how many warm-ups run.
 _WARMUP_STREAM_BASE = 1_000_000
+
+#: Seek deltas drawn per ``rng.integers`` call by ``_offset_chain``.
+_CHAIN_BATCH = 4096
 
 _FILL_CHUNK = 4 << 20
 _FILL_BYTE = 0xA5
@@ -253,6 +257,10 @@ def next_offset(current: int, cfg: IoConfig, file_size: int, rng: np.random.Gene
     down to a block boundary, so every request stays whole-block and
     block-aligned (which also keeps direct transfers sector-aligned for
     sector-multiple blocks).
+
+    This is the reference definition.  Trials take their offsets from
+    ``_offset_chain``, its batched twin, which yields the chain this
+    function builds from 0 with the same rng.
     """
     block = cfg.block
     if file_size < block:
@@ -267,6 +275,28 @@ def next_offset(current: int, cfg: IoConfig, file_size: int, rng: np.random.Gene
     span = file_size - block + 1
     landed = (current + block + delta) % span
     return (landed // block) * block
+
+
+def _offset_chain(cfg: IoConfig, rng: np.random.Generator) -> Iterator[int]:
+    """0, then every ``next_offset`` after it: the offsets of one trial.
+
+    Sequential configs step through the whole blocks and wrap to 0.
+    Seeking configs draw their deltas ``_CHAIN_BATCH`` at a time; one
+    ``rng.integers(-d, d + 1, size=n)`` call returns the values of n scalar
+    draws, so the chain is the one ``next_offset`` builds, draw for draw.
+    """
+    block = cfg.block
+    span = cfg.file_size - block + 1
+    if not cfg.seek_pct:
+        while True:
+            yield from range(0, span, block)
+    d = cfg.seek_pct * cfg.file_size // 100
+    offset = 0
+    yield offset
+    while True:
+        for delta in rng.integers(-d, d + 1, size=_CHAIN_BATCH).tolist():
+            offset = (offset + block + delta) % span // block * block
+            yield offset
 
 
 def _fill_pattern(handle: FileHandle, start: int, end: int) -> None:
@@ -314,40 +344,43 @@ def _open_for_trial(cfg: IoConfig) -> FileHandle:
 
 
 def _trial_sync(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
-    reading = cfg.direction is Direction.READ
+    """One synchronous trial; its offsets come from ``_offset_chain(cfg, rng)``.
+
+    The handle's position is tracked here rather than asked for, and a
+    request seeks only when its offset is not where the last one ended.
+    """
+    block = cfg.block
+    limit = cfg.max_requests
+    touch = cfg.touch
     offsets: list[int] = []
+    issued = offsets.append
     with _open_for_trial(cfg) as handle:
         buffer, view = _make_buffer(cfg, handle.geometry)
-        deadline = time.perf_counter() + cfg.duration
-        offset = 0
-        requests = 0
-        moved = 0
+        reading = cfg.direction is Direction.READ
+        transfer = handle.read_block if reading else handle.write_block
+        seek = handle.seek
+        clock = time.perf_counter
+        deadline = clock() + cfg.duration
+        position = 0
         checksum = 1
         stopwatch = Stopwatch()
-        while True:
-            if handle.position != offset:
-                handle.seek(offset)
-            if reading:
-                got = handle.read_block(buffer, cfg.block)
-                if got != cfg.block:
-                    raise OSError(
-                        f"short read: {got} of {cfg.block} bytes at offset {offset} in {cfg.path}"
-                    )
-            else:
-                handle.write_block(buffer, cfg.block)
-            if cfg.touch:
-                checksum = zlib.adler32(view[: cfg.block], checksum)
-            offsets.append(offset)
-            moved += cfg.block
-            requests += 1
-            if cfg.max_requests is not None and requests >= cfg.max_requests:
+        for offset in _offset_chain(cfg, rng):
+            if offset != position:
+                seek(offset)
+            got = transfer(buffer, block)
+            if got != block:
+                raise OSError(
+                    f"short read: {got} of {block} bytes at offset {offset} in {cfg.path}"
+                )
+            position = offset + block
+            if touch:
+                checksum = zlib.adler32(view[:block], checksum)
+            issued(offset)
+            if len(offsets) == limit or clock() >= deadline:
                 break
-            if time.perf_counter() >= deadline:
-                break
-            offset = next_offset(offset, cfg, cfg.file_size, rng)
         if not reading:
             handle.flush(FlushLevel.APPLICATION_BUFFERS)
-        sample = stopwatch.sample(moved, requests)
+        sample = stopwatch.sample(len(offsets) * block, len(offsets))
     return sample, offsets
 
 
@@ -355,8 +388,8 @@ def _trial_async(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
     """Overlapped trial: ``async_depth`` slot threads issuing positional requests.
 
     Each slot thread owns one buffer and loops: under a ticket lock it
-    takes the next ticket and the next offset of the ``next_offset``
-    chain, then checks a direct request, transfers the block and comes
+    takes the next ticket and the next offset of ``_offset_chain(cfg,
+    rng)``, then checks a direct request, transfers the block and comes
     back for another ticket.  Offsets are handed out in ticket order, so
     the issued sequence is identical to what a synchronous trial with the
     same rng would issue.  The first ``async_depth`` tickets are always
@@ -369,17 +402,16 @@ def _trial_async(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
     depth = cfg.async_depth
     write = cfg.direction is Direction.WRITE
     limit = max(depth, cfg.max_requests) if cfg.max_requests is not None else None
+    chain = _offset_chain(cfg, rng)
     offsets: list[int] = []
     errors: list[BaseException] = []
     lock = threading.Lock()
     with _open_for_trial(cfg) as handle:
         fd = handle.fileno()
         buffers = [_make_buffer(cfg, handle.geometry) for _ in range(depth)]
-        following = 0
         deadline = time.perf_counter() + cfg.duration
 
         def slot(index: int) -> None:
-            nonlocal following
             buffer, view = buffers[index]
             checksum = 1
             while True:
@@ -389,9 +421,8 @@ def _trial_async(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
                         ticket >= depth and time.perf_counter() >= deadline
                     ):
                         return
-                    offset = following
+                    offset = next(chain)
                     offsets.append(offset)
-                    following = next_offset(offset, cfg, cfg.file_size, rng)
                 if cfg.direct:
                     violations = validate_direct_request(handle.geometry, buffer, cfg.block, offset)
                     if violations:

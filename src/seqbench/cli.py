@@ -261,20 +261,15 @@ def parse_iospeed(args) -> IospeedInvocation:
             duration = float(found["t"])
         except ValueError:
             raise ConfigError(f"-t: expected seconds, got {found['t']!r}") from None
-        if not duration > 0:
-            raise ConfigError(f"-t: duration must be positive, got {found['t']!r}")
 
+    # Ranges (duration, depth, seek percentage) are IoConfig's to check.
     block = _size(found["b"], "b") if "b" in found else 64 * 1024
     depth = None
     if "a" in found:
         depth = _int(found["a"], "a") if found["a"] else DEFAULT_ASYNC_DEPTH
-        if depth < 1:
-            raise ConfigError(f"-a: depth must be at least 1, got {depth}")
     seek = None
     if "s" in found:
         seek = _int(found["s"], "s") if found["s"] else 100
-        if not 0 <= seek <= 100:
-            raise ConfigError(f"-s: percentage must be in 0..100, got {seek}")
         if seek == 0:
             seek = None  # -s0 spells sequential out loud
 

@@ -346,12 +346,27 @@ class FileHandle:
         request is validated against the volume geometry first and a
         DirectRequestError names every violation before anything is read.
         """
-        if self.mode is IoMode.DIRECT:
+        stream = self._stream
+        if stream is None:
             return self._direct_transfer(buffer, length, write=False)
-        view = self._writable_view(buffer)
-        length = self._clip_length(view, length)
-        got = self._stream.readinto(view[:length]) if length else 0
-        return got or 0
+        if isinstance(buffer, AlignedBuffer):
+            view = buffer.view
+        else:
+            view = memoryview(buffer)
+            if view.readonly:
+                raise TypeError("read target buffer is read-only")
+            if view.ndim != 1 or view.format != "B" or not view.c_contiguous:
+                view = view.cast("B")
+        size = len(view)
+        if length is None:
+            length = size
+        elif length < 0:
+            raise ValueError(f"negative transfer length {length}")
+        elif length > size:
+            raise ValueError(f"transfer length {length} exceeds buffer capacity {size}")
+        if not length:
+            return 0
+        return stream.readinto(view if length == size else view[:length]) or 0
 
     def write_block(self, buffer, length: int | None = None) -> int:
         """Write ``length`` bytes at the current position; returns that count.
@@ -361,12 +376,24 @@ class FileHandle:
         """
         if not self.writable:
             raise io.UnsupportedOperation(f"{self.path} is open read-only")
-        if self.mode is IoMode.DIRECT:
+        stream = self._stream
+        if stream is None:
             return self._direct_transfer(buffer, length, write=True)
-        view = self._readonly_view(buffer)
-        length = self._clip_length(view, length)
+        if isinstance(buffer, AlignedBuffer):
+            view = buffer.view
+        else:
+            view = memoryview(buffer)
+            if view.ndim != 1 or view.format != "B" or not view.c_contiguous:
+                view = view.cast("B")
+        size = len(view)
+        if length is None:
+            length = size
+        elif length < 0:
+            raise ValueError(f"negative transfer length {length}")
+        elif length > size:
+            raise ValueError(f"transfer length {length} exceeds buffer capacity {size}")
         if length:
-            self._stream.write(view[:length])
+            stream.write(view if length == size else view[:length])
         return length
 
     def _direct_transfer(self, buffer, length, *, write: bool) -> int:
@@ -447,33 +474,6 @@ class FileHandle:
     def __repr__(self) -> str:
         state = "closed" if self._closed else f"pos={self.position}"
         return f"<FileHandle {self.path} {self.mode.value} {state}>"
-
-    # -- helpers ---------------------------------------------------------
-
-    @staticmethod
-    def _writable_view(buffer) -> memoryview:
-        if isinstance(buffer, AlignedBuffer):
-            return buffer.view
-        view = memoryview(buffer)
-        if view.readonly:
-            raise TypeError("read target buffer is read-only")
-        return view.cast("B")
-
-    @staticmethod
-    def _readonly_view(buffer) -> memoryview:
-        if isinstance(buffer, AlignedBuffer):
-            return buffer.view
-        return memoryview(buffer).cast("B")
-
-    @staticmethod
-    def _clip_length(view: memoryview, length: int | None) -> int:
-        if length is None:
-            return len(view)
-        if length < 0:
-            raise ValueError(f"negative transfer length {length}")
-        if length > len(view):
-            raise ValueError(f"transfer length {length} exceeds buffer capacity {len(view)}")
-        return length
 
 
 def open_file(

@@ -121,14 +121,15 @@ def run_read(path: str | Path, granularity: Granularity) -> WorkloadResult:
     checksum = 1
     processed = 0
     requests = 0
-    buffer = bytearray(step)
+    view = memoryview(bytearray(step))
     stopwatch = Stopwatch()
     with open_file(path, OpenDisposition.OPEN, Direction.READ) as handle:
+        read = handle.read_block
         while True:
-            got = handle.read_block(buffer, step)
+            got = read(view, step)
             if got == 0:
                 break
-            checksum = zlib.adler32(memoryview(buffer)[:got], checksum)
+            checksum = zlib.adler32(view[:got], checksum)
             processed += got
             requests += 1
     return WorkloadResult(processed, checksum, stopwatch.sample(processed, requests))
@@ -188,13 +189,15 @@ def run_write(
             # Single bytes are drawn 64 KiB at a time: one rng call per byte
             # would cost more than the write being timed.
             draw = DEFAULT_BLOCK if step == 1 else step
+            write = handle.write_block
             remaining = total_bytes
             while remaining:
                 chunk = memoryview(rng.bytes(min(draw, remaining)))
                 checksum = zlib.adler32(chunk, checksum)
-                for index in range(0, len(chunk), step):
-                    handle.write_block(chunk[index : index + step])
-                    requests += 1
+                starts = range(0, len(chunk), step)
+                for index in starts:
+                    write(chunk[index : index + step])
+                requests += len(starts)
                 remaining -= len(chunk)
         handle.flush(FlushLevel.APPLICATION_BUFFERS)
     return WorkloadResult(total_bytes, checksum, stopwatch.sample(total_bytes, requests))

@@ -1,4 +1,5 @@
 """Measurement core: offsets, summaries, accounting, extension timing."""
+import dataclasses
 import itertools
 import math
 import os
@@ -339,6 +340,154 @@ def test_async_chain_survives_thread_switch_stress(tmp_path, deadline):
     finally:
         sys.setswitchinterval(interval)
     assert logs[0] == logs[1]
+
+
+# -- trial offsets against the next_offset reference ------------------------------
+
+def _reference_chain(cfg, stream, count):
+    """The first ``count`` offsets of a trial, built with ``next_offset`` alone."""
+    rng = sb.make_rng(cfg.seed, stream)
+    offsets = [0]
+    while len(offsets) < count:
+        offsets.append(sb.next_offset(offsets[-1], cfg, cfg.file_size, rng))
+    return offsets
+
+
+@pytest.mark.parametrize("depth", [None, 2])
+@pytest.mark.parametrize(
+    "file_size, block, seek_pct",
+    [
+        (1 << 20, 4096, 1),
+        (1 << 20, 4096, 30),
+        (1 << 20, 4096, 100),
+        (99, 8, 1),  # d = 1% of 99 bytes = 0: every delta is 0
+        (10 * 4096 + 100, 4096, None),  # sequential: wraps to 0 every 10 requests
+    ],
+)
+def test_trial_offsets_equal_the_next_offset_chain(tmp_path, depth, file_size, block, seek_pct):
+    """5000 requests per trial run past one batch of drawn seek deltas."""
+    log = tmp_path / "offsets.txt"
+    cfg = _cfg(
+        tmp_path, file_size=file_size, block=block, seek_pct=seek_pct, async_depth=depth,
+        max_requests=5000, offset_log=log, seed=137,
+    )
+    sb.run_measurement(cfg, trials=2, warmup=0, clock_ghz=1.0)
+    got = [int(line) for line in log.read_text().split()]
+    assert got == _reference_chain(cfg, 0, 5000) + _reference_chain(cfg, 1, 5000)
+
+
+def test_async_chain_crosses_batches_under_thread_switch_stress(tmp_path, deadline):
+    """Eight slots share one chain generator on a fast switch interval, past two batches."""
+    log = tmp_path / "offsets.txt"
+    cfg = _cfg(tmp_path, seek_pct=30, async_depth=8, max_requests=9000, offset_log=log)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [int(line) for line in log.read_text().split()] == _reference_chain(cfg, 0, 9000)
+
+
+@given(
+    file_size=st.integers(min_value=1, max_value=1 << 20),
+    block=st.sampled_from([1, 8, 512, 4096]),
+    seek_pct=st.sampled_from([None, 0, 1, 7, 30, 100]),
+    seed=st.integers(min_value=0, max_value=1 << 32),
+    n=st.integers(min_value=1, max_value=9000),
+    depth=st.sampled_from([None, 3]),
+)
+@settings(max_examples=40, deadline=None)
+def test_trial_offsets_follow_next_offset(tmp_path_factory, file_size, block, seek_pct, seed, n, depth):
+    block = min(block, file_size)
+    log = tmp_path_factory.mktemp("chain") / "offsets.txt"
+    cfg = IoConfig(
+        path=log.with_name("target.dat"), file_size=file_size, block=block, seek_pct=seek_pct,
+        seed=seed, async_depth=depth, max_requests=n, offset_log=log, duration=30.0,
+    )
+    sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
+    got = [int(line) for line in log.read_text().split()]
+    assert got == _reference_chain(cfg, 0, max(n, depth or 1))
+
+
+@pytest.mark.parametrize("seed", [137, 11, 5, 3])
+@pytest.mark.parametrize(
+    "file_size, seek_pct",
+    [(99, 1), (150, 1), (1000, 1), (1 << 22, 25), (1 << 28, 25), (1 << 30, 100), (1 << 38, 25)],
+)
+def test_offset_chain_matches_scalar_draws_across_batches(seed, file_size, seek_pct):
+    """d = 0, 1, 10, 2^20, 2^26, 2^30 and 2^36: batched deltas equal scalar ones.
+
+    No file is touched, so the chain is checked at sizes no test could create.
+    """
+    cfg = IoConfig(path="unused.dat", file_size=file_size, block=8, seek_pct=seek_pct, seed=seed)
+    count = 2 * sb.bench._CHAIN_BATCH + 3
+    chain = sb.bench._offset_chain(cfg, sb.make_rng(seed, 0))
+    assert list(itertools.islice(chain, count)) == _reference_chain(cfg, 0, count)
+
+
+# -- per-request call budget --------------------------------------------------------
+
+def _calls_per_request(run, small=1000, large=3000):
+    """Python-level calls per request: profile "call" events of ``run(large)``
+    minus those of ``run(small)``, over ``large - small``.  Fixed costs cancel."""
+    counts = []
+    for requests in (small, large):
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            run(requests)
+        finally:
+            sys.setprofile(None)
+        counts.append(calls)
+    return (counts[1] - counts[0]) / (large - small)
+
+
+@pytest.mark.parametrize(
+    "overrides, budget",
+    [
+        ({}, 3),
+        ({"seek_pct": 100}, 4),
+        ({"direction": Direction.WRITE}, 4),
+    ],
+    ids=["sequential-read", "seeking-read", "write"],
+)
+def test_buffered_4k_trial_stays_within_its_call_budget(tmp_path, overrides, budget):
+    cfg = _cfg(tmp_path, max_requests=1, **overrides)
+    sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)  # creates the target
+
+    def run(requests):
+        pinned = dataclasses.replace(cfg, max_requests=requests)
+        sample = sb.run_measurement(pinned, trials=1, warmup=0, clock_ghz=1.0).samples[0]
+        assert sample.request_count == requests
+
+    assert _calls_per_request(run) <= budget
+
+
+def test_byte_at_a_time_workloads_stay_within_their_call_budget(tmp_path):
+    path = tmp_path / "bytes.dat"
+    rng = sb.make_rng(5)
+
+    def write(requests):
+        result = sb.run_write(path, sb.ByteAtATime(), requests, rng)
+        assert result.sample.request_count == requests
+
+    def read(requests):
+        result = sb.run_read(sources[requests], sb.ByteAtATime())
+        assert result.sample.request_count == requests
+
+    sources = {}
+    for requests in (1000, 3000):
+        sources[requests] = tmp_path / f"read_{requests}.dat"
+        sources[requests].write_bytes(rng.bytes(requests))
+    assert _calls_per_request(write) <= 2
+    assert _calls_per_request(read) <= 2
 
 
 def test_direct_read_measurement(tmp_path, need_direct):

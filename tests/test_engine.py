@@ -4,8 +4,10 @@ import io
 import os
 import shutil
 import subprocess
+from array import array
 from collections import namedtuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -231,6 +233,89 @@ def test_write_on_read_only_handle_fails(tmp_path):
     with sb.open_file(p, OpenDisposition.OPEN, Direction.READ) as h:
         with pytest.raises(io.UnsupportedOperation):
             h.write_block(b"zz")
+
+
+# -- buffer contract of buffered handles -------------------------------------------
+
+def test_buffered_read_into_bytes_is_a_type_error(tmp_path):
+    p = _make(tmp_path / "f")
+    with sb.open_file(p, OpenDisposition.OPEN, Direction.READ) as h:
+        with pytest.raises(TypeError, match="read target buffer is read-only"):
+            h.read_block(b"\x00" * 16)
+        with pytest.raises(TypeError, match="read target buffer is read-only"):
+            h.read_block(memoryview(bytearray(16)).toreadonly(), 4)
+        assert h.position == 0
+
+
+@pytest.mark.parametrize("write", [False, True], ids=["read", "write"])
+def test_buffered_non_contiguous_buffer_is_a_type_error(tmp_path, write):
+    p = _make(tmp_path / "f")
+    with sb.open_file(p, OpenDisposition.OPEN, Direction.WRITE) as h:
+        with pytest.raises(TypeError, match="C-contiguous"):
+            (h.write_block if write else h.read_block)(memoryview(bytearray(32))[::2])
+    assert p.read_bytes() == b"x" * 100
+
+
+@pytest.mark.parametrize("write", [False, True], ids=["read", "write"])
+@pytest.mark.parametrize(
+    "length, message",
+    [(-1, "negative transfer length -1"), (17, "transfer length 17 exceeds buffer capacity 16")],
+)
+def test_buffered_length_outside_the_buffer_is_a_value_error(tmp_path, write, length, message):
+    p = _make(tmp_path / "f")
+    with sb.open_file(p, OpenDisposition.OPEN, Direction.WRITE) as h:
+        with pytest.raises(ValueError, match=message):
+            (h.write_block if write else h.read_block)(bytearray(16), length)
+        assert h.position == 0
+    assert p.read_bytes() == b"x" * 100
+
+
+def test_buffered_zero_length_moves_nothing(tmp_path):
+    p = _make(tmp_path / "f")
+    with sb.open_file(p, OpenDisposition.OPEN, Direction.WRITE) as h:
+        buf = bytearray(b"\x01" * 16)
+        assert h.read_block(buf, 0) == 0
+        assert h.write_block(buf, 0) == 0
+        assert h.position == 0
+        assert buf == b"\x01" * 16
+    assert p.read_bytes() == b"x" * 100
+
+
+def test_buffered_typed_buffer_is_counted_in_bytes(tmp_path):
+    p = tmp_path / "f"
+    words = array("I", [0x01020304, 0x05060708, 0x0A0B0C0D, 0xDEADBEEF])
+    with sb.open_file(p, OpenDisposition.CREATE, Direction.WRITE) as h:
+        assert h.write_block(words) == 16
+        assert h.write_block(words, 6) == 6
+        assert h.position == 22
+    assert p.read_bytes() == words.tobytes() + words.tobytes()[:6]
+    back = array("I", [0] * 4)
+    with sb.open_file(p, OpenDisposition.OPEN, Direction.READ) as h:
+        assert h.read_block(back) == 16
+        assert back == words
+        assert h.read_block(back, 3) == 3
+        assert h.read_block(back) == 3  # the 6-byte tail's last 3 bytes
+    grid = memoryview(bytearray(range(16))).cast("B", (4, 4))
+    with sb.open_file(p, OpenDisposition.CREATE, Direction.WRITE) as h:
+        assert h.write_block(grid) == 16
+    assert p.read_bytes() == bytes(range(16))
+
+
+def test_buffered_handle_takes_an_aligned_buffer(tmp_path):
+    p = tmp_path / "f"
+    out = sb.AlignedBuffer(4096, 4096)
+    out.array[:] = np.arange(4096) % 251
+    with sb.open_file(p, OpenDisposition.CREATE, Direction.WRITE) as h:
+        assert h.write_block(out) == 4096
+        assert h.write_block(out, 100) == 100
+    assert p.read_bytes() == out.array.tobytes() + out.array[:100].tobytes()
+    back = sb.AlignedBuffer(4096, 512)
+    with sb.open_file(p, OpenDisposition.OPEN, Direction.READ) as h:
+        assert h.read_block(back) == 4096
+        assert bytes(back.view) == out.array.tobytes()
+        assert h.read_block(back, 4096) == 100
+        with pytest.raises(ValueError, match="exceeds buffer capacity 4096"):
+            h.read_block(back, 4097)
 
 
 def test_seek_rejects_negative(tmp_path):
