@@ -19,6 +19,7 @@ identical request streams.
 from __future__ import annotations
 
 import enum
+import itertools
 import os
 import re
 import statistics
@@ -77,7 +78,7 @@ CLOCK_ENV_VAR = "SEQBENCH_CLOCK_GHZ"
 #: 0..trials-1 no matter how many warm-ups run.
 _WARMUP_STREAM_BASE = 1_000_000
 
-#: Seek deltas drawn per ``rng.integers`` call by ``_offset_chain``.
+#: Seek deltas drawn per ``rng.integers`` call by ``_seek_chain``.
 _CHAIN_BATCH = 4096
 
 _FILL_CHUNK = 4 << 20
@@ -280,17 +281,21 @@ def next_offset(current: int, cfg: IoConfig, file_size: int, rng: np.random.Gene
 def _offset_chain(cfg: IoConfig, rng: np.random.Generator) -> Iterator[int]:
     """0, then every ``next_offset`` after it: the offsets of one trial.
 
-    Sequential configs step through the whole blocks and wrap to 0.
-    Seeking configs draw their deltas ``_CHAIN_BATCH`` at a time; one
-    ``rng.integers(-d, d + 1, size=n)`` call returns the values of n scalar
-    draws, so the chain is the one ``next_offset`` builds, draw for draw.
+    Sequential configs step through the whole blocks and wrap to 0; that
+    chain is built from C iterators, so taking an offset runs no Python
+    frame.  Seeking configs draw their deltas ``_CHAIN_BATCH`` at a time;
+    one ``rng.integers(-d, d + 1, size=n)`` call returns the values of n
+    scalar draws, so the chain is the one ``next_offset`` builds, draw for
+    draw.
     """
     block = cfg.block
     span = cfg.file_size - block + 1
     if not cfg.seek_pct:
-        while True:
-            yield from range(0, span, block)
-    d = cfg.seek_pct * cfg.file_size // 100
+        return itertools.chain.from_iterable(itertools.repeat(range(0, span, block)))
+    return _seek_chain(block, span, cfg.seek_pct * cfg.file_size // 100, rng)
+
+
+def _seek_chain(block: int, span: int, d: int, rng: np.random.Generator) -> Iterator[int]:
     offset = 0
     yield offset
     while True:

@@ -349,24 +349,8 @@ class FileHandle:
         stream = self._stream
         if stream is None:
             return self._direct_transfer(buffer, length, write=False)
-        if isinstance(buffer, AlignedBuffer):
-            view = buffer.view
-        else:
-            view = memoryview(buffer)
-            if view.readonly:
-                raise TypeError("read target buffer is read-only")
-            if view.ndim != 1 or view.format != "B" or not view.c_contiguous:
-                view = view.cast("B")
-        size = len(view)
-        if length is None:
-            length = size
-        elif length < 0:
-            raise ValueError(f"negative transfer length {length}")
-        elif length > size:
-            raise ValueError(f"transfer length {length} exceeds buffer capacity {size}")
-        if not length:
-            return 0
-        return stream.readinto(view if length == size else view[:length]) or 0
+        view = _stream_view(buffer, length, target=True)
+        return (stream.readinto(view) or 0) if view else 0
 
     def write_block(self, buffer, length: int | None = None) -> int:
         """Write ``length`` bytes at the current position; returns that count.
@@ -379,22 +363,10 @@ class FileHandle:
         stream = self._stream
         if stream is None:
             return self._direct_transfer(buffer, length, write=True)
-        if isinstance(buffer, AlignedBuffer):
-            view = buffer.view
-        else:
-            view = memoryview(buffer)
-            if view.ndim != 1 or view.format != "B" or not view.c_contiguous:
-                view = view.cast("B")
-        size = len(view)
-        if length is None:
-            length = size
-        elif length < 0:
-            raise ValueError(f"negative transfer length {length}")
-        elif length > size:
-            raise ValueError(f"transfer length {length} exceeds buffer capacity {size}")
-        if length:
-            stream.write(view if length == size else view[:length])
-        return length
+        view = _stream_view(buffer, length, target=False)
+        if view:
+            stream.write(view)
+        return len(view)
 
     def _direct_transfer(self, buffer, length, *, write: bool) -> int:
         if not (hasattr(buffer, "address") and hasattr(buffer, "capacity")):
@@ -474,6 +446,31 @@ class FileHandle:
     def __repr__(self) -> str:
         state = "closed" if self._closed else f"pos={self.position}"
         return f"<FileHandle {self.path} {self.mode.value} {state}>"
+
+
+def _stream_view(buffer, length: int | None, *, target: bool) -> memoryview:
+    """``buffer`` as a flat byte view of ``length`` bytes for a buffered transfer.
+
+    ``target`` marks a read's destination, which must be writable.  The
+    view is cast only when it is not already flat bytes and sliced only
+    when ``length`` is short of the buffer.
+    """
+    if isinstance(buffer, AlignedBuffer):
+        view = buffer.view
+    else:
+        view = memoryview(buffer)
+        if target and view.readonly:
+            raise TypeError("read target buffer is read-only")
+        if view.ndim != 1 or view.format != "B" or not view.c_contiguous:
+            view = view.cast("B")
+    size = len(view)
+    if length is None or length == size:
+        return view
+    if length < 0:
+        raise ValueError(f"negative transfer length {length}")
+    if length > size:
+        raise ValueError(f"transfer length {length} exceeds buffer capacity {size}")
+    return view[:length]
 
 
 def open_file(

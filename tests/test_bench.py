@@ -326,20 +326,24 @@ def test_async_seek_offsets_match_sync_chain(tmp_path):
 
 
 def test_async_chain_survives_thread_switch_stress(tmp_path, deadline):
-    """Eight slots on a fast switch interval: a lost ticket or offset update breaks the chain."""
+    """Eight slots on a fast switch interval: a lost ticket or offset update breaks the chain.
+
+    9000 requests run past two batches of drawn seek deltas.
+    """
     logs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for depth in (None, 8):
             log = tmp_path / f"log_{depth}.txt"
-            cfg = _cfg(tmp_path, seek_pct=30, async_depth=depth, max_requests=800, offset_log=log)
+            cfg = _cfg(tmp_path, seek_pct=30, async_depth=depth, max_requests=9000, offset_log=log)
             result = sb.run_measurement(cfg, trials=1, warmup=0)
-            assert result.samples[0].request_count == 800
+            assert result.samples[0].request_count == 9000
             logs.append(log.read_text())
     finally:
         sys.setswitchinterval(interval)
     assert logs[0] == logs[1]
+    assert [int(line) for line in logs[1].split()] == _reference_chain(cfg, 0, 9000)
 
 
 # -- trial offsets against the next_offset reference ------------------------------
@@ -374,19 +378,6 @@ def test_trial_offsets_equal_the_next_offset_chain(tmp_path, depth, file_size, b
     sb.run_measurement(cfg, trials=2, warmup=0, clock_ghz=1.0)
     got = [int(line) for line in log.read_text().split()]
     assert got == _reference_chain(cfg, 0, 5000) + _reference_chain(cfg, 1, 5000)
-
-
-def test_async_chain_crosses_batches_under_thread_switch_stress(tmp_path, deadline):
-    """Eight slots share one chain generator on a fast switch interval, past two batches."""
-    log = tmp_path / "offsets.txt"
-    cfg = _cfg(tmp_path, seek_pct=30, async_depth=8, max_requests=9000, offset_log=log)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert [int(line) for line in log.read_text().split()] == _reference_chain(cfg, 0, 9000)
 
 
 @given(
