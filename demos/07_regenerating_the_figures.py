@@ -22,7 +22,6 @@ summary_scenario(out)
 print("summary scenario passed")
 
 tiny = SweepScale(
-    name="demo",
     file_size=4 << 20,
     duration=0.15,
     trials=3,

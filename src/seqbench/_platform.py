@@ -12,21 +12,23 @@ documentation of where a port would plug in; no code here runs them.
     extent count        FIEMAP ioctl                fcntl F_LOG2PHYS loop  FSCTL_GET_RETRIEVAL_POINTERS
     access-hint         posix_fadvise(2)            F_RDAHEAD              FILE_FLAG_SEQUENTIAL_SCAN
 
-Elsewhere the cache-bypass open, the sector-size probe and the extent count
-raise a clear error instead of guessing; flushing falls back to fsync(2) and
-the access hint to a no-op.
+Nothing here checks which platform it runs on.  On another POSIX system
+the Linux calls themselves fail, and each failure surfaces as the error a
+caller already handles: no O_DIRECT flag raises DirectIoUnsupportedError,
+no /sys queue attribute raises OSError (GeometryProbeError once
+detect_sector_geometry wraps it), and a refused FIEMAP ioctl raises
+ExtentQueryError.  The access hint is skipped where posix_fadvise is
+missing.  Flushing the OS cache is os.fsync, which FileHandle.flush calls
+itself.
 """
 from __future__ import annotations
 
 import errno
 import os
 import struct
-import sys
 from pathlib import Path
 
 from .errors import DirectIoUnsupportedError, ExtentQueryError
-
-IS_LINUX = sys.platform.startswith("linux")
 
 # FIEMAP ioctl pieces, from linux/fiemap.h.  The request header is
 # fm_start, fm_length (u64); fm_flags, fm_mapped_extents, fm_extent_count,
@@ -35,36 +37,28 @@ _FS_IOC_FIEMAP = 0xC020660B
 _FIEMAP_FLAG_SYNC = 0x0001
 _FIEMAP_HEADER = struct.Struct("=QQIIII")
 
-_EOPNOTSUPP = getattr(errno, "EOPNOTSUPP", errno.ENOTSUP)
-
 
 def open_raw(path: str | os.PathLike, flags: int, mode: int = 0o666, *, direct: bool = False) -> int:
     """os.open with an optional cache-bypass request.
 
-    Raises DirectIoUnsupportedError when the platform or the filesystem
-    holding ``path`` refuses uncached access.  Plain open failures (missing
-    file, exists, permission) propagate as their usual builtin exceptions.
+    Raises DirectIoUnsupportedError when Python exposes no O_DIRECT flag
+    or the filesystem holding ``path`` refuses uncached access.  Plain open
+    failures (missing file, exists, permission) propagate as their usual
+    builtin exceptions.
     """
     path = os.fspath(path)
     if not direct:
         return os.open(path, flags, mode)
-    if not IS_LINUX:
-        raise DirectIoUnsupportedError(f"no cache-bypass open path on platform {sys.platform!r}")
     if not hasattr(os, "O_DIRECT"):
         raise DirectIoUnsupportedError("this Python build exposes no O_DIRECT flag")
     try:
         return os.open(path, flags | os.O_DIRECT, mode)
     except OSError as exc:
-        if exc.errno in (errno.EINVAL, _EOPNOTSUPP, errno.ENOTSUP):
+        if exc.errno in (errno.EINVAL, errno.EOPNOTSUPP, errno.ENOTSUP):
             raise DirectIoUnsupportedError(
                 f"filesystem holding {path!r} rejects uncached opens: {exc}"
             ) from exc
         raise
-
-
-def flush_os_cache(fd: int) -> None:
-    """Push OS-cached dirty data for ``fd`` toward the device."""
-    os.fsync(fd)
 
 
 def advise_access(fd: int, *, sequential: bool) -> None:
@@ -85,8 +79,6 @@ def query_sector_size(path: str | os.PathLike) -> int:
     OSError when the device cannot be resolved (virtual filesystems,
     non-Linux platforms).
     """
-    if not IS_LINUX:
-        raise OSError(f"sector size query not implemented on platform {sys.platform!r}")
     st = os.stat(path)
     major, minor = os.major(st.st_dev), os.minor(st.st_dev)
     node = Path(f"/sys/dev/block/{major}:{minor}")
@@ -105,8 +97,6 @@ def query_sector_size(path: str | os.PathLike) -> int:
 
 def count_extents(fd: int) -> int:
     """Number of extents backing an open file, via the FIEMAP ioctl."""
-    if not IS_LINUX:
-        raise ExtentQueryError(f"extent query not implemented on platform {sys.platform!r}")
     import fcntl
 
     request = bytearray(_FIEMAP_HEADER.pack(0, (1 << 64) - 1, _FIEMAP_FLAG_SYNC, 0, 0, 0))

@@ -39,11 +39,11 @@ from .engine import (
     FileHandle,
     FlushLevel,
     IoMode,
-    detect_sector_geometry,
     open_file,
     run_slots,
     transfer_full,
     validate_direct_request,
+    write_chunks,
 )
 from .errors import ConfigError, DirectRequestError
 
@@ -304,16 +304,6 @@ def _seek_chain(block: int, span: int, d: int, rng: np.random.Generator) -> Iter
             yield offset
 
 
-def _fill_pattern(handle: FileHandle, start: int, end: int) -> None:
-    chunk = bytes([_FILL_BYTE]) * min(_FILL_CHUNK, max(end - start, 1))
-    handle.seek(start)
-    position = start
-    while position < end:
-        step = min(len(chunk), end - position)
-        handle.write_block(chunk, step)
-        position += step
-
-
 def _prepare_target(cfg: IoConfig) -> None:
     """Make sure the target file exists with at least ``file_size`` bytes.
 
@@ -324,8 +314,10 @@ def _prepare_target(cfg: IoConfig) -> None:
     """
     with open_file(cfg.path, OpenDisposition.OPEN_OR_CREATE, Direction.WRITE) as handle:
         current = handle.length
-        if current < cfg.file_size:
-            _fill_pattern(handle, current, cfg.file_size)
+        missing = cfg.file_size - current
+        if missing > 0:
+            chunk = bytes([_FILL_BYTE]) * min(_FILL_CHUNK, missing)
+            write_chunks(handle.fileno(), itertools.repeat(chunk), current, missing)
             handle.flush(FlushLevel.OPERATING_SYSTEM_CACHE)
 
 

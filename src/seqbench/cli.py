@@ -16,7 +16,7 @@ Exit codes: 0 success, 1 runtime I/O failure, 2 bad usage or config.
 from __future__ import annotations
 
 import hashlib
-import os
+import itertools
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -32,7 +32,7 @@ from .bench import (
     run_measurement,
 )
 from .core import DEFAULT_SEED, Direction, OpenDisposition, make_rng, parse_size
-from .engine import FlushLevel, open_file
+from .engine import FlushLevel, open_file, write_chunks
 from .errors import ConfigError, SizeParseError, ToolkitError
 from .fragger import FragConfig, run_cycles
 from .pipeline import copy_file
@@ -481,13 +481,11 @@ def _run_asynccopy(inv: AsyncCopyInvocation) -> int:
             if stale.exists():
                 stale.unlink()
         print(f"creating {src} ({inv.size} bytes)")
-        chunk = os.urandom(min(1 << 20, inv.size))
+        # Every chunk is fresh seeded data: with one chunk repeated, a block
+        # copied to the wrong place could still match the source.
+        chunks = map(make_rng(DEFAULT_SEED).bytes, itertools.repeat(1 << 20))
         with open_file(src, OpenDisposition.CREATE_NEW, Direction.WRITE) as handle:
-            written = 0
-            while written < inv.size:
-                step = min(len(chunk), inv.size - written)
-                handle.write_block(chunk, step)
-                written += step
+            write_chunks(handle.fileno(), chunks, 0, inv.size)
             handle.flush(FlushLevel.OPERATING_SYSTEM_CACHE)
         print(f"copying with {inv.depth} x {inv.block} byte requests in flight")
         report = copy_file(src, dst, block=inv.block, depth=inv.depth)

@@ -16,7 +16,8 @@ write_block advance it, seek moves it.  A handle must be driven by one
 thread at a time.
 
 transfer_full is the one full-transfer loop in the package: every
-positional request that must move all of its bytes goes through it.
+positional request that must move all of its bytes goes through it, and
+write_chunks feeds it every file fill that no timer measures.
 run_slots is the one place that starts threads: the overlapped trial and
 the copy run one long-lived thread per slot on it.
 """
@@ -28,18 +29,13 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import _platform
 from .core import Direction, OpenDisposition
-from .errors import (
-    DirectIoUnsupportedError,
-    DirectRequestError,
-    ExtentQueryError,
-    GeometryProbeError,
-)
+from .errors import DirectIoUnsupportedError, DirectRequestError, GeometryProbeError
 
 __all__ = [
     "IoMode",
@@ -52,6 +48,7 @@ __all__ = [
     "AlignedBuffer",
     "validate_direct_request",
     "transfer_full",
+    "write_chunks",
     "run_slots",
     "FileHandle",
     "open_file",
@@ -244,6 +241,25 @@ def transfer_full(fd: int, view: memoryview, offset: int, length: int, *, write:
     return done
 
 
+def write_chunks(fd: int, chunks: Iterable, offset: int, length: int) -> None:
+    """Write ``length`` bytes at ``offset``, taken in order from ``chunks``.
+
+    Each chunk goes through transfer_full; the last one used is cut where
+    ``length`` ends, and no chunk past it is taken.  This fills files with
+    content that no timer measures.  Raises ValueError when ``chunks``
+    ends, or yields an empty chunk, before ``length`` bytes are written.
+    """
+    chunks = iter(chunks)
+    end = offset + length
+    while offset < end:
+        view = memoryview(next(chunks, b""))
+        step = min(len(view), end - offset)
+        if step == 0:
+            raise ValueError(f"chunks gave out {end - offset} bytes short of {length}")
+        transfer_full(fd, view, offset, step, write=True)
+        offset += step
+
+
 def run_slots(
     depth: int, slot: Callable[[int], None], fail: Callable[[BaseException], None]
 ) -> None:
@@ -399,7 +415,7 @@ class FileHandle:
         if self._stream is not None:
             self._stream.flush()
         if level is FlushLevel.OPERATING_SYSTEM_CACHE:
-            _platform.flush_os_cache(self._fd)
+            os.fsync(self._fd)
 
     def preallocate(self, size: int) -> None:
         """Set the file length to exactly ``size`` without writing data.

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 
 from .core import DEFAULT_SEED, make_rng
-from .engine import transfer_full
+from .engine import write_chunks
 
 __all__ = [
     "FragConfig",
@@ -197,14 +197,10 @@ def plan_directory_tree(cfg: FragConfig, volume_capacity: int | None = None) -> 
 
 def _write_file(path: Path, size: int) -> None:
     """Write ``size`` pattern bytes in full; if a write fails, leave nothing behind."""
-    chunk = memoryview(bytes([_FILL_BYTE]) * min(_WRITE_CHUNK, max(size, 1)))
+    chunk = bytes([_FILL_BYTE]) * min(_WRITE_CHUNK, size)
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        written = 0
-        while written < size:
-            step = min(len(chunk), size - written)
-            transfer_full(fd, chunk, written, step, write=True)
-            written += step
+        write_chunks(fd, itertools.repeat(chunk), 0, size)
     except OSError:
         os.close(fd)
         try:

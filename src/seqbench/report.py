@@ -11,7 +11,7 @@ import csv
 import enum
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -29,30 +29,10 @@ __all__ = [
     "emit_plot",
 ]
 
-#: Bump when CSV_COLUMNS changes meaning or order.
-CSV_SCHEMA_VERSION = 1
-
-CSV_COLUMNS = (
-    "tool",
-    "direction",
-    "block_bytes",
-    "direct",
-    "async_depth",
-    "seek_pct",
-    "trials",
-    "bytes_moved",
-    "wall_s",
-    "cpu_s",
-    "mb_per_sec",
-    "ns_per_byte",
-    "cycles_per_byte",
-    "stddev",
-)
-
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One measurement, one line of CSV: schema v1, columns as listed above.
+    """One measurement, one line of CSV: schema v1, one column per field, in order.
 
     ``direct`` serializes as 1/0; absent optionals serialize as empty
     fields; rates are decimal megabytes (10**6 bytes) per second and
@@ -72,8 +52,25 @@ class ResultRow:
     cpu_s: float
     mb_per_sec: float
     ns_per_byte: float
-    cycles_per_byte: float
+    cycles_per_byte: float | None
     stddev: float
+
+
+#: Bump when CSV_COLUMNS changes meaning or order.
+CSV_SCHEMA_VERSION = 1
+
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
+
+#: How from_csv reads a field back, by the field's annotation.
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": lambda text: text == "1",
+    "int | None": lambda text: None if text == "" else int(text),
+    "float | None": lambda text: None if text == "" else float(text),
+}
+_COLUMN_PARSERS = tuple(_PARSERS[f.type] for f in fields(ResultRow))
 
 
 def result_row(tool: str, result, **overrides) -> ResultRow:
@@ -131,14 +128,6 @@ def to_csv(rows: Iterable[ResultRow], *, header: bool = True) -> str:
     return out.getvalue()
 
 
-def _parse_optional_int(text: str) -> int | None:
-    return None if text == "" else int(text)
-
-
-def _parse_optional_float(text: str) -> float | None:
-    return None if text == "" else float(text)
-
-
 def from_csv(text: str) -> list[ResultRow]:
     """Parse to_csv output back into rows (header line optional)."""
     rows = []
@@ -152,24 +141,7 @@ def from_csv(text: str) -> list[ResultRow]:
                 f"CSV row has {len(record)} fields, schema v{CSV_SCHEMA_VERSION} "
                 f"has {len(CSV_COLUMNS)}: {record!r}"
             )
-        rows.append(
-            ResultRow(
-                tool=record[0],
-                direction=record[1],
-                block_bytes=int(record[2]),
-                direct=record[3] == "1",
-                async_depth=_parse_optional_int(record[4]),
-                seek_pct=_parse_optional_int(record[5]),
-                trials=int(record[6]),
-                bytes_moved=int(record[7]),
-                wall_s=float(record[8]),
-                cpu_s=float(record[9]),
-                mb_per_sec=float(record[10]),
-                ns_per_byte=float(record[11]),
-                cycles_per_byte=_parse_optional_float(record[12]),
-                stddev=float(record[13]),
-            )
-        )
+        rows.append(ResultRow(*(parse(text) for parse, text in zip(_COLUMN_PARSERS, record))))
     return rows
 
 

@@ -73,7 +73,6 @@ class SweepScale:
     ``ext_blocks`` write sizes up to a file of ``ext_size`` bytes.
     """
 
-    name: str
     file_size: int
     duration: float
     trials: int
@@ -88,7 +87,6 @@ _ALL_POWERS = tuple(2**p for p in range(23))  # 1 byte through 4 MiB
 #: About two seconds of measurement per point; the whole run fits in a
 #: coffee break and still shows every shape the full run shows.
 QUICK = SweepScale(
-    name="quick",
     file_size=256 << 20,
     duration=0.5,
     trials=3,
@@ -99,7 +97,6 @@ QUICK = SweepScale(
 )
 
 FULL = SweepScale(
-    name="full",
     file_size=1 << 30,
     duration=5.0,
     trials=5,
@@ -137,20 +134,20 @@ def _sweep(target, sizes, scale, clock, rows, *, direct):
     return bandwidth, cost
 
 
-def regen_figures(out_dir: str | Path, scale: SweepScale = QUICK, *, scratch: str | Path | None = None) -> list[Path]:
+def regen_figures(out_dir: str | Path, scale: SweepScale = QUICK) -> list[Path]:
     """Re-run the whole measurement suite and render its figures.
 
     Writes results.csv and fig2/fig3/fig4/fig5/fig8 SVGs into ``out_dir``
     (bandwidth and cost for buffered, cost and bandwidth for direct, and
     the extension comparison; the numbering leaves gaps for figures that
-    only make sense as hardware surveys).  When the scratch volume cannot
-    do uncached I/O the direct figures are skipped with a notice.  Returns
-    the paths written.
+    only make sense as hardware surveys).  The measured files live in
+    ``out_dir/scratch``, which is removed on the way out.  When that
+    directory cannot do uncached I/O the direct figures are skipped with a
+    notice.  Returns the paths written.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    own_scratch = scratch is None
-    scratch = out / "scratch" if own_scratch else Path(scratch)
+    scratch = out / "scratch"
     scratch.mkdir(parents=True, exist_ok=True)
 
     clock = detect_clock_ghz()
@@ -200,11 +197,4 @@ def regen_figures(out_dir: str | Path, scale: SweepScale = QUICK, *, scratch: st
         written.insert(0, csv_path)
         return written
     finally:
-        if own_scratch:
-            shutil.rmtree(scratch, ignore_errors=True)
-        else:
-            for name in ("sweep.dat", "extend.dat"):
-                try:
-                    (scratch / name).unlink()
-                except OSError:
-                    pass
+        shutil.rmtree(scratch, ignore_errors=True)

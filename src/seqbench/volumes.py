@@ -19,7 +19,6 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import _platform
 from .errors import VolumeUnsupportedError
 
 __all__ = ["volume_support_problem", "scratch_volume"]
@@ -40,8 +39,6 @@ def _find_mkfs() -> str | None:
 
 def volume_support_problem() -> str | None:
     """Why scratch_volume would fail here, or None if it should work."""
-    if not _platform.IS_LINUX:
-        return "loopback scratch volumes need Linux"
     if os.geteuid() != 0:
         return "mounting loopback volumes needs root"
     if _find_mkfs() is None:
@@ -72,14 +69,13 @@ def _image_directory(size_bytes: int) -> str:
 
 
 @contextmanager
-def scratch_volume(size_bytes: int, *, eager_allocation: bool = True):
+def scratch_volume(size_bytes: int):
     """Yield the mount point of a fresh ext4 volume of ``size_bytes``.
 
-    With ``eager_allocation`` the filesystem is mounted so that blocks are
-    allocated when a write is issued instead of deferred to writeback.
-    Deferred (delayed) allocation batches and hides exactly the per-write
-    allocation work that file-extension experiments exist to measure, so
-    eager is the default here.
+    The filesystem is mounted with ``nodelalloc``, so blocks are allocated
+    when a write is issued instead of deferred to writeback.  Deferred
+    (delayed) allocation batches and hides exactly the per-write
+    allocation work that file-extension experiments exist to measure.
 
     The backing image lives in /dev/shm when it fits, which takes device
     latency out of whatever is measured on the volume.  Everything is
@@ -100,8 +96,7 @@ def scratch_volume(size_bytes: int, *, eager_allocation: bool = True):
         fd = None
         _run([mkfs, "-q", "-F", image])
         mount_point = tempfile.mkdtemp(prefix="seqbench_mnt_")
-        options = "loop,nodelalloc" if eager_allocation else "loop"
-        _run(["mount", "-o", options, image, mount_point])
+        _run(["mount", "-o", "loop,nodelalloc", image, mount_point])
         mounted = True
         yield Path(mount_point)
     finally:

@@ -251,6 +251,22 @@ def test_prepare_creates_and_fills_target(tmp_path):
     assert cfg.path.stat().st_size == cfg.file_size
 
 
+def test_prepare_keeps_existing_bytes_and_fills_the_rest_with_the_pattern(tmp_path):
+    cfg = _cfg(tmp_path, file_size=(8 << 20) + 4096, max_requests=1)
+    cfg.path.write_bytes(b"keep")
+    sb.run_measurement(cfg, trials=1, warmup=0)
+    assert cfg.path.read_bytes() == b"keep" + b"\xa5" * (cfg.file_size - 4)
+
+
+def test_prepare_ends_when_a_fill_write_stops_making_progress(
+    tmp_path, short_then_zero, deadline
+):
+    cfg = _cfg(tmp_path, max_requests=4)
+    short_then_zero("pwritev")
+    with pytest.raises(OSError, match="write made no progress"):
+        sb.run_measurement(cfg, trials=1, warmup=0)
+
+
 def test_write_measures_in_place(tmp_path):
     cfg = _cfg(tmp_path, direction=Direction.WRITE, max_requests=300)
     result = sb.run_measurement(cfg, trials=1, warmup=0)
@@ -528,6 +544,17 @@ def test_async_trial_ends_when_a_transfer_stops_making_progress(
     cfg = _cfg(tmp_path, direction=direction, async_depth=2, max_requests=16)
     short_then_zero(call)
     with pytest.raises(OSError, match=error):
+        sb.run_measurement(cfg, trials=1, warmup=0)
+
+
+def test_async_write_trial_ends_when_its_own_write_stops_making_progress(
+    tmp_path, short_then_zero, deadline
+):
+    """The target is already full size, so the fill writes nothing and the fault hits the trial."""
+    cfg = _cfg(tmp_path, direction=Direction.WRITE, async_depth=2, max_requests=16)
+    cfg.path.write_bytes(b"\xa5" * cfg.file_size)
+    short_then_zero("pwritev")
+    with pytest.raises(OSError, match="no progress"):
         sb.run_measurement(cfg, trials=1, warmup=0)
 
 

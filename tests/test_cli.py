@@ -406,6 +406,37 @@ def test_asynccopy_run_verifies_and_cleans_up(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_asynccopy_catches_a_misplaced_block(tmp_path, monkeypatch):
+    real_copy = sb.cli.copy_file
+
+    def swap_first_two_blocks(src, dst, **kw):
+        report = real_copy(src, dst, **kw)
+        data = dst.read_bytes()
+        dst.write_bytes(data[1 << 20 : 2 << 20] + data[: 1 << 20] + data[2 << 20 :])
+        return report
+
+    monkeypatch.setattr(sb.cli, "copy_file", swap_first_two_blocks)
+    code, out, err = run_cli(["asynccopy", "-z4M", "-b1M", "-a2", str(tmp_path)])
+    assert code == 1
+    assert "verification failed" in err
+    assert "verified" not in out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_asynccopy_stalled_source_write_fails_before_the_copy(
+    tmp_path, monkeypatch, short_then_zero, deadline
+):
+    def never_called(*args, **kw):
+        raise AssertionError("copy_file ran after the source write failed")
+
+    monkeypatch.setattr(sb.cli, "copy_file", never_called)
+    short_then_zero("pwritev")
+    code, _, err = run_cli(["asynccopy", "-z1M", "-b64K", "-a2", str(tmp_path)])
+    assert code == 1
+    assert "write made no progress" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fragdisk_bounded_run(tmp_path):
     code, out, _ = run_cli(
         ["fragdisk", "-n1", "-c50", "-Fm4K", "-FM16K", "-f99", "-k1", str(tmp_path)]

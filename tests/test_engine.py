@@ -1,6 +1,7 @@
 """Open dispositions, aligned buffers, direct-transfer validation, flushing."""
 import hashlib
 import io
+import itertools
 import os
 import shutil
 import subprocess
@@ -404,6 +405,38 @@ def test_preallocate_rejects_negative(tmp_path):
     with sb.open_file(p, OpenDisposition.CREATE, Direction.WRITE) as h:
         with pytest.raises(ValueError):
             h.preallocate(-1)
+
+
+# -- write_chunks ---------------------------------------------------------------
+
+def test_write_chunks_cuts_the_last_chunk_and_takes_no_more(tmp_path):
+    taken = []
+
+    def chunks():
+        for index in itertools.count():
+            taken.append(index)
+            yield bytes([index]) * 4
+
+    p = tmp_path / "f"
+    p.write_bytes(b"-" * 3)
+    fd = os.open(p, os.O_WRONLY)
+    try:
+        sb.engine.write_chunks(fd, chunks(), 3, 10)
+        sb.engine.write_chunks(fd, chunks(), 13, 0)
+    finally:
+        os.close(fd)
+    assert p.read_bytes() == b"---" + b"\0" * 4 + b"\1" * 4 + b"\2" * 2
+    assert taken == [0, 1, 2]
+
+
+@pytest.mark.parametrize("chunks", [[b"ab", b"cd"], itertools.repeat(b"")])
+def test_write_chunks_refuses_to_fall_short(tmp_path, chunks):
+    fd = os.open(tmp_path / "f", os.O_WRONLY | os.O_CREAT)
+    try:
+        with pytest.raises(ValueError, match="short of 5"):
+            sb.engine.write_chunks(fd, chunks, 0, 5)
+    finally:
+        os.close(fd)
 
 
 # -- aligned buffers ------------------------------------------------------------

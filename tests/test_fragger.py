@@ -268,6 +268,17 @@ def test_short_writes_are_continued_to_the_recorded_size(tmp_path, monkeypatch):
     assert _files_on_disk(tmp_path) == {str(p): s for p, s in report.survivors}
 
 
+def test_files_hold_the_fill_pattern_across_chunks(tmp_path):
+    cfg = FragConfig(
+        root=tmp_path, min_file=(1 << 20) + 1, max_file=3 << 20, files_per_cycle=4,
+        max_cycles=1, keep_pct=50, fill_pct=90, capacity_limit=16 << 20, seed=7,
+    )
+    report = sb.run_cycles(cfg)
+    assert report.survivors
+    for rel, size in report.survivors:
+        assert (tmp_path / rel).read_bytes() == b"\x66" * size
+
+
 def test_stalled_write_raises_and_leaves_nothing_behind(tmp_path, short_then_zero):
     root = tmp_path / "aged"
     log = tmp_path / "events.log"

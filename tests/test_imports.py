@@ -1,0 +1,43 @@
+"""Every module-level import in the package is used (a stand-in for a linter)."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import seqbench
+
+#: The package's ``__init__`` imports are its public names, so it is left out.
+SOURCES = sorted(
+    path for path in Path(seqbench.__file__).parent.glob("*.py") if path.name != "__init__.py"
+)
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module's top-level imports, with their line numbers."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _exported_names(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+def test_no_unused_module_level_import(source):
+    tree = ast.parse(source.read_text(), filename=str(source))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _exported_names(tree)
+    unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
+    assert not unused, f"{source.name}: unused imports {unused}"

@@ -29,7 +29,6 @@ def test_summary_scenario_names_the_failing_step(tmp_path):
 # -- figure regeneration ---------------------------------------------------------
 
 _TINY = SweepScale(
-    name="test",
     file_size=4 << 20,
     duration=0.15,
     trials=3,
