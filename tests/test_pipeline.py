@@ -208,6 +208,30 @@ def test_hook_abort_leaves_no_thread_behind(tmp_path, deadline):
     assert info.value.progress.write_requests <= 4
 
 
+@pytest.mark.parametrize("depth", [1, 2, 4])
+@pytest.mark.parametrize("failing", [0, 7, 15], ids=["first", "middle", "last"])
+def test_hook_exception_at_any_block_aborts_cleanly(tmp_path, deadline, depth, failing):
+    """16 blocks, the last one ragged: the hook raises at block ``failing`` and nothing follows."""
+    blocks = 16
+    src, dst = tmp_path / "src", tmp_path / "dst"
+    _fill(src, blocks * 4096 - 100)
+    seen = []
+
+    def hook(view):
+        seen.append(len(view))
+        if len(seen) == failing + 1:
+            raise RuntimeError("synthetic processing failure")
+
+    before = threading.active_count()
+    with pytest.raises(sb.CopyAbortedError) as info:
+        sb.copy_file(src, dst, block=4096, depth=depth, hook=hook)
+    assert isinstance(info.value.__cause__, RuntimeError)
+    assert threading.active_count() == before
+    assert not dst.exists()
+    assert len(seen) == failing + 1  # no hook call after the failing block
+    assert info.value.progress.write_requests < blocks
+
+
 @pytest.mark.parametrize("call", ["preadv", "pwritev"])
 def test_copy_ends_when_a_transfer_stops_making_progress(tmp_path, short_then_zero, deadline, call):
     src, dst = tmp_path / "src", tmp_path / "dst"
