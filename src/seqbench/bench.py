@@ -81,6 +81,12 @@ _WARMUP_STREAM_BASE = 1_000_000
 #: Seek deltas drawn per ``rng.integers`` call by ``_seek_chain``.
 _CHAIN_BATCH = 4096
 
+#: Bytes of requests an overlapped slot takes per ticket-lock acquisition
+#: (at least one request).  Fewer hand-offs between slot threads, each a
+#: futex wake plus an interpreter-lock transfer, against a deadline and a
+#: stop that are seen once per run.
+_RUN_BYTES = 1 << 20
+
 _FILL_CHUNK = 4 << 20
 _FILL_BYTE = 0xA5
 
@@ -382,22 +388,29 @@ def _trial_sync(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
 
 
 def _trial_async(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
-    """Overlapped trial: ``async_depth`` slot threads issuing positional requests.
+    """Overlapped trial: ``async_depth`` slots issuing positional requests.
 
-    Each slot thread owns one buffer and loops: under a ticket lock it
-    takes the next ticket and the next offset of ``_offset_chain(cfg,
-    rng)``, then checks a direct request, transfers the block and comes
-    back for another ticket.  Offsets are handed out in ticket order, so
-    the issued sequence is identical to what a synchronous trial with the
-    same rng would issue.  The first ``async_depth`` tickets are always
-    issued; after that a ticket is refused once ``max_requests`` have been
-    issued or the duration has run out.  preadv/pwritev release the
-    interpreter lock, so up to ``async_depth`` requests really overlap.
-    The first failure in any slot stops the others, and it is raised once
-    every slot thread has finished.
+    Each slot owns one buffer and loops: under a ticket lock it takes a
+    run of consecutive tickets, about ``_RUN_BYTES`` of requests and at
+    least one, with the next offsets of ``_offset_chain(cfg, rng)``; then
+    it checks and transfers each request of the run and comes back for
+    another.  Offsets are handed out in ticket order, so the issued
+    sequence is identical to what a synchronous trial with the same rng
+    would issue.  The first ``async_depth`` tickets are always issued;
+    after that no ticket is handed out past ``max_requests``, and none
+    once the duration has run out.  The clock is read once per run, so a
+    slot overshoots the duration by at most one run.  preadv/pwritev
+    release the interpreter lock, so up to ``async_depth`` requests
+    really overlap.  The first failure in any slot stops the others once
+    they finish their runs, and it is raised when every slot has finished.
     """
     depth = cfg.async_depth
+    block = cfg.block
+    direct = cfg.direct
+    touch = cfg.touch
     write = cfg.direction is Direction.WRITE
+    call = os.pwritev if write else os.preadv
+    run = max(1, _RUN_BYTES // block)
     limit = max(depth, cfg.max_requests) if cfg.max_requests is not None else None
     chain = _offset_chain(cfg, rng)
     offsets: list[int] = []
@@ -405,40 +418,46 @@ def _trial_async(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
     lock = threading.Lock()
     with _open_for_trial(cfg) as handle:
         fd = handle.fileno()
-        buffers = [_make_buffer(cfg, handle.geometry) for _ in range(depth)]
+        geometry = handle.geometry
+        buffers = [_make_buffer(cfg, geometry) for _ in range(depth)]
         deadline = time.perf_counter() + cfg.duration
 
         def slot(index: int) -> None:
             buffer, view = buffers[index]
+            iov = [view]
             checksum = 1
             while True:
                 with lock:
-                    ticket = len(offsets)
-                    if errors or ticket == limit or (
-                        ticket >= depth and time.perf_counter() >= deadline
+                    start = len(offsets)
+                    if errors or start == limit or (
+                        start >= depth and time.perf_counter() >= deadline
                     ):
                         return
-                    offset = next(chain)
-                    offsets.append(offset)
-                if cfg.direct:
-                    violations = validate_direct_request(handle.geometry, buffer, cfg.block, offset)
-                    if violations:
-                        raise DirectRequestError(violations)
-                got = transfer_full(fd, view, offset, cfg.block, write=write)
-                if got != cfg.block:
-                    raise OSError(
-                        f"short read: {got} of {cfg.block} bytes at offset {offset} in {cfg.path}"
-                    )
-                if cfg.touch:
-                    checksum = zlib.adler32(view[: cfg.block], checksum)
-
-        def fail(exc: BaseException) -> None:
-            with lock:
-                errors.append(exc)
+                    taken = list(itertools.islice(
+                        chain, run if limit is None else min(run, limit - start)
+                    ))
+                    offsets.extend(taken)
+                for offset in taken:
+                    if direct:
+                        violations = validate_direct_request(geometry, buffer, block, offset)
+                        if violations:
+                            raise DirectRequestError(violations)
+                    got = call(fd, iov, offset)
+                    if got != block:
+                        got += transfer_full(
+                            fd, view[got:], offset + got, block - got, write=write
+                        )
+                        if got != block:
+                            raise OSError(
+                                f"short read: {got} of {block} bytes at offset {offset} "
+                                f"in {cfg.path}"
+                            )
+                    if touch:
+                        checksum = zlib.adler32(view, checksum)
 
         stopwatch = Stopwatch()
-        run_slots(depth, slot, fail)
-        sample = stopwatch.sample(len(offsets) * cfg.block, len(offsets))
+        run_slots(depth, slot, errors.append)
+        sample = stopwatch.sample(len(offsets) * block, len(offsets))
     if errors:
         raise errors[0]
     return sample, offsets

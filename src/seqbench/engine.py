@@ -19,7 +19,8 @@ transfer_full is the one full-transfer loop in the package: every
 positional request that must move all of its bytes goes through it, and
 write_chunks feeds it every file fill that no timer measures.
 run_slots is the one place that starts threads: the overlapped trial and
-the copy run one long-lived thread per slot on it.
+the copy run their slots on it, slot 0 on the calling thread and one
+long-lived thread for each of the others.
 """
 from __future__ import annotations
 
@@ -263,31 +264,57 @@ def write_chunks(fd: int, chunks: Iterable, offset: int, length: int) -> None:
 def run_slots(
     depth: int, slot: Callable[[int], None], fail: Callable[[BaseException], None]
 ) -> None:
-    """Run ``slot(0)`` .. ``slot(depth - 1)`` on daemon threads and wait for all.
+    """Run ``slot(0)`` .. ``slot(depth - 1)`` and wait for all of them.
 
-    An exception escaping a slot, or raised while starting the threads,
-    is handed to ``fail``, which must record it and make the other slots
-    finish; the caller raises what it recorded.  Every started thread has
-    been joined when this returns.
+    Slot 0 runs on the calling thread and the others on daemon threads,
+    so depth 1 starts none.  An exception escaping a slot, or raised while
+    starting the threads, is handed to ``fail``, which must record it and
+    make the other slots finish; the caller raises what it recorded.  An
+    interrupt (a signal handler's exception, Ctrl-C) that reaches the
+    calling thread while it runs slot 0 is that slot's exception.  The
+    wait for the other slots survives an interrupt too: the exception
+    goes to ``fail``, the wait goes on until every slot has finished, and
+    then the exception is raised here.  Every started thread has been
+    joined when this returns or raises.
     """
 
-    def guarded(index: int) -> None:
+    def guarded(index: int, finished=None) -> None:
         try:
             slot(index)
         except BaseException as exc:  # forwarded: the caller re-raises it
             fail(exc)
+        finally:
+            if finished is not None:
+                finished.release()
 
     started = []
     try:
-        for index in range(depth):
-            thread = threading.Thread(target=guarded, args=(index,), daemon=True)
+        for index in range(1, depth):
+            # Held until the slot ends.  An interrupted acquire takes nothing and can
+            # be retried; an interrupted Thread.join may give up on a live thread.
+            finished = threading.Lock()
+            finished.acquire()
+            thread = threading.Thread(target=guarded, args=(index, finished), daemon=True)
             thread.start()
-            started.append(thread)
+            started.append((thread, finished))
+        if depth > 0:
+            guarded(0)
     except BaseException as exc:  # forwarded: the caller re-raises it
         fail(exc)
-    finally:
-        for thread in started:
-            thread.join()
+    interrupt = None
+    for thread, finished in started:
+        while True:
+            try:
+                with finished:
+                    pass
+                thread.join()
+                break
+            except BaseException as exc:  # an interrupt: stop every slot, wait, re-raise
+                fail(exc)
+                if interrupt is None:
+                    interrupt = exc
+    if interrupt is not None:
+        raise interrupt
 
 
 # os.open flag bits per disposition; read/write access bits are added later.

@@ -1,18 +1,24 @@
-"""Overlapped file copy driven by one long-lived thread per slot.
+"""Overlapped file copy driven by one long-lived slot per in-flight request.
 
-Each of ``depth`` slot threads owns one block buffer and the block offsets
-i*B, (i+depth)*B, ...; for each block it reads, waits for the block's
-turn, runs the per-buffer hook, passes the turn on and writes.  The turn
-is a turnstile of one semaphore per slot handed on in file order, so hooks
-see blocks in file order and each write follows its own hook call, while
-transfers of different slots overlap (preadv/pwritev release the
-interpreter lock).  The final block moves at its exact length.  The first
-failure in any slot, a hook exception or a source that shrank included,
-releases every turn so that all slots finish, and the copy is aborted.
+Each of ``depth`` slots owns one block buffer and the block offsets
+i*B, (i+depth)*B, ...; slot 0 runs on the calling thread and every other
+slot on a thread of its own.  For each block a slot reads, waits for the
+block's turn, runs the per-buffer hook, passes the turn on and writes.
+The turns are one plain lock per slot, held while it is not that slot's
+turn and released by the slot before it, so hooks see blocks in file
+order and each write follows its own hook call, while transfers of
+different slots overlap (preadv/pwritev release the interpreter lock).
+Each slot keeps its own counts, summed once every slot has finished, and
+the in-flight high-water mark comes from an atomic counter of transfers
+entered less those that have left.  The final block moves at its exact
+length.  The first failure in any slot, a hook exception or a source that
+shrank included, releases every turn so that all slots finish, and the
+copy is aborted.
 """
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import threading
 import time
@@ -99,50 +105,65 @@ def copy_file(
 
 def _copy_blocks(src_fd, dst_fd, schedule, depth, hook, started) -> CopyReport:
     depth = min(depth, len(schedule))  # a slot without blocks starts no thread
-    turns = [threading.Semaphore(int(i == 0)) for i in range(depth)]  # block 0 starts
-    lock = threading.Lock()
+    turns = [threading.Lock() for _ in range(depth)]
+    for turn in turns[1:]:
+        turn.acquire()  # a held turn is not yet that slot's; block 0 starts
     errors: list[BaseException] = []
-    reads = writes = copied = busy = peak = 0
-
-    def transfer(fd, view, offset, length, *, write) -> int:
-        nonlocal busy, peak
-        with lock:
-            busy += 1
-            peak = max(peak, busy)
-        try:
-            return transfer_full(fd, view, offset, length, write=write)
-        finally:
-            with lock:
-                busy -= 1
+    tallies: list[tuple[int, int, int, int]] = []  # (reads, writes, bytes, peak) per slot
+    entered = itertools.count(1)  # next() is atomic: transfers entered so far
+    exits: list[None] = []  # one entry per transfer that has left its call
+    preadv, pwritev = os.preadv, os.pwritev
 
     def slot(index: int) -> None:
-        nonlocal reads, writes, copied
-        view = memoryview(bytearray(schedule[0][2]))
-        for _, offset, length in schedule[index::depth]:
-            got = transfer(src_fd, view, offset, length, write=False)
-            if got != length:
-                raise OSError(
-                    f"source shrank mid-copy: wanted {length} bytes at offset {offset}, got {got}"
-                )
-            turns[index].acquire()
-            if errors:
-                return
-            reads += 1  # only the turn holder counts reads
-            hook(view[:length].toreadonly())
-            turns[(index + 1) % depth].release()
-            transfer(dst_fd, view, offset, length, write=True)
-            with lock:
+        reads = writes = copied = peak = 0
+        size = schedule[0][2]
+        view = memoryview(bytearray(size))
+        iov = [view]
+        turn, following = turns[index], turns[(index + 1) % depth]
+        try:
+            for _, offset, length in schedule[index::depth]:
+                if length != size:
+                    iov = [view[:length]]
+                peak = max(peak, next(entered) - len(exits))
+                got = preadv(src_fd, iov, offset)
+                if got != length:
+                    got += transfer_full(src_fd, view[got:], offset + got, length - got,
+                                         write=False)
+                exits.append(None)
+                if got != length:
+                    raise OSError(
+                        f"source shrank mid-copy: wanted {length} bytes at offset {offset}, "
+                        f"got {got}"
+                    )
+                turn.acquire()
+                if errors:
+                    return
+                reads += 1  # only the turn holder counts reads
+                hook(view[:length].toreadonly())
+                following.release()
+                peak = max(peak, next(entered) - len(exits))
+                got = pwritev(dst_fd, iov, offset)
+                if got != length:
+                    transfer_full(dst_fd, view[got:], offset + got, length - got, write=True)
+                exits.append(None)
                 writes += 1
                 copied += length
+        finally:
+            tallies.append((reads, writes, copied, peak))
 
     def fail(exc: BaseException) -> None:
-        with lock:
-            errors.append(exc)
-        for turn in turns:
-            turn.release()
+        errors.append(exc)
+        for turn in turns:  # every waiting slot wakes, sees the error and returns
+            with contextlib.suppress(RuntimeError):  # that turn was not held
+                turn.release()
 
     run_slots(depth, slot, fail)
-    report = CopyReport(copied, reads, writes, time.perf_counter() - started, peak)
+    reads, writes, copied, peaks = zip((0, 0, 0, 0), *tallies)
+    report = CopyReport(
+        sum(copied), sum(reads), sum(writes), time.perf_counter() - started, max(peaks)
+    )
     if errors:
+        if not isinstance(errors[0], Exception):
+            raise errors[0]  # an interrupt such as KeyboardInterrupt stays itself
         raise CopyAbortedError(f"copy aborted: {errors[0]}", report) from errors[0]
     return report

@@ -1,4 +1,5 @@
 """Shared fixtures: golden files, direct-I/O availability, fault scripts, deadlines."""
+import errno
 import itertools
 import os
 import signal
@@ -54,6 +55,59 @@ def deadline():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+class Interrupt(BaseException):
+    """What the ``interrupt_after`` alarm raises: like KeyboardInterrupt, not an Exception."""
+
+
+@pytest.fixture
+def interrupt_after(deadline):
+    """``interrupt_after(seconds)`` raises Interrupt in the main thread once ``seconds`` pass.
+
+    It shares the real-time timer and SIGALRM with ``deadline``, whose
+    handler and timer are put back afterwards.
+    """
+    armed = []
+
+    def expired(signum, frame):
+        raise Interrupt(f"interrupted after {armed[0]} s")
+
+    def arm(seconds: float) -> None:
+        armed.append(seconds)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    remaining, _ = signal.getitimer(signal.ITIMER_REAL)
+    try:
+        yield arm
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        if remaining:
+            signal.setitimer(signal.ITIMER_REAL, remaining)
+
+
+@pytest.fixture
+def enospc_at(monkeypatch):
+    """Script ``os.pwritev`` to fail with ENOSPC from its ``n``-th call on (1-based).
+
+    ``enospc_at(n)`` patches the call for the rest of the test; the
+    first ``n - 1`` calls are real writes.
+    """
+
+    def install(n: int) -> None:
+        real = os.pwritev
+        calls = itertools.count(1)
+
+        def scripted(fd, buffers, offset):
+            if next(calls) >= n:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real(fd, buffers, offset)
+
+        monkeypatch.setattr(os, "pwritev", scripted)
+
+    return install
 
 
 @pytest.fixture

@@ -1,13 +1,16 @@
 """Measurement core: offsets, summaries, accounting, extension timing."""
 import dataclasses
+import errno
 import itertools
 import math
 import os
 import statistics
 import sys
 import threading
+import time
 
 import pytest
+from conftest import Interrupt
 from hypothesis import given, settings, strategies as st
 
 import seqbench as sb
@@ -437,22 +440,27 @@ def test_offset_chain_matches_scalar_draws_across_batches(seed, file_size, seek_
 
 def _calls_per_request(run, small=1000, large=3000):
     """Python-level calls per request: profile "call" events of ``run(large)``
-    minus those of ``run(small)``, over ``large - small``.  Fixed costs cancel."""
+    minus those of ``run(small)``, over ``large - small``.  Fixed costs cancel.
+
+    Calls are counted on every thread, the calling one and any that
+    ``run`` starts, on one thread-safe counter.
+    """
     counts = []
     for requests in (small, large):
-        calls = 0
+        calls = itertools.count()
 
         def profile(frame, event, arg):
-            nonlocal calls
             if event == "call":
-                calls += 1
+                next(calls)
 
+        threading.setprofile(profile)
         sys.setprofile(profile)
         try:
             run(requests)
         finally:
             sys.setprofile(None)
-        counts.append(calls)
+            threading.setprofile(None)
+        counts.append(next(calls))
     return (counts[1] - counts[0]) / (large - small)
 
 
@@ -495,6 +503,51 @@ def test_byte_at_a_time_workloads_stay_within_their_call_budget(tmp_path):
         sources[requests].write_bytes(rng.bytes(requests))
     assert _calls_per_request(write) <= 2
     assert _calls_per_request(read) <= 2
+
+
+def test_async_4k_trial_stays_within_its_call_budget(tmp_path):
+    """Depth 2: a slot takes a run of tickets per lock acquisition and makes no call per request."""
+    cfg = _cfg(tmp_path, async_depth=2, max_requests=1)
+    sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)  # creates the target
+
+    def run(requests):
+        pinned = dataclasses.replace(cfg, max_requests=requests)
+        sample = sb.run_measurement(pinned, trials=1, warmup=0, clock_ghz=1.0).samples[0]
+        assert sample.request_count == requests
+
+    assert _calls_per_request(run) <= 0.05
+
+
+def test_copy_4k_stays_within_its_call_budget(tmp_path):
+    """Depth 2: the hook is the one Python call per block."""
+    sources = {}
+    for blocks in (1000, 3000):
+        sources[blocks] = tmp_path / f"src_{blocks}"
+        sources[blocks].write_bytes(sb.make_rng(blocks).bytes(blocks * 4096))
+
+    def run(blocks):
+        report = sb.copy_file(sources[blocks], tmp_path / f"dst_{blocks}", block=4096, depth=2)
+        assert report.write_requests == blocks
+        (tmp_path / f"dst_{blocks}").unlink()
+
+    assert _calls_per_request(run) <= 1.05
+
+
+def test_depth_1_starts_no_thread(tmp_path, monkeypatch):
+    started = []
+    real = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        real(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    cfg = _cfg(tmp_path, async_depth=1, max_requests=300)
+    assert sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0).bytes_moved == 300 * 4096
+    src = tmp_path / "src"
+    src.write_bytes(sb.make_rng(1).bytes(10 * 4096))
+    assert sb.copy_file(src, tmp_path / "dst", block=4096, depth=1).write_requests == 10
+    assert started == []
 
 
 def test_direct_read_measurement(tmp_path, need_direct):
@@ -556,6 +609,101 @@ def test_async_write_trial_ends_when_its_own_write_stops_making_progress(
     short_then_zero("pwritev")
     with pytest.raises(OSError, match="no progress"):
         sb.run_measurement(cfg, trials=1, warmup=0)
+
+
+def test_interrupted_async_write_trial_stops_every_slot_before_closing(
+    tmp_path, monkeypatch, interrupt_after
+):
+    """An interrupt reaching the caller stops every slot before the trial's fd is closed.
+
+    Each 1 MiB write waits 20 ms first, so a slot is mid-request when the
+    interrupt comes.  A slot left running would write the 0xA5 pattern
+    through the closed fd number, into whichever file opens next and
+    reuses it.
+    """
+    cfg = _cfg(tmp_path, direction=Direction.WRITE, async_depth=2, duration=3.0,
+               block=1 << 20, file_size=4 << 20)
+    cfg.path.write_bytes(b"\xa5" * cfg.file_size)
+    real = os.pwritev
+
+    def slow(fd, buffers, offset):
+        time.sleep(0.02)
+        return real(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "pwritev", slow)
+    before = threading.active_count()
+    interrupt_after(0.3)
+    with pytest.raises(Interrupt):
+        sb.run_measurement(cfg, trials=1, warmup=0)
+    bystander = tmp_path / "bystander"
+    fd = os.open(bystander, os.O_RDWR | os.O_CREAT | os.O_EXCL)
+    try:
+        time.sleep(0.1)
+    finally:
+        os.close(fd)
+    assert bystander.stat().st_size == 0
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_async_write_trial_ends_on_a_full_disk(tmp_path, enospc_at, deadline, depth):
+    cfg = _cfg(tmp_path, direction=Direction.WRITE, async_depth=depth, max_requests=1000)
+    cfg.path.write_bytes(b"\xa5" * cfg.file_size)  # the fill writes nothing
+    enospc_at(300)
+    before = threading.active_count()
+    with pytest.raises(OSError) as info:
+        sb.run_measurement(cfg, trials=1, warmup=0)
+    assert info.value.errno == errno.ENOSPC
+    assert threading.active_count() == before
+
+
+# -- ticket runs ------------------------------------------------------------------
+
+@pytest.mark.parametrize("depth", [2, 4])
+@pytest.mark.parametrize("requests", [257, 1000])
+@pytest.mark.parametrize("seek_pct", [None, 30])
+def test_async_trial_issues_exactly_max_requests_across_runs(
+    tmp_path, depth, requests, seek_pct
+):
+    """At 4 KiB a run is 256 requests: 257 and 1000 end partway into one."""
+    log = tmp_path / "offsets.txt"
+    cfg = _cfg(tmp_path, async_depth=depth, max_requests=requests, seek_pct=seek_pct,
+               offset_log=log)
+    result = sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
+    assert result.samples[0].request_count == requests
+    assert [int(line) for line in log.read_text().split()] == _reference_chain(cfg, 0, requests)
+
+
+def test_async_trial_issues_depth_requests_even_below_max_requests(tmp_path):
+    log = tmp_path / "offsets.txt"
+    cfg = _cfg(tmp_path, async_depth=4, max_requests=2, seek_pct=30, offset_log=log)
+    result = sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
+    assert result.samples[0].request_count == 4
+    assert [int(line) for line in log.read_text().split()] == _reference_chain(cfg, 0, 4)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_duration_bounded_async_trial_overshoots_by_at_most_one_run_per_slot(
+    tmp_path, monkeypatch, deadline, depth
+):
+    """A clock that advances 1 ms per read: the duration is worth 600 reads.
+
+    The trial must reach them, and may go past them by one 256-request
+    run per slot at most.
+    """
+    cfg = _cfg(tmp_path, async_depth=depth, duration=0.6)
+    sb.run_measurement(dataclasses.replace(cfg, max_requests=1), trials=1, warmup=0)
+    real = os.preadv
+    reads: list[None] = []
+
+    def counted(fd, buffers, offset):
+        reads.append(None)
+        return real(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "preadv", counted)
+    monkeypatch.setattr(time, "perf_counter", lambda: len(reads) * 1e-3)
+    sample = sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0).samples[0]
+    assert 600 <= sample.request_count <= 600 + depth * 256
 
 
 # -- measure_extension ------------------------------------------------------------

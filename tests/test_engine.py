@@ -5,16 +5,18 @@ import itertools
 import os
 import shutil
 import subprocess
+import threading
 from array import array
 from collections import namedtuple
 
 import numpy as np
 import pytest
+from conftest import Interrupt
 from hypothesis import given, settings, strategies as st
 
 import seqbench as sb
 from seqbench.core import Direction, OpenDisposition
-from seqbench.engine import FALLBACK_GEOMETRY, IoMode, SectorGeometry
+from seqbench.engine import FALLBACK_GEOMETRY, IoMode, SectorGeometry, run_slots
 
 
 # -- SectorGeometry ---------------------------------------------------------
@@ -602,3 +604,32 @@ def test_count_extents_on_real_file(tmp_path):
         except sb.ExtentQueryError:
             pytest.skip("filesystem does not answer extent queries")
     assert extents >= 1
+
+
+# -- run_slots -----------------------------------------------------------------------
+
+def test_run_slots_wait_survives_an_interrupt(interrupt_after):
+    """Slot 0 returns at once; slot 1 runs until ``fail`` stops it.
+
+    The interrupt lands in the wait for slot 1: it must reach ``fail``,
+    and run_slots may raise it only once slot 1 has ended.
+    """
+    stop = threading.Event()
+    ended, failures = [], []
+
+    def slot(index):
+        if index == 1:
+            stop.wait(10)
+            ended.append(index)
+
+    def fail(exc):
+        failures.append(exc)
+        stop.set()
+
+    before = threading.active_count()
+    interrupt_after(0.2)
+    with pytest.raises(Interrupt):
+        run_slots(2, slot, fail)
+    assert ended == [1]
+    assert [type(exc) for exc in failures] == [Interrupt]
+    assert threading.active_count() == before

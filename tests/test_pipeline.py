@@ -1,12 +1,15 @@
 """Overlapped copy: schedule tiling, ring behavior, report accounting."""
+import errno
 import hashlib
 import itertools
 import os
 import sys
 import threading
+import time
 import zlib
 
 import pytest
+from conftest import Interrupt
 from hypothesis import given, settings, strategies as st
 
 import seqbench as sb
@@ -232,6 +235,22 @@ def test_hook_exception_at_any_block_aborts_cleanly(tmp_path, deadline, depth, f
     assert info.value.progress.write_requests < blocks
 
 
+def test_interrupted_copy_stops_every_slot_and_removes_the_destination(tmp_path, interrupt_after):
+    """An interrupt reaching the caller mid-copy stops every slot before the files close.
+
+    The hook sleeps 1 ms per block, so the 2000-block copy is still
+    running when the interrupt comes after 0.3 s.
+    """
+    src, dst = tmp_path / "src", tmp_path / "dst"
+    _fill(src, 2000 * 4096)
+    before = threading.active_count()
+    interrupt_after(0.3)
+    with pytest.raises(Interrupt):
+        sb.copy_file(src, dst, block=4096, depth=2, hook=lambda view: time.sleep(0.001))
+    assert threading.active_count() == before
+    assert not dst.exists()
+
+
 @pytest.mark.parametrize("call", ["preadv", "pwritev"])
 def test_copy_ends_when_a_transfer_stops_making_progress(tmp_path, short_then_zero, deadline, call):
     src, dst = tmp_path / "src", tmp_path / "dst"
@@ -242,6 +261,23 @@ def test_copy_ends_when_a_transfer_stops_making_progress(tmp_path, short_then_ze
     assert isinstance(info.value.__cause__, OSError)
     assert info.value.progress.bytes_copied < 8 * 4096
     assert not dst.exists()
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_copy_ends_on_a_full_disk_and_carries_its_progress(tmp_path, enospc_at, deadline, depth):
+    """Writes 1 to 6 land, write 7 and every later one fail with ENOSPC."""
+    src, dst = tmp_path / "src", tmp_path / "dst"
+    _fill(src, 20 * 4096)
+    enospc_at(7)
+    before = threading.active_count()
+    with pytest.raises(sb.CopyAbortedError) as info:
+        sb.copy_file(src, dst, block=4096, depth=depth)
+    assert info.value.__cause__.errno == errno.ENOSPC
+    assert threading.active_count() == before
+    assert not dst.exists()
+    progress = info.value.progress
+    assert (progress.write_requests, progress.bytes_copied) == (6, 6 * 4096)
+    assert 6 <= progress.read_requests < 20
 
 
 def test_copy_existing_destination_is_left_alone(tmp_path):
