@@ -81,11 +81,13 @@ _WARMUP_STREAM_BASE = 1_000_000
 #: Seek deltas drawn per ``rng.integers`` call by ``_seek_chain``.
 _CHAIN_BATCH = 4096
 
-#: Bytes of requests an overlapped slot takes per ticket-lock acquisition
-#: (at least one request).  Fewer hand-offs between slot threads, each a
-#: futex wake plus an interpreter-lock transfer, against a deadline and a
-#: stop that are seen once per run.
+#: Requests an overlapped slot takes per ticket-lock acquisition: about
+#: _RUN_BYTES of them, at least one and at most _RUN_REQUESTS.  Longer runs
+#: mean fewer hand-offs between slot threads (each a futex wake plus an
+#: interpreter-lock transfer); the deadline and a stop are seen once per
+#: run, so the request cap keeps tiny requests from making runs of seconds.
 _RUN_BYTES = 1 << 20
+_RUN_REQUESTS = 256
 
 _FILL_CHUNK = 4 << 20
 _FILL_BYTE = 0xA5
@@ -391,10 +393,10 @@ def _trial_async(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
     """Overlapped trial: ``async_depth`` slots issuing positional requests.
 
     Each slot owns one buffer and loops: under a ticket lock it takes a
-    run of consecutive tickets, about ``_RUN_BYTES`` of requests and at
-    least one, with the next offsets of ``_offset_chain(cfg, rng)``; then
-    it checks and transfers each request of the run and comes back for
-    another.  Offsets are handed out in ticket order, so the issued
+    run of consecutive tickets (about ``_RUN_BYTES`` of requests, at least
+    one and at most ``_RUN_REQUESTS``) with the next offsets of
+    ``_offset_chain(cfg, rng)``; then it checks and transfers each request
+    of the run and comes back for another.  Offsets are handed out in ticket order, so the issued
     sequence is identical to what a synchronous trial with the same rng
     would issue.  The first ``async_depth`` tickets are always issued;
     after that no ticket is handed out past ``max_requests``, and none
@@ -410,7 +412,7 @@ def _trial_async(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
     touch = cfg.touch
     write = cfg.direction is Direction.WRITE
     call = os.pwritev if write else os.preadv
-    run = max(1, _RUN_BYTES // block)
+    run = min(_RUN_REQUESTS, max(1, _RUN_BYTES // block))
     limit = max(depth, cfg.max_requests) if cfg.max_requests is not None else None
     chain = _offset_chain(cfg, rng)
     offsets: list[int] = []

@@ -683,15 +683,16 @@ def test_async_trial_issues_depth_requests_even_below_max_requests(tmp_path):
 
 
 @pytest.mark.parametrize("depth", [1, 2, 4])
+@pytest.mark.parametrize("block", [1, 4096])
 def test_duration_bounded_async_trial_overshoots_by_at_most_one_run_per_slot(
-    tmp_path, monkeypatch, deadline, depth
+    tmp_path, monkeypatch, deadline, depth, block
 ):
     """A clock that advances 1 ms per read: the duration is worth 600 reads.
 
-    The trial must reach them, and may go past them by one 256-request
-    run per slot at most.
+    The trial must reach them, and may go past them by one run per slot
+    at most: 256 requests, 1 MiB at 4 KiB and no more at 1 byte.
     """
-    cfg = _cfg(tmp_path, async_depth=depth, duration=0.6)
+    cfg = _cfg(tmp_path, async_depth=depth, duration=0.6, block=block)
     sb.run_measurement(dataclasses.replace(cfg, max_requests=1), trials=1, warmup=0)
     real = os.preadv
     reads: list[None] = []
