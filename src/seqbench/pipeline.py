@@ -111,7 +111,7 @@ def _copy_blocks(src_fd, dst_fd, schedule, depth, hook, started) -> CopyReport:
     errors: list[BaseException] = []
     tallies: list[tuple[int, int, int, int]] = []  # (reads, writes, bytes, peak) per slot
     entered = itertools.count(1)  # next() is atomic: transfers entered so far
-    exits: list[None] = []  # one entry per transfer that has left its call
+    exits: list[None] = []  # one entry per transfer that has completed
     preadv, pwritev = os.preadv, os.pwritev
 
     def slot(index: int) -> None:
@@ -129,12 +129,12 @@ def _copy_blocks(src_fd, dst_fd, schedule, depth, hook, started) -> CopyReport:
                 if got != length:
                     got += transfer_full(src_fd, view[got:], offset + got, length - got,
                                          write=False)
+                    if got != length:
+                        raise OSError(
+                            f"source shrank mid-copy: wanted {length} bytes at offset "
+                            f"{offset}, got {got}"
+                        )
                 exits.append(None)
-                if got != length:
-                    raise OSError(
-                        f"source shrank mid-copy: wanted {length} bytes at offset {offset}, "
-                        f"got {got}"
-                    )
                 turn.acquire()
                 if errors:
                     return

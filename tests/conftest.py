@@ -68,13 +68,11 @@ def interrupt_after(deadline):
     It shares the real-time timer and SIGALRM with ``deadline``, whose
     handler and timer are put back afterwards.
     """
-    armed = []
 
     def expired(signum, frame):
-        raise Interrupt(f"interrupted after {armed[0]} s")
+        raise Interrupt("interrupted by interrupt_after")
 
     def arm(seconds: float) -> None:
-        armed.append(seconds)
         signal.setitimer(signal.ITIMER_REAL, seconds)
 
     previous = signal.signal(signal.SIGALRM, expired)
