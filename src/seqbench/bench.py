@@ -396,15 +396,16 @@ def _trial_async(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
     run of consecutive tickets (about ``_RUN_BYTES`` of requests, at least
     one and at most ``_RUN_REQUESTS``) with the next offsets of
     ``_offset_chain(cfg, rng)``; then it checks and transfers each request
-    of the run and comes back for another.  Offsets are handed out in ticket order, so the issued
-    sequence is identical to what a synchronous trial with the same rng
-    would issue.  The first ``async_depth`` tickets are always issued;
-    after that no ticket is handed out past ``max_requests``, and none
-    once the duration has run out.  The clock is read once per run, so a
-    slot overshoots the duration by at most one run.  preadv/pwritev
-    release the interpreter lock, so up to ``async_depth`` requests
-    really overlap.  The first failure in any slot stops the others once
-    they finish their runs, and it is raised when every slot has finished.
+    of the run and comes back for another.  Offsets are handed out in
+    ticket order, so the issued sequence is identical to what a
+    synchronous trial with the same rng would issue.  The first
+    ``async_depth`` tickets are always issued; after that no ticket is
+    handed out past ``max_requests``, and none once the duration has run
+    out.  The clock is read once per run, so a slot overshoots the
+    duration by at most one run.  preadv/pwritev release the interpreter
+    lock, so up to ``async_depth`` requests really overlap.  The first
+    failure in any slot stops the others once they finish their runs, and
+    it is raised when every slot has finished.
     """
     depth = cfg.async_depth
     block = cfg.block

@@ -506,7 +506,7 @@ def test_byte_at_a_time_workloads_stay_within_their_call_budget(tmp_path):
 
 
 def test_async_4k_trial_stays_within_its_call_budget(tmp_path):
-    """Depth 2: a slot takes a run of tickets per lock acquisition and makes no call per request."""
+    """Depth 2: ticket runs, and no Python call per request."""
     cfg = _cfg(tmp_path, async_depth=2, max_requests=1)
     sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)  # creates the target
 
