@@ -30,7 +30,7 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -385,31 +385,53 @@ class FileHandle:
         """Read up to ``length`` bytes at the current position.
 
         Returns the byte count actually read; 0 means end of file.  The
-        position advances by the returned count.  On a direct handle the
-        request is validated against the volume geometry first and a
-        DirectRequestError names every violation before anything is read.
+        position advances by the returned count.  On a buffered handle a
+        whole ``bytearray`` (``length`` None or its size) goes straight to
+        the stream; any other buffer, or a shorter length, is made a flat
+        byte view first.  On a direct handle the request is validated
+        against the volume geometry first and a DirectRequestError names
+        every violation before anything is read.
         """
         stream = self._stream
         if stream is None:
             return self._direct_transfer(buffer, length, write=False)
-        view = _stream_view(buffer, length, target=True)
-        return (stream.readinto(view) or 0) if view else 0
+        if type(buffer) is not bytearray or (length is not None and length != len(buffer)):
+            buffer = _stream_view(buffer, length, target=True)
+        return (stream.readinto(buffer) or 0) if buffer else 0
 
     def write_block(self, buffer, length: int | None = None) -> int:
         """Write ``length`` bytes at the current position; returns that count.
 
         Unlike reads, writes are all-or-nothing: the full count is written
-        (the file grows as needed) or an exception is raised.
+        (the file grows as needed) or an exception is raised.  On a
+        buffered handle a whole ``bytes`` or ``bytearray`` (``length`` None
+        or its size) goes straight to the stream; any other buffer, or a
+        shorter length, is made a flat byte view first.
         """
         if not self.writable:
             raise io.UnsupportedOperation(f"{self.path} is open read-only")
         stream = self._stream
         if stream is None:
             return self._direct_transfer(buffer, length, write=True)
-        view = _stream_view(buffer, length, target=False)
-        if view:
-            stream.write(view)
-        return len(view)
+        kind = type(buffer)
+        if (kind is not bytes and kind is not bytearray) or (
+            length is not None and length != len(buffer)
+        ):
+            buffer = _stream_view(buffer, length, target=False)
+        if buffer:
+            stream.write(buffer)
+        return len(buffer)
+
+    def lines(self) -> Iterator[bytes]:
+        """The lines from the current position to end of file, terminators kept.
+
+        They are split out of the stream buffer, so line reads issue the
+        same read calls as any other buffered read of the file.  A direct
+        handle has no stream buffer and raises io.UnsupportedOperation.
+        """
+        if self._stream is None:
+            raise io.UnsupportedOperation(f"{self.path} is direct; lines need a buffered handle")
+        return iter(self._stream)
 
     def _direct_transfer(self, buffer, length, *, write: bool) -> int:
         if not (hasattr(buffer, "address") and hasattr(buffer, "capacity")):

@@ -121,15 +121,15 @@ def run_read(path: str | Path, granularity: Granularity) -> WorkloadResult:
     checksum = 1
     processed = 0
     requests = 0
-    view = memoryview(bytearray(step))
+    buffer = bytearray(step)
     stopwatch = Stopwatch()
     with open_file(path, OpenDisposition.OPEN, Direction.READ) as handle:
         read = handle.read_block
         while True:
-            got = read(view, step)
+            got = read(buffer)
             if got == 0:
                 break
-            checksum = zlib.adler32(view[:got], checksum)
+            checksum = zlib.adler32(buffer if got == step else buffer[:got], checksum)
             processed += got
             requests += 1
     return WorkloadResult(processed, checksum, stopwatch.sample(processed, requests))
@@ -140,8 +140,8 @@ def _read_lines(path: str | Path) -> WorkloadResult:
     payload = 0
     lines = 0
     stopwatch = Stopwatch()
-    with open(path, "rb") as stream:
-        for line in stream:
+    with open_file(path, OpenDisposition.OPEN, Direction.READ) as handle:
+        for line in handle.lines():
             body = _strip_terminator(line)
             checksum = zlib.adler32(body, checksum)
             payload += len(body)
@@ -192,7 +192,9 @@ def run_write(
             write = handle.write_block
             remaining = total_bytes
             while remaining:
-                chunk = memoryview(rng.bytes(min(draw, remaining)))
+                # Slices of bytes go straight to the stream: one-byte ones are
+                # cached objects, and a block-sized one is the chunk itself.
+                chunk = rng.bytes(min(draw, remaining))
                 checksum = zlib.adler32(chunk, checksum)
                 starts = range(0, len(chunk), step)
                 for index in starts:

@@ -1,5 +1,6 @@
 """Shared fixtures: golden files, direct-I/O availability, fault scripts, deadlines."""
 import errno
+import io
 import itertools
 import os
 import signal
@@ -106,6 +107,45 @@ def enospc_at(monkeypatch):
         monkeypatch.setattr(os, "pwritev", scripted)
 
     return install
+
+
+@pytest.fixture
+def stream_enospc_at(monkeypatch):
+    """Script the raw file under buffered handles to fail with ENOSPC from its ``n``-th write on.
+
+    A buffered handle writes through the stream ``io.open`` builds on its
+    file descriptor, and that stream's raw file calls write(2) from C, so
+    ``enospc_at`` cannot reach it.  ``stream_enospc_at(n)`` patches
+    ``io.open`` for the rest of the test: opening a file descriptor, which
+    only ``open_file`` does, puts the same buffer over a raw file whose
+    first ``n - 1`` writes (1-based, counted over every such stream) are
+    real.  Opening a path goes to the real ``io.open``.
+    """
+
+    def install(n: int) -> None:
+        real = io.open
+        calls = itertools.count(1)
+
+        class ScriptedRaw(io.FileIO):
+            def write(self, data):
+                if next(calls) >= n:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(data)
+
+        def scripted(file, mode="r", buffering=-1, *args, **kwargs):
+            if not isinstance(file, int):
+                return real(file, mode, buffering, *args, **kwargs)
+            stream = io.BufferedReader if mode == "rb" else io.BufferedRandom
+            return stream(ScriptedRaw(file, mode.replace("b", "")), buffering)
+
+        monkeypatch.setattr(io, "open", scripted)
+
+    return install
+
+
+def open_fds() -> list[str]:
+    """This process's open file descriptors."""
+    return sorted(os.listdir("/proc/self/fd"))
 
 
 @pytest.fixture

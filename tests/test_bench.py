@@ -1,4 +1,5 @@
 """Measurement core: offsets, summaries, accounting, extension timing."""
+import collections
 import dataclasses
 import errno
 import itertools
@@ -10,13 +11,14 @@ import threading
 import time
 
 import pytest
-from conftest import Interrupt
+from conftest import Interrupt, open_fds
 from hypothesis import given, settings, strategies as st
 
 import seqbench as sb
 from seqbench.bench import CLOCK_ENV_VAR, IoConfig, ThroughputSample
 from seqbench.core import Direction
 from seqbench.engine import IoMode
+from seqbench.workloads import SORT_RECORD_BYTES
 
 
 def _cfg(tmp_path, **kw):
@@ -438,20 +440,37 @@ def test_offset_chain_matches_scalar_draws_across_batches(seed, file_size, seek_
 
 # -- per-request call budget --------------------------------------------------------
 
+class _CallRate(float):
+    """Calls per request; its repr, which a failed assertion shows, names the
+    functions that made them, so a frame that creeps into a hot path is named."""
+
+    def __new__(cls, rate: float, by_function: dict[str, float]):
+        self = super().__new__(cls, rate)
+        self.by_function = by_function
+        return self
+
+    def __repr__(self) -> str:
+        culprits = sorted(self.by_function.items(), key=lambda item: (-item[1], item[0]))
+        named = ", ".join(f"{name} {count:g}" for name, count in culprits if count >= 0.01)
+        return f"{float(self):g} calls per request ({named or 'none'})"
+
+
 def _calls_per_request(run, small=1000, large=3000):
     """Python-level calls per request: profile "call" events of ``run(large)``
     minus those of ``run(small)``, over ``large - small``.  Fixed costs cancel.
 
     Calls are counted on every thread, the calling one and any that
-    ``run`` starts, on one thread-safe counter.
+    ``run`` starts; each appends its code object to one list, which
+    list.append keeps thread-safe.  The result is a float that also
+    carries the calls per request of each function.
     """
     counts = []
     for requests in (small, large):
-        calls = itertools.count()
+        calls = []
 
-        def profile(frame, event, arg):
+        def profile(frame, event, arg, record=calls.append):
             if event == "call":
-                next(calls)
+                record(frame.f_code)
 
         threading.setprofile(profile)
         sys.setprofile(profile)
@@ -460,8 +479,13 @@ def _calls_per_request(run, small=1000, large=3000):
         finally:
             sys.setprofile(None)
             threading.setprofile(None)
-        counts.append(next(calls))
-    return (counts[1] - counts[0]) / (large - small)
+        counts.append(collections.Counter(
+            f"{os.path.splitext(os.path.basename(code.co_filename))[0]}.{code.co_qualname}"
+            for code in calls
+        ))
+    span = large - small
+    by_function = {name: (counts[1][name] - counts[0][name]) / span for name in counts[1] | counts[0]}
+    return _CallRate((counts[1].total() - counts[0].total()) / span, by_function)
 
 
 @pytest.mark.parametrize(
@@ -503,6 +527,100 @@ def test_byte_at_a_time_workloads_stay_within_their_call_budget(tmp_path):
         sources[requests].write_bytes(rng.bytes(requests))
     assert _calls_per_request(write) <= 2
     assert _calls_per_request(read) <= 2
+
+
+def _pinned_trial(cfg):
+    """``run(requests)`` for _calls_per_request: one trial of exactly that many requests."""
+    sb.run_measurement(dataclasses.replace(cfg, max_requests=1), trials=1, warmup=0, clock_ghz=1.0)
+
+    def run(requests):
+        pinned = dataclasses.replace(cfg, max_requests=requests)
+        sample = sb.run_measurement(pinned, trials=1, warmup=0, clock_ghz=1.0).samples[0]
+        assert sample.request_count == requests
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "overrides, budget",
+    [
+        ({}, 1.1),
+        ({"seek_pct": 100}, 3.0),
+        ({"direction": Direction.WRITE}, 1.1),
+    ],
+    ids=["sequential-read", "seeking-read", "write"],
+)
+def test_buffered_4k_trial_costs_one_frame_per_request(tmp_path, overrides, budget):
+    """read_block/write_block hand the trial's whole bytearray straight to the stream;
+    a seeking read adds only the seek and the offset generator."""
+    assert _calls_per_request(_pinned_trial(_cfg(tmp_path, **overrides))) <= budget
+
+
+@pytest.mark.parametrize(
+    "granularity, write_budget",
+    # A record's bytes come from its own rng.bytes draw, which runs four numpy frames.
+    [(sb.ByteAtATime(), 1.0), (sb.TypedRecords(), 5.0)],
+    ids=["byte", "typed-records"],
+)
+def test_fixed_size_workloads_make_one_handle_call_per_request(tmp_path, granularity, write_budget):
+    path = tmp_path / "written.dat"
+    rng = sb.make_rng(5)
+    step = granularity.block
+
+    def write(requests):
+        result = sb.run_write(path, granularity, requests * step, rng)
+        assert result.sample.request_count == requests
+
+    def read(requests):
+        result = sb.run_read(sources[requests], granularity)
+        assert result.sample.request_count == requests
+
+    sources = {}
+    for requests in (1000, 3000):
+        sources[requests] = tmp_path / f"read_{requests}.dat"
+        sources[requests].write_bytes(rng.bytes(requests * step))
+    assert _calls_per_request(write) <= write_budget
+    assert _calls_per_request(read) <= 1.0
+
+
+def test_sort_file_costs_one_frame_per_write(tmp_path):
+    """The same 3000 records written in 1000 or 3000 requests: only the writes differ."""
+    records = 3000
+
+    def run(writes):
+        io_block = records * SORT_RECORD_BYTES // writes
+        result = sb.write_sort_file(tmp_path / "sort.dat", records, sb.make_rng(3), io_block=io_block)
+        assert result.sample.request_count == writes
+
+    assert _calls_per_request(run) <= 1.0
+
+
+def test_extension_costs_two_frames_per_block(tmp_path):
+    """One write_block and one flush per block."""
+
+    def run(blocks):
+        result = sb.measure_extension(
+            tmp_path / "grown.dat", blocks * 4096, 4096, sb.ExtensionMode.INCREMENTAL,
+            trials=1, clock_ghz=1.0,
+        )
+        assert result.samples[0].request_count == blocks
+
+    run(1)  # so that both measured runs find a file to delete
+    assert _calls_per_request(run, small=100, large=300) <= 2.0
+
+
+def test_a_call_budget_failure_names_the_functions_per_request():
+    def culprit():
+        pass
+
+    def run(requests):
+        for _ in range(requests):
+            culprit()
+
+    rate = _calls_per_request(run)
+    assert rate == 1.0
+    assert repr(rate).startswith("1 calls per request (")
+    assert repr(rate).endswith(".<locals>.culprit 1)")
 
 
 def test_async_4k_trial_stays_within_its_call_budget(tmp_path):
@@ -655,6 +773,28 @@ def test_async_write_trial_ends_on_a_full_disk(tmp_path, enospc_at, deadline, de
         sb.run_measurement(cfg, trials=1, warmup=0)
     assert info.value.errno == errno.ENOSPC
     assert threading.active_count() == before
+
+
+def test_buffered_write_trial_ends_on_a_full_disk(tmp_path, stream_enospc_at, deadline):
+    cfg = _cfg(tmp_path, direction=Direction.WRITE, max_requests=1000)
+    cfg.path.write_bytes(b"\xa5" * cfg.file_size)  # the fill writes nothing
+    stream_enospc_at(3)  # the third 64 KiB stream flush, about request 49 of 1000
+    before = open_fds()
+    with pytest.raises(OSError) as info:
+        sb.run_measurement(cfg, trials=1, warmup=0)
+    assert info.value.errno == errno.ENOSPC
+    assert open_fds() == before
+
+
+def test_extension_ends_on_a_full_disk(tmp_path, stream_enospc_at, deadline):
+    stream_enospc_at(5)  # every block is flushed, so this is block 5 of 32
+    before = open_fds()
+    with pytest.raises(OSError) as info:
+        sb.measure_extension(
+            tmp_path / "grown.dat", 32 * 4096, 4096, sb.ExtensionMode.INCREMENTAL, trials=1
+        )
+    assert info.value.errno == errno.ENOSPC
+    assert open_fds() == before
 
 
 # -- ticket runs ------------------------------------------------------------------

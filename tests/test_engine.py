@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import seqbench as sb
 from seqbench.core import Direction, OpenDisposition
-from seqbench.engine import FALLBACK_GEOMETRY, IoMode, SectorGeometry, run_slots
+from seqbench.engine import FALLBACK_GEOMETRY, IoMode, SectorGeometry, _stream_view, run_slots
 
 
 # -- SectorGeometry ---------------------------------------------------------
@@ -319,6 +319,94 @@ def test_buffered_handle_takes_an_aligned_buffer(tmp_path):
         assert h.read_block(back, 4096) == 100
         with pytest.raises(ValueError, match="exceeds buffer capacity 4096"):
             h.read_block(back, 4097)
+
+
+# What read_block/write_block did on a buffered handle before whole bytes
+# buffers went straight to the stream: every buffer through _stream_view.
+def _reference_read(handle, buffer, length):
+    view = _stream_view(buffer, length, target=True)
+    return (handle._stream.readinto(view) or 0) if view else 0
+
+
+def _reference_write(handle, buffer, length):
+    view = _stream_view(buffer, length, target=False)
+    if view:
+        handle._stream.write(view)
+    return len(view)
+
+
+def _aligned_16():
+    buffer = sb.AlignedBuffer(16, 512)
+    buffer.array[:] = np.arange(1, 17)
+    return buffer
+
+
+_WORDS = [0x04030201, 0x08070605, 0x0C0B0A09, 0x100F0E0D]
+
+#: name -> (a maker of a fresh buffer, its size in bytes)
+_BUFFERS = {
+    "bytes": (lambda: bytes(range(1, 17)), 16),
+    "bytearray": (lambda: bytearray(range(1, 17)), 16),
+    "memoryview": (lambda: memoryview(bytearray(range(1, 17))), 16),
+    "sliced-memoryview": (lambda: memoryview(bytearray(range(33)))[1:17], 16),
+    "int32-memoryview": (lambda: memoryview(array("i", _WORDS)), 16),
+    "strided-memoryview": (lambda: memoryview(bytearray(range(1, 33)))[::2], 16),
+    "numpy-int32": (lambda: np.array(_WORDS, dtype=np.int32), 16),
+    "aligned": (_aligned_16, 16),
+    "empty-bytes": (lambda: b"", 0),
+    "empty-bytearray": (lambda: bytearray(), 0),
+}
+
+_LENGTHS = {
+    "none": lambda size: None,
+    "equal": lambda size: size,
+    "short": lambda size: size // 2,
+    "negative": lambda size: -1,
+    "too-long": lambda size: size + 1,
+}
+
+_PINNED = {
+    ("read", "bytes", "none"): (TypeError, "read target buffer is read-only"),
+    ("read", "bytearray", "too-long"): (ValueError, "transfer length 17 exceeds buffer capacity 16"),
+    ("write", "bytes", "too-long"): (ValueError, "transfer length 17 exceeds buffer capacity 16"),
+    ("write", "bytearray", "negative"): (ValueError, "negative transfer length -1"),
+    ("read", "empty-bytearray", "too-long"): (ValueError, "transfer length 1 exceeds buffer capacity 0"),
+}
+
+
+def _outcome(call, handle, buffer, length):
+    try:
+        result = ("count", call(handle, buffer, length))
+    except Exception as exc:
+        result = (type(exc), str(exc))
+    held = buffer.array if isinstance(buffer, sb.AlignedBuffer) else memoryview(buffer)
+    return result, held.tobytes(), handle.position
+
+
+@pytest.mark.parametrize("length_name", list(_LENGTHS))
+@pytest.mark.parametrize("buffer_name", list(_BUFFERS))
+@pytest.mark.parametrize("write", [False, True], ids=["read", "write"])
+def test_buffered_transfer_matches_the_view_path(tmp_path, write, buffer_name, length_name):
+    """Same count, same bytes moved and held, same exception type and message."""
+    make, size = _BUFFERS[buffer_name]
+    length = _LENGTHS[length_name](size)
+    source = bytes(range(100, 164))
+    outcomes = []
+    for call in (_reference_write, sb.FileHandle.write_block) if write else (
+        _reference_read, sb.FileHandle.read_block
+    ):
+        p = tmp_path / call.__name__
+        p.write_bytes(b"" if write else source)
+        disposition, direction = (
+            (OpenDisposition.CREATE, Direction.WRITE) if write else (OpenDisposition.OPEN, Direction.READ)
+        )
+        with sb.open_file(p, disposition, direction) as handle:
+            outcome = _outcome(call, handle, make(), length)
+        outcomes.append((outcome, p.read_bytes()))
+    assert outcomes[1] == outcomes[0]
+    pinned = _PINNED.get(("write" if write else "read", buffer_name, length_name))
+    if pinned is not None:
+        assert outcomes[1][0][0] == pinned
 
 
 def test_seek_rejects_negative(tmp_path):

@@ -1,6 +1,9 @@
 """Byte/line/block/record workloads, typed streams, text and sort helpers."""
+import errno
 import hashlib
+import io
 import math
+import os
 import struct
 import zlib
 
@@ -10,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import seqbench as sb
 from seqbench.workloads import TypedReader, TypedWriter
 
-from conftest import golden_text
+from conftest import golden_text, open_fds
 
 
 # -- read granularities -------------------------------------------------------
@@ -45,6 +48,42 @@ def test_line_read_counts_payload_not_terminators(tmp_path):
     assert result.bytes_processed == 8  # "ab" + "cd" + "tail"
     assert result.checksum == zlib.adler32(b"abcdtail", 1)
     assert result.sample.request_count == 3
+
+
+def _read_syscalls(run) -> int:
+    """Read syscalls this process made while ``run()`` ran, from /proc/self/io."""
+
+    def syscr() -> int:
+        with open("/proc/self/io") as stream:
+            return next(int(line.split()[1]) for line in stream if line.startswith("syscr:"))
+
+    before = syscr()
+    run()
+    return syscr() - before
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="needs /proc/self/io")
+def test_every_read_granularity_goes_through_the_same_stream(tmp_path):
+    """Lines, bytes and 64 KiB blocks of one 1 MiB file cost the same read calls."""
+    p = tmp_path / "lines.txt"
+    sb.run_write(p, sb.LineAtATime(), 1 << 20, sb.make_rng(2))
+    counts = {
+        name: _read_syscalls(lambda: sb.run_read(p, granularity))
+        for name, granularity in [
+            ("line", sb.LineAtATime()),
+            ("byte", sb.ByteAtATime()),
+            ("block", sb.BlockAtATime(64 * 1024)),
+        ]
+    }
+    assert max(counts.values()) - min(counts.values()) <= 2, counts
+
+
+def test_line_reads_need_a_buffered_handle(tmp_path, need_direct):
+    p = tmp_path / "lines.txt"
+    p.write_bytes(b"a\n" * 4096)
+    with sb.open_file(p, sb.OpenDisposition.OPEN, sb.Direction.READ, sb.IoMode.DIRECT) as handle:
+        with pytest.raises(io.UnsupportedOperation, match="buffered"):
+            handle.lines()
 
 
 def test_empty_file_reads_cleanly(tmp_path):
@@ -92,6 +131,16 @@ def test_line_write_exact_total_and_payload_checksum(tmp_path):
     body_lengths = [len(line) for line in text.split(b"\n") if line]
     assert all(length <= 78 for length in body_lengths[:-1])
     assert set(text) <= set(range(97, 123)) | {10}  # lowercase plus newline
+
+
+@pytest.mark.parametrize("granularity", [sb.ByteAtATime(), sb.LineAtATime()], ids=["byte", "line"])
+def test_write_ends_on_a_full_disk(tmp_path, stream_enospc_at, deadline, granularity):
+    stream_enospc_at(3)  # the third 64 KiB stream flush of 16
+    before = open_fds()
+    with pytest.raises(OSError) as info:
+        sb.run_write(tmp_path / "out.dat", granularity, 1 << 20, sb.make_rng(4))
+    assert info.value.errno == errno.ENOSPC
+    assert open_fds() == before
 
 
 def test_record_write_requires_multiple_of_record_size(tmp_path):
