@@ -105,7 +105,13 @@ class IoConfig:
     """Everything one measurement needs to know.
 
     ``seek_pct`` of None or 0 means pure sequential access; otherwise each
-    request lands a bounded random distance from the last.  ``max_requests``
+    request lands a bounded random distance from the last.  A sequential
+    trial without ``async_depth`` reads or writes through the handle, so
+    a buffered one goes through its stream buffer.  A seeking or
+    overlapped trial issues positional requests, one preadv/pwritev of
+    the request size each, through the OS cache (past it when
+    ``direct``), at depth ``async_depth`` or 1, reading the clock once
+    per ticket run.  ``max_requests``
     caps the request count per trial regardless of the clock, which pins
     the request stream for determinism tests.  ``offset_log`` names a file
     that receives every issued offset of the measured trials, one decimal
@@ -348,11 +354,12 @@ def _open_for_trial(cfg: IoConfig) -> FileHandle:
     return open_file(cfg.path, OpenDisposition.OPEN, cfg.direction, mode, hint)
 
 
-def _trial_sync(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
-    """One synchronous trial; its offsets come from ``_offset_chain(cfg, rng)``.
+def _trial_stream(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
+    """Sequential trial through the handle, buffered or direct.
 
-    The handle's position is tracked here rather than asked for, and a
-    request seeks only when its offset is not where the last one ended.
+    Its offsets come from ``_offset_chain(cfg, rng)``.  The handle's
+    position is tracked here rather than asked for, and the only seek is
+    the wrap to offset 0 when another whole block would not fit.
     """
     block = cfg.block
     limit = cfg.max_requests
@@ -389,25 +396,30 @@ def _trial_sync(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
     return sample, offsets
 
 
-def _trial_async(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
-    """Overlapped trial: ``async_depth`` slots issuing positional requests.
+def _trial_positional(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
+    """Seeking or overlapped trial: ``async_depth`` slots, or one when it
+    is unset, issuing positional requests.
 
-    Each slot owns one buffer and loops: under a ticket lock it takes a
-    run of consecutive tickets (about ``_RUN_BYTES`` of requests, at least
-    one and at most ``_RUN_REQUESTS``) with the next offsets of
-    ``_offset_chain(cfg, rng)``; then it checks and transfers each request
-    of the run and comes back for another.  Offsets are handed out in
-    ticket order, so the issued sequence is identical to what a
-    synchronous trial with the same rng would issue.  The first
-    ``async_depth`` tickets are always issued; after that no ticket is
-    handed out past ``max_requests``, and none once the duration has run
-    out.  The clock is read once per run, so a slot overshoots the
-    duration by at most one run.  preadv/pwritev release the interpreter
-    lock, so up to ``async_depth`` requests really overlap.  The first
-    failure in any slot stops the others once they finish their runs, and
-    it is raised when every slot has finished.
+    Every request is one preadv/pwritev of the request size at its own
+    offset, through the OS cache (bypassing it when ``direct``); no stream
+    buffer sits in between, so a seek refills nothing.  A short transfer
+    is continued with ``transfer_full``.  Each slot owns one buffer and
+    loops: under a ticket lock it takes a run of consecutive tickets
+    (about ``_RUN_BYTES`` of requests, at least one and at most
+    ``_RUN_REQUESTS``) with the next offsets of ``_offset_chain(cfg, rng)``;
+    then it checks and transfers each request of the run and comes back
+    for another.  Offsets are handed out in ticket order, so every depth
+    issues the same sequence.  The first ``depth`` tickets are always
+    issued; after that no ticket is handed out past ``max_requests``, and
+    none once the duration has run out.  The clock is read once per
+    ticket run, so a slot overshoots the duration by at most one run.
+    Slot 0 runs on the calling thread (depth 1 starts no thread);
+    preadv/pwritev release the interpreter lock, so up to ``depth``
+    requests really overlap.  The first failure in any slot stops the
+    others once they finish their runs, and it is raised when every slot
+    has finished.
     """
-    depth = cfg.async_depth
+    depth = cfg.async_depth or 1
     block = cfg.block
     direct = cfg.direct
     touch = cfg.touch
@@ -487,7 +499,7 @@ def run_measurement(
     if clock_ghz is None:
         clock_ghz = detect_clock_ghz()
     _prepare_target(cfg)
-    trial_fn = _trial_async if cfg.async_depth else _trial_sync
+    trial_fn = _trial_positional if cfg.seek_pct or cfg.async_depth else _trial_stream
     samples = []
     logged: list[int] = []
     for index in range(warmup):

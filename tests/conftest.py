@@ -148,6 +148,12 @@ def open_fds() -> list[str]:
     return sorted(os.listdir("/proc/self/fd"))
 
 
+def proc_io() -> dict[str, int]:
+    """This process's I/O counters from /proc/self/io (rchar, syscr, ...)."""
+    with open("/proc/self/io") as stream:
+        return {name: int(value) for name, value in (line.split(":") for line in stream)}
+
+
 @pytest.fixture
 def short_then_zero(monkeypatch):
     """Script ``os.preadv`` or ``os.pwritev`` to move ``step`` bytes three times, then 0.

@@ -11,7 +11,7 @@ import threading
 import time
 
 import pytest
-from conftest import Interrupt, open_fds
+from conftest import Interrupt, open_fds, proc_io
 from hypothesis import given, settings, strategies as st
 
 import seqbench as sb
@@ -583,6 +583,22 @@ def test_fixed_size_workloads_make_one_handle_call_per_request(tmp_path, granula
     assert _calls_per_request(read) <= 1.0
 
 
+def test_line_reads_make_no_call_per_line(tmp_path):
+    """The terminator is stripped in the loop: no Python frame per line read."""
+    sources = {}
+    for lines in (1000, 3000):
+        sources[lines] = tmp_path / f"lines_{lines}.txt"
+        sources[lines].write_bytes(b"".join(
+            b"x" * (i % 80) + (b"\r\n", b"\n", b"\r\r\n", b"a\rb\n")[i % 4] for i in range(lines)
+        ))
+
+    def read(lines):
+        result = sb.run_read(sources[lines], sb.LineAtATime())
+        assert result.sample.request_count == lines
+
+    assert _calls_per_request(read) <= 0.05
+
+
 def test_sort_file_costs_one_frame_per_write(tmp_path):
     """The same 3000 records written in 1000 or 3000 requests: only the writes differ."""
     records = 3000
@@ -666,6 +682,104 @@ def test_depth_1_starts_no_thread(tmp_path, monkeypatch):
     src.write_bytes(sb.make_rng(1).bytes(10 * 4096))
     assert sb.copy_file(src, tmp_path / "dst", block=4096, depth=1).write_requests == 10
     assert started == []
+
+
+# -- seeking trials: the positional loop at depth 1 ---------------------------------
+
+@pytest.mark.parametrize("direction", [Direction.READ, Direction.WRITE])
+def test_seeking_4k_trial_costs_one_frame_per_request(tmp_path, direction):
+    """Positional requests in ticket runs; the one call left is the seek chain's resume."""
+    cfg = _cfg(tmp_path, seek_pct=100, direction=direction)
+    assert _calls_per_request(_pinned_trial(cfg)) <= 1.05
+
+
+def test_seeking_trial_starts_no_thread(tmp_path, monkeypatch):
+    started = []
+    real = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        real(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    for direction in (Direction.READ, Direction.WRITE):
+        cfg = _cfg(tmp_path, seek_pct=30, direction=direction, max_requests=300)
+        assert sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0).bytes_moved == 300 * 4096
+    assert started == []
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="needs /proc/self/io")
+@pytest.mark.parametrize("block", [4096, 512])
+def test_seeking_trial_moves_only_the_bytes_it_reports(tmp_path, block):
+    """A buffered seeking read reads its own bytes in one syscall per request.
+
+    A stream buffer refilled after every seek would read 64 KiB per
+    request: 16x the app bytes at 4 KiB and 128x at 512 B.
+    """
+    requests = 4096
+    cfg = _cfg(tmp_path, file_size=8 << 20, block=block, seek_pct=100, max_requests=requests)
+    cfg.path.write_bytes(sb.make_rng(3).bytes(cfg.file_size))  # the fill writes nothing
+    before = proc_io()
+    result = sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
+    after = proc_io()
+    assert result.bytes_moved == requests * block
+    assert (after["rchar"] - before["rchar"]) / result.bytes_moved <= 1.1
+    assert (after["syscr"] - before["syscr"]) / requests <= 1.05
+
+
+def test_seeking_read_trial_ends_on_a_short_read(tmp_path, short_then_zero, deadline):
+    cfg = _cfg(tmp_path, seek_pct=30, max_requests=16)
+    cfg.path.write_bytes(b"\xa5" * cfg.file_size)
+    short_then_zero("preadv")
+    before = open_fds()
+    with pytest.raises(OSError, match="short read"):
+        sb.run_measurement(cfg, trials=1, warmup=0)
+    assert open_fds() == before
+
+
+def test_seeking_write_trial_ends_when_a_write_stops_making_progress(
+    tmp_path, short_then_zero, deadline
+):
+    cfg = _cfg(tmp_path, direction=Direction.WRITE, seek_pct=30, max_requests=16)
+    cfg.path.write_bytes(b"\xa5" * cfg.file_size)  # the fill writes nothing
+    short_then_zero("pwritev")
+    before = open_fds()
+    with pytest.raises(OSError, match="no progress"):
+        sb.run_measurement(cfg, trials=1, warmup=0)
+    assert open_fds() == before
+
+
+def test_seeking_write_trial_ends_on_a_full_disk(tmp_path, enospc_at, deadline):
+    cfg = _cfg(tmp_path, direction=Direction.WRITE, seek_pct=30, max_requests=1000)
+    cfg.path.write_bytes(b"\xa5" * cfg.file_size)  # the fill writes nothing
+    enospc_at(300)
+    before = open_fds()
+    with pytest.raises(OSError) as info:
+        sb.run_measurement(cfg, trials=1, warmup=0)
+    assert info.value.errno == errno.ENOSPC
+    assert open_fds() == before
+
+
+@pytest.mark.parametrize("block", [4096, 512])
+@pytest.mark.parametrize("seek_pct", [1, 30, 100])
+def test_seeking_trial_is_a_depth_1_overlapped_trial(tmp_path, deadline, block, seek_pct):
+    """Without and with async_depth=1, a seeking write trial issues the same offsets
+    and leaves the same file; the target starts as random bytes, so every
+    block written shows where it landed."""
+    content = sb.make_rng(9).bytes(1 << 20)
+    results = []
+    for depth in (None, 1):
+        log = tmp_path / f"offsets_{depth}.txt"
+        cfg = _cfg(tmp_path, path=tmp_path / f"target_{depth}.dat", direction=Direction.WRITE,
+                   block=block, seek_pct=seek_pct, async_depth=depth, max_requests=700,
+                   offset_log=log)
+        cfg.path.write_bytes(content)
+        before = open_fds()
+        sb.run_measurement(cfg, trials=2, warmup=1, clock_ghz=1.0)
+        assert open_fds() == before
+        results.append((log.read_text(), cfg.path.read_bytes()))
+    assert results[0] == results[1]
+    assert results[0][1] != content
 
 
 def test_direct_read_measurement(tmp_path, need_direct):

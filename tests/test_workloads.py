@@ -41,6 +41,17 @@ def test_record_read_requires_whole_records(tmp_path):
     assert result.checksum == zlib.adler32(b"r" * 300, 1)
 
 
+def test_line_read_strips_one_terminator_and_keeps_other_carriage_returns(tmp_path):
+    """"\r\n", else "\n", comes off; a lone "\r" and the first "\r" of "\r\r\n" stay."""
+    p = tmp_path / "lines.txt"
+    p.write_bytes(b"a\r\r\nb\rc\r\n\r\n\rd\n\r")
+    result = sb.run_read(p, sb.LineAtATime())
+    bodies = [b"a\r", b"b\rc", b"", b"\rd", b"\r"]
+    assert result.sample.request_count == len(bodies)
+    assert result.bytes_processed == sum(map(len, bodies))
+    assert result.checksum == zlib.adler32(b"".join(bodies), 1)
+
+
 def test_line_read_counts_payload_not_terminators(tmp_path):
     p = tmp_path / "lines.txt"
     p.write_bytes(b"ab\r\ncd\n" + b"tail")
