@@ -105,13 +105,13 @@ class IoConfig:
     """Everything one measurement needs to know.
 
     ``seek_pct`` of None or 0 means pure sequential access; otherwise each
-    request lands a bounded random distance from the last.  A sequential
-    trial without ``async_depth`` reads or writes through the handle, so
-    a buffered one goes through its stream buffer.  A seeking or
-    overlapped trial issues positional requests, one preadv/pwritev of
-    the request size each, through the OS cache (past it when
-    ``direct``), at depth ``async_depth`` or 1, reading the clock once
-    per ticket run.  ``max_requests``
+    request lands a bounded random distance from the last.  Every trial
+    runs one loop at depth ``async_depth`` or 1, reading the clock once
+    per ticket run.  A buffered sequential trial without ``async_depth``
+    reads or writes through the handle's stream buffer; every other
+    trial issues positional requests, one preadv/pwritev of the request
+    size each, through the OS cache (past it when ``direct``, with the
+    request checked once per trial).  ``max_requests``
     caps the request count per trial regardless of the clock, which pins
     the request stream for determinism tests.  ``offset_log`` names a file
     that receives every issued offset of the measured trials, one decimal
@@ -354,96 +354,88 @@ def _open_for_trial(cfg: IoConfig) -> FileHandle:
     return open_file(cfg.path, OpenDisposition.OPEN, cfg.direction, mode, hint)
 
 
-def _trial_stream(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
-    """Sequential trial through the handle, buffered or direct.
+def _trial(cfg: IoConfig, rng, log: list[int] | None = None) -> ThroughputSample:
+    """One timed trial at depth ``async_depth``, or 1 when it is unset.
 
-    Its offsets come from ``_offset_chain(cfg, rng)``.  The handle's
-    position is tracked here rather than asked for, and the only seek is
-    the wrap to offset 0 when another whole block would not fit.
-    """
-    block = cfg.block
-    limit = cfg.max_requests
-    touch = cfg.touch
-    offsets: list[int] = []
-    issued = offsets.append
-    with _open_for_trial(cfg) as handle:
-        buffer, view = _make_buffer(cfg, handle.geometry)
-        reading = cfg.direction is Direction.READ
-        transfer = handle.read_block if reading else handle.write_block
-        seek = handle.seek
-        clock = time.perf_counter
-        deadline = clock() + cfg.duration
-        position = 0
-        checksum = 1
-        stopwatch = Stopwatch()
-        for offset in _offset_chain(cfg, rng):
-            if offset != position:
-                seek(offset)
-            got = transfer(buffer, block)
-            if got != block:
-                raise OSError(
-                    f"short read: {got} of {block} bytes at offset {offset} in {cfg.path}"
-                )
-            position = offset + block
-            if touch:
-                checksum = zlib.adler32(view, checksum)
-            issued(offset)
-            if len(offsets) == limit or clock() >= deadline:
-                break
-        if not reading:
-            handle.flush(FlushLevel.APPLICATION_BUFFERS)
-        sample = stopwatch.sample(len(offsets) * block, len(offsets))
-    return sample, offsets
+    Each slot owns one buffer and loops: under a ticket lock it takes a
+    run of the next tickets (about ``_RUN_BYTES`` of requests, at least
+    one and at most ``_RUN_REQUESTS``) with their offsets from
+    ``_offset_chain(cfg, rng)``, transfers them, and comes back.  Tickets
+    go out in order, so every depth issues the same offsets.  The first
+    ``depth`` tickets are always issued; after that none past
+    ``max_requests``, and none once the duration has run out.  The clock
+    is read once per run, so a slot overshoots the duration by at most
+    one run.  Each run's offsets are appended to ``log`` when it is given.
 
+    A buffered sequential trial (no ``seek_pct``, ``async_depth`` or
+    ``direct``) goes through the handle's stream buffer; it seeks only to
+    offset 0, where the chain starts and wraps, and a write trial drains
+    the stream before the clock stops.  Every other request is one
+    preadv/pwritev of the request size at its offset, through the OS
+    cache (past it when ``direct``), a short transfer continued by
+    ``transfer_full``.  A direct trial checks each slot buffer once,
+    before any request: every request uses that buffer and length, at a
+    multiple of the block.  With ``touch``, an adler32 pass whose sum is
+    dropped reads every byte of each transfer.
 
-def _trial_positional(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
-    """Seeking or overlapped trial: ``async_depth`` slots, or one when it
-    is unset, issuing positional requests.
-
-    Every request is one preadv/pwritev of the request size at its own
-    offset, through the OS cache (bypassing it when ``direct``); no stream
-    buffer sits in between, so a seek refills nothing.  A short transfer
-    is continued with ``transfer_full``.  Each slot owns one buffer and
-    loops: under a ticket lock it takes a run of consecutive tickets
-    (about ``_RUN_BYTES`` of requests, at least one and at most
-    ``_RUN_REQUESTS``) with the next offsets of ``_offset_chain(cfg, rng)``;
-    then it checks and transfers each request of the run and comes back
-    for another.  Offsets are handed out in ticket order, so every depth
-    issues the same sequence.  The first ``depth`` tickets are always
-    issued; after that no ticket is handed out past ``max_requests``, and
-    none once the duration has run out.  The clock is read once per
-    ticket run, so a slot overshoots the duration by at most one run.
     Slot 0 runs on the calling thread (depth 1 starts no thread);
     preadv/pwritev release the interpreter lock, so up to ``depth``
-    requests really overlap.  The first failure in any slot stops the
-    others once they finish their runs, and it is raised when every slot
-    has finished.
+    requests overlap.  The first failure in any slot stops the others
+    after their current runs and is raised once every slot has finished.
     """
     depth = cfg.async_depth or 1
     block = cfg.block
-    direct = cfg.direct
     touch = cfg.touch
     write = cfg.direction is Direction.WRITE
-    call = os.pwritev if write else os.preadv
     run = min(_RUN_REQUESTS, max(1, _RUN_BYTES // block))
     limit = max(depth, cfg.max_requests) if cfg.max_requests is not None else None
     chain = _offset_chain(cfg, rng)
-    offsets: list[int] = []
+    issued = 0
     errors: list[BaseException] = []
     lock = threading.Lock()
     with _open_for_trial(cfg) as handle:
-        fd = handle.fileno()
         geometry = handle.geometry
         buffers = [_make_buffer(cfg, geometry) for _ in range(depth)]
+        if cfg.direct:
+            for buffer, _ in buffers:
+                violations = validate_direct_request(geometry, buffer, block, 0)
+                if violations:
+                    raise DirectRequestError(violations)
+        fd = handle.fileno()
+        call = os.pwritev if write else os.preadv
+        seek = handle.seek
+        transfer = handle.write_block if write else handle.read_block
+
+        def positional(taken, buffer, view):
+            iov = [view]
+            for offset in taken:
+                got = call(fd, iov, offset)
+                if got != block:
+                    got += transfer_full(fd, view[got:], offset + got, block - got, write=write)
+                    if got != block:
+                        return offset, got
+                if touch:
+                    zlib.adler32(view)
+
+        def streamed(taken, buffer, view):
+            for offset in taken:
+                if not offset:
+                    seek(0)
+                got = transfer(buffer, block)
+                if got != block:
+                    return offset, got
+                if touch:
+                    zlib.adler32(view)
+
+        requests = positional if cfg.seek_pct or cfg.async_depth or cfg.direct else streamed
         deadline = time.perf_counter() + cfg.duration
 
         def slot(index: int) -> None:
+            nonlocal issued
             buffer, view = buffers[index]
-            iov = [view]
-            checksum = 1
             while True:
                 with lock:
-                    start = len(offsets)
+                    start = issued
                     if errors or start == limit or (
                         start >= depth and time.perf_counter() >= deadline
                     ):
@@ -451,31 +443,23 @@ def _trial_positional(cfg: IoConfig, rng) -> tuple[ThroughputSample, list[int]]:
                     taken = list(itertools.islice(
                         chain, run if limit is None else min(run, limit - start)
                     ))
-                    offsets.extend(taken)
-                for offset in taken:
-                    if direct:
-                        violations = validate_direct_request(geometry, buffer, block, offset)
-                        if violations:
-                            raise DirectRequestError(violations)
-                    got = call(fd, iov, offset)
-                    if got != block:
-                        got += transfer_full(
-                            fd, view[got:], offset + got, block - got, write=write
-                        )
-                        if got != block:
-                            raise OSError(
-                                f"short read: {got} of {block} bytes at offset {offset} "
-                                f"in {cfg.path}"
-                            )
-                    if touch:
-                        checksum = zlib.adler32(view, checksum)
+                    issued = start + len(taken)
+                    if log is not None:
+                        log.extend(taken)
+                short = requests(taken, buffer, view)
+                if short:
+                    offset, got = short
+                    raise OSError(
+                        f"short read: {got} of {block} bytes at offset {offset} in {cfg.path}"
+                    )
 
         stopwatch = Stopwatch()
         run_slots(depth, slot, errors.append)
-        sample = stopwatch.sample(len(offsets) * block, len(offsets))
-    if errors:
-        raise errors[0]
-    return sample, offsets
+        if errors:
+            raise errors[0]
+        if write:
+            handle.flush(FlushLevel.APPLICATION_BUFFERS)
+        return stopwatch.sample(issued * block, issued)
 
 
 def run_measurement(
@@ -499,17 +483,11 @@ def run_measurement(
     if clock_ghz is None:
         clock_ghz = detect_clock_ghz()
     _prepare_target(cfg)
-    trial_fn = _trial_positional if cfg.seek_pct or cfg.async_depth else _trial_stream
-    samples = []
-    logged: list[int] = []
     for index in range(warmup):
-        trial_fn(cfg, make_rng(cfg.seed, _WARMUP_STREAM_BASE + index))
-    for index in range(trials):
-        sample, offsets = trial_fn(cfg, make_rng(cfg.seed, index))
-        samples.append(sample)
-        if cfg.offset_log is not None:
-            logged.extend(offsets)
-    if cfg.offset_log is not None:
+        _trial(cfg, make_rng(cfg.seed, _WARMUP_STREAM_BASE + index))
+    logged = None if cfg.offset_log is None else []
+    samples = [_trial(cfg, make_rng(cfg.seed, index), logged) for index in range(trials)]
+    if logged is not None:
         cfg.offset_log.write_text("".join(f"{o}\n" for o in logged))
     return BenchmarkResult.from_samples(samples, clock_ghz, cfg)
 

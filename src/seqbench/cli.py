@@ -22,8 +22,12 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import pipeline, workloads
 from .bench import (
     DEFAULT_ASYNC_DEPTH,
+    DEFAULT_BLOCK,
+    DEFAULT_DURATION,
+    DEFAULT_FILE_SIZE,
     BenchmarkResult,
     ExtensionMode,
     IoConfig,
@@ -163,9 +167,9 @@ class ExamplesInvocation:
 
 @dataclass(frozen=True)
 class AsyncCopyInvocation:
-    size: int = 1 << 30
-    block: int = 1 << 20
-    depth: int = DEFAULT_ASYNC_DEPTH
+    size: int = DEFAULT_FILE_SIZE
+    block: int = pipeline.DEFAULT_BLOCK
+    depth: int = pipeline.DEFAULT_DEPTH
     directory: Path | None = None
 
 
@@ -251,11 +255,11 @@ def parse_iospeed(args) -> IospeedInvocation:
 
     # Bare forms borrow the other phase's explicit size; with neither
     # spelled out, both default to 1G.
-    file_size = rw_size or ext_size or (1 << 30)
+    file_size = rw_size or ext_size or DEFAULT_FILE_SIZE
     if extension is not None:
-        ext_size = ext_size or rw_size or (1 << 30)
+        ext_size = ext_size or rw_size or DEFAULT_FILE_SIZE
 
-    duration = 30.0
+    duration = DEFAULT_DURATION
     if "t" in found:
         try:
             duration = float(found["t"])
@@ -263,7 +267,7 @@ def parse_iospeed(args) -> IospeedInvocation:
             raise ConfigError(f"-t: expected seconds, got {found['t']!r}") from None
 
     # Ranges (duration, depth, seek percentage) are IoConfig's to check.
-    block = _size(found["b"], "b") if "b" in found else 64 * 1024
+    block = _size(found["b"], "b") if "b" in found else DEFAULT_BLOCK
     depth = None
     if "a" in found:
         depth = _int(found["a"], "a") if found["a"] else DEFAULT_ASYNC_DEPTH
@@ -355,9 +359,10 @@ def parse_asynccopy(args) -> AsyncCopyInvocation:
     found, positionals = _scan(args, _ASYNCCOPY_FLAGS, "asynccopy")
     if len(positionals) > 1:
         raise ConfigError(f"asynccopy takes at most one directory, got {positionals!r}")
-    size = _size(found["z"], "z") if "z" in found else 1 << 30
-    block = _size(found["b"], "b") if "b" in found else 1 << 20
-    depth = _int(found["a"], "a") if "a" in found else DEFAULT_ASYNC_DEPTH
+    defaults = AsyncCopyInvocation()
+    size = _size(found["z"], "z") if "z" in found else defaults.size
+    block = _size(found["b"], "b") if "b" in found else defaults.block
+    depth = _int(found["a"], "a") if "a" in found else defaults.depth
     if size < 1:
         raise ConfigError(f"asynccopy: size must be at least 1 byte, got {size}")
     if block < 1:
@@ -432,7 +437,7 @@ def _run_fragdisk(inv: FragdiskInvocation) -> int:
 def _run_examples(inv: ExamplesInvocation) -> int:
     path = inv.path
     total = inv.record_count * SORT_RECORD_BYTES
-    block = 64 * 1024
+    block = workloads.DEFAULT_BLOCK
     rng = make_rng(DEFAULT_SEED)
     clock = detect_clock_ghz()
     print(f"workload matrix on {path}: {inv.record_count} records, {total} bytes")

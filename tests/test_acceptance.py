@@ -265,6 +265,7 @@ def test_criterion_06_request_size_shape(tmp_path):
 
 # -- 7: preallocation helps file extension on an aged volume -------------------
 
+@pytest.mark.mounts
 def test_criterion_07_preallocation_benefit_direction():
     with _Budget(7, "preallocated extension beats incremental on an aged volume", 600.0):
         problem = sb.volume_support_problem()

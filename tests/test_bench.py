@@ -9,6 +9,7 @@ import statistics
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from conftest import Interrupt, open_fds, proc_io
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import seqbench as sb
 from seqbench.bench import CLOCK_ENV_VAR, IoConfig, ThroughputSample
 from seqbench.core import Direction
-from seqbench.engine import IoMode
+from seqbench.engine import FileHandle, IoMode
 from seqbench.workloads import SORT_RECORD_BYTES
 
 
@@ -959,6 +960,105 @@ def test_duration_bounded_async_trial_overshoots_by_at_most_one_run_per_slot(
     monkeypatch.setattr(time, "perf_counter", lambda: len(reads) * 1e-3)
     sample = sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0).samples[0]
     assert 600 <= sample.request_count <= 600 + depth * 256
+
+
+# -- one trial loop: buffered sequential trials take ticket runs too ------------------
+
+@pytest.mark.parametrize("depth", [None, 2])
+def test_a_trial_without_an_offset_log_keeps_no_offsets(tmp_path, depth):
+    """200,000 requests: a list of their offsets alone would take about 8 MB."""
+    cfg = _cfg(tmp_path, block=512, async_depth=depth, max_requests=200_000)
+    sb.run_measurement(dataclasses.replace(cfg, max_requests=1), trials=1, warmup=0)
+    tracemalloc.start()
+    try:
+        result = sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.samples[0].request_count == 200_000
+    assert peak < 1 << 20, f"traced peak {peak} bytes"
+
+
+def test_buffered_sequential_trial_reads_the_clock_once_per_run(tmp_path, monkeypatch):
+    cfg = _cfg(tmp_path, max_requests=10_000)
+    sb.run_measurement(dataclasses.replace(cfg, max_requests=1), trials=1, warmup=0)
+    real = time.perf_counter
+    reads: list[None] = []
+
+    def counted():
+        reads.append(None)
+        return real()
+
+    monkeypatch.setattr(time, "perf_counter", counted)
+    sample = sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0).samples[0]
+    assert sample.request_count == 10_000
+    assert len(reads) <= 10_000 / 100
+
+
+@pytest.mark.parametrize("block", [1, 4096])
+def test_duration_bounded_buffered_sequential_trial_overshoots_by_at_most_one_run(
+    tmp_path, monkeypatch, deadline, block
+):
+    """A clock that advances 1 ms per read_block: the duration is worth 600 reads,
+    and a run is 256 requests at both sizes."""
+    cfg = _cfg(tmp_path, duration=0.6, block=block)
+    sb.run_measurement(dataclasses.replace(cfg, max_requests=1), trials=1, warmup=0)
+    real = FileHandle.read_block
+    reads: list[None] = []
+
+    def counted(self, buffer, length=None):
+        reads.append(None)
+        return real(self, buffer, length)
+
+    monkeypatch.setattr(FileHandle, "read_block", counted)
+    monkeypatch.setattr(time, "perf_counter", lambda: len(reads) * 1e-3)
+    sample = sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0).samples[0]
+    assert 600 <= sample.request_count <= 600 + 256
+    assert sample.request_count == len(reads)
+
+
+@pytest.mark.parametrize("depth", [None, 3])
+def test_direct_ragged_block_is_rejected_before_any_request_or_thread(
+    tmp_path, monkeypatch, need_direct, deadline, depth
+):
+    cfg = _cfg(tmp_path, direct=True, block=1000, async_depth=depth, max_requests=12)
+    sb.run_measurement(dataclasses.replace(cfg, direct=False), trials=1, warmup=0)
+    requests, started = [], []
+    real_preadv, real_start = os.preadv, threading.Thread.start
+
+    def counted_preadv(fd, buffers, offset):
+        requests.append(offset)
+        return real_preadv(fd, buffers, offset)
+
+    def counted_start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(os, "preadv", counted_preadv)
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    with pytest.raises(sb.DirectRequestError):
+        sb.run_measurement(cfg, trials=1, warmup=0)
+    assert requests == [] and started == []
+
+
+@pytest.mark.parametrize("block", [4096, 512])
+def test_sequential_direct_write_trial_is_a_depth_1_trial(tmp_path, need_direct, deadline, block):
+    """Without and with async_depth=1, a sequential direct write trial issues the same
+    offsets, wrapping to 0, and leaves the same file; the target starts as random bytes."""
+    size = 40 * block + 100
+    content = sb.make_rng(11).bytes(size)
+    results = []
+    for depth in (None, 1):
+        log = tmp_path / f"offsets_{depth}.txt"
+        cfg = _cfg(tmp_path, path=tmp_path / f"target_{depth}.dat", direction=Direction.WRITE,
+                   direct=True, file_size=size, block=block, async_depth=depth,
+                   max_requests=100, offset_log=log)
+        cfg.path.write_bytes(content)
+        sb.run_measurement(cfg, trials=2, warmup=1, clock_ghz=1.0)
+        results.append((log.read_text(), cfg.path.read_bytes()))
+    assert results[0] == results[1]
+    assert results[0][0].split()[40] == "0"
+    assert results[0][1] != content
 
 
 # -- measure_extension ------------------------------------------------------------
