@@ -18,6 +18,7 @@ identical request streams.
 """
 from __future__ import annotations
 
+import contextlib
 import enum
 import itertools
 import os
@@ -28,7 +29,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -354,7 +355,7 @@ def _open_for_trial(cfg: IoConfig) -> FileHandle:
     return open_file(cfg.path, OpenDisposition.OPEN, cfg.direction, mode, hint)
 
 
-def _trial(cfg: IoConfig, rng, log: list[int] | None = None) -> ThroughputSample:
+def _trial(cfg: IoConfig, rng, log: TextIO | None = None) -> ThroughputSample:
     """One timed trial at depth ``async_depth``, or 1 when it is unset.
 
     Each slot owns one buffer and loops: under a ticket lock it takes a
@@ -365,7 +366,8 @@ def _trial(cfg: IoConfig, rng, log: list[int] | None = None) -> ThroughputSample
     ``depth`` tickets are always issued; after that none past
     ``max_requests``, and none once the duration has run out.  The clock
     is read once per run, so a slot overshoots the duration by at most
-    one run.  Each run's offsets are appended to ``log`` when it is given.
+    one run.  Each run's offsets are written to ``log``, one decimal per
+    line and under the ticket lock, when it is given.
 
     A buffered sequential trial (no ``seek_pct``, ``async_depth`` or
     ``direct``) goes through the handle's stream buffer; it seeks only to
@@ -445,7 +447,7 @@ def _trial(cfg: IoConfig, rng, log: list[int] | None = None) -> ThroughputSample
                     ))
                     issued = start + len(taken)
                     if log is not None:
-                        log.extend(taken)
+                        log.write("%d\n" * len(taken) % tuple(taken))
                 short = requests(taken, buffer, view)
                 if short:
                     offset, got = short
@@ -456,7 +458,14 @@ def _trial(cfg: IoConfig, rng, log: list[int] | None = None) -> ThroughputSample
         stopwatch = Stopwatch()
         run_slots(depth, slot, errors.append)
         if errors:
-            raise errors[0]
+            try:
+                raise errors[0]
+            finally:
+                # An error's traceback holds a slot frame, which holds this
+                # list.  Emptied, the list closes no reference cycle, so no
+                # part of the trial (its offset generator included) is left
+                # for the cyclic GC to finalize later, inside other code.
+                errors.clear()
         if write:
             handle.flush(FlushLevel.APPLICATION_BUFFERS)
         return stopwatch.sample(issued * block, issued)
@@ -474,7 +483,10 @@ def run_measurement(
     The target file is created and filled to ``cfg.file_size`` first when
     needed.  Trial t draws its offsets from stream t of ``cfg.seed``, so
     results are reproducible request-for-request; the warm-up trials use
-    distant streams and are discarded.  Returns the median summary.
+    distant streams and are discarded.  With ``cfg.offset_log`` set, the
+    log is opened once, after the warm-up, and each ticket run's offsets
+    go to it as the trials issue them, so a failed measurement leaves the
+    offsets it issued.  Returns the median summary.
     """
     if trials < 1:
         raise ConfigError(f"need at least one trial, got {trials}")
@@ -485,10 +497,8 @@ def run_measurement(
     _prepare_target(cfg)
     for index in range(warmup):
         _trial(cfg, make_rng(cfg.seed, _WARMUP_STREAM_BASE + index))
-    logged = None if cfg.offset_log is None else []
-    samples = [_trial(cfg, make_rng(cfg.seed, index), logged) for index in range(trials)]
-    if logged is not None:
-        cfg.offset_log.write_text("".join(f"{o}\n" for o in logged))
+    with open(cfg.offset_log, "w") if cfg.offset_log else contextlib.nullcontext() as log:
+        samples = [_trial(cfg, make_rng(cfg.seed, index), log) for index in range(trials)]
     return BenchmarkResult.from_samples(samples, clock_ghz, cfg)
 
 

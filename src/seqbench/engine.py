@@ -25,6 +25,7 @@ long-lived thread for each of the others.
 from __future__ import annotations
 
 import enum
+import functools
 import io
 import os
 import threading
@@ -430,8 +431,41 @@ class FileHandle:
         handle has no stream buffer and raises io.UnsupportedOperation.
         """
         if self._stream is None:
-            raise io.UnsupportedOperation(f"{self.path} is direct; lines need a buffered handle")
+            raise self._needs_a_stream("lines")
         return iter(self._stream)
+
+    def reads(self, size: int) -> Iterator[bytes]:
+        """Reads of ``size`` bytes from the current position until end of file.
+
+        Each item is one stream read call, made from C, so taking it runs no
+        Python frame; the last may be short.  A read of at most the stream
+        buffer, or of a multiple of it, issues the read calls ``read_block``
+        would; a longer read takes the whole stream buffers straight from
+        the file and the rest through the buffer.  A direct handle raises
+        io.UnsupportedOperation.
+        """
+        if self._stream is None:
+            raise self._needs_a_stream("reads")
+        if size < 1:
+            raise ValueError(f"read size must be at least 1 byte, got {size}")
+        return iter(functools.partial(self._stream.read, size), b"")
+
+    def write_each(self, pieces: Iterable) -> None:
+        """Write every piece of ``pieces`` at the current position, in order.
+
+        Each piece is one stream write call, made from C, so no Python
+        frame runs per piece; the stream batches them into the system
+        calls any buffered write makes.  A read-only handle refuses, as
+        write_block does, and a direct handle raises io.UnsupportedOperation.
+        """
+        if not self.writable:
+            raise io.UnsupportedOperation(f"{self.path} is open read-only")
+        if self._stream is None:
+            raise self._needs_a_stream("write_each")
+        self._stream.writelines(pieces)
+
+    def _needs_a_stream(self, method: str) -> io.UnsupportedOperation:
+        return io.UnsupportedOperation(f"{self.path} is direct; {method}() needs a buffered handle")
 
     def _direct_transfer(self, buffer, length, *, write: bool) -> int:
         if not (hasattr(buffer, "address") and hasattr(buffer, "capacity")):

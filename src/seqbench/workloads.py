@@ -13,6 +13,7 @@ counter, and the classic 100-byte-record sort input generator.
 """
 from __future__ import annotations
 
+import itertools
 import struct
 import zlib
 from dataclasses import dataclass
@@ -51,6 +52,10 @@ RECORD_BYTES = 100
 SORT_RECORD_BYTES = RECORD_BYTES
 _SORT_KEY_BYTES = 10
 _SORT_INDEX_DIGITS = 20
+
+#: Lines LineAtATime writes draw per batch, about 40 KiB of text.
+_LINE_BATCH = 1024
+_NEWLINE = ord("\n")
 
 
 class Granularity:
@@ -106,24 +111,29 @@ def _fixed_block(granularity: Granularity) -> int:
 
 
 def run_read(path: str | Path, granularity: Granularity) -> WorkloadResult:
-    """Read the whole file at the given granularity and checksum it."""
+    """Read the whole file at the given granularity and checksum it.
+
+    A fixed-size granularity (byte, block, record) makes one stream read
+    call per request, from C (``FileHandle.reads``).  The reads are joined
+    about DEFAULT_BLOCK bytes at a time, at least one read per join, and
+    one chained adler32 runs over each join: the checksum one call per
+    request would give, with no Python frame per request.
+    """
     if isinstance(granularity, LineAtATime):
         return _read_lines(path)
     step = _fixed_block(granularity)
+    per_join = max(1, DEFAULT_BLOCK // step)
     checksum = 1
     processed = 0
     requests = 0
-    buffer = bytearray(step)
     stopwatch = Stopwatch()
     with open_file(path, OpenDisposition.OPEN, Direction.READ) as handle:
-        read = handle.read_block
-        while True:
-            got = read(buffer)
-            if got == 0:
-                break
-            checksum = zlib.adler32(buffer if got == step else buffer[:got], checksum)
-            processed += got
-            requests += 1
+        reads = handle.reads(step)
+        while pieces := list(itertools.islice(reads, per_join)):
+            data = b"".join(pieces)
+            checksum = zlib.adler32(data, checksum)
+            processed += len(data)
+            requests += len(pieces)
     return WorkloadResult(processed, checksum, stopwatch.sample(processed, requests))
 
 
@@ -151,10 +161,15 @@ def run_write(
 ) -> WorkloadResult:
     """Write exactly ``total_bytes`` of seeded random content.
 
-    The file is created fresh (truncated if present).  LineAtATime writes
-    newline-terminated lines of random lowercase letters with lengths
-    uniform on [0, 78], truncating the last line so the total is exact;
-    its checksum covers payloads only, mirroring run_read.  TypedRecords
+    The file is created fresh (truncated if present).  Every request is
+    one stream write call, made from C (``FileHandle.write_each``).  A
+    fixed-size granularity draws its content with ``rng.bytes``, one
+    DEFAULT_BLOCK draw per 64 KiB of single bytes and one draw per block
+    or record otherwise.  LineAtATime writes newline-terminated lines of
+    random lowercase letters with lengths uniform on [0, 78], truncating
+    the last line so the total is exact; it draws the lengths and then
+    the letters of _LINE_BATCH lines with one sized draw each, and its
+    checksum covers payloads only, mirroring run_read.  TypedRecords
     requires a multiple of 100 bytes.
     """
     if total_bytes < 0:
@@ -163,40 +178,47 @@ def run_write(
         raise ValueError(
             f"typed records are {RECORD_BYTES} bytes; {total_bytes} is not a multiple"
         )
+    lines = isinstance(granularity, LineAtATime)
+    step = None if lines else _fixed_block(granularity)
+    # Single bytes are drawn 64 KiB at a time: one rng call per byte would
+    # cost more than the write being timed.
+    draw = DEFAULT_BLOCK if step == 1 else step
     checksum = 1
     requests = 0
+    remaining = total_bytes
     stopwatch = Stopwatch()
     with open_file(path, OpenDisposition.CREATE, Direction.WRITE) as handle:
-        if isinstance(granularity, LineAtATime):
-            remaining = total_bytes
-            while remaining:
-                length = int(rng.integers(0, 79))
-                if length + 1 > remaining:
-                    length = remaining - 1
-                body = rng.integers(97, 123, size=length, dtype=np.uint8).tobytes()
-                checksum = zlib.adler32(body, checksum)
-                handle.write_block(body + b"\n")
-                requests += 1
-                remaining -= length + 1
-        else:
-            step = _fixed_block(granularity)
-            # Single bytes are drawn 64 KiB at a time: one rng call per byte
-            # would cost more than the write being timed.
-            draw = DEFAULT_BLOCK if step == 1 else step
-            write = handle.write_block
-            remaining = total_bytes
-            while remaining:
-                # Slices of bytes go straight to the stream: one-byte ones are
-                # cached objects, and a block-sized one is the chunk itself.
-                chunk = rng.bytes(min(draw, remaining))
-                checksum = zlib.adler32(chunk, checksum)
-                starts = range(0, len(chunk), step)
-                for index in starts:
-                    write(chunk[index : index + step])
-                requests += len(starts)
-                remaining -= len(chunk)
+        write_each = handle.write_each
+        while remaining:
+            if lines:
+                body, pieces = _draw_lines(rng, remaining)
+                remaining -= len(body) + len(pieces)
+            else:
+                body = rng.bytes(min(draw, remaining))
+                # A "c" view yields each byte as a cached one-byte bytes object.
+                pieces = memoryview(body).cast("c") if step == 1 else (body,)
+                remaining -= len(body)
+            checksum = zlib.adler32(body, checksum)
+            write_each(pieces)
+            requests += len(pieces)
         handle.flush(FlushLevel.APPLICATION_BUFFERS)
     return WorkloadResult(total_bytes, checksum, stopwatch.sample(total_bytes, requests))
+
+
+def _draw_lines(rng: np.random.Generator, remaining: int) -> tuple[np.ndarray, list[bytes]]:
+    """The next _LINE_BATCH lines, or fewer ending at ``remaining`` bytes.
+
+    Returns the letters (the payload) and the lines, terminators kept.
+    """
+    lengths = rng.integers(0, 79, size=_LINE_BATCH)
+    ends = np.cumsum(lengths + 1)
+    last = int(np.searchsorted(ends, remaining))
+    if last < _LINE_BATCH:
+        lengths = lengths[: last + 1]
+        lengths[last] -= ends[last] - remaining
+    body = rng.integers(97, 123, size=int(lengths.sum()), dtype=np.uint8)
+    text = np.insert(body, np.cumsum(lengths), _NEWLINE).tobytes()
+    return body, text.splitlines(keepends=True)
 
 
 # -- typed binary streams ----------------------------------------------

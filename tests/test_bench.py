@@ -2,6 +2,7 @@
 import collections
 import dataclasses
 import errno
+import gc
 import itertools
 import math
 import os
@@ -316,6 +317,47 @@ def test_seek_offset_log_is_deterministic(tmp_path):
     assert all(o % 4096 == 0 and 0 <= o <= (1 << 20) - 4096 for o in offsets)
 
 
+def test_an_offset_log_is_written_as_the_trials_run(tmp_path):
+    """3 trials of 200,000 512 B requests: the log holds every offset, and the
+    measurement holds no more than one ticket run's worth of them."""
+    log = tmp_path / "offsets.txt"
+    cfg = _cfg(tmp_path, block=512, max_requests=200_000, offset_log=log)
+    sb.run_measurement(dataclasses.replace(cfg, max_requests=1), trials=1, warmup=0, clock_ghz=1.0)
+    tracemalloc.start()
+    try:
+        sb.run_measurement(cfg, trials=3, warmup=0, clock_ghz=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
+    blocks = cfg.file_size // cfg.block
+    trial = [index % blocks * cfg.block for index in range(200_000)]
+    assert [int(line) for line in log.read_text().split()] == trial * 3
+
+
+def test_a_failed_measurement_leaves_the_offsets_it_took(tmp_path, short_then_zero, deadline):
+    """The fourth read of a seeking trial comes back empty, inside its first ticket run."""
+    log = tmp_path / "offsets.txt"
+    cfg = _cfg(tmp_path, seek_pct=50, max_requests=50, offset_log=log)
+    sb.run_measurement(dataclasses.replace(cfg, offset_log=None), trials=1, warmup=0, clock_ghz=1.0)
+    short_then_zero("preadv", step=4096)
+    with pytest.raises(OSError, match="short read"):
+        sb.run_measurement(cfg, trials=2, warmup=0, clock_ghz=1.0)
+    assert [int(line) for line in log.read_text().split()] == _reference_chain(cfg, 0, 50)
+
+
+def test_a_failed_trial_leaves_no_garbage_cycle(tmp_path, short_then_zero, deadline):
+    """A cycle through the failed trial's frames would keep its seek-offset
+    generator alive until the cyclic GC closed it, in whatever code ran then."""
+    cfg = _cfg(tmp_path, seek_pct=50, max_requests=50)
+    sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
+    short_then_zero("preadv", step=4096)
+    gc.collect()
+    with pytest.raises(OSError, match="short read"):
+        sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
+    assert gc.collect() == 0
+
+
 def test_touch_mode_runs(tmp_path):
     cfg = _cfg(tmp_path, touch=True, max_requests=16)
     result = sb.run_measurement(cfg, trials=1, warmup=0)
@@ -464,6 +506,12 @@ def _calls_per_request(run, small=1000, large=3000):
     ``run`` starts; each appends its code object to one list, which
     list.append keeps thread-safe.  The result is a float that also
     carries the calls per request of each function.
+
+    The cyclic GC is run before each profiled run and kept off during
+    it: a collection calls every ``gc.callbacks`` hook (hypothesis
+    installs one) and closes any generator left in a garbage cycle, so a
+    collection that fell in one run and not the other would count calls
+    that ``run`` never made.
     """
     counts = []
     for requests in (small, large):
@@ -473,6 +521,8 @@ def _calls_per_request(run, small=1000, large=3000):
             if event == "call":
                 record(frame.f_code)
 
+        gc.collect()
+        gc.disable()
         threading.setprofile(profile)
         sys.setprofile(profile)
         try:
@@ -480,6 +530,7 @@ def _calls_per_request(run, small=1000, large=3000):
         finally:
             sys.setprofile(None)
             threading.setprofile(None)
+            gc.enable()
         counts.append(collections.Counter(
             f"{os.path.splitext(os.path.basename(code.co_filename))[0]}.{code.co_qualname}"
             for code in calls
@@ -600,6 +651,33 @@ def test_line_reads_make_no_call_per_line(tmp_path):
     assert _calls_per_request(read) <= 0.05
 
 
+def test_byte_and_line_passes_make_no_python_call_per_request(tmp_path):
+    """Byte reads and writes and line writes make their stream calls from C.
+
+    A written line averages 40 bytes, so ``requests`` lines are about
+    ``40 * requests`` bytes.
+    """
+    rng = sb.make_rng(5)
+    sources = {}
+    for requests in (1000, 3000):
+        sources[requests] = tmp_path / f"read_{requests}.dat"
+        sources[requests].write_bytes(rng.bytes(requests))
+
+    def read(requests):
+        assert sb.run_read(sources[requests], sb.ByteAtATime()).sample.request_count == requests
+
+    def write(requests):
+        result = sb.run_write(tmp_path / "bytes.dat", sb.ByteAtATime(), requests, rng)
+        assert result.sample.request_count == requests
+
+    def write_lines(requests):
+        sb.run_write(tmp_path / "lines.txt", sb.LineAtATime(), 40 * requests, rng)
+
+    assert _calls_per_request(read) <= 0.05
+    assert _calls_per_request(write) <= 0.05
+    assert _calls_per_request(write_lines) <= 0.05
+
+
 def test_sort_file_costs_one_frame_per_write(tmp_path):
     """The same 3000 records written in 1000 or 3000 requests: only the writes differ."""
     records = 3000
@@ -624,6 +702,27 @@ def test_extension_costs_two_frames_per_block(tmp_path):
 
     run(1)  # so that both measured runs find a file to delete
     assert _calls_per_request(run, small=100, large=300) <= 2.0
+
+
+def test_a_collection_in_a_profiled_run_is_not_counted():
+    """A gc.callbacks hook, like the one hypothesis installs, runs in every
+    collection; the cycles made here would set off more collections in the
+    larger run than in the smaller one."""
+
+    def hook(phase, info):
+        pass
+
+    def run(requests):
+        for _ in range(requests):
+            cycle = []
+            cycle.append(cycle)
+
+    gc.callbacks.append(hook)
+    try:
+        rate = _calls_per_request(run)
+    finally:
+        gc.callbacks.remove(hook)
+    assert rate == 0.0, rate
 
 
 def test_a_call_budget_failure_names_the_functions_per_request():

@@ -1,4 +1,5 @@
 """Open dispositions, aligned buffers, direct-transfer validation, flushing."""
+import errno
 import hashlib
 import io
 import itertools
@@ -11,7 +12,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from conftest import Interrupt
+from conftest import Interrupt, open_fds
 from hypothesis import given, settings, strategies as st
 
 import seqbench as sb
@@ -409,6 +410,34 @@ def test_buffered_transfer_matches_the_view_path(tmp_path, write, buffer_name, l
         assert outcomes[1][0][0] == pinned
 
 
+def test_write_each_and_reads_move_the_pieces_in_order(tmp_path):
+    p = tmp_path / "f"
+    with sb.open_file(p, OpenDisposition.CREATE, Direction.WRITE) as h:
+        h.write_each([b"ab", b"", bytearray(b"cde"), memoryview(b"fg")])
+        h.write_each(memoryview(b"hij").cast("c"))
+        assert h.position == 10
+    assert p.read_bytes() == b"abcdefghij"
+    with sb.open_file(p, OpenDisposition.OPEN, Direction.READ) as h:
+        h.seek(1)
+        assert list(h.reads(4)) == [b"bcde", b"fghi", b"j"]
+        assert list(h.reads(4)) == []
+        with pytest.raises(ValueError, match="at least 1 byte"):
+            h.reads(0)
+        with pytest.raises(io.UnsupportedOperation, match="read-only"):
+            h.write_each([b"x"])
+    assert p.read_bytes() == b"abcdefghij"
+
+
+def test_stream_calls_need_a_buffered_handle(tmp_path, need_direct):
+    p = tmp_path / "f"
+    p.write_bytes(b"\0" * 4096)
+    with sb.open_file(p, OpenDisposition.OPEN, Direction.WRITE, IoMode.DIRECT) as h:
+        for call in (h.lines, lambda: h.reads(4096), lambda: h.write_each([b"x" * 4096])):
+            with pytest.raises(io.UnsupportedOperation, match="needs a buffered handle"):
+                call()
+    assert p.read_bytes() == b"\0" * 4096
+
+
 def test_seek_rejects_negative(tmp_path):
     p = _make(tmp_path / "f")
     with sb.open_file(p, OpenDisposition.OPEN, Direction.READ) as h:
@@ -527,6 +556,30 @@ def test_write_chunks_refuses_to_fall_short(tmp_path, chunks):
             sb.engine.write_chunks(fd, chunks, 0, 5)
     finally:
         os.close(fd)
+
+
+def test_write_chunks_ends_on_a_full_disk(tmp_path, enospc_at, deadline):
+    """The fourth chunk write fails: three chunks are on disk and no fifth is taken."""
+    taken = []
+
+    def chunks():
+        for index in itertools.count():
+            taken.append(index)
+            yield bytes([index]) * 4096
+
+    p = tmp_path / "f"
+    before = open_fds()
+    fd = os.open(p, os.O_WRONLY | os.O_CREAT)
+    try:
+        enospc_at(4)
+        with pytest.raises(OSError) as info:
+            sb.engine.write_chunks(fd, chunks(), 0, 10 * 4096)
+    finally:
+        os.close(fd)
+    assert info.value.errno == errno.ENOSPC
+    assert taken == [0, 1, 2, 3]
+    assert p.read_bytes() == b"".join(bytes([index]) * 4096 for index in range(3))
+    assert open_fds() == before
 
 
 # -- aligned buffers ------------------------------------------------------------

@@ -9,6 +9,8 @@ import pytest
 import seqbench as sb
 from seqbench.fragger import FragConfig
 
+from conftest import open_fds
+
 
 # -- config validation ------------------------------------------------------
 
@@ -287,3 +289,19 @@ def test_stalled_write_raises_and_leaves_nothing_behind(tmp_path, short_then_zer
         sb.run_cycles(_scaled(root, event_log=log))
     assert _files_on_disk(root) == {}
     assert log.read_text() == ""
+
+
+def test_a_full_disk_ends_the_run_and_leaves_only_what_it_reports(tmp_path, enospc_at, deadline):
+    """Every write from the sixth on fails: the file it hit is removed, and each
+    later fill phase ends at its first file."""
+    root = tmp_path / "aged"
+    log = tmp_path / "events.log"
+    before = open_fds()
+    enospc_at(6)
+    report = sb.run_cycles(_scaled(root, event_log=log))
+    assert report.created_files > 0
+    assert report.cycles_run == 2
+    assert any("volume full" in note for note in report.notes)
+    assert _files_on_disk(root) == {str(p): s for p, s in report.survivors}
+    assert log.read_text().splitlines() == list(report.events)
+    assert open_fds() == before

@@ -5,6 +5,7 @@ import io
 import math
 import os
 import struct
+import tracemalloc
 import zlib
 
 import pytest
@@ -169,6 +170,93 @@ def test_writes_are_deterministic(tmp_path):
         sb.run_write(first, granularity, 4096, sb.make_rng(9))
         sb.run_write(second, granularity, 4096, sb.make_rng(9))
         assert first.read_bytes() == second.read_bytes()
+
+
+# -- written and read bytes pinned ------------------------------------------------
+
+#: The granularities of tests/golden/run_write_seed137.sha256, by the name it gives them.
+_GOLDEN_GRANULARITIES = {
+    "byte": sb.ByteAtATime(),
+    "block4096": sb.BlockAtATime(4096),
+    "block7": sb.BlockAtATime(7),
+    "record": sb.TypedRecords(),
+    "line": sb.LineAtATime(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_GRANULARITIES))
+def test_written_files_match_their_golden_digests(tmp_path, name):
+    """200,000 bytes written at seed 137: one digest per granularity."""
+    want = dict(line.split()[::-1] for line in golden_text("run_write_seed137.sha256").splitlines())
+    p = tmp_path / "out.dat"
+    sb.run_write(p, _GOLDEN_GRANULARITIES[name], 200_000, sb.make_rng(137))
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == want[name]
+
+
+def _drawn(step: int, total: int, rng) -> bytes:
+    """What a fixed-size run_write writes: one rng.bytes draw per block or
+    record, and one per 64 KiB of single bytes."""
+    draw = 64 * 1024 if step == 1 else step
+    return b"".join(rng.bytes(min(draw, total - start)) for start in range(0, total, draw))
+
+
+_FIXED_SIZES = [sb.ByteAtATime(), sb.BlockAtATime(7), sb.TypedRecords(), sb.BlockAtATime(4096),
+                sb.BlockAtATime(64 * 1024)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fixed_size_files_and_reads_are_the_drawn_bytes(tmp_path, seed):
+    """Sizes just over 64 KiB: single bytes take two draws, the second one
+    short, and most granularities end on a short read."""
+    total = 70_000 + 100 * seed
+    p = tmp_path / "out.dat"
+    for granularity in _FIXED_SIZES:
+        written = sb.run_write(p, granularity, total, sb.make_rng(seed))
+        data = _drawn(granularity.block, total, sb.make_rng(seed))
+        assert p.read_bytes() == data
+        want = zlib.adler32(data, 1)
+        assert (written.bytes_processed, written.checksum) == (total, want)
+        assert written.sample.request_count == math.ceil(total / granularity.block)
+        for reader in _FIXED_SIZES:
+            read = sb.run_read(p, reader)
+            assert (read.bytes_processed, read.checksum) == (total, want)
+            assert read.sample.request_count == math.ceil(total / reader.block)
+
+
+@pytest.mark.parametrize("total", [1, 2, 78, 79, 80, 40_000, 200_003])
+def test_line_files_are_seeded_letter_lines_of_the_exact_total(tmp_path, total):
+    """Lines of 0-78 lowercase letters, the last one cut to end the file at ``total``."""
+    for seed in (0, 1):
+        p, again = tmp_path / "a.txt", tmp_path / "b.txt"
+        result = sb.run_write(p, sb.LineAtATime(), total, sb.make_rng(seed))
+        repeat = sb.run_write(again, sb.LineAtATime(), total, sb.make_rng(seed))
+        data = p.read_bytes()
+        assert data == again.read_bytes()
+        assert (repeat.checksum, repeat.sample.request_count) == (
+            result.checksum, result.sample.request_count
+        )
+        assert len(data) == total
+        assert data.endswith(b"\n")
+        assert set(data) <= set(range(97, 123)) | {10}
+        bodies = data.split(b"\n")[:-1]
+        assert max(map(len, bodies)) <= 78
+        assert result.sample.request_count == len(bodies)
+        assert result.checksum == zlib.adler32(b"".join(bodies), 1)
+        if total == 200_003:  # about 5,000 lines, five batches of drawn lengths
+            assert {len(body) for body in bodies[:-1]} == set(range(79))
+
+
+def test_a_megabyte_block_read_holds_about_one_block(tmp_path):
+    p = tmp_path / "big.dat"
+    p.write_bytes(sb.make_rng(6).bytes(16 << 20))
+    tracemalloc.start()
+    try:
+        result = sb.run_read(p, sb.BlockAtATime(1 << 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.sample.request_count == 16
+    assert peak < 4_000_000, peak
 
 
 # -- typed streams -----------------------------------------------------------------
