@@ -25,7 +25,7 @@ src = root / "source.dat"
 dst = root / "copy.dat"
 
 # 8 MiB of seeded random bytes plus a ragged tail, so the last block is
-# shorter than the rest and the schedule has to get the arithmetic right.
+# shorter than the rest and the slot that walks to it has to cut it short.
 rng = make_rng(7)
 src.write_bytes(rng.bytes(8 * 2**20 + 333))
 

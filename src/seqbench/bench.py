@@ -221,8 +221,9 @@ class BenchmarkResult:
 def detect_clock_ghz() -> float | None:
     """Processor clock in GHz, or None when it cannot be determined.
 
-    SEQBENCH_CLOCK_GHZ wins when set (and must parse); otherwise the CPU
-    model string is consulted, then the running MHz, both via /proc.
+    SEQBENCH_CLOCK_GHZ wins when set (and must parse to a value in 0.1 to
+    10.0); otherwise the CPU model string is consulted, then the running
+    MHz, both via /proc.
     """
     env = os.environ.get(CLOCK_ENV_VAR)
     if env is not None:
@@ -230,8 +231,8 @@ def detect_clock_ghz() -> float | None:
             value = float(env)
         except ValueError:
             raise ConfigError(f"{CLOCK_ENV_VAR}={env!r} is not a number") from None
-        if not value > 0:
-            raise ConfigError(f"{CLOCK_ENV_VAR} must be positive, got {env!r}")
+        if not 0.1 <= value <= 10.0:  # also refuses nan and inf
+            raise ConfigError(f"{CLOCK_ENV_VAR} must be within 0.1 to 10.0 GHz, got {env!r}")
         return value
     try:
         cpuinfo = Path("/proc/cpuinfo").read_text()

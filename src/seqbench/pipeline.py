@@ -1,24 +1,24 @@
 """Overlapped file copy driven by one long-lived slot per in-flight request.
 
-Each of ``depth`` slots owns one block buffer and the block offsets
-i*B, (i+depth)*B, ...; slot 0 runs on the calling thread and every other
-slot on a thread of its own.  For each block a slot reads, waits for the
-block's turn, runs the per-buffer hook, passes the turn on and writes.
-The turns are one plain lock per slot, held while it is not that slot's
-turn and released by the slot before it, so hooks see blocks in file
-order and each write follows its own hook call, while transfers of
-different slots overlap (preadv/pwritev release the interpreter lock).
-Each slot keeps its own counts, summed once every slot has finished, and
-the in-flight high-water mark comes from an atomic counter of transfers
-entered less those that have left.  The final block moves at its exact
-length.  The first failure in any slot, a hook exception or a source that
-shrank included, releases every turn so that all slots finish, and the
-copy is aborted.
+Each of ``depth`` slots owns one block buffer and walks its own offsets,
+range(i*B, size, depth*B), as ``plan_schedule`` lays them out; slot 0
+runs on the calling thread and every other slot on a thread of its own.
+For each block a slot reads, waits for the block's turn, runs the
+per-buffer hook, passes the turn on and writes.  The turns are one plain
+lock per slot, held while it is not that slot's turn and released by the
+slot before it, so hooks see blocks in file order and each write follows
+its own hook call, while transfers of different slots overlap
+(preadv/pwritev release the interpreter lock).  Each slot keeps its own
+counts, summed once every slot has finished, and a busy flag set while
+it is in a transfer; the in-flight high-water mark counts the set flags
+as each transfer enters.  So the ring's state does not grow with the
+file.  Only the final block is short, and it moves at its exact length.
+The first failure in any slot, a hook exception or a shrunk source
+included, releases every turn so that all slots finish, and aborts the copy.
 """
 from __future__ import annotations
 
 import contextlib
-import itertools
 import os
 import threading
 import time
@@ -57,7 +57,8 @@ def plan_schedule(file_size: int, block: int, depth: int) -> list[tuple[int, int
     The triples tile [0, file_size) exactly: offsets rise by ``block``,
     every length is ``block`` except a possibly shorter final one, and the
     slot for a request is (offset // block) mod depth.  A zero-size file
-    yields an empty schedule.
+    yields an empty schedule.  This is the reference layout: copy_file's
+    slots walk it without building it.
     """
     if block < 1:
         raise ValueError(f"block must be at least 1 byte, got {block}")
@@ -92,39 +93,42 @@ def copy_file(
     the partial destination, and raises CopyAbortedError carrying a
     CopyReport of the progress made.
     """
+    if block < 1 or depth < 1:
+        raise ValueError(f"block and depth must be at least 1, got {block} and {depth}")
     started = time.perf_counter()
     with open(src, "rb", buffering=0) as source, open(dst, "xb", buffering=0) as target:
         try:
-            schedule = plan_schedule(os.fstat(source.fileno()).st_size, block, depth)
-            return _copy_blocks(source.fileno(), target.fileno(), schedule, depth, hook, started)
+            size = os.fstat(source.fileno()).st_size
+            return _copy_blocks(source.fileno(), target.fileno(), size, block, depth, hook, started)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.unlink(dst)
             raise
 
 
-def _copy_blocks(src_fd, dst_fd, schedule, depth, hook, started) -> CopyReport:
-    depth = min(depth, len(schedule))  # a slot without blocks starts no thread
+def _copy_blocks(src_fd, dst_fd, size, block, depth, hook, started) -> CopyReport:
+    depth = min(depth, -(-size // block))  # a slot without blocks starts no thread
     turns = [threading.Lock() for _ in range(depth)]
     for turn in turns[1:]:
         turn.acquire()  # a held turn is not yet that slot's; block 0 starts
     errors: list[BaseException] = []
     tallies: list[tuple[int, int, int, int]] = []  # (reads, writes, bytes, peak) per slot
-    entered = itertools.count(1)  # next() is atomic: transfers entered so far
-    exits: list[None] = []  # one entry per transfer that has completed
+    busy = bytearray(depth)  # 1 while that slot is inside a transfer
     preadv, pwritev = os.preadv, os.pwritev
 
     def slot(index: int) -> None:
         reads = writes = copied = peak = 0
-        size = schedule[0][2]
-        view = memoryview(bytearray(size))
-        iov = [view]
+        full = min(block, size)
+        view = memoryview(bytearray(full))
+        iov, shown = [view], view.toreadonly()
         turn, following = turns[index], turns[(index + 1) % depth]
         try:
-            for _, offset, length in schedule[index::depth]:
-                if length != size:
-                    iov = [view[:length]]
-                peak = max(peak, next(entered) - len(exits))
+            for offset in range(index * block, size, depth * block):
+                length = min(block, size - offset)
+                if length != full:  # the final block, shorter than the rest
+                    iov, shown = [view[:length]], view[:length].toreadonly()
+                busy[index] = 1
+                peak = max(peak, sum(busy))
                 got = preadv(src_fd, iov, offset)
                 if got != length:
                     got += transfer_full(src_fd, view[got:], offset + got, length - got,
@@ -134,18 +138,19 @@ def _copy_blocks(src_fd, dst_fd, schedule, depth, hook, started) -> CopyReport:
                             f"source shrank mid-copy: wanted {length} bytes at offset "
                             f"{offset}, got {got}"
                         )
-                exits.append(None)
+                busy[index] = 0
                 turn.acquire()
                 if errors:
                     return
                 reads += 1  # only the turn holder counts reads
-                hook(view[:length].toreadonly())
+                hook(shown)
                 following.release()
-                peak = max(peak, next(entered) - len(exits))
+                busy[index] = 1
+                peak = max(peak, sum(busy))
                 got = pwritev(dst_fd, iov, offset)
                 if got != length:
                     transfer_full(dst_fd, view[got:], offset + got, length - got, write=True)
-                exits.append(None)
+                busy[index] = 0
                 writes += 1
                 copied += length
         finally:

@@ -163,9 +163,11 @@ def run_write(
 
     The file is created fresh (truncated if present).  Every request is
     one stream write call, made from C (``FileHandle.write_each``).  A
-    fixed-size granularity draws its content with ``rng.bytes``, one
-    DEFAULT_BLOCK draw per 64 KiB of single bytes and one draw per block
-    or record otherwise.  LineAtATime writes newline-terminated lines of
+    fixed-size granularity writes what ``rng.bytes`` draws: one
+    DEFAULT_BLOCK draw per 64 KiB of single bytes, and otherwise what one
+    draw per block or record would give, drawn about 64 KiB of whole
+    blocks at a time (see _draw_pieces), the short final block on its
+    own.  LineAtATime writes newline-terminated lines of
     random lowercase letters with lengths uniform on [0, 78], truncating
     the last line so the total is exact; it draws the lengths and then
     the letters of _LINE_BATCH lines with one sized draw each, and its
@@ -180,9 +182,10 @@ def run_write(
         )
     lines = isinstance(granularity, LineAtATime)
     step = None if lines else _fixed_block(granularity)
-    # Single bytes are drawn 64 KiB at a time: one rng call per byte would
-    # cost more than the write being timed.
-    draw = DEFAULT_BLOCK if step == 1 else step
+    # Single bytes are drawn 64 KiB at a time, and whole blocks about that
+    # many bytes at a time: one rng call per request would cost more than
+    # the write being timed.
+    batch = None if lines else max(1, DEFAULT_BLOCK // step)
     checksum = 1
     requests = 0
     remaining = total_bytes
@@ -193,16 +196,32 @@ def run_write(
             if lines:
                 body, pieces = _draw_lines(rng, remaining)
                 remaining -= len(body) + len(pieces)
-            else:
-                body = rng.bytes(min(draw, remaining))
+            elif step == 1:
+                body = rng.bytes(min(DEFAULT_BLOCK, remaining))
                 # A "c" view yields each byte as a cached one-byte bytes object.
-                pieces = memoryview(body).cast("c") if step == 1 else (body,)
+                pieces = memoryview(body).cast("c")
                 remaining -= len(body)
+            else:
+                count = min(batch, remaining // step) or 1  # 0: the short final piece
+                body = pieces = _draw_pieces(rng, min(step, remaining), count)
+                remaining -= body.nbytes
             checksum = zlib.adler32(body, checksum)
             write_each(pieces)
             requests += len(pieces)
         handle.flush(FlushLevel.APPLICATION_BUFFERS)
     return WorkloadResult(total_bytes, checksum, stopwatch.sample(total_bytes, requests))
+
+
+def _draw_pieces(rng: np.random.Generator, step: int, count: int) -> np.ndarray:
+    """``count`` pieces of ``step`` bytes, as ``count`` rng.bytes(step) draws give them.
+
+    rng.bytes draws whole little-endian uint32 words and drops the bytes
+    past its length, so one draw of ``count`` rows of ceil(step / 4) words,
+    each row cut to ``step`` bytes, equals those draws in a row.  Returns
+    the pieces as the rows of one contiguous uint8 array.
+    """
+    words = rng.integers(0, 1 << 32, size=(count, -(-step // 4)), dtype=np.uint32)
+    return np.ascontiguousarray(words.astype("<u4", copy=False).view(np.uint8)[:, :step])
 
 
 def _draw_lines(rng: np.random.Generator, remaining: int) -> tuple[np.ndarray, list[bytes]]:

@@ -231,6 +231,19 @@ def test_clock_env_junk_is_an_error(monkeypatch):
         sb.detect_clock_ghz()
 
 
+@pytest.mark.parametrize("value", ["inf", "1e9", "0.01", "nan", "10.01"])
+def test_clock_env_outside_its_range_is_an_error(monkeypatch, value):
+    monkeypatch.setenv(CLOCK_ENV_VAR, value)
+    with pytest.raises(sb.ConfigError, match="0.1 to 10.0"):
+        sb.detect_clock_ghz()
+
+
+@pytest.mark.parametrize("value, ghz", [("0.1", 0.1), ("10", 10.0)])
+def test_clock_env_range_ends_are_accepted(monkeypatch, value, ghz):
+    monkeypatch.setenv(CLOCK_ENV_VAR, value)
+    assert sb.detect_clock_ghz() == ghz
+
+
 def test_clock_detection_shape(monkeypatch):
     monkeypatch.delenv(CLOCK_ENV_VAR, raising=False)
     ghz = sb.detect_clock_ghz()
@@ -610,9 +623,11 @@ def test_buffered_4k_trial_costs_one_frame_per_request(tmp_path, overrides, budg
 
 @pytest.mark.parametrize(
     "granularity, write_budget",
-    # A record's bytes come from its own rng.bytes draw, which runs four numpy frames.
-    [(sb.ByteAtATime(), 1.0), (sb.TypedRecords(), 5.0)],
-    ids=["byte", "typed-records"],
+    # Blocks and records are drawn about 64 KiB at a time; one such draw runs a few
+    # numpy frames, 0.375 per request at 4 KiB and none in a 7-byte run of one draw.
+    [(sb.ByteAtATime(), 1.0), (sb.TypedRecords(), 0.05), (sb.BlockAtATime(4096), 0.5),
+     (sb.BlockAtATime(7), 0.05)],
+    ids=["byte", "typed-records", "block-4k", "block-7"],
 )
 def test_fixed_size_workloads_make_one_handle_call_per_request(tmp_path, granularity, write_budget):
     path = tmp_path / "written.dat"
@@ -752,15 +767,18 @@ def test_async_4k_trial_stays_within_its_call_budget(tmp_path):
     assert _calls_per_request(run) <= 0.05
 
 
-def test_copy_4k_stays_within_its_call_budget(tmp_path):
-    """Depth 2: the hook is the one Python call per block."""
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_copy_4k_stays_within_its_call_budget(tmp_path, depth):
+    """At every depth the hook is the one Python call per block."""
     sources = {}
     for blocks in (1000, 3000):
         sources[blocks] = tmp_path / f"src_{blocks}"
         sources[blocks].write_bytes(sb.make_rng(blocks).bytes(blocks * 4096))
 
     def run(blocks):
-        report = sb.copy_file(sources[blocks], tmp_path / f"dst_{blocks}", block=4096, depth=2)
+        report = sb.copy_file(
+            sources[blocks], tmp_path / f"dst_{blocks}", block=4096, depth=depth
+        )
         assert report.write_requests == blocks
         (tmp_path / f"dst_{blocks}").unlink()
 

@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 import zlib
 
 import pytest
@@ -302,6 +303,88 @@ def test_copy_rejects_bad_parameters(tmp_path):
         sb.copy_file(src, tmp_path / "a", block=0, depth=2)
     with pytest.raises(ValueError):
         sb.copy_file(src, tmp_path / "b", block=4096, depth=0)
+
+
+@pytest.mark.parametrize("block, depth", [(0, 2), (-1, 2), (4096, 0), (4096, -3)])
+def test_copy_rejects_bad_geometry_before_opening_anything(tmp_path, block, depth):
+    src, dst = tmp_path / "src", tmp_path / "dst"
+    _fill(src, 4096)
+    with pytest.raises(ValueError):
+        sb.copy_file(src, dst, block=block, depth=depth)
+    assert not dst.exists()
+    with pytest.raises(ValueError):  # checked before the missing source is opened
+        sb.copy_file(tmp_path / "nope", dst, block=block, depth=depth)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["src"]
+
+
+@pytest.mark.parametrize(
+    "size, block, depth",
+    [
+        (10 * 4096 + 17, 4096, 3),  # ragged final block
+        (300, 100, 8),  # more slots than blocks
+        (50, 1, 4),  # one byte per block
+        (16 * 64, 64, 4),  # an exact multiple, no tail
+    ],
+)
+def test_copy_slots_walk_the_reference_layout(tmp_path, monkeypatch, size, block, depth):
+    """Every transfer, recorded with its thread, against plan_schedule.
+
+    Each block is read and written once, by one thread; each thread's
+    offsets rise; a thread keeps to one slot, slot 0 being the caller's.
+    """
+    src, dst = tmp_path / "src", tmp_path / "dst"
+    _fill(src, size)
+    transfers = {"preadv": [], "pwritev": []}
+    for name, record in transfers.items():
+        def recorded(fd, buffers, offset, real=getattr(os, name), record=record.append):
+            record((threading.get_ident(), offset, sum(len(memoryview(b)) for b in buffers)))
+            return real(fd, buffers, offset)
+
+        monkeypatch.setattr(os, name, recorded)
+    sb.copy_file(src, dst, block=block, depth=depth)
+    assert dst.read_bytes() == src.read_bytes()
+    reads, writes = transfers["preadv"], transfers["pwritev"]
+    plan = sb.plan_schedule(size, block, depth)
+    for made in (reads, writes):
+        assert sorted((offset, length) for _, offset, length in made) == [
+            (offset, length) for _, offset, length in plan
+        ]
+    reader = {offset: thread for thread, offset, _ in reads}
+    assert {offset: thread for thread, offset, _ in writes} == reader
+    slot_of = {}
+    for thread, offset, _ in reads + writes:
+        assert slot_of.setdefault(thread, (offset // block) % depth) == (offset // block) % depth
+    assert len(set(slot_of.values())) == len(slot_of) == min(depth, len(plan))
+    assert slot_of[threading.get_ident()] == 0
+    for made in (reads, writes):
+        for thread in slot_of:
+            offsets = [offset for who, offset, _ in made if who == thread]
+            assert offsets == sorted(offsets)
+
+
+def _copy_peak_bytes(tmp_path, blocks, block, depth=2):
+    """tracemalloc's peak over one copy of a sparse ``blocks * block``-byte file."""
+    src, dst = tmp_path / f"src_{blocks}", tmp_path / f"dst_{blocks}"
+    with open(src, "wb") as stream:
+        stream.truncate(blocks * block)
+    tracemalloc.start()
+    try:
+        report = sb.copy_file(src, dst, block=block, depth=depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.write_requests == blocks
+    src.unlink()
+    dst.unlink()
+    return peak
+
+
+def test_copy_memory_does_not_grow_with_the_file(tmp_path, deadline):
+    """The ring holds its buffers and O(depth) bookkeeping, nothing per block."""
+    assert _copy_peak_bytes(tmp_path, 16_384, 4096) < 256 * 1024  # 64 MiB in 4 KiB blocks
+    small = _copy_peak_bytes(tmp_path, 4096, 512)
+    large = _copy_peak_bytes(tmp_path, 65_536, 512)
+    assert abs(large - small) < 64 * 1024
 
 
 def test_concurrent_independent_copies(tmp_path):

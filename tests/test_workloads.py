@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import seqbench as sb
-from seqbench.workloads import TypedReader, TypedWriter
+from seqbench.workloads import TypedReader, TypedWriter, _draw_pieces
 
 from conftest import golden_text, open_fds
 
@@ -198,6 +198,18 @@ def _drawn(step: int, total: int, rng) -> bytes:
     record, and one per 64 KiB of single bytes."""
     draw = 64 * 1024 if step == 1 else step
     return b"".join(rng.bytes(min(draw, total - start)) for start in range(0, total, draw))
+
+
+@pytest.mark.parametrize("step", [3, 4, 7, 100, 4096])
+@pytest.mark.parametrize("count", [1, 2, 17])
+def test_batched_pieces_are_the_per_piece_draws(step, count):
+    """One draw of ``count`` pieces gives the bytes of ``count`` rng.bytes draws, and
+    leaves the generator where those draws would."""
+    batched, single = sb.make_rng(step), sb.make_rng(step)
+    pieces = _draw_pieces(batched, step, count)
+    assert pieces.shape == (count, step)
+    assert pieces.tobytes() == b"".join(single.bytes(step) for _ in range(count))
+    assert batched.bytes(16) == single.bytes(16)
 
 
 _FIXED_SIZES = [sb.ByteAtATime(), sb.BlockAtATime(7), sb.TypedRecords(), sb.BlockAtATime(4096),
