@@ -384,7 +384,8 @@ def _trial(cfg: IoConfig, rng, log: TextIO | None = None) -> ThroughputSample:
     Slot 0 runs on the calling thread (depth 1 starts no thread);
     preadv/pwritev release the interpreter lock, so up to ``depth``
     requests overlap.  The first failure in any slot stops the others
-    after their current runs and is raised once every slot has finished.
+    after their current runs, and run_slots raises it once every slot has
+    finished.
     """
     depth = cfg.async_depth or 1
     block = cfg.block
@@ -394,7 +395,7 @@ def _trial(cfg: IoConfig, rng, log: TextIO | None = None) -> ThroughputSample:
     limit = max(depth, cfg.max_requests) if cfg.max_requests is not None else None
     chain = _offset_chain(cfg, rng)
     issued = 0
-    errors: list[BaseException] = []
+    stopped: list[bool] = []  # non-empty once a slot has failed; holds no exception
     lock = threading.Lock()
     with _open_for_trial(cfg) as handle:
         geometry = handle.geometry
@@ -439,7 +440,7 @@ def _trial(cfg: IoConfig, rng, log: TextIO | None = None) -> ThroughputSample:
             while True:
                 with lock:
                     start = issued
-                    if errors or start == limit or (
+                    if stopped or start == limit or (
                         start >= depth and time.perf_counter() >= deadline
                     ):
                         return
@@ -457,16 +458,7 @@ def _trial(cfg: IoConfig, rng, log: TextIO | None = None) -> ThroughputSample:
                     )
 
         stopwatch = Stopwatch()
-        run_slots(depth, slot, errors.append)
-        if errors:
-            try:
-                raise errors[0]
-            finally:
-                # An error's traceback holds a slot frame, which holds this
-                # list.  Emptied, the list closes no reference cycle, so no
-                # part of the trial (its offset generator included) is left
-                # for the cyclic GC to finalize later, inside other code.
-                errors.clear()
+        run_slots(depth, slot, lambda exc: stopped.append(True))
         if write:
             handle.flush(FlushLevel.APPLICATION_BUFFERS)
         return stopwatch.sample(issued * block, issued)

@@ -1,5 +1,10 @@
 """File I/O engine: open dispositions, aligned buffers, two buffering tiers.
 
+This is the package's one home of OS file services, for Linux only:
+direct opens, access hints, preallocation, sector geometry and extent
+counts.  The only transfers made outside it are the inline preadv/pwritev
+of the trial and copy loops.
+
 The benchmarks in this package need to know exactly which software layer a
 transfer passes through.  FileHandle therefore comes in two flavours:
 
@@ -20,14 +25,19 @@ positional request that must move all of its bytes goes through it, and
 write_chunks feeds it every file fill that no timer measures.
 run_slots is the one place that starts threads: the overlapped trial and
 the copy run their slots on it, slot 0 on the calling thread and one
-long-lived thread for each of the others.
+long-lived thread for each of the others.  It is also the one place that
+raises a slot's failure.
 """
 from __future__ import annotations
 
+import contextlib
 import enum
+import errno
+import fcntl
 import functools
 import io
 import os
+import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,9 +45,13 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from . import _platform
 from .core import Direction, OpenDisposition
-from .errors import DirectIoUnsupportedError, DirectRequestError, GeometryProbeError
+from .errors import (
+    DirectIoUnsupportedError,
+    DirectRequestError,
+    ExtentQueryError,
+    GeometryProbeError,
+)
 
 __all__ = [
     "IoMode",
@@ -68,6 +82,13 @@ _MIN_SECTOR = 512
 #: Alignment that is safe for direct transfers on every supported target,
 #: regardless of what the logical sector size turns out to be.
 _SAFE_ALIGNMENT = 64 * 1024
+
+# FIEMAP ioctl pieces, from linux/fiemap.h.  The request header is
+# fm_start, fm_length (u64); fm_flags, fm_mapped_extents, fm_extent_count,
+# fm_reserved (u32).  With fm_extent_count == 0 the kernel only counts.
+_FS_IOC_FIEMAP = 0xC020660B
+_FIEMAP_FLAG_SYNC = 0x0001
+_FIEMAP_HEADER = struct.Struct("=QQIIII")
 
 
 class IoMode(enum.Enum):
@@ -136,11 +157,23 @@ FALLBACK_GEOMETRY = SectorGeometry(4096, _SAFE_ALIGNMENT)
 def detect_sector_geometry(path: str | os.PathLike) -> SectorGeometry:
     """Probe the volume holding ``path`` for its direct-transfer alignment.
 
-    Raises GeometryProbeError, carrying FALLBACK_GEOMETRY, when the device
+    Reads the logical sector size from the device's sysfs queue, or from
+    its parent disk's when a partition has no queue of its own.  Raises
+    GeometryProbeError, carrying FALLBACK_GEOMETRY, when the device
     cannot be resolved or reports something implausible.
     """
     try:
-        sector = _platform.query_sector_size(path)
+        st = os.stat(path)
+        node = Path(f"/sys/dev/block/{os.major(st.st_dev)}:{os.minor(st.st_dev)}")
+        queues = [node / "queue"]
+        with contextlib.suppress(OSError):
+            queues.append(node.resolve(strict=True).parent / "queue")
+        for queue in queues:
+            with contextlib.suppress(OSError, ValueError):
+                sector = int((queue / "logical_block_size").read_text())
+                break
+        else:
+            raise OSError(f"no block device queue information at {node}")
     except OSError as exc:
         raise GeometryProbeError(
             f"cannot determine sector size for {os.fspath(path)!r}: {exc}", FALLBACK_GEOMETRY
@@ -265,25 +298,31 @@ def write_chunks(fd: int, chunks: Iterable, offset: int, length: int) -> None:
 def run_slots(
     depth: int, slot: Callable[[int], None], fail: Callable[[BaseException], None]
 ) -> None:
-    """Run ``slot(0)`` .. ``slot(depth - 1)`` and wait for all of them.
+    """Run ``slot(0)`` .. ``slot(depth - 1)``, wait for all of them, raise any failure.
 
     Slot 0 runs on the calling thread and the others on daemon threads,
     so depth 1 starts none.  An exception escaping a slot, or raised while
-    starting the threads, is handed to ``fail``, which must record it and
-    make the other slots finish; the caller raises what it recorded.  An
-    interrupt (a signal handler's exception, Ctrl-C) that reaches the
-    calling thread while it runs slot 0 is that slot's exception.  The
-    wait for the other slots survives an interrupt too: the exception
-    goes to ``fail``, the wait goes on until every slot has finished, and
-    then the exception is raised here.  Every started thread has been
-    joined when this returns or raises.
+    starting the threads, is recorded and handed to ``fail``, which must
+    make the other slots finish and keep no exception.  An interrupt (a
+    signal handler's exception, Ctrl-C) that reaches the calling thread
+    while it runs slot 0 is that slot's exception; one that reaches the
+    wait for the others goes to ``fail`` too, and the wait goes on.  Once
+    every started thread is joined, this raises the first interrupt that
+    reached the wait, or else the first failure, and empties its record
+    so that no traceback is left in a reference cycle.
     """
+    failures: list[BaseException] = []  # interrupts that reached the wait come first
+    waited = 0  # how many of those there are
+
+    def failed(exc: BaseException) -> None:
+        failures.append(exc)
+        fail(exc)
 
     def guarded(index: int, finished=None) -> None:
         try:
             slot(index)
-        except BaseException as exc:  # forwarded: the caller re-raises it
-            fail(exc)
+        except BaseException as exc:  # recorded: raised once every slot has finished
+            failed(exc)
         finally:
             if finished is not None:
                 finished.release()
@@ -300,9 +339,8 @@ def run_slots(
             started.append((thread, finished))
         if depth > 0:
             guarded(0)
-    except BaseException as exc:  # forwarded: the caller re-raises it
-        fail(exc)
-    interrupt = None
+    except BaseException as exc:  # recorded: raised once every slot has finished
+        failed(exc)
     for thread, finished in started:
         while True:
             try:
@@ -311,11 +349,14 @@ def run_slots(
                 thread.join()
                 break
             except BaseException as exc:  # an interrupt: stop every slot, wait, re-raise
+                failures.insert(waited, exc)
+                waited += 1
                 fail(exc)
-                if interrupt is None:
-                    interrupt = exc
-    if interrupt is not None:
-        raise interrupt
+    try:
+        if failures:
+            raise failures[0]
+    finally:
+        failures.clear()
 
 
 # os.open flag bits per disposition; read/write access bits are added later.
@@ -326,6 +367,11 @@ _DISPOSITION_FLAGS = {
     OpenDisposition.OPEN_OR_CREATE: os.O_CREAT,
     OpenDisposition.APPEND: os.O_CREAT,
     OpenDisposition.TRUNCATE: os.O_TRUNC,
+}
+
+_ADVICE = {
+    AccessHint.SEQUENTIAL: os.POSIX_FADV_SEQUENTIAL,
+    AccessHint.RANDOM: os.POSIX_FADV_RANDOM,
 }
 
 
@@ -515,7 +561,7 @@ class FileHandle:
         if self._stream is not None:
             self._stream.flush()
         current = os.fstat(self._fd).st_size
-        if size > current and hasattr(os, "posix_fallocate"):
+        if size > current:
             try:
                 os.posix_fallocate(self._fd, 0, size)
             except OSError:
@@ -605,9 +651,10 @@ def open_file(
     flags = _DISPOSITION_FLAGS[disposition]
     flags |= os.O_RDONLY if read_only else os.O_RDWR
 
-    fd = _platform.open_raw(path, flags, direct=io_mode is IoMode.DIRECT)
+    fd = _open_raw(path, flags, direct=io_mode is IoMode.DIRECT)
     try:
-        _platform.advise_access(fd, sequential=access_hint is AccessHint.SEQUENTIAL)
+        with contextlib.suppress(OSError):  # only a hint, which a filesystem may refuse
+            os.posix_fadvise(fd, 0, 0, _ADVICE[access_hint])
         geometry = None
         stream = None
         if io_mode is IoMode.DIRECT:
@@ -631,25 +678,41 @@ def open_file(
     return handle
 
 
+def _open_raw(path: str | os.PathLike, flags: int, *, direct: bool) -> int:
+    """os.open, with O_DIRECT when ``direct``; a filesystem's refusal of it
+    raises DirectIoUnsupportedError, and other failures propagate as they are."""
+    if not direct:
+        return os.open(path, flags, 0o666)
+    try:
+        return os.open(path, flags | os.O_DIRECT, 0o666)
+    except OSError as exc:
+        if exc.errno in (errno.EINVAL, errno.EOPNOTSUPP, errno.ENOTSUP):
+            raise DirectIoUnsupportedError(
+                f"filesystem holding {os.fspath(path)!r} rejects uncached opens: {exc}"
+            ) from exc
+        raise
+
+
 def count_extents(handle: FileHandle) -> int:
-    """How many extents back the file; raises ExtentQueryError if unknowable."""
+    """How many extents back the file (FIEMAP); raises ExtentQueryError if unknowable."""
     if handle.writable:
         handle.flush(FlushLevel.APPLICATION_BUFFERS)
-    return _platform.count_extents(handle.fileno())
+    request = bytearray(_FIEMAP_HEADER.pack(0, (1 << 64) - 1, _FIEMAP_FLAG_SYNC, 0, 0, 0))
+    try:
+        fcntl.ioctl(handle.fileno(), _FS_IOC_FIEMAP, request)
+    except OSError as exc:
+        raise ExtentQueryError(f"filesystem refused the extent query: {exc}") from exc
+    return _FIEMAP_HEADER.unpack(request)[3]
 
 
 def supports_direct_io(directory: str | os.PathLike) -> bool:
     """Whether files under ``directory`` can be opened with caching disabled."""
     probe = Path(directory) / f".direct_probe_{os.getpid()}"
     try:
-        fd = _platform.open_raw(probe, os.O_CREAT | os.O_EXCL | os.O_RDWR, direct=True)
-    except DirectIoUnsupportedError:
-        return False
-    except OSError:
+        fd = _open_raw(probe, os.O_CREAT | os.O_EXCL | os.O_RDWR, direct=True)
+    except OSError:  # DirectIoUnsupportedError among them
         return False
     os.close(fd)
-    try:
+    with contextlib.suppress(OSError):
         probe.unlink()
-    except OSError:
-        pass
     return True

@@ -196,12 +196,12 @@ def plan_directory_tree(cfg: FragConfig, volume_capacity: int | None = None) -> 
 
 
 def _write_file(path: Path, size: int) -> None:
-    """Write ``size`` pattern bytes in full; if a write fails, leave nothing behind."""
+    """Write ``size`` pattern bytes in full; on a failure or an interrupt, leave nothing behind."""
     chunk = bytes([_FILL_BYTE]) * min(_WRITE_CHUNK, size)
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         write_chunks(fd, itertools.repeat(chunk), 0, size)
-    except OSError:
+    except BaseException:
         os.close(fd)
         try:
             os.unlink(path)

@@ -111,7 +111,7 @@ def _copy_blocks(src_fd, dst_fd, size, block, depth, hook, started) -> CopyRepor
     turns = [threading.Lock() for _ in range(depth)]
     for turn in turns[1:]:
         turn.acquire()  # a held turn is not yet that slot's; block 0 starts
-    errors: list[BaseException] = []
+    stopped: list[bool] = []  # non-empty once a slot has failed; holds no exception
     tallies: list[tuple[int, int, int, int]] = []  # (reads, writes, bytes, peak) per slot
     busy = bytearray(depth)  # 1 while that slot is inside a transfer
     preadv, pwritev = os.preadv, os.pwritev
@@ -140,7 +140,7 @@ def _copy_blocks(src_fd, dst_fd, size, block, depth, hook, started) -> CopyRepor
                         )
                 busy[index] = 0
                 turn.acquire()
-                if errors:
+                if stopped:
                     return
                 reads += 1  # only the turn holder counts reads
                 hook(shown)
@@ -157,18 +157,19 @@ def _copy_blocks(src_fd, dst_fd, size, block, depth, hook, started) -> CopyRepor
             tallies.append((reads, writes, copied, peak))
 
     def fail(exc: BaseException) -> None:
-        errors.append(exc)
-        for turn in turns:  # every waiting slot wakes, sees the error and returns
+        stopped.append(True)
+        for turn in turns:  # every waiting slot wakes, sees the stop and returns
             with contextlib.suppress(RuntimeError):  # that turn was not held
                 turn.release()
 
-    run_slots(depth, slot, fail)
-    reads, writes, copied, peaks = zip((0, 0, 0, 0), *tallies)
-    report = CopyReport(
-        sum(copied), sum(reads), sum(writes), time.perf_counter() - started, max(peaks)
-    )
-    if errors:
-        if not isinstance(errors[0], Exception):
-            raise errors[0]  # an interrupt such as KeyboardInterrupt stays itself
-        raise CopyAbortedError(f"copy aborted: {errors[0]}", report) from errors[0]
-    return report
+    def progress() -> CopyReport:
+        reads, writes, copied, peaks = zip((0, 0, 0, 0), *tallies)
+        return CopyReport(
+            sum(copied), sum(reads), sum(writes), time.perf_counter() - started, max(peaks)
+        )
+
+    try:
+        run_slots(depth, slot, fail)
+    except Exception as exc:  # an interrupt such as KeyboardInterrupt stays itself
+        raise CopyAbortedError(f"copy aborted: {exc}", progress()) from exc
+    return progress()

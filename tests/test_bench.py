@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import zlib
 
 import pytest
 from conftest import Interrupt, open_fds, proc_io
@@ -375,6 +376,22 @@ def test_touch_mode_runs(tmp_path):
     cfg = _cfg(tmp_path, touch=True, max_requests=16)
     result = sb.run_measurement(cfg, trials=1, warmup=0)
     assert result.bytes_moved == 16 * 4096
+
+
+@pytest.mark.parametrize(
+    "overrides", [{"seek_pct": 50}, {"async_depth": 2}, {"direct": True}],
+    ids=["seek", "depth2", "direct"],
+)
+def test_touch_reads_every_positional_request_once(tmp_path, monkeypatch, request, overrides):
+    if overrides.get("direct"):
+        request.getfixturevalue("need_direct")
+    cfg = _cfg(tmp_path, touch=True, max_requests=32, **overrides)
+    sums = []
+    real = zlib.adler32
+    monkeypatch.setattr(zlib, "adler32", lambda data: sums.append(len(data)) or real(data))
+    result = sb.run_measurement(cfg, trials=1, warmup=0)
+    assert sums == [4096] * result.samples[0].request_count
+    assert result.samples[0].request_count == 32
 
 
 def test_async_read_accounting(tmp_path):

@@ -526,6 +526,18 @@ def test_preallocate_rejects_negative(tmp_path):
             h.preallocate(-1)
 
 
+def test_preallocate_falls_back_to_truncate_where_allocation_is_refused(tmp_path, monkeypatch):
+    def refuse(fd, offset, length):
+        raise OSError(errno.EOPNOTSUPP, os.strerror(errno.EOPNOTSUPP))
+
+    monkeypatch.setattr(os, "posix_fallocate", refuse)
+    p = _make(tmp_path / "f", b"z" * 4096)
+    with sb.open_file(p, OpenDisposition.OPEN_OR_CREATE, Direction.WRITE) as h:
+        h.preallocate(65536)
+        assert h.length == 65536
+    assert p.read_bytes() == b"z" * 4096 + bytes(65536 - 4096)
+
+
 # -- write_chunks ---------------------------------------------------------------
 
 def test_write_chunks_cuts_the_last_chunk_and_takes_no_more(tmp_path):
@@ -729,6 +741,48 @@ def test_direct_unsupported_volume_is_a_distinct_error():
             os.unlink(probe)
 
 
+@pytest.mark.parametrize("refusal", [errno.EINVAL, errno.EOPNOTSUPP], ids=errno.errorcode.get)
+def test_a_volume_that_refuses_direct_opens(tmp_path, monkeypatch, refusal):
+    """Only the cache-bypass flag is refused: the probe answers False and
+    leaves nothing behind, and open_file raises the distinct error."""
+    real_open = os.open
+
+    def refusing(path, flags, mode=0o777, **kwargs):
+        if flags & os.O_DIRECT:
+            raise OSError(refusal, os.strerror(refusal))
+        return real_open(path, flags, mode, **kwargs)
+
+    p = _make(tmp_path / "f")
+    monkeypatch.setattr(os, "open", refusing)
+    assert sb.supports_direct_io(tmp_path) is False
+    assert sorted(tmp_path.iterdir()) == [p]
+    with pytest.raises(sb.DirectIoUnsupportedError) as info:
+        sb.open_file(p, OpenDisposition.OPEN, Direction.READ, io_mode=IoMode.DIRECT)
+    assert info.value.__cause__.errno == refusal
+    with sb.open_file(p, OpenDisposition.OPEN, Direction.READ) as h:
+        assert h.length == 100
+
+
+def test_a_failed_geometry_probe_closes_the_direct_open(tmp_path, monkeypatch):
+    """The open itself succeeds (the cache-bypass flag is dropped, so any
+    volume will do); the probe after it fails, and the descriptor goes."""
+    real_open = os.open
+
+    def failed_probe(path):
+        raise sb.GeometryProbeError(f"no queue for {path}", FALLBACK_GEOMETRY)
+
+    monkeypatch.setattr(os, "open", lambda path, flags, mode=0o777: real_open(
+        path, flags & ~os.O_DIRECT, mode
+    ))
+    monkeypatch.setattr(sb.engine, "detect_sector_geometry", failed_probe)
+    p = _make(tmp_path / "f")
+    before = open_fds()
+    with pytest.raises(sb.GeometryProbeError) as info:
+        sb.open_file(p, OpenDisposition.OPEN, Direction.READ, io_mode=IoMode.DIRECT)
+    assert info.value.fallback == FALLBACK_GEOMETRY
+    assert open_fds() == before
+
+
 def test_supports_direct_io_probe(tmp_path, direct_ok):
     assert sb.supports_direct_io(tmp_path) == direct_ok
     assert isinstance(sb.supports_direct_io(tmp_path), bool)
@@ -748,6 +802,42 @@ def test_count_extents_on_real_file(tmp_path):
 
 
 # -- run_slots -----------------------------------------------------------------------
+
+def test_run_slots_raises_a_slot_failure_after_fail_saw_it(deadline):
+    seen = []
+
+    def slot(index):
+        if index == 1:
+            raise ValueError("slot 1 failed")
+
+    with pytest.raises(ValueError, match="slot 1 failed"):
+        run_slots(2, slot, lambda exc: seen.append(str(exc)))
+    assert seen == ["slot 1 failed"]
+
+
+def test_an_interrupt_in_the_wait_wins_over_an_earlier_slot_failure(interrupt_after):
+    """Slot 0 fails at once, but ``fail`` stops slot 1 only for the interrupt,
+    which lands in the wait: that interrupt is what run_slots raises."""
+    stop = threading.Event()
+    failures = []
+
+    def slot(index):
+        if index == 0:
+            raise ValueError("slot 0 failed")
+        stop.wait(10)
+
+    def fail(exc):
+        failures.append(type(exc))
+        if isinstance(exc, Interrupt):
+            stop.set()
+
+    before = threading.active_count()
+    interrupt_after(0.2)
+    with pytest.raises(Interrupt):
+        run_slots(2, slot, fail)
+    assert failures == [ValueError, Interrupt]
+    assert threading.active_count() == before
+
 
 def test_run_slots_wait_survives_an_interrupt(interrupt_after):
     """Slot 0 returns at once; slot 1 runs until ``fail`` stops it.

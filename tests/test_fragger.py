@@ -1,4 +1,5 @@
 """Volume aging: tree planning, churn cycles, determinism, occupancy targets."""
+import itertools
 import math
 import os
 import shutil
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import seqbench as sb
+from seqbench import fragger
 from seqbench.fragger import FragConfig
 
 from conftest import open_fds
@@ -302,6 +304,32 @@ def test_a_full_disk_ends_the_run_and_leaves_only_what_it_reports(tmp_path, enos
     assert report.created_files > 0
     assert report.cycles_run == 2
     assert any("volume full" in note for note in report.notes)
+    assert _files_on_disk(root) == {str(p): s for p, s in report.survivors}
+    assert log.read_text().splitlines() == list(report.events)
+    assert open_fds() == before
+
+
+def test_an_interrupt_mid_write_ends_the_run_and_leaves_only_what_it_reports(
+    tmp_path, monkeypatch, deadline
+):
+    """Ctrl-C ends an unbounded run; here it lands halfway through the fifth
+    file, which must go with its descriptor, unrecorded."""
+    root = tmp_path / "aged"
+    log = tmp_path / "events.log"
+    real = fragger.write_chunks
+    calls = itertools.count(1)
+
+    def interrupted(fd, chunks, offset, length):
+        if next(calls) == 5:
+            real(fd, chunks, offset, length // 2)
+            raise KeyboardInterrupt
+        real(fd, chunks, offset, length)
+
+    monkeypatch.setattr(fragger, "write_chunks", interrupted)
+    before = open_fds()
+    report = sb.run_cycles(_scaled(root, event_log=log, max_cycles=0))
+    assert "interrupted, stopping after partial cycle" in report.notes
+    assert report.created_files == 4
     assert _files_on_disk(root) == {str(p): s for p, s in report.survivors}
     assert log.read_text().splitlines() == list(report.events)
     assert open_fds() == before

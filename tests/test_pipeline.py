@@ -1,5 +1,6 @@
 """Overlapped copy: schedule tiling, ring behavior, report accounting."""
 import errno
+import gc
 import hashlib
 import itertools
 import os
@@ -234,6 +235,25 @@ def test_hook_exception_at_any_block_aborts_cleanly(tmp_path, deadline, depth, f
     assert not dst.exists()
     assert len(seen) == failing + 1  # no hook call after the failing block
     assert info.value.progress.write_requests < blocks
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_a_failed_copy_leaves_no_garbage_cycle(tmp_path, deadline, depth):
+    """A cycle through the failed slots' frames would hold every slot's
+    block buffer until the cyclic GC ran, inside whatever code ran then."""
+    src, dst = tmp_path / "src", tmp_path / "dst"
+    _fill(src, 1 << 20)
+    seen = []
+
+    def hook(view):
+        seen.append(len(view))
+        if len(seen) == 5:
+            raise RuntimeError("synthetic processing failure")
+
+    gc.collect()
+    with pytest.raises(sb.CopyAbortedError):
+        sb.copy_file(src, dst, block=64 << 10, depth=depth, hook=hook)
+    assert gc.collect() == 0
 
 
 def test_interrupted_copy_stops_every_slot_and_removes_the_destination(tmp_path, interrupt_after):
