@@ -172,6 +172,14 @@ class AsyncCopyInvocation:
     depth: int = pipeline.DEFAULT_DEPTH
     directory: Path | None = None
 
+    def __post_init__(self):
+        if self.size < 1:
+            raise ConfigError(f"size must be at least 1 byte, got {self.size}")
+        if self.block < 1:
+            raise ConfigError(f"block must be at least 1 byte, got {self.block}")
+        if self.depth < 1:
+            raise ConfigError(f"depth must be at least 1, got {self.depth}")
+
 
 _BARE, _OPTIONAL, _REQUIRED = "bare", "optional", "required"
 
@@ -188,8 +196,6 @@ _IOSPEED_FLAGS = {
     "c": _BARE,
     "q": _BARE,
 }
-
-_ASYNCCOPY_FLAGS = {"z": _REQUIRED, "b": _REQUIRED, "a": _REQUIRED}
 
 
 def _scan(args, flags: dict[str, str], tool: str):
@@ -228,70 +234,18 @@ def _size(text: str, flag: str) -> int:
         raise ConfigError(f"-{flag}: {exc}") from None
 
 
-def _int(text: str, flag: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"-{flag}: expected an integer, got {text!r}") from None
-
-
-def parse_iospeed(args) -> IospeedInvocation:
-    found, positionals = _scan(args, _IOSPEED_FLAGS, "iospeed")
-    if len(positionals) != 1:
-        raise ConfigError(f"iospeed needs exactly one file path, got {positionals!r}")
-    if "r" in found and "w" in found:
-        raise ConfigError("iospeed: -r and -w are mutually exclusive")
-    if "x" in found and "p" in found:
-        raise ConfigError("iospeed: -x and -p are mutually exclusive")
-
-    rw_text = found.get("r") if "r" in found else found.get("w")
-    rw_size = _size(rw_text, "r" if "r" in found else "w") if rw_text else None
-    extension = None
-    ext_size = None
-    if "x" in found or "p" in found:
-        flag = "x" if "x" in found else "p"
-        extension = ExtensionMode.INCREMENTAL if flag == "x" else ExtensionMode.PREALLOCATED
-        ext_size = _size(found[flag], flag) if found[flag] else None
-
-    # Bare forms borrow the other phase's explicit size; with neither
-    # spelled out, both default to 1G.
-    file_size = rw_size or ext_size or DEFAULT_FILE_SIZE
-    if extension is not None:
-        ext_size = ext_size or rw_size or DEFAULT_FILE_SIZE
-
-    duration = DEFAULT_DURATION
-    if "t" in found:
+def _number(convert, expected: str):
+    """A flag value parser: ``convert``, or an error naming the ``expected`` form."""
+    def parse(text: str, flag: str):
         try:
-            duration = float(found["t"])
+            return convert(text)
         except ValueError:
-            raise ConfigError(f"-t: expected seconds, got {found['t']!r}") from None
+            raise ConfigError(f"-{flag}: expected {expected}, got {text!r}") from None
 
-    # Ranges (duration, depth, seek percentage) are IoConfig's to check.
-    block = _size(found["b"], "b") if "b" in found else DEFAULT_BLOCK
-    depth = None
-    if "a" in found:
-        depth = _int(found["a"], "a") if found["a"] else DEFAULT_ASYNC_DEPTH
-    seek = None
-    if "s" in found:
-        seek = _int(found["s"], "s") if found["s"] else 100
-        if seek == 0:
-            seek = None  # -s0 spells sequential out loud
+    return parse
 
-    try:
-        config = IoConfig(
-            path=Path(positionals[0]),
-            direction=Direction.WRITE if "w" in found else Direction.READ,
-            file_size=file_size,
-            duration=duration,
-            block=block,
-            async_depth=depth,
-            direct="d" in found,
-            seek_pct=seek,
-            touch="c" in found,
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"iospeed: {exc}") from None
-    return IospeedInvocation(config, extension, ext_size if extension else None, "q" in found)
+
+_int, _seconds = _number(int, "an integer"), _number(float, "seconds")
 
 
 def _size_mb_default(text: str, flag: str) -> int:
@@ -299,6 +253,64 @@ def _size_mb_default(text: str, flag: str) -> int:
     if text.isascii() and text.isdigit():
         return int(text) << 20
     return _size(text, flag)
+
+
+def _value(found, flag, parse, bare=None, absent=None):
+    """``flag``'s value read by ``parse``: ``bare`` if it has none, ``absent`` if not given."""
+    if flag not in found:
+        return absent
+    text = found[flag]
+    return bare if text is None else parse(text, flag)
+
+
+def _values(found, table) -> dict:
+    """Keyword values for the given flags of a ``{flag: (field, parser)}`` table."""
+    return {field: parse(found[flag], flag) for flag, (field, parse) in table.items() if flag in found}
+
+
+def _either(found, first: str, second: str) -> str | None:
+    """Which flag of a mutually exclusive pair was given, if either."""
+    if first in found and second in found:
+        raise ConfigError(f"iospeed: -{first} and -{second} are mutually exclusive")
+    return first if first in found else second if second in found else None
+
+
+def _build(tool: str, kind, **values):
+    """``kind(**values)``, with its range errors reported under the tool's name."""
+    try:
+        return kind(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{tool}: {exc}") from None
+
+
+def parse_iospeed(args) -> IospeedInvocation:
+    found, positionals = _scan(args, _IOSPEED_FLAGS, "iospeed")
+    if len(positionals) != 1:
+        raise ConfigError(f"iospeed needs exactly one file path, got {positionals!r}")
+    timed = _either(found, "r", "w")
+    grow = _either(found, "x", "p")
+    rw_size = _value(found, timed, _size)
+    ext_size = _value(found, grow, _size)
+    extension = {"x": ExtensionMode.INCREMENTAL, "p": ExtensionMode.PREALLOCATED}.get(grow)
+    # Ranges (duration, depth, seek percentage) are IoConfig's to check.
+    config = _build(
+        "iospeed",
+        IoConfig,
+        path=Path(positionals[0]),
+        direction=Direction.WRITE if timed == "w" else Direction.READ,
+        # Bare forms borrow the other phase's explicit size; with neither
+        # spelled out, both default to 1G.
+        file_size=rw_size or ext_size or DEFAULT_FILE_SIZE,
+        duration=_value(found, "t", _seconds, absent=DEFAULT_DURATION),
+        block=_value(found, "b", _size, absent=DEFAULT_BLOCK),
+        async_depth=_value(found, "a", _int, bare=DEFAULT_ASYNC_DEPTH),
+        direct="d" in found,
+        seek_pct=_value(found, "s", _int, bare=100) or None,  # -s0 spells sequential out loud
+        touch="c" in found,
+    )
+    if extension is not None:
+        ext_size = ext_size or rw_size or DEFAULT_FILE_SIZE
+    return IospeedInvocation(config, extension, ext_size, "q" in found)
 
 
 #: fragdisk flag -> (FragConfig field, value parser); every flag needs a value.
@@ -315,22 +327,16 @@ _FRAGDISK_FIELDS = {
     "r": ("seed", _int),
 }
 
-_FRAGDISK_FLAGS = {name: _REQUIRED for name in _FRAGDISK_FIELDS}
+#: asynccopy flag -> (AsyncCopyInvocation field, value parser); every flag needs a value.
+_ASYNCCOPY_FIELDS = {"z": ("size", _size), "b": ("block", _size), "a": ("depth", _int)}
 
 
 def parse_fragdisk(args) -> FragdiskInvocation:
-    found, positionals = _scan(args, _FRAGDISK_FLAGS, "fragdisk")
+    found, positionals = _scan(args, dict.fromkeys(_FRAGDISK_FIELDS, _REQUIRED), "fragdisk")
     if len(positionals) != 1:
         raise ConfigError(f"fragdisk needs exactly one directory, got {positionals!r}")
-    values = dict(root=Path(positionals[0]))
-    for flag, (field, parse) in _FRAGDISK_FIELDS.items():
-        if flag in found:
-            values[field] = parse(found[flag], flag)
-    try:
-        config = FragConfig(**values)
-    except ValueError as exc:
-        raise ConfigError(f"fragdisk: {exc}") from None
-    return FragdiskInvocation(config)
+    values = _values(found, _FRAGDISK_FIELDS)
+    return FragdiskInvocation(_build("fragdisk", FragConfig, root=Path(positionals[0]), **values))
 
 
 def parse_examples(args) -> ExamplesInvocation:
@@ -356,21 +362,12 @@ def parse_examples(args) -> ExamplesInvocation:
 
 
 def parse_asynccopy(args) -> AsyncCopyInvocation:
-    found, positionals = _scan(args, _ASYNCCOPY_FLAGS, "asynccopy")
+    found, positionals = _scan(args, dict.fromkeys(_ASYNCCOPY_FIELDS, _REQUIRED), "asynccopy")
     if len(positionals) > 1:
         raise ConfigError(f"asynccopy takes at most one directory, got {positionals!r}")
-    defaults = AsyncCopyInvocation()
-    size = _size(found["z"], "z") if "z" in found else defaults.size
-    block = _size(found["b"], "b") if "b" in found else defaults.block
-    depth = _int(found["a"], "a") if "a" in found else defaults.depth
-    if size < 1:
-        raise ConfigError(f"asynccopy: size must be at least 1 byte, got {size}")
-    if block < 1:
-        raise ConfigError(f"asynccopy: block must be at least 1 byte, got {block}")
-    if depth < 1:
-        raise ConfigError(f"asynccopy: depth must be at least 1, got {depth}")
+    values = _values(found, _ASYNCCOPY_FIELDS)
     directory = Path(positionals[0]) if positionals else None
-    return AsyncCopyInvocation(size, block, depth, directory)
+    return _build("asynccopy", AsyncCopyInvocation, directory=directory, **values)
 
 
 # -- execution -------------------------------------------------------------
@@ -441,25 +438,20 @@ def _run_examples(inv: ExamplesInvocation) -> int:
     rng = make_rng(DEFAULT_SEED)
     clock = detect_clock_ghz()
     print(f"workload matrix on {path}: {inv.record_count} records, {total} bytes")
+    cells = (  # (direction, block_bytes, what one call moves, workload), in run order
+        ("write", 1, "one byte per call", lambda: run_write(path, ByteAtATime(), total, rng)),
+        ("write", block, "64K blocks (builds the sort input file)",
+         lambda: write_sort_file(path, inv.record_count, rng, io_block=block)),
+        ("write", 0, "one line per call", lambda: run_write(path, LineAtATime(), total, rng)),
+        ("read", 1, "one byte per call", lambda: run_read(path, ByteAtATime())),
+        ("read", 0, "one line per call", lambda: run_read(path, LineAtATime())),
+        ("read", block, "64K blocks", lambda: run_read(path, BlockAtATime(block))),
+    )
     rows = []
-
-    def row(direction: str, block_bytes: int, workload) -> None:
-        result = BenchmarkResult.from_samples([workload.sample], clock)
+    for direction, block_bytes, unit, workload in cells:
+        print(f"  {direction}, {unit}")
+        result = BenchmarkResult.from_samples([workload().sample], clock)
         rows.append(result_row("examples", result, direction=direction, block_bytes=block_bytes))
-
-    print("  write, one byte per call")
-    row("write", 1, run_write(path, ByteAtATime(), total, rng))
-    print("  write, 64K blocks (builds the sort input file)")
-    row("write", block, write_sort_file(path, inv.record_count, rng, io_block=block))
-    print("  write, one line per call")
-    row("write", 0, run_write(path, LineAtATime(), total, rng))
-    print("  read, one byte per call")
-    row("read", 1, run_read(path, ByteAtATime()))
-    print("  read, one line per call")
-    row("read", 0, run_read(path, LineAtATime()))
-    print("  read, 64K blocks")
-    row("read", block, run_read(path, BlockAtATime(block)))
-
     sys.stdout.write(to_csv(rows))
     return 0
 
@@ -517,32 +509,30 @@ def _run_asynccopy(inv: AsyncCopyInvocation) -> int:
                 pass
 
 
+#: The tools: name -> (parser, usage page, invocation type, runner).
+_TOOLS = {
+    "iospeed": (parse_iospeed, IOSPEED_USAGE, IospeedInvocation, _run_iospeed),
+    "fragdisk": (parse_fragdisk, FRAGDISK_USAGE, FragdiskInvocation, _run_fragdisk),
+    "examples": (parse_examples, EXAMPLES_USAGE, ExamplesInvocation, _run_examples),
+    "asynccopy": (parse_asynccopy, ASYNCCOPY_USAGE, AsyncCopyInvocation, _run_asynccopy),
+}
+
+
 def run(invocation) -> int:
     """Execute a parsed invocation; returns the process exit code."""
-    try:
-        if isinstance(invocation, IospeedInvocation):
-            return _run_iospeed(invocation)
-        if isinstance(invocation, FragdiskInvocation):
-            return _run_fragdisk(invocation)
-        if isinstance(invocation, ExamplesInvocation):
-            return _run_examples(invocation)
-        if isinstance(invocation, AsyncCopyInvocation):
-            return _run_asynccopy(invocation)
+    for _, _, kind, runner in _TOOLS.values():
+        if isinstance(invocation, kind):
+            break
+    else:
         raise TypeError(f"not an invocation: {invocation!r}")
+    try:
+        return runner(invocation)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-_TOOLS = {
-    "iospeed": (parse_iospeed, IOSPEED_USAGE),
-    "fragdisk": (parse_fragdisk, FRAGDISK_USAGE),
-    "examples": (parse_examples, EXAMPLES_USAGE),
-    "asynccopy": (parse_asynccopy, ASYNCCOPY_USAGE),
-}
 
 
 def main(argv=None) -> int:
@@ -558,7 +548,7 @@ def main(argv=None) -> int:
     if entry is None:
         print(f"error: unknown tool {tool!r}\n\n{GLOBAL_USAGE}", file=sys.stderr)
         return 2
-    parser, usage = entry
+    parser, usage, _, _ = entry
     if any(arg in ("-h", "--help") for arg in args[1:]):
         print(usage)
         return 0

@@ -2,8 +2,10 @@
 
 This is the package's one home of OS file services, for Linux only:
 direct opens, access hints, preallocation, sector geometry and extent
-counts.  The only transfers made outside it are the inline preadv/pwritev
-of the trial and copy loops.
+counts.  Measured transfers go through it or the inline preadv/pwritev of
+the trial and copy loops.  The copy's two files, the fragger's files and
+the unmeasured ones (offset and event logs, typed_roundtrip, count_lines,
+the asynccopy checksum) are opened outside it, with open() or os.open.
 
 The benchmarks in this package need to know exactly which software layer a
 transfer passes through.  FileHandle therefore comes in two flavours:

@@ -238,10 +238,8 @@ def run_cycles(cfg: FragConfig) -> FragReport:
         (root / leaf).mkdir(parents=True, exist_ok=True)
 
     rng = make_rng(cfg.seed)
-    live_sizes: dict[str, int] = {}
-    live_order: list[str] = []
+    live: list[tuple[str, int, int]] = []  # (relative path, size, leaf index) per live file
     leaf_loads = [0] * plan.leaf_count
-    leaf_of: dict[str, int] = {}
 
     events: list[str] = []
     notes: list[str] = []
@@ -249,6 +247,7 @@ def run_cycles(cfg: FragConfig) -> FragReport:
     created = deleted = 0
     bytes_written = bytes_deleted = 0
     serial = 0
+    in_flight = None  # ("C", path) or ("D", index into live) until that change is recorded
     log_stream = open(cfg.event_log, "w") if cfg.event_log is not None else None
 
     def occupancy() -> int:
@@ -259,6 +258,16 @@ def run_cycles(cfg: FragConfig) -> FragReport:
         if log_stream is not None:
             log_stream.write(event + "\n")
 
+    def drop(index: int) -> None:
+        """Record the delete of ``live[index]``, whose file is gone."""
+        nonlocal deleted, bytes_deleted
+        live[index], live[-1] = live[-1], live[index]
+        rel, size, leaf = live.pop()
+        leaf_loads[leaf] -= 1
+        deleted += 1
+        bytes_deleted += size
+        record(f"D {rel} {size}")
+
     try:
         cycles = range(1, cfg.max_cycles + 1) if cfg.max_cycles else itertools.count(1)
         cycles_run = 0
@@ -268,7 +277,7 @@ def run_cycles(cfg: FragConfig) -> FragReport:
             while (
                 occupancy() < fill_target
                 and created_this_cycle < cfg.files_per_cycle
-                and len(live_order) < cfg.max_files
+                and len(live) < cfg.max_files
             ):
                 size = int(rng.integers(cfg.min_file, cfg.max_file, endpoint=True))
                 if cfg.capacity_limit is not None and occupancy() + size > capacity:
@@ -281,6 +290,7 @@ def run_cycles(cfg: FragConfig) -> FragReport:
                 leaf_index = leaf_loads.index(load)
                 rel = str(plan.leaves[leaf_index] / f"f{serial:08d}.dat")
                 serial += 1
+                in_flight = "C", rel
                 try:
                     _write_file(root / rel, size)
                 except OSError as exc:
@@ -288,37 +298,36 @@ def run_cycles(cfg: FragConfig) -> FragReport:
                         notes.append(f"cycle {cycle}: volume full, purging early")
                         break
                     raise
-                live_sizes[rel] = size
-                live_order.append(rel)
+                live.append((rel, size, leaf_index))
                 leaf_loads[leaf_index] += 1
-                leaf_of[rel] = leaf_index
                 created += 1
                 created_this_cycle += 1
                 bytes_written += size
                 record(f"C {rel} {size}")
+                in_flight = None
             boundaries.append(PhaseBoundary(cycle, "fill", occupancy(), fill_target))
             os.sync()
-            while occupancy() > keep_target and live_order:
-                pick = int(rng.integers(0, len(live_order)))
-                rel = live_order[pick]
-                live_order[pick] = live_order[-1]
-                live_order.pop()
-                size = live_sizes.pop(rel)
-                os.unlink(root / rel)
-                leaf_loads[leaf_of.pop(rel)] -= 1
-                deleted += 1
-                bytes_deleted += size
-                record(f"D {rel} {size}")
+            while occupancy() > keep_target and live:
+                pick = int(rng.integers(0, len(live)))
+                in_flight = "D", pick
+                os.unlink(root / live[pick][0])
+                drop(pick)
+                in_flight = None
             boundaries.append(PhaseBoundary(cycle, "purge", occupancy(), keep_target))
     except KeyboardInterrupt:
         # An unbounded run (max_cycles 0) ends by interrupt; report what
-        # was done rather than explode.
+        # was done rather than explode, and leave the disk as reported.
         notes.append("interrupted, stopping after partial cycle")
+        op, target = in_flight or (None, None)
+        if op == "C" and os.path.lexists(root / target):
+            os.unlink(root / target)
+        elif op == "D" and not os.path.lexists(root / live[target][0]):
+            drop(target)
     finally:
         if log_stream is not None:
             log_stream.close()
 
-    survivors = tuple(sorted(live_sizes.items()))
+    survivors = tuple(sorted((rel, size) for rel, size, _ in live))
     return FragReport(
         capacity=capacity,
         base_used=base_used,

@@ -27,14 +27,9 @@ _MKFS_DIRS = ("/sbin", "/usr/sbin", "/usr/local/sbin")
 
 
 def _find_mkfs() -> str | None:
-    found = shutil.which("mkfs.ext4")
-    if found:
-        return found
-    for directory in _MKFS_DIRS:
-        candidate = Path(directory) / "mkfs.ext4"
-        if candidate.exists():
-            return str(candidate)
-    return None
+    """mkfs.ext4 on PATH or in the sbin directories a user's PATH may leave out."""
+    search = filter(None, (os.environ.get("PATH", os.defpath), *_MKFS_DIRS))
+    return shutil.which("mkfs.ext4", path=os.pathsep.join(search))
 
 
 def volume_support_problem() -> str | None:

@@ -3,10 +3,13 @@ import contextlib
 import io
 import math
 import os
+import re
+import string
 
 import pytest
 
 import seqbench as sb
+from seqbench import cli
 from seqbench.bench import ExtensionMode
 from seqbench.cli import (
     main,
@@ -285,6 +288,80 @@ def test_asynccopy_overrides(tmp_path):
 def test_asynccopy_rejections(argv):
     with pytest.raises(sb.ConfigError):
         parse_asynccopy(argv)
+
+
+# -- exact messages and usage pages ---------------------------------------------------
+
+@pytest.mark.parametrize(
+    "tool, argv, message",
+    [
+        ("iospeed", ["-r1G", "-w1G", "f"], "iospeed: -r and -w are mutually exclusive"),
+        ("iospeed", ["-x1M", "-p1M", "f"], "iospeed: -x and -p are mutually exclusive"),
+        ("iospeed", [], "iospeed needs exactly one file path, got []"),
+        ("iospeed", ["f", "g"], "iospeed needs exactly one file path, got ['f', 'g']"),
+        ("iospeed", ["-b0", "f"], "iospeed: block must be at least 1 byte, got 0"),
+        ("iospeed", ["-b", "f"], "iospeed: flag -b needs an attached value, like -b30"),
+        ("iospeed", ["-t", "f"], "iospeed: flag -t needs an attached value, like -t30"),
+        ("iospeed", ["-t0", "f"], "iospeed: duration must be positive, got 0.0"),
+        ("iospeed", ["-tfast", "f"], "-t: expected seconds, got 'fast'"),
+        ("iospeed", ["-bZZ", "f"], "-b: unknown size suffix 'Z' in 'ZZ'"),
+        ("iospeed", ["-a0", "f"], "iospeed: async depth must be at least 1, got 0"),
+        ("iospeed", ["-s101", "f"], "iospeed: seek percentage must be in 0..100, got 101"),
+        ("iospeed", ["-dx", "f"], "iospeed: flag -d takes no value, got '-dx'"),
+        ("iospeed", ["-zzz", "f"], "iospeed: unknown flag '-zzz'"),
+        ("iospeed", ["-r1x", "f"], "-r: unknown size suffix 'x' in '1x'"),
+        ("fragdisk", [], "fragdisk needs exactly one directory, got []"),
+        ("fragdisk", ["-k70", "-f70", "/t"],
+         "fragdisk: percentages must satisfy 1 <= keep < fill <= 99, got keep=70 fill=70"),
+        ("fragdisk", ["-f0", "/t"],
+         "fragdisk: percentages must satisfy 1 <= keep < fill <= 99, got keep=5 fill=0"),
+        ("fragdisk", ["-Fm10", "-FM5", "/t"],
+         "fragdisk: minimum file size 10485760 exceeds maximum 5242880"),
+        ("fragdisk", ["-n-1", "/t"], "fragdisk: max_cycles may not be negative, got -1"),
+        ("fragdisk", ["-q", "/t"], "fragdisk: unknown flag '-q'"),
+        ("asynccopy", ["-z0"], "asynccopy: size must be at least 1 byte, got 0"),
+        ("asynccopy", ["-b0"], "asynccopy: block must be at least 1 byte, got 0"),
+        ("asynccopy", ["-a0"], "asynccopy: depth must be at least 1, got 0"),
+        ("asynccopy", ["a", "b"], "asynccopy takes at most one directory, got ['a', 'b']"),
+        ("asynccopy", ["-d4"], "asynccopy: unknown flag '-d4'"),
+        ("examples", ["p", "-5"], "examples: record count may not be negative, got -5"),
+        ("examples", ["p", "many"], "examples: record count must be an integer, got 'many'"),
+        ("examples", ["a", "1", "extra"],
+         "examples takes at most a file and a record count, got ['a', '1', 'extra']"),
+        ("examples", ["-n5"], "examples: unknown flag '-n5'"),
+    ],
+)
+def test_each_rejection_gives_its_exact_message(tool, argv, message):
+    parse = cli._TOOLS[tool][0]
+    with pytest.raises(sb.ConfigError) as info:
+        parse(argv)
+    assert str(info.value) == message
+
+
+#: A value each usage-page placeholder accepts on its own, and the
+#: positionals each tool needs.
+_SAMPLES = {"size": "1M", "secs": "1", "count": "2", "pct": "10", "seed": "2"}
+_POSITIONALS = {"iospeed": ["f"], "fragdisk": ["d"], "examples": [], "asynccopy": []}
+
+
+@pytest.mark.parametrize("tool", cli._TOOLS)
+def test_usage_pages_list_exactly_the_flags_their_parsers_take(tool):
+    parse, usage, _, _ = cli._TOOLS[tool]
+    listed = re.findall(r"^  -([A-Za-z]+)(\[\w+\]|<\w+>)?\s", usage, re.MULTILINE)
+    positionals = _POSITIONALS[tool]
+    for flag, placeholder in listed:
+        spellings = [f"-{flag}{_SAMPLES[placeholder[1:-1]]}"] if placeholder else [f"-{flag}"]
+        if placeholder.startswith("["):
+            spellings.append(f"-{flag}")
+        for spelling in spellings:
+            parse([spelling] + positionals)
+    names = {flag for flag, _ in listed}
+    candidates = list(string.ascii_letters) + ["F" + letter for letter in string.ascii_letters]
+    for flag in candidates:
+        if flag not in names:
+            with pytest.raises(sb.ConfigError) as info:
+                parse([f"-{flag}"] + positionals)
+            assert str(info.value) == f"{tool}: unknown flag '-{flag}'"
 
 
 # -- top-level dispatch ------------------------------------------------------------------

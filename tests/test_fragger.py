@@ -309,27 +309,71 @@ def test_a_full_disk_ends_the_run_and_leaves_only_what_it_reports(tmp_path, enos
     assert open_fds() == before
 
 
+def _interrupt_fifth(monkeypatch, point):
+    """Raise KeyboardInterrupt at ``point`` of the fifth file write or delete."""
+    calls = itertools.count(1)
+    if point == "mid-write":
+        real = fragger.write_chunks
+
+        def interrupted(fd, chunks, offset, length):
+            if next(calls) == 5:
+                real(fd, chunks, offset, length // 2)
+                raise KeyboardInterrupt
+            real(fd, chunks, offset, length)
+
+        monkeypatch.setattr(fragger, "write_chunks", interrupted)
+        return
+    owner, name = (fragger, "_write_file") if point == "as-write-returns" else (fragger.os, "unlink")
+    real = getattr(owner, name)
+
+    def interrupted(*args):
+        fifth = next(calls) == 5
+        if fifth and point == "before-unlink":
+            raise KeyboardInterrupt
+        real(*args)
+        if fifth:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(owner, name, interrupted)
+
+
+#: interrupt point -> (files created, files deleted) by the run it ends;
+#: None stands for every file of the first fill phase.
+_INTERRUPTS = {
+    "mid-write": (4, 0),
+    "as-write-returns": (4, 0),
+    "before-unlink": (None, 4),
+    "as-unlink-returns": (None, 5),
+}
+
+
+@pytest.mark.parametrize("point", _INTERRUPTS)
 def test_an_interrupt_mid_write_ends_the_run_and_leaves_only_what_it_reports(
-    tmp_path, monkeypatch, deadline
+    tmp_path, monkeypatch, deadline, point
 ):
-    """Ctrl-C ends an unbounded run; here it lands halfway through the fifth
-    file, which must go with its descriptor, unrecorded."""
+    """Ctrl-C ends an unbounded run; here it lands in the fifth file write or
+    delete.  A file whose create was not recorded goes with its descriptor,
+    and a delete that reached the disk is recorded."""
+    created, deleted = _INTERRUPTS[point]
+    if created is None:
+        created = sb.run_cycles(_scaled(tmp_path / "reference", max_cycles=1)).created_files
     root = tmp_path / "aged"
     log = tmp_path / "events.log"
-    real = fragger.write_chunks
-    calls = itertools.count(1)
-
-    def interrupted(fd, chunks, offset, length):
-        if next(calls) == 5:
-            real(fd, chunks, offset, length // 2)
-            raise KeyboardInterrupt
-        real(fd, chunks, offset, length)
-
-    monkeypatch.setattr(fragger, "write_chunks", interrupted)
+    _interrupt_fifth(monkeypatch, point)
     before = open_fds()
     report = sb.run_cycles(_scaled(root, event_log=log, max_cycles=0))
     assert "interrupted, stopping after partial cycle" in report.notes
-    assert report.created_files == 4
+    assert report.created_files == created
+    assert report.deleted_files == deleted
     assert _files_on_disk(root) == {str(p): s for p, s in report.survivors}
     assert log.read_text().splitlines() == list(report.events)
     assert open_fds() == before
+    replayed = {}
+    for event in report.events:
+        op, rel, size = event.split(" ")
+        if op == "C":
+            replayed[rel] = int(size)
+        else:
+            assert replayed.pop(rel) == int(size)
+    assert replayed == _files_on_disk(root)
+    assert report.live_bytes == sum(size for _, size in report.survivors)

@@ -1,5 +1,7 @@
-"""Every module-level import in the package is used (a stand-in for a linter)."""
+"""Every module-level import in the package is used, and every export list
+names what its module binds (a stand-in for a linter)."""
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -41,3 +43,22 @@ def test_no_unused_module_level_import(source):
     used |= _exported_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{source.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+def test_every_exported_name_is_bound(source):
+    exported = _exported_names(ast.parse(source.read_text(), filename=str(source)))
+    if exported:  # a module without __all__ (such as __main__) is not imported
+        module = importlib.import_module(f"seqbench.{source.stem}")
+        missing = sorted(name for name in exported if not hasattr(module, name))
+        assert not missing, f"{source.name}: __all__ names unbound {missing}"
+
+
+def test_the_package_imports_only_exported_names():
+    package = Path(seqbench.__file__).parent
+    stray = []
+    for node in ast.parse((package / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported = _exported_names(ast.parse((package / f"{node.module}.py").read_text()))
+            stray += [f"{node.module}.{alias.name}" for alias in node.names if alias.name not in exported]
+    assert not stray, f"seqbench/__init__.py imports names missing from __all__: {stray}"
