@@ -45,6 +45,8 @@ def _cfg(tmp_path, **kw):
         {"seek_pct": 101},
         {"seek_pct": -1},
         {"max_requests": 0},
+        {"duration": math.inf},  # a timed trial that never ends
+        {"duration": math.nan},
     ],
 )
 def test_config_rejects_bad_values(tmp_path, overrides):
@@ -167,6 +169,18 @@ def test_summarize_median_and_pstdev():
         sb.summarize([])
 
 
+@given(rates=st.lists(
+    st.floats(min_value=1e-6, max_value=1e12, allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=16,
+))
+def test_summarize_agrees_with_pstdev(rates):
+    med, dev = sb.summarize(rates)
+    assert med == statistics.median(rates)
+    assert dev == pytest.approx(statistics.pstdev(rates), rel=1e-12, abs=1e-12 * max(rates))
+    if len(rates) == 1:
+        assert dev == 0.0
+
+
 def test_per_byte_cost_example():
     sample = ThroughputSample(bytes_moved=10**9, wall_seconds=9.9, cpu_seconds=5.0, request_count=1)
     ns, cycles = sb.per_byte_cost(sample, 2.8)
@@ -265,6 +279,53 @@ def test_read_accounting_is_exact(tmp_path):
     assert result.per_byte_cycles == pytest.approx(result.per_byte_ns * 2.0)
 
 
+def _write_opens(monkeypatch, path):
+    """Spy on ``os.open`` as the engine calls it: the list fills with the
+    flags of every open of ``path`` that asks for write access or creation."""
+    opens = []
+    real = sb.engine.os.open
+
+    def spy(file, flags, *args, **kwargs):
+        if os.fspath(file) == os.fspath(path) and flags & (os.O_WRONLY | os.O_RDWR | os.O_CREAT):
+            opens.append(flags)
+        return real(file, flags, *args, **kwargs)
+
+    monkeypatch.setattr(sb.engine.os, "open", spy)
+    return opens
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"seek_pct": 50}, {"async_depth": 2}, {"direct": True}],
+    ids=["sequential", "seek", "depth2", "direct"],
+)
+def test_a_read_of_a_full_length_target_opens_nothing_for_writing(
+    tmp_path, monkeypatch, request, overrides
+):
+    """A read-only file or mount serves a read measurement: only a short target is written."""
+    if overrides.get("direct"):
+        request.getfixturevalue("need_direct")
+    cfg = _cfg(tmp_path, max_requests=8, **overrides)
+    cfg.path.write_bytes(b"\x5a" * cfg.file_size)
+    opens = _write_opens(monkeypatch, cfg.path)
+    assert sb.run_measurement(cfg, trials=2, warmup=1, clock_ghz=1.0).bytes_moved == 16 * 4096
+    assert opens == []
+    assert cfg.path.read_bytes() == b"\x5a" * cfg.file_size
+
+
+@pytest.mark.parametrize(
+    "overrides", [{}, {"async_depth": 2}, {"direct": True}], ids=["buffered", "depth2", "direct"]
+)
+def test_a_directory_target_is_refused_by_name(tmp_path, request, overrides):
+    """A directory is no shorter than a 4 KiB target, yet no trial may open it."""
+    if overrides.get("direct"):
+        request.getfixturevalue("need_direct")
+    cfg = _cfg(tmp_path, path=tmp_path, file_size=4096, max_requests=2, **overrides)
+    with pytest.raises(IsADirectoryError) as info:
+        sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
+    assert info.value.filename == str(tmp_path)
+
+
 def test_prepare_creates_and_fills_target(tmp_path):
     cfg = _cfg(tmp_path, max_requests=4)
     assert not cfg.path.exists()
@@ -272,10 +333,12 @@ def test_prepare_creates_and_fills_target(tmp_path):
     assert cfg.path.stat().st_size == cfg.file_size
 
 
-def test_prepare_keeps_existing_bytes_and_fills_the_rest_with_the_pattern(tmp_path):
+def test_prepare_keeps_existing_bytes_and_fills_the_rest_with_the_pattern(tmp_path, monkeypatch):
     cfg = _cfg(tmp_path, file_size=(8 << 20) + 4096, max_requests=1)
     cfg.path.write_bytes(b"keep")
+    opens = _write_opens(monkeypatch, cfg.path)
     sb.run_measurement(cfg, trials=1, warmup=0)
+    assert len(opens) == 1
     assert cfg.path.read_bytes() == b"keep" + b"\xa5" * (cfg.file_size - 4)
 
 
@@ -286,6 +349,38 @@ def test_prepare_ends_when_a_fill_write_stops_making_progress(
     short_then_zero("pwritev")
     with pytest.raises(OSError, match="write made no progress"):
         sb.run_measurement(cfg, trials=1, warmup=0)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"direction": Direction.WRITE}, {"async_depth": 2}, {"seek_pct": 0}, {"direct": True}],
+    ids=["read", "write", "depth2", "seek0", "direct"],
+)
+def test_a_sequential_measurement_builds_no_generator(tmp_path, monkeypatch, request, overrides):
+    if overrides.get("direct"):
+        request.getfixturevalue("need_direct")
+    log = tmp_path / "offsets.txt"
+    cfg = _cfg(tmp_path, file_size=8 * 4096, max_requests=20, offset_log=log, **overrides)
+
+    def refuse(*args):
+        raise AssertionError("a sequential trial built a generator")
+
+    monkeypatch.setattr(sb.bench, "make_rng", refuse)
+    result = sb.run_measurement(cfg, trials=2, warmup=1, clock_ghz=1.0)
+    assert result.bytes_moved == 2 * 20 * 4096
+    trial = [index % 8 * 4096 for index in range(20)]
+    assert [int(line) for line in log.read_text().split()] == trial * 2
+
+
+def test_a_seeking_measurement_draws_from_its_generator(tmp_path, monkeypatch):
+    cfg = _cfg(tmp_path, seek_pct=50, max_requests=20)
+    streams = []
+    real = sb.bench.make_rng
+    monkeypatch.setattr(
+        sb.bench, "make_rng", lambda seed, stream: streams.append(stream) or real(seed, stream)
+    )
+    sb.run_measurement(cfg, trials=2, warmup=1, clock_ghz=1.0)
+    assert streams == [sb.bench._WARMUP_STREAM_BASE, 0, 1]
 
 
 def test_write_measures_in_place(tmp_path):
@@ -589,6 +684,32 @@ def test_buffered_4k_trial_stays_within_its_call_budget(tmp_path, overrides, bud
         assert sample.request_count == requests
 
     assert _calls_per_request(run) <= budget
+
+
+def test_a_measurement_call_stays_within_its_fixed_cost_budget(tmp_path):
+    """Profile events (Python and C calls) of one warmed 1-request measurement
+    of a sequential 4 KiB read at depth 1: the work around the trial, which
+    a short measurement pays on every call.  It counts about 110 on CPython 3.11."""
+    cfg = _cfg(tmp_path, max_requests=1)
+    for _ in range(2):
+        sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
+    events = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            events[frame.f_code.co_qualname] += 1
+        elif event == "c_call":
+            events[getattr(arg, "__qualname__", repr(arg))] += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    assert events.total() <= 140, events.most_common()
 
 
 def test_byte_at_a_time_workloads_stay_within_their_call_budget(tmp_path):

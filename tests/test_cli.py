@@ -302,7 +302,7 @@ def test_asynccopy_rejections(argv):
         ("iospeed", ["-b0", "f"], "iospeed: block must be at least 1 byte, got 0"),
         ("iospeed", ["-b", "f"], "iospeed: flag -b needs an attached value, like -b30"),
         ("iospeed", ["-t", "f"], "iospeed: flag -t needs an attached value, like -t30"),
-        ("iospeed", ["-t0", "f"], "iospeed: duration must be positive, got 0.0"),
+        ("iospeed", ["-t0", "f"], "iospeed: duration must be finite and positive, got 0.0"),
         ("iospeed", ["-tfast", "f"], "-t: expected seconds, got 'fast'"),
         ("iospeed", ["-bZZ", "f"], "-b: unknown size suffix 'Z' in 'ZZ'"),
         ("iospeed", ["-a0", "f"], "iospeed: async depth must be at least 1, got 0"),
@@ -395,6 +395,16 @@ def test_parse_error_prints_tool_usage():
     code, _, err = run_cli(["iospeed", "-b0", "f"])
     assert code == 2
     assert "usage: seqbench iospeed" in err
+
+
+@pytest.mark.parametrize("seconds", ["inf", "1e999", "nan"])
+def test_an_endless_duration_is_a_usage_error_before_any_io(tmp_path, seconds, deadline):
+    target = tmp_path / "a.dat"
+    code, out, err = run_cli(["iospeed", f"-t{seconds}", "-r1M", "-b64K", "-q", str(target)])
+    assert code == 2
+    assert "duration must be finite and positive" in err
+    assert out == ""
+    assert not target.exists()
 
 
 # -- end-to-end runs ------------------------------------------------------------------------
