@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import contextlib
 import enum
-import errno
 import itertools
 import math
 import os
 import re
-import stat
 import statistics
 import threading
 import time
@@ -339,16 +337,13 @@ def _prepare_target(cfg: IoConfig) -> None:
     measurement never opens it for writing.  Otherwise the target is
     created or extended with the fill pattern, and the fill is flushed
     through the OS cache so trial one does not inherit someone else's
-    dirty pages.  A directory is refused here, by name, whatever its size.
+    dirty pages.  A directory is refused by the open that finds it, by
+    name (``open_file`` raises IsADirectoryError naming the path).
     """
     try:
-        info = os.stat(cfg.path)
+        current = os.stat(cfg.path).st_size
     except FileNotFoundError:
         current = 0
-    else:
-        if stat.S_ISDIR(info.st_mode):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(cfg.path))
-        current = info.st_size
     missing = cfg.file_size - current
     if missing <= 0:
         return
@@ -538,10 +533,14 @@ def measure_extension(
     INCREMENTAL appends block after block, so the filesystem allocates
     space piecemeal as the file grows.  PREALLOCATED sets the final length
     first and then performs the identical writes into the reserved space.
-    Every write is pushed through the OS cache before the next one is
-    issued, which is what makes allocation cost visible at all; a purely
-    cached run would defer it.  Each trial starts from scratch: any
-    existing file at ``path`` is deleted first.
+    Each block is one pwritev of the pattern at its offset, straight to
+    the descriptor (the handle's stream buffer copies nothing), a short
+    write continued by ``transfer_full``, and then an fsync, so each
+    write is pushed through the OS cache before the next one is issued;
+    that is what makes allocation cost visible at all, since a purely
+    cached run would defer it.  One more fsync ends the trial.  Each
+    trial starts from scratch: any existing file at ``path`` is deleted
+    first.
     """
     if final_size < 1:
         raise ConfigError(f"final size must be at least 1 byte, got {final_size}")
@@ -554,23 +553,26 @@ def measure_extension(
     if clock_ghz is None:
         clock_ghz = detect_clock_ghz()
     path = Path(path)
-    pattern = bytes([_FILL_BYTE]) * block
+    pattern = memoryview(bytes([_FILL_BYTE]) * block)
+    requests = -(-final_size // block)
     samples = []
     for _ in range(trials):
         if path.exists():
             path.unlink()
-        requests = 0
         stopwatch = Stopwatch()
         with open_file(path, OpenDisposition.CREATE_NEW, Direction.WRITE) as handle:
             if mode is ExtensionMode.PREALLOCATED:
                 handle.preallocate(final_size)
-            written = 0
-            while written < final_size:
+            fd = handle.fileno()
+            iov = [pattern]
+            for written in range(0, final_size, block):
                 step = min(block, final_size - written)
-                handle.write_block(pattern, step)
-                handle.flush(FlushLevel.OPERATING_SYSTEM_CACHE)
-                written += step
-                requests += 1
-            handle.flush(FlushLevel.OPERATING_SYSTEM_CACHE)
+                if step != block:
+                    iov = [pattern[:step]]
+                got = os.pwritev(fd, iov, written)
+                if got != step:
+                    transfer_full(fd, pattern[got:], written + got, step - got, write=True)
+                os.fsync(fd)
+            os.fsync(fd)
         samples.append(stopwatch.sample(final_size, requests))
     return BenchmarkResult.from_samples(samples, clock_ghz)

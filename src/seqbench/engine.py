@@ -159,23 +159,23 @@ FALLBACK_GEOMETRY = SectorGeometry(4096, _SAFE_ALIGNMENT)
 def detect_sector_geometry(path: str | os.PathLike) -> SectorGeometry:
     """Probe the volume holding ``path`` for its direct-transfer alignment.
 
-    Reads the logical sector size from the device's sysfs queue, or from
-    its parent disk's when a partition has no queue of its own.  Raises
-    GeometryProbeError, carrying FALLBACK_GEOMETRY, when the device
-    cannot be resolved or reports something implausible.
+    Reads the logical sector size from the device's sysfs queue.  A whole
+    disk (a loop device among them) answers from its own; only when that
+    read fails is the device's sysfs link resolved, to read the queue of
+    the parent disk of a partition.  Raises GeometryProbeError, carrying
+    FALLBACK_GEOMETRY, when the device cannot be resolved or reports
+    something implausible.
     """
     try:
         st = os.stat(path)
-        node = Path(f"/sys/dev/block/{os.major(st.st_dev)}:{os.minor(st.st_dev)}")
-        queues = [node / "queue"]
-        with contextlib.suppress(OSError):
-            queues.append(node.resolve(strict=True).parent / "queue")
-        for queue in queues:
-            with contextlib.suppress(OSError, ValueError):
-                sector = int((queue / "logical_block_size").read_text())
-                break
-        else:
-            raise OSError(f"no block device queue information at {node}")
+        node = f"/sys/dev/block/{os.major(st.st_dev)}:{os.minor(st.st_dev)}"
+        try:
+            sector = _queue_sector(node)
+        except (OSError, ValueError):
+            try:
+                sector = _queue_sector(os.path.dirname(os.path.realpath(node, strict=True)))
+            except (OSError, ValueError):
+                raise OSError(f"no block device queue information at {node}") from None
     except OSError as exc:
         raise GeometryProbeError(
             f"cannot determine sector size for {os.fspath(path)!r}: {exc}", FALLBACK_GEOMETRY
@@ -185,6 +185,12 @@ def detect_sector_geometry(path: str | os.PathLike) -> SectorGeometry:
             f"implausible sector size {sector} reported for {os.fspath(path)!r}", FALLBACK_GEOMETRY
         )
     return SectorGeometry(sector, max(sector, _SAFE_ALIGNMENT))
+
+
+def _queue_sector(device: str) -> int:
+    """The logical sector size in the sysfs queue of block device ``device``."""
+    with open(f"{device}/queue/logical_block_size", "rb") as stream:
+        return int(stream.read())
 
 
 class AlignedBuffer:
@@ -641,7 +647,8 @@ def open_file(
 
     Missing files, existing files under CREATE_NEW, and permission
     problems raise the standard FileNotFoundError, FileExistsError and
-    PermissionError.  Filesystems that refuse uncached access raise
+    PermissionError, and a directory raises IsADirectoryError naming its
+    path.  Filesystems that refuse uncached access raise
     DirectIoUnsupportedError.
     """
     if not isinstance(disposition, OpenDisposition):
@@ -663,6 +670,9 @@ def open_file(
             geometry = detect_sector_geometry(path)
         else:
             stream = io.open(fd, "rb" if read_only else "r+b", buffering=DEFAULT_STREAM_BUFFER)
+    except IsADirectoryError:  # a read-only open of a directory; io.open names the fd
+        os.close(fd)
+        raise _is_a_directory(path) from None
     except BaseException:
         os.close(fd)
         raise
@@ -680,15 +690,22 @@ def open_file(
     return handle
 
 
+def _is_a_directory(path: str | os.PathLike) -> IsADirectoryError:
+    return IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+
+
 def _open_raw(path: str | os.PathLike, flags: int, *, direct: bool) -> int:
     """os.open, with O_DIRECT when ``direct``; a filesystem's refusal of it
-    raises DirectIoUnsupportedError, and other failures propagate as they are."""
+    raises DirectIoUnsupportedError, and other failures propagate as they are.
+    A directory refuses O_DIRECT too (EINVAL), and raises IsADirectoryError."""
     if not direct:
         return os.open(path, flags, 0o666)
     try:
         return os.open(path, flags | os.O_DIRECT, 0o666)
     except OSError as exc:
         if exc.errno in (errno.EINVAL, errno.EOPNOTSUPP, errno.ENOTSUP):
+            if os.path.isdir(path):
+                raise _is_a_directory(path) from None
             raise DirectIoUnsupportedError(
                 f"filesystem holding {os.fspath(path)!r} rejects uncached opens: {exc}"
             ) from exc

@@ -195,9 +195,17 @@ def plan_directory_tree(cfg: FragConfig, volume_capacity: int | None = None) -> 
     return TreePlan(tuple(leaves), levels + 1, slots)
 
 
-def _write_file(path: Path, size: int) -> None:
-    """Write ``size`` pattern bytes in full; on a failure or an interrupt, leave nothing behind."""
-    chunk = bytes([_FILL_BYTE]) * min(_WRITE_CHUNK, size)
+def _fill_chunk(max_size: int) -> bytes:
+    """The pattern bytes one run writes its files from: enough for its largest file, up to a chunk."""
+    return bytes([_FILL_BYTE]) * min(_WRITE_CHUNK, max_size)
+
+
+def _write_file(path: str, size: int, chunk: bytes) -> None:
+    """Create ``path`` and write ``size`` bytes of it from ``chunk``, repeated.
+
+    The writes are the chunk's length each, the last one cut where
+    ``size`` ends.  On a failure or an interrupt, nothing is left behind.
+    """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         write_chunks(fd, itertools.repeat(chunk), 0, size)
@@ -222,6 +230,11 @@ def run_cycles(cfg: FragConfig) -> FragReport:
     is deleted until occupancy drops to the keep target.  A full disk is
     absorbed by moving to the purge phase early; anything else (such as a
     permission error) aborts with the original exception.
+
+    The per-file work is a string join and the system calls: the fill
+    chunk is built once per call, and each file's path is its leaf's
+    prefix (``""`` for the root leaf, ``"d0/d3/"`` otherwise) plus its
+    name, made absolute by a prefix string for ``cfg.root``.
     """
     root = cfg.root
     root.mkdir(parents=True, exist_ok=True)
@@ -236,6 +249,9 @@ def run_cycles(cfg: FragConfig) -> FragReport:
     plan = plan_directory_tree(cfg, capacity)
     for leaf in plan.leaves:
         (root / leaf).mkdir(parents=True, exist_ok=True)
+    prefixes = [f"{leaf}/" if leaf.parts else "" for leaf in plan.leaves]
+    base = os.path.join(root, "")
+    chunk = _fill_chunk(cfg.max_file)
 
     rng = make_rng(cfg.seed)
     live: list[tuple[str, int, int]] = []  # (relative path, size, leaf index) per live file
@@ -246,12 +262,10 @@ def run_cycles(cfg: FragConfig) -> FragReport:
     boundaries: list[PhaseBoundary] = []
     created = deleted = 0
     bytes_written = bytes_deleted = 0
+    occupancy = base_used  # base_used + bytes_written - bytes_deleted
     serial = 0
     in_flight = None  # ("C", path) or ("D", index into live) until that change is recorded
     log_stream = open(cfg.event_log, "w") if cfg.event_log is not None else None
-
-    def occupancy() -> int:
-        return base_used + bytes_written - bytes_deleted
 
     def record(event: str) -> None:
         events.append(event)
@@ -260,12 +274,13 @@ def run_cycles(cfg: FragConfig) -> FragReport:
 
     def drop(index: int) -> None:
         """Record the delete of ``live[index]``, whose file is gone."""
-        nonlocal deleted, bytes_deleted
+        nonlocal deleted, bytes_deleted, occupancy
         live[index], live[-1] = live[-1], live[index]
         rel, size, leaf = live.pop()
         leaf_loads[leaf] -= 1
         deleted += 1
         bytes_deleted += size
+        occupancy -= size
         record(f"D {rel} {size}")
 
     try:
@@ -275,12 +290,12 @@ def run_cycles(cfg: FragConfig) -> FragReport:
             cycles_run = cycle
             created_this_cycle = 0
             while (
-                occupancy() < fill_target
+                occupancy < fill_target
                 and created_this_cycle < cfg.files_per_cycle
                 and len(live) < cfg.max_files
             ):
                 size = int(rng.integers(cfg.min_file, cfg.max_file, endpoint=True))
-                if cfg.capacity_limit is not None and occupancy() + size > capacity:
+                if cfg.capacity_limit is not None and occupancy + size > capacity:
                     notes.append(f"cycle {cycle}: quota full, purging early")
                     break
                 load = min(leaf_loads)
@@ -288,11 +303,11 @@ def run_cycles(cfg: FragConfig) -> FragReport:
                     notes.append(f"cycle {cycle}: directory tree full, purging early")
                     break
                 leaf_index = leaf_loads.index(load)
-                rel = str(plan.leaves[leaf_index] / f"f{serial:08d}.dat")
+                rel = f"{prefixes[leaf_index]}f{serial:08d}.dat"
                 serial += 1
                 in_flight = "C", rel
                 try:
-                    _write_file(root / rel, size)
+                    _write_file(base + rel, size, chunk)
                 except OSError as exc:
                     if exc.errno == errno.ENOSPC:
                         notes.append(f"cycle {cycle}: volume full, purging early")
@@ -303,25 +318,26 @@ def run_cycles(cfg: FragConfig) -> FragReport:
                 created += 1
                 created_this_cycle += 1
                 bytes_written += size
+                occupancy += size
                 record(f"C {rel} {size}")
                 in_flight = None
-            boundaries.append(PhaseBoundary(cycle, "fill", occupancy(), fill_target))
+            boundaries.append(PhaseBoundary(cycle, "fill", occupancy, fill_target))
             os.sync()
-            while occupancy() > keep_target and live:
+            while occupancy > keep_target and live:
                 pick = int(rng.integers(0, len(live)))
                 in_flight = "D", pick
-                os.unlink(root / live[pick][0])
+                os.unlink(base + live[pick][0])
                 drop(pick)
                 in_flight = None
-            boundaries.append(PhaseBoundary(cycle, "purge", occupancy(), keep_target))
+            boundaries.append(PhaseBoundary(cycle, "purge", occupancy, keep_target))
     except KeyboardInterrupt:
         # An unbounded run (max_cycles 0) ends by interrupt; report what
         # was done rather than explode, and leave the disk as reported.
         notes.append("interrupted, stopping after partial cycle")
         op, target = in_flight or (None, None)
-        if op == "C" and os.path.lexists(root / target):
-            os.unlink(root / target)
-        elif op == "D" and not os.path.lexists(root / live[target][0]):
+        if op == "C" and os.path.lexists(base + target):
+            os.unlink(base + target)
+        elif op == "D" and not os.path.lexists(base + live[target][0]):
             drop(target)
     finally:
         if log_stream is not None:

@@ -638,31 +638,39 @@ def _calls_per_request(run, small=1000, large=3000):
     collection that fell in one run and not the other would count calls
     that ``run`` never made.
     """
-    counts = []
-    for requests in (small, large):
-        calls = []
+    (fewer, _), (more, _) = (_profiled_calls(run, requests) for requests in (small, large))
+    return _call_rate(fewer, more, large - small)
 
-        def profile(frame, event, arg, record=calls.append):
-            if event == "call":
-                record(frame.f_code)
 
-        gc.collect()
-        gc.disable()
-        threading.setprofile(profile)
-        sys.setprofile(profile)
-        try:
-            run(requests)
-        finally:
-            sys.setprofile(None)
-            threading.setprofile(None)
-            gc.enable()
-        counts.append(collections.Counter(
-            f"{os.path.splitext(os.path.basename(code.co_filename))[0]}.{code.co_qualname}"
-            for code in calls
-        ))
-    span = large - small
-    by_function = {name: (counts[1][name] - counts[0][name]) / span for name in counts[1] | counts[0]}
-    return _CallRate((counts[1].total() - counts[0].total()) / span, by_function)
+def _profiled_calls(run, *args):
+    """``run(*args)`` under the profile: (calls per function, what it returned)."""
+    calls = []
+
+    def profile(frame, event, arg, record=calls.append):
+        if event == "call":
+            record(frame.f_code)
+
+    gc.collect()
+    gc.disable()
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+    try:
+        result = run(*args)
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+        gc.enable()
+    counts = collections.Counter(
+        f"{os.path.splitext(os.path.basename(code.co_filename))[0]}.{code.co_qualname}"
+        for code in calls
+    )
+    return counts, result
+
+
+def _call_rate(fewer, more, span) -> _CallRate:
+    """The calls that ``more`` counts beyond ``fewer``, per one of ``span`` units."""
+    by_function = {name: (more[name] - fewer[name]) / span for name in more | fewer}
+    return _CallRate((more.total() - fewer.total()) / span, by_function)
 
 
 @pytest.mark.parametrize(
@@ -843,8 +851,8 @@ def test_sort_file_costs_one_frame_per_write(tmp_path):
     assert _calls_per_request(run) <= 1.0
 
 
-def test_extension_costs_two_frames_per_block(tmp_path):
-    """One write_block and one flush per block."""
+def test_extension_costs_no_frame_per_block(tmp_path):
+    """Each block is an os.pwritev and an os.fsync, both called from the loop itself."""
 
     def run(blocks):
         result = sb.measure_extension(
@@ -854,7 +862,23 @@ def test_extension_costs_two_frames_per_block(tmp_path):
         assert result.samples[0].request_count == blocks
 
     run(1)  # so that both measured runs find a file to delete
-    assert _calls_per_request(run, small=100, large=300) <= 2.0
+    assert _calls_per_request(run, small=100, large=300) <= 0.05
+
+
+def test_aging_stays_within_its_call_budget_per_created_file(tmp_path):
+    """Two quotas with the same 16-64 KiB files: the calls the larger run makes
+    beyond the smaller, per file it creates beyond it.  A create or delete costs
+    its write helpers and its event record; paths and the fill chunk cost none."""
+
+    def run(quota):
+        cfg = sb.FragConfig(root=tmp_path / f"aged_{quota}", min_file=16 << 10,
+                            max_file=64 << 10, capacity_limit=quota, max_cycles=2, seed=7)
+        return sb.run_cycles(cfg)
+
+    run(1 << 20)
+    (fewer, small), (more, large) = (_profiled_calls(run, quota) for quota in (8 << 20, 24 << 20))
+    assert large.created_files > small.created_files
+    assert _call_rate(fewer, more, large.created_files - small.created_files) <= 8
 
 
 def test_a_collection_in_a_profiled_run_is_not_counted():
@@ -1156,8 +1180,8 @@ def test_buffered_write_trial_ends_on_a_full_disk(tmp_path, stream_enospc_at, de
     assert open_fds() == before
 
 
-def test_extension_ends_on_a_full_disk(tmp_path, stream_enospc_at, deadline):
-    stream_enospc_at(5)  # every block is flushed, so this is block 5 of 32
+def test_extension_ends_on_a_full_disk(tmp_path, enospc_at, deadline):
+    enospc_at(5)  # every block is one pwritev, so this is block 5 of 32
     before = open_fds()
     with pytest.raises(OSError) as info:
         sb.measure_extension(
@@ -1342,6 +1366,48 @@ def test_extension_starts_fresh_each_trial(tmp_path):
     sb.measure_extension(p, 65536, 65536, sb.ExtensionMode.PREALLOCATED, trials=1)
     assert p.stat().st_size == 65536
     assert b"stale" not in p.read_bytes()
+
+
+@pytest.mark.parametrize("mode", list(sb.ExtensionMode))
+@pytest.mark.parametrize("final_size", [5 * 4096, 5 * 4096 + 1000], ids=["whole", "ragged"])
+def test_extension_writes_each_block_once_at_its_offset(tmp_path, monkeypatch, mode, final_size):
+    """One pwritev per block, of the block (the last cut to the tail) at its
+    offset, one fsync after each and one more at the end; nothing else writes."""
+    block = 4096
+    real_pwritev, real_fsync = os.pwritev, os.fsync
+    writes, fsyncs = [], []
+
+    def pwritev(fd, buffers, offset):
+        writes.append((offset, [len(b) for b in buffers]))
+        return real_pwritev(fd, buffers, offset)
+
+    def fsync(fd):
+        fsyncs.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "pwritev", pwritev)
+    monkeypatch.setattr(os, "fsync", fsync)
+    p = tmp_path / "grow.dat"
+    result = sb.measure_extension(p, final_size, block, mode, trials=1)
+    blocks = -(-final_size // block)
+    assert writes == [
+        (offset, [min(block, final_size - offset)]) for offset in range(0, final_size, block)
+    ]
+    assert len(fsyncs) == blocks + 1
+    assert result.samples[0].request_count == blocks
+    assert p.read_bytes() == b"\xa5" * final_size
+
+
+def test_a_stalled_extension_write_raises(tmp_path, short_then_zero, deadline):
+    """Three one-byte writes, then none: the short block is continued until a
+    write makes no progress, and the handle is closed."""
+    short_then_zero("pwritev")
+    before = open_fds()
+    with pytest.raises(OSError, match="write made no progress"):
+        sb.measure_extension(
+            tmp_path / "grown.dat", 8 * 4096, 4096, sb.ExtensionMode.INCREMENTAL, trials=1
+        )
+    assert open_fds() == before
 
 
 def test_extension_rejects_bad_sizes(tmp_path):

@@ -83,6 +83,51 @@ def test_detect_geometry_matches_platform_query(tmp_path):
     assert sb.detect_sector_geometry(tmp_path).logical_sector == want
 
 
+def _own_queue_node(path):
+    dev = os.stat(path).st_dev
+    node = f"/sys/dev/block/{os.major(dev)}:{os.minor(dev)}"
+    if not os.path.exists(f"{node}/queue/logical_block_size"):
+        pytest.skip("temp directory is not on a whole disk with its own queue")
+    return node
+
+
+def test_a_whole_disk_answers_from_its_own_queue(tmp_path, monkeypatch):
+    """The device's sysfs link is not resolved when its own queue answers."""
+    node = _own_queue_node(tmp_path)
+    with open(f"{node}/queue/logical_block_size") as stream:
+        want = int(stream.read())
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("resolved the sysfs link of a whole disk")
+
+    monkeypatch.setattr(os.path, "realpath", unexpected)
+    assert sb.detect_sector_geometry(tmp_path).logical_sector == want
+
+
+def test_a_device_without_a_queue_answers_from_its_parent(tmp_path, monkeypatch):
+    """A partition has no queue of its own; its parent disk's is read instead."""
+    node = _own_queue_node(tmp_path)
+    asked = []
+    real = sb.engine._queue_sector
+
+    def partition(device):
+        asked.append(device)
+        if device == node:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), device)
+        return real(device)
+
+    monkeypatch.setattr(sb.engine, "_queue_sector", partition)
+    parent = os.path.dirname(os.path.realpath(node))
+    try:
+        want = real(parent)
+    except (OSError, ValueError):
+        with pytest.raises(sb.GeometryProbeError, match="no block device queue"):
+            sb.detect_sector_geometry(tmp_path)
+    else:
+        assert sb.detect_sector_geometry(tmp_path).logical_sector == want
+    assert asked == [node, parent]
+
+
 def test_detect_geometry_error_path_carries_fallback():
     with pytest.raises(sb.GeometryProbeError) as info:
         sb.detect_sector_geometry("/no/such/volume/anywhere")
@@ -112,6 +157,19 @@ def test_create_existing_truncates(tmp_path):
     p = _make(tmp_path / "f")
     with sb.open_file(p, OpenDisposition.CREATE, Direction.WRITE) as h:
         assert h.length == 0
+
+
+@pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+@pytest.mark.parametrize("mode", list(IoMode), ids=lambda m: m.value)
+def test_a_directory_open_names_the_path(tmp_path, mode, direction):
+    """Not the descriptor a buffered read-only open got, nor the direct flag
+    a directory refuses."""
+    before = open_fds()
+    with pytest.raises(IsADirectoryError) as info:
+        sb.open_file(tmp_path, OpenDisposition.OPEN, direction, io_mode=mode)
+    assert info.value.errno == errno.EISDIR
+    assert info.value.filename == str(tmp_path)
+    assert open_fds() == before
 
 
 def test_create_missing_creates(tmp_path):

@@ -1,4 +1,5 @@
 """Volume aging: tree planning, churn cycles, determinism, occupancy targets."""
+import hashlib
 import itertools
 import math
 import os
@@ -11,7 +12,7 @@ import seqbench as sb
 from seqbench import fragger
 from seqbench.fragger import FragConfig
 
-from conftest import open_fds
+from conftest import golden_text, open_fds
 
 
 # -- config validation ------------------------------------------------------
@@ -241,6 +242,41 @@ def test_final_fill_percentage_reported(tmp_path):
     assert 0.0 <= report.final_fill_pct <= 100.0
 
 
+# -- golden histories -------------------------------------------------------------
+
+#: The runs of tests/golden/fragger_events_<name>.sha256: a tree of one leaf,
+#: the root itself, and one of 36 leaves two directories deep (d0/d0 .. d3/d5).
+_GOLDEN_TREES = {
+    "single_leaf": {"max_files_per_dir": 1000},
+    "three_level": {"max_files_per_dir": 20, "max_subdirs": 10},
+}
+
+
+def _history_digests(root, log, **overrides):
+    """sha256 of a seeded run's event log, its survivors, the sorted paths of
+    the files it left, and those files' bytes in that order."""
+    report = sb.run_cycles(_scaled(root, event_log=log, **overrides))
+    paths = sorted(_files_on_disk(root))
+    contents = hashlib.sha256()
+    for rel in paths:
+        contents.update((root / rel).read_bytes())
+    return {
+        "events": hashlib.sha256(log.read_bytes()).hexdigest(),
+        "survivors": hashlib.sha256(repr(report.survivors).encode()).hexdigest(),
+        "paths": hashlib.sha256("\n".join(paths).encode()).hexdigest(),
+        "contents": contents.hexdigest(),
+    }
+
+
+@pytest.mark.parametrize("tree", _GOLDEN_TREES)
+def test_a_seeded_history_matches_its_golden_digests(tmp_path, tree):
+    """Events, survivors, paths and file bytes are the same on every version."""
+    root = tmp_path / "aged"
+    got = _history_digests(root, tmp_path / "events.log", **_GOLDEN_TREES[tree])
+    want = dict(line.split()[::-1] for line in golden_text(f"fragger_events_{tree}.sha256").splitlines())
+    assert got == want
+
+
 # -- short and stalled writes --------------------------------------------------
 
 
@@ -281,6 +317,40 @@ def test_files_hold_the_fill_pattern_across_chunks(tmp_path):
     assert report.survivors
     for rel, size in report.survivors:
         assert (tmp_path / rel).read_bytes() == b"\x66" * size
+
+
+@pytest.mark.parametrize(
+    "min_file, max_file",
+    [((2 << 20) + 12345, (2 << 20) + 12345), (4097, 300_001)],
+    ids=["beyond-a-chunk", "ragged-under-the-chunk"],
+)
+def test_every_file_reads_back_as_the_fill_byte(tmp_path, min_file, max_file):
+    """Files of two chunks and a ragged tail, and files cut short of a chunk
+    sized to the largest file."""
+    cfg = FragConfig(
+        root=tmp_path, min_file=min_file, max_file=max_file, files_per_cycle=6,
+        max_cycles=1, keep_pct=50, fill_pct=90, capacity_limit=24 << 20, seed=7,
+    )
+    report = sb.run_cycles(cfg)
+    assert report.survivors
+    for rel, size in report.survivors:
+        assert size % 4096
+        assert (tmp_path / rel).read_bytes() == b"\x66" * size
+
+
+@pytest.mark.parametrize("files_per_cycle", [1, 40])
+def test_the_fill_chunk_is_built_once_per_run(tmp_path, monkeypatch, files_per_cycle):
+    built = []
+    real = fragger._fill_chunk
+
+    def spy(max_size):
+        built.append(max_size)
+        return real(max_size)
+
+    monkeypatch.setattr(fragger, "_fill_chunk", spy)
+    report = sb.run_cycles(_scaled(tmp_path, files_per_cycle=files_per_cycle))
+    assert report.created_files >= 2 * files_per_cycle
+    assert built == [_scaled(tmp_path).max_file]
 
 
 def test_stalled_write_raises_and_leaves_nothing_behind(tmp_path, short_then_zero):
