@@ -18,7 +18,6 @@ identical request streams.
 """
 from __future__ import annotations
 
-import contextlib
 import enum
 import itertools
 import math
@@ -511,11 +510,15 @@ def run_measurement(
     seeking = bool(cfg.seek_pct)
     for index in range(warmup):
         _trial(cfg, make_rng(cfg.seed, _WARMUP_STREAM_BASE + index) if seeking else None)
-    with open(cfg.offset_log, "w") if cfg.offset_log else contextlib.nullcontext() as log:
+    log = open(cfg.offset_log, "w") if cfg.offset_log else None
+    try:
         samples = [
             _trial(cfg, make_rng(cfg.seed, index) if seeking else None, log)
             for index in range(trials)
         ]
+    finally:
+        if log is not None:
+            log.close()
     return BenchmarkResult.from_samples(samples, clock_ghz, cfg)
 
 

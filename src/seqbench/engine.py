@@ -27,11 +27,13 @@ positional request that must move all of its bytes goes through it, and
 write_chunks feeds it every file fill that no timer measures.
 run_slots is the one place that starts threads: the overlapped trial and
 the copy run their slots on it, slot 0 on the calling thread and one
-long-lived thread for each of the others.  It is also the one place that
-raises a slot's failure.
+bare ``_thread`` thread for each of the others, which inherits the
+trace and profile hooks set with ``threading``.  It waits until every
+slot has returned, and it is the one place that raises a slot's failure.
 """
 from __future__ import annotations
 
+import _thread
 import contextlib
 import enum
 import errno
@@ -40,6 +42,7 @@ import functools
 import io
 import os
 import struct
+import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -308,19 +311,25 @@ def run_slots(
 ) -> None:
     """Run ``slot(0)`` .. ``slot(depth - 1)``, wait for all of them, raise any failure.
 
-    Slot 0 runs on the calling thread and the others on daemon threads,
-    so depth 1 starts none.  An exception escaping a slot, or raised while
-    starting the threads, is recorded and handed to ``fail``, which must
-    make the other slots finish and keep no exception.  An interrupt (a
-    signal handler's exception, Ctrl-C) that reaches the calling thread
-    while it runs slot 0 is that slot's exception; one that reaches the
-    wait for the others goes to ``fail`` too, and the wait goes on.  Once
-    every started thread is joined, this raises the first interrupt that
-    reached the wait, or else the first failure, and empties its record
-    so that no traceback is left in a reference cycle.
+    Slot 0 runs on the calling thread and each of the others on a bare
+    ``_thread`` thread, so depth 1 starts none.  Each such thread first
+    installs the ``threading.settrace`` and ``threading.setprofile``
+    hooks in force when run_slots was called, as ``threading``'s own
+    threads do, so tracers and profilers see slot frames.  An exception
+    escaping a slot, or raised while starting the threads, is recorded
+    and handed to ``fail``, which must make the other slots finish and
+    keep no exception; a failed start runs neither that slot nor slot 0,
+    and starts no later one.  An interrupt (a signal handler's
+    exception, Ctrl-C) that reaches the calling thread while it runs
+    slot 0 is that slot's exception; one that reaches the wait for the
+    others goes to ``fail`` too, and the wait goes on.  Once every slot
+    has returned, this raises the first interrupt that reached the wait,
+    or else the first failure, and empties its record so that no
+    traceback is left in a reference cycle.
     """
     failures: list[BaseException] = []  # interrupts that reached the wait come first
     waited = 0  # how many of those there are
+    trace, profile = threading.gettrace(), threading.getprofile()
 
     def failed(exc: BaseException) -> None:
         failures.append(exc)
@@ -328,6 +337,11 @@ def run_slots(
 
     def guarded(index: int, finished=None) -> None:
         try:
+            if finished is not None:  # a thread of its own: take the hooks, as threading's do
+                if trace is not None:
+                    sys.settrace(trace)
+                if profile is not None:
+                    sys.setprofile(profile)
             slot(index)
         except BaseException as exc:  # recorded: raised once every slot has finished
             failed(exc)
@@ -335,26 +349,22 @@ def run_slots(
             if finished is not None:
                 finished.release()
 
-    started = []
+    running = []  # the lock of each started thread, held until its slot ends
     try:
         for index in range(1, depth):
-            # Held until the slot ends.  An interrupted acquire takes nothing and can
-            # be retried; an interrupted Thread.join may give up on a live thread.
-            finished = threading.Lock()
+            finished = _thread.allocate_lock()
             finished.acquire()
-            thread = threading.Thread(target=guarded, args=(index, finished), daemon=True)
-            thread.start()
-            started.append((thread, finished))
+            _thread.start_new_thread(guarded, (index, finished))
+            running.append(finished)
         if depth > 0:
             guarded(0)
     except BaseException as exc:  # recorded: raised once every slot has finished
         failed(exc)
-    for thread, finished in started:
+    for finished in running:
         while True:
-            try:
+            try:  # an interrupted acquire takes nothing and can be retried
                 with finished:
                     pass
-                thread.join()
                 break
             except BaseException as exc:  # an interrupt: stop every slot, wait, re-raise
                 failures.insert(waited, exc)
@@ -392,7 +402,7 @@ class FileHandle:
     """
 
     def __init__(self, fd, *, path, mode, geometry, writable, stream):
-        self.path = Path(path)
+        self.path = path if isinstance(path, Path) else Path(path)
         self.mode = mode
         self.geometry = geometry
         self.writable = writable
@@ -662,8 +672,10 @@ def open_file(
 
     fd = _open_raw(path, flags, direct=io_mode is IoMode.DIRECT)
     try:
-        with contextlib.suppress(OSError):  # only a hint, which a filesystem may refuse
+        try:
             os.posix_fadvise(fd, 0, 0, _ADVICE[access_hint])
+        except OSError:  # only a hint, which a filesystem may refuse
+            pass
         geometry = None
         stream = None
         if io_mode is IoMode.DIRECT:

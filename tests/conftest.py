@@ -1,9 +1,11 @@
-"""Shared fixtures: golden files, direct-I/O availability, fault scripts, deadlines."""
+"""Shared fixtures: golden files, direct-I/O availability, fault scripts, deadlines, threads."""
+import _thread
 import errno
 import io
 import itertools
 import os
 import signal
+import time
 from pathlib import Path
 
 import pytest
@@ -42,8 +44,9 @@ DEADLINE_SECONDS = 30
 def deadline():
     """Fail the test instead of stalling the suite when it hangs.
 
-    SIGALRM interrupts the main thread even while it waits in a join;
-    worker threads left hanging are daemons and cannot block exit.
+    SIGALRM interrupts the main thread even while it waits on a slot's
+    lock in ``run_slots``; slot threads left hanging are bare ``_thread``
+    threads, which the interpreter does not wait for at exit.
     """
 
     def expired(signum, frame):
@@ -174,5 +177,63 @@ def short_then_zero(monkeypatch):
             return 0
 
         monkeypatch.setattr(os, name, scripted)
+
+    return install
+
+
+def os_threads() -> set[str]:
+    """The ids of this process's OS threads, from /proc/self/task: every thread, however started."""
+    return set(os.listdir("/proc/self/task"))
+
+
+def lingering_threads(before: set[str], timeout: float = 1.0) -> set[str]:
+    """The OS threads not in ``before`` that still run ``timeout`` seconds on, or none.
+
+    A slot thread ends a few microseconds after it releases the lock that
+    ``run_slots`` waits on, so the threads are read until none is new or
+    ``timeout`` has passed.  Threads are told apart by id, not counted:
+    one that an earlier test started may still be ending when ``before``
+    is read, and its end must not hide a thread this test left behind.
+    """
+    give_up = time.monotonic() + timeout
+    while (new := os_threads() - before) and time.monotonic() < give_up:
+        time.sleep(0.001)
+    return new
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The slot index of every thread ``run_slots`` starts from now on, in order.
+
+    run_slots starts slot ``index`` with
+    ``_thread.start_new_thread(guarded, (index, finished))``; the spy
+    records ``index`` and starts the thread.
+    """
+    started = []
+    real = _thread.start_new_thread
+
+    def counted(function, args, *rest):
+        started.append(args[0])
+        return real(function, args, *rest)
+
+    monkeypatch.setattr(_thread, "start_new_thread", counted)
+    return started
+
+
+@pytest.fixture
+def thread_start_fails_for(monkeypatch):
+    """``thread_start_fails_for(index)``: starting slot ``index``'s thread raises
+    RuntimeError, as ``_thread`` does when the system has no thread to give;
+    every other start is real."""
+
+    def install(index: int) -> None:
+        real = _thread.start_new_thread
+
+        def refusing(function, args, *rest):
+            if args[0] == index:
+                raise RuntimeError("can't start new thread")
+            return real(function, args, *rest)
+
+        monkeypatch.setattr(_thread, "start_new_thread", refusing)
 
     return install

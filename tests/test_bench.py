@@ -14,7 +14,7 @@ import tracemalloc
 import zlib
 
 import pytest
-from conftest import Interrupt, open_fds, proc_io
+from conftest import Interrupt, lingering_threads, open_fds, os_threads, proc_io
 from hypothesis import given, settings, strategies as st
 
 import seqbench as sb
@@ -694,30 +694,64 @@ def test_buffered_4k_trial_stays_within_its_call_budget(tmp_path, overrides, bud
     assert _calls_per_request(run) <= budget
 
 
-def test_a_measurement_call_stays_within_its_fixed_cost_budget(tmp_path):
-    """Profile events (Python and C calls) of one warmed 1-request measurement
-    of a sequential 4 KiB read at depth 1: the work around the trial, which
-    a short measurement pays on every call.  It counts about 110 on CPython 3.11."""
-    cfg = _cfg(tmp_path, max_requests=1)
-    for _ in range(2):
-        sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
-    events = collections.Counter()
+def _measurement_call(tmp_path, depth):
+    cfg = _cfg(tmp_path, max_requests=1, async_depth=depth)
+    return lambda: sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
 
-    def profile(frame, event, arg):
+
+def _copy_call(tmp_path, depth):
+    src = tmp_path / "src"
+    src.write_bytes(sb.make_rng(1).bytes(2 * 4096))
+    targets = iter([tmp_path / f"dst{index}" for index in range(3)])
+    return lambda: sb.copy_file(src, next(targets), block=4096, depth=depth)
+
+
+def _fixed_cost_events(run) -> collections.Counter:
+    """Profile events (Python and C calls) of one warmed ``run()`` on every
+    thread, by function name: the work around the requests, which a short
+    call pays every time, slot threads' start and wait included."""
+    for _ in range(2):
+        run()
+    events = []
+
+    def profile(frame, event, arg, record=events.append):
         if event == "call":
-            events[frame.f_code.co_qualname] += 1
+            record(frame.f_code.co_qualname)
         elif event == "c_call":
-            events[getattr(arg, "__qualname__", repr(arg))] += 1
+            record(getattr(arg, "__qualname__", repr(arg)))
 
     gc.collect()
     gc.disable()
+    threading.setprofile(profile)
     sys.setprofile(profile)
     try:
-        sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
+        run()
     finally:
         sys.setprofile(None)
+        threading.setprofile(None)
         gc.enable()
-    assert events.total() <= 140, events.most_common()
+    return collections.Counter(events)
+
+
+def test_a_measurement_call_stays_within_its_fixed_cost_budget(tmp_path):
+    """A 1-request measurement of a sequential 4 KiB read at depth 1.
+    It counts about 80 events on CPython 3.11."""
+    events = _fixed_cost_events(_measurement_call(tmp_path, None))
+    assert events.total() <= 100, events.most_common()
+
+
+@pytest.mark.parametrize(
+    "call, budget",
+    [(_measurement_call, 100), (_copy_call, 75)],
+    ids=["measurement", "copy-2-blocks"],
+)
+def test_a_depth_2_call_stays_within_its_fixed_cost_budget(tmp_path, call, budget):
+    """A sequential 4 KiB read measurement capped at 1 request (depth 2 still
+    issues its first 2 tickets), or a copy of two 4 KiB blocks, at depth 2;
+    the events of slot 1's thread count too.  They count about 90 and 70 on
+    CPython 3.11."""
+    events = _fixed_cost_events(call(tmp_path, 2))
+    assert events.total() <= budget, events.most_common()
 
 
 def test_byte_at_a_time_workloads_stay_within_their_call_budget(tmp_path):
@@ -947,21 +981,58 @@ def test_copy_4k_stays_within_its_call_budget(tmp_path, depth):
     assert _calls_per_request(run) <= 1.05
 
 
-def test_depth_1_starts_no_thread(tmp_path, monkeypatch):
-    started = []
-    real = threading.Thread.start
-
-    def counted(thread):
-        started.append(thread)
-        real(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", counted)
+def test_depth_1_starts_no_thread(tmp_path, thread_starts):
     cfg = _cfg(tmp_path, async_depth=1, max_requests=300)
     assert sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0).bytes_moved == 300 * 4096
     src = tmp_path / "src"
     src.write_bytes(sb.make_rng(1).bytes(10 * 4096))
     assert sb.copy_file(src, tmp_path / "dst", block=4096, depth=1).write_requests == 10
-    assert started == []
+    assert thread_starts == []
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_depth_d_starts_d_minus_1_threads_per_trial_and_per_copy(tmp_path, thread_starts, depth):
+    """The positive control of the thread-start spy: slots 1..depth-1 get a
+    thread each, in each of the three trials (a warm-up and two measured)."""
+    cfg = _cfg(tmp_path, async_depth=depth, max_requests=64)
+    sb.run_measurement(cfg, trials=2, warmup=1, clock_ghz=1.0)
+    assert thread_starts == list(range(1, depth)) * 3
+    thread_starts.clear()
+    src = tmp_path / "src"
+    src.write_bytes(sb.make_rng(1).bytes(10 * 4096))
+    assert sb.copy_file(src, tmp_path / "dst", block=4096, depth=depth).write_requests == 10
+    assert thread_starts == list(range(1, depth))
+
+
+@pytest.mark.parametrize("kind", ["profile", "trace"])
+def test_hooks_set_with_threading_reach_every_slot(tmp_path, kind):
+    """A depth-2 trial and a depth-2 copy, run under a profile or trace hook set
+    with ``threading`` (and ``sys``, for the calling thread): the hook sees the
+    slot function of both slots, slot 1 on a thread other than slot 0's."""
+    seen = set()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "slot":
+            seen.add((frame.f_code.co_qualname, frame.f_locals["index"], threading.get_ident()))
+
+    cfg = _cfg(tmp_path, async_depth=2, max_requests=8)
+    sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)  # creates the target
+    src = tmp_path / "src"
+    src.write_bytes(sb.make_rng(1).bytes(2 * 4096))
+    setters = getattr(sys, f"set{kind}"), getattr(threading, f"set{kind}")
+    previous = getattr(sys, f"get{kind}")(), getattr(threading, f"get{kind}")()
+    for install in setters:
+        install(hook)
+    try:
+        sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
+        sb.copy_file(src, tmp_path / "dst", block=4096, depth=2)
+    finally:
+        for install, earlier in zip(setters, previous):
+            install(earlier)
+    for name in ("_trial.<locals>.slot", "_copy_blocks.<locals>.slot"):
+        threads = {index: ident for qualname, index, ident in seen if qualname == name}
+        assert sorted(threads) == [0, 1], (name, seen)
+        assert threads[0] == threading.get_ident() != threads[1]
 
 
 # -- seeking trials: the positional loop at depth 1 ---------------------------------
@@ -973,19 +1044,11 @@ def test_seeking_4k_trial_costs_one_frame_per_request(tmp_path, direction):
     assert _calls_per_request(_pinned_trial(cfg)) <= 1.05
 
 
-def test_seeking_trial_starts_no_thread(tmp_path, monkeypatch):
-    started = []
-    real = threading.Thread.start
-
-    def counted(thread):
-        started.append(thread)
-        real(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", counted)
+def test_seeking_trial_starts_no_thread(tmp_path, thread_starts):
     for direction in (Direction.READ, Direction.WRITE):
         cfg = _cfg(tmp_path, seek_pct=30, direction=direction, max_requests=300)
         assert sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0).bytes_moved == 300 * 4096
-    assert started == []
+    assert thread_starts == []
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="needs /proc/self/io")
@@ -1076,10 +1139,10 @@ def test_direct_ragged_block_is_rejected(tmp_path, need_direct):
 
 def test_rejected_direct_async_trial_leaves_no_thread_behind(tmp_path, need_direct, deadline):
     cfg = _cfg(tmp_path, direct=True, block=1000, async_depth=3, max_requests=12)
-    before = threading.active_count()
+    before = os_threads()
     with pytest.raises(sb.DirectRequestError):
         sb.run_measurement(cfg, trials=1, warmup=0)
-    assert threading.active_count() == before
+    assert not lingering_threads(before)
 
 
 def test_failed_async_trial_leaves_no_thread_behind(tmp_path, monkeypatch, deadline):
@@ -1093,10 +1156,10 @@ def test_failed_async_trial_leaves_no_thread_behind(tmp_path, monkeypatch, deadl
         return real(fd, buffers, offset)
 
     monkeypatch.setattr(os, "preadv", failing)
-    before = threading.active_count()
+    before = os_threads()
     with pytest.raises(OSError, match="injected read failure"):
         sb.run_measurement(cfg, trials=1, warmup=0)
-    assert threading.active_count() == before
+    assert not lingering_threads(before)
 
 
 @pytest.mark.parametrize(
@@ -1143,7 +1206,7 @@ def test_interrupted_async_write_trial_stops_every_slot_before_closing(
         return real(fd, buffers, offset)
 
     monkeypatch.setattr(os, "pwritev", slow)
-    before = threading.active_count()
+    before = os_threads()
     interrupt_after(0.3)
     with pytest.raises(Interrupt):
         sb.run_measurement(cfg, trials=1, warmup=0)
@@ -1154,7 +1217,7 @@ def test_interrupted_async_write_trial_stops_every_slot_before_closing(
     finally:
         os.close(fd)
     assert bystander.stat().st_size == 0
-    assert threading.active_count() == before
+    assert not lingering_threads(before)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 4])
@@ -1162,11 +1225,11 @@ def test_async_write_trial_ends_on_a_full_disk(tmp_path, enospc_at, deadline, de
     cfg = _cfg(tmp_path, direction=Direction.WRITE, async_depth=depth, max_requests=1000)
     cfg.path.write_bytes(b"\xa5" * cfg.file_size)  # the fill writes nothing
     enospc_at(300)
-    before = threading.active_count()
+    before = os_threads()
     with pytest.raises(OSError) as info:
         sb.run_measurement(cfg, trials=1, warmup=0)
     assert info.value.errno == errno.ENOSPC
-    assert threading.active_count() == before
+    assert not lingering_threads(before)
 
 
 def test_buffered_write_trial_ends_on_a_full_disk(tmp_path, stream_enospc_at, deadline):
@@ -1298,26 +1361,22 @@ def test_duration_bounded_buffered_sequential_trial_overshoots_by_at_most_one_ru
 
 @pytest.mark.parametrize("depth", [None, 3])
 def test_direct_ragged_block_is_rejected_before_any_request_or_thread(
-    tmp_path, monkeypatch, need_direct, deadline, depth
+    tmp_path, monkeypatch, thread_starts, need_direct, deadline, depth
 ):
     cfg = _cfg(tmp_path, direct=True, block=1000, async_depth=depth, max_requests=12)
     sb.run_measurement(dataclasses.replace(cfg, direct=False), trials=1, warmup=0)
-    requests, started = [], []
-    real_preadv, real_start = os.preadv, threading.Thread.start
+    thread_starts.clear()
+    requests = []
+    real_preadv = os.preadv
 
     def counted_preadv(fd, buffers, offset):
         requests.append(offset)
         return real_preadv(fd, buffers, offset)
 
-    def counted_start(thread):
-        started.append(thread)
-        real_start(thread)
-
     monkeypatch.setattr(os, "preadv", counted_preadv)
-    monkeypatch.setattr(threading.Thread, "start", counted_start)
     with pytest.raises(sb.DirectRequestError):
         sb.run_measurement(cfg, trials=1, warmup=0)
-    assert requests == [] and started == []
+    assert requests == [] and thread_starts == []
 
 
 @pytest.mark.parametrize("block", [4096, 512])

@@ -12,7 +12,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from conftest import Interrupt, open_fds
+from conftest import Interrupt, lingering_threads, open_fds, os_threads
 from hypothesis import given, settings, strategies as st
 
 import seqbench as sb
@@ -889,12 +889,12 @@ def test_an_interrupt_in_the_wait_wins_over_an_earlier_slot_failure(interrupt_af
         if isinstance(exc, Interrupt):
             stop.set()
 
-    before = threading.active_count()
+    before = os_threads()
     interrupt_after(0.2)
     with pytest.raises(Interrupt):
         run_slots(2, slot, fail)
     assert failures == [ValueError, Interrupt]
-    assert threading.active_count() == before
+    assert not lingering_threads(before)
 
 
 def test_run_slots_wait_survives_an_interrupt(interrupt_after):
@@ -915,10 +915,33 @@ def test_run_slots_wait_survives_an_interrupt(interrupt_after):
         failures.append(exc)
         stop.set()
 
-    before = threading.active_count()
+    before = os_threads()
     interrupt_after(0.2)
     with pytest.raises(Interrupt):
         run_slots(2, slot, fail)
     assert ended == [1]
     assert [type(exc) for exc in failures] == [Interrupt]
-    assert threading.active_count() == before
+    assert not lingering_threads(before)
+
+
+def test_a_thread_that_cannot_start_stops_every_slot(thread_start_fails_for, deadline):
+    """At depth 3 slot 2's thread cannot start: slot 0 never runs, ``fail``
+    stops slot 1, run_slots waits for it to end and raises the start error."""
+    thread_start_fails_for(2)
+    stop = threading.Event()
+    ended, failures = [], []
+
+    def slot(index):
+        stop.wait(10)
+        ended.append(index)
+
+    def fail(exc):
+        failures.append(exc)
+        stop.set()
+
+    before = os_threads()
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        run_slots(3, slot, fail)
+    assert ended == [1]
+    assert [type(exc) for exc in failures] == [RuntimeError]
+    assert not lingering_threads(before)

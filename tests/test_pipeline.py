@@ -11,7 +11,7 @@ import tracemalloc
 import zlib
 
 import pytest
-from conftest import Interrupt
+from conftest import Interrupt, lingering_threads, os_threads
 from hypothesis import given, settings, strategies as st
 
 import seqbench as sb
@@ -205,10 +205,10 @@ def test_hook_abort_leaves_no_thread_behind(tmp_path, deadline):
         if len(seen) == 5:
             raise RuntimeError("synthetic processing failure")
 
-    before = threading.active_count()
+    before = os_threads()
     with pytest.raises(sb.CopyAbortedError) as info:
         sb.copy_file(src, dst, block=4096, depth=4, hook=hook)
-    assert threading.active_count() == before
+    assert not lingering_threads(before)
     assert len(seen) == 5  # the abort stopped the hook calls
     assert info.value.progress.write_requests <= 4
 
@@ -227,11 +227,11 @@ def test_hook_exception_at_any_block_aborts_cleanly(tmp_path, deadline, depth, f
         if len(seen) == failing + 1:
             raise RuntimeError("synthetic processing failure")
 
-    before = threading.active_count()
+    before = os_threads()
     with pytest.raises(sb.CopyAbortedError) as info:
         sb.copy_file(src, dst, block=4096, depth=depth, hook=hook)
     assert isinstance(info.value.__cause__, RuntimeError)
-    assert threading.active_count() == before
+    assert not lingering_threads(before)
     assert not dst.exists()
     assert len(seen) == failing + 1  # no hook call after the failing block
     assert info.value.progress.write_requests < blocks
@@ -264,12 +264,29 @@ def test_interrupted_copy_stops_every_slot_and_removes_the_destination(tmp_path,
     """
     src, dst = tmp_path / "src", tmp_path / "dst"
     _fill(src, 2000 * 4096)
-    before = threading.active_count()
+    before = os_threads()
     interrupt_after(0.3)
     with pytest.raises(Interrupt):
         sb.copy_file(src, dst, block=4096, depth=2, hook=lambda view: time.sleep(0.001))
-    assert threading.active_count() == before
+    assert not lingering_threads(before)
     assert not dst.exists()
+
+
+def test_copy_whose_slot_thread_cannot_start_aborts_cleanly(
+    tmp_path, thread_start_fails_for, deadline
+):
+    """At depth 3 slot 2's thread cannot start: slot 1 is stopped, the partial
+    destination goes and the start error is the abort's cause."""
+    src, dst = tmp_path / "src", tmp_path / "dst"
+    _fill(src, 20 * 4096)
+    thread_start_fails_for(2)
+    before = os_threads()
+    with pytest.raises(sb.CopyAbortedError) as info:
+        sb.copy_file(src, dst, block=4096, depth=3)
+    assert isinstance(info.value.__cause__, RuntimeError)
+    assert not lingering_threads(before)
+    assert not dst.exists()
+    assert info.value.progress.write_requests == 0
 
 
 @pytest.mark.parametrize("call", ["preadv", "pwritev"])
@@ -290,11 +307,11 @@ def test_copy_ends_on_a_full_disk_and_carries_its_progress(tmp_path, enospc_at, 
     src, dst = tmp_path / "src", tmp_path / "dst"
     _fill(src, 20 * 4096)
     enospc_at(7)
-    before = threading.active_count()
+    before = os_threads()
     with pytest.raises(sb.CopyAbortedError) as info:
         sb.copy_file(src, dst, block=4096, depth=depth)
     assert info.value.__cause__.errno == errno.ENOSPC
-    assert threading.active_count() == before
+    assert not lingering_threads(before)
     assert not dst.exists()
     progress = info.value.progress
     assert (progress.write_requests, progress.bytes_copied) == (6, 6 * 4096)
