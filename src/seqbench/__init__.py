@@ -26,7 +26,6 @@ from .core import (
     format_size,
     make_rng,
     parse_size,
-    split_rng,
 )
 from .engine import (
     AccessHint,

@@ -387,7 +387,9 @@ def _trial(cfg: IoConfig, rng, log: TextIO | None = None) -> ThroughputSample:
     line and under the ticket lock, when it is given.
 
     A buffered sequential trial (no ``seek_pct``, ``async_depth`` or
-    ``direct``) goes through the handle's stream buffer; it seeks only to
+    ``direct``) drives the handle's stream itself: one ``readinto`` or
+    ``write`` of the slot's whole buffer per request, made from the run's
+    loop with no Python frame of its own.  It seeks the stream only to
     offset 0, where the chain starts and wraps, and a write trial drains
     the stream before the clock stops.  Every other request is one
     preadv/pwritev of the request size at its offset, through the OS
@@ -423,8 +425,6 @@ def _trial(cfg: IoConfig, rng, log: TextIO | None = None) -> ThroughputSample:
                     raise DirectRequestError(violations)
         fd = handle.fileno()
         call = os.pwritev if write else os.preadv
-        seek = handle.seek
-        transfer = handle.write_block if write else handle.read_block
 
         def positional(taken, buffer, view):
             iov = [view]
@@ -441,13 +441,19 @@ def _trial(cfg: IoConfig, rng, log: TextIO | None = None) -> ThroughputSample:
             for offset in taken:
                 if not offset:
                     seek(0)
-                got = transfer(buffer, block)
+                got = transfer(buffer)
                 if got != block:
                     return offset, got
                 if touch:
                     zlib.adler32(view)
 
-        requests = positional if cfg.seek_pct or cfg.async_depth or cfg.direct else streamed
+        if cfg.seek_pct or cfg.async_depth or cfg.direct:
+            requests = positional
+        else:
+            stream = handle.stream
+            seek = stream.seek
+            transfer = stream.write if write else stream.readinto
+            requests = streamed
         deadline = time.perf_counter() + cfg.duration
 
         def slot(index: int) -> None:

@@ -143,7 +143,7 @@ verifies the copy byte for byte, and deletes both files.
   -b<size>   bytes per request (default 1M)
   -a<count>  requests in flight (default 4)
 
-The directory defaults to a fresh temp directory."""
+The directory must exist; it defaults to a fresh temp directory."""
 
 
 @dataclass(frozen=True)
@@ -234,6 +234,14 @@ def _size(text: str, flag: str) -> int:
         raise ConfigError(f"-{flag}: {exc}") from None
 
 
+def _file_size(text: str, flag: str) -> int:
+    """A size for -r/-w/-x/-p: a file of 0 bytes times nothing."""
+    size = _size(text, flag)
+    if size == 0:
+        raise ConfigError(f"-{flag}: file size must be at least 1 byte, got {text!r}")
+    return size
+
+
 def _number(convert, expected: str):
     """A flag value parser: ``convert``, or an error naming the ``expected`` form."""
     def parse(text: str, flag: str):
@@ -263,6 +271,11 @@ def _value(found, flag, parse, bare=None, absent=None):
     return bare if text is None else parse(text, flag)
 
 
+def _given(*values):
+    """The first of ``values`` that is not None."""
+    return next(value for value in values if value is not None)
+
+
 def _values(found, table) -> dict:
     """Keyword values for the given flags of a ``{flag: (field, parser)}`` table."""
     return {field: parse(found[flag], flag) for flag, (field, parse) in table.items() if flag in found}
@@ -289,8 +302,8 @@ def parse_iospeed(args) -> IospeedInvocation:
         raise ConfigError(f"iospeed needs exactly one file path, got {positionals!r}")
     timed = _either(found, "r", "w")
     grow = _either(found, "x", "p")
-    rw_size = _value(found, timed, _size)
-    ext_size = _value(found, grow, _size)
+    rw_size = _value(found, timed, _file_size)
+    ext_size = _value(found, grow, _file_size)
     extension = {"x": ExtensionMode.INCREMENTAL, "p": ExtensionMode.PREALLOCATED}.get(grow)
     # Ranges (duration, depth, seek percentage) are IoConfig's to check.
     config = _build(
@@ -300,7 +313,7 @@ def parse_iospeed(args) -> IospeedInvocation:
         direction=Direction.WRITE if timed == "w" else Direction.READ,
         # Bare forms borrow the other phase's explicit size; with neither
         # spelled out, both default to 1G.
-        file_size=rw_size or ext_size or DEFAULT_FILE_SIZE,
+        file_size=_given(rw_size, ext_size, DEFAULT_FILE_SIZE),
         duration=_value(found, "t", _seconds, absent=DEFAULT_DURATION),
         block=_value(found, "b", _size, absent=DEFAULT_BLOCK),
         async_depth=_value(found, "a", _int, bare=DEFAULT_ASYNC_DEPTH),
@@ -309,7 +322,7 @@ def parse_iospeed(args) -> IospeedInvocation:
         touch="c" in found,
     )
     if extension is not None:
-        ext_size = ext_size or rw_size or DEFAULT_FILE_SIZE
+        ext_size = _given(ext_size, rw_size, DEFAULT_FILE_SIZE)
     return IospeedInvocation(config, extension, ext_size, "q" in found)
 
 
@@ -470,7 +483,6 @@ def _sha256(path: Path) -> str:
 def _run_asynccopy(inv: AsyncCopyInvocation) -> int:
     made_directory = inv.directory is None
     directory = Path(tempfile.mkdtemp(prefix="asynccopy_")) if made_directory else inv.directory
-    directory.mkdir(parents=True, exist_ok=True)
     src = directory / "asynccopy_src.dat"
     dst = directory / "asynccopy_dst.dat"
     try:

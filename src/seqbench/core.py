@@ -18,7 +18,6 @@ __all__ = [
     "parse_size",
     "format_size",
     "make_rng",
-    "split_rng",
 ]
 
 U64_MAX = (1 << 64) - 1
@@ -110,16 +109,10 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     same pair gives the same draws on every platform and every run, and
     distinct streams under one seed are statistically independent.  A
     stream must be owned by exactly one consumer at a time; hand each
-    worker its own via split_rng rather than sharing a generator.
+    worker a stream of its own rather than sharing a generator.
     """
     if seed < 0 or stream < 0:
         raise ValueError("seed and stream must be non-negative")
     key = np.array([seed & U64_MAX, stream & U64_MAX], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
-
-def split_rng(seed: int, count: int, first_stream: int = 1) -> list[np.random.Generator]:
-    """Fan a seed out into ``count`` independent generators."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    return [make_rng(seed, stream) for stream in range(first_stream, first_stream + count)]

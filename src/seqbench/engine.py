@@ -11,7 +11,9 @@ The benchmarks in this package need to know exactly which software layer a
 transfer passes through.  FileHandle therefore comes in two flavours:
 
 * buffered: a user-space stream buffer in front of the OS file cache, the
-  ordinary way programs read and write files.
+  ordinary way programs read and write files.  The handle's public
+  ``stream`` is that buffer, an io.Buffered* stream, and loops that make
+  one call per request drive it directly.
 * direct: no user-space buffering and the OS cache bypassed, so every
   read_block/write_block is a real device-sized request.  The filesystem
   enforces sector alignment for these; validate_direct_request mirrors the
@@ -19,8 +21,9 @@ transfer passes through.  FileHandle therefore comes in two flavours:
   of a bare EINVAL mid-run.
 
 Positions are explicit.  A handle tracks one position, read_block and
-write_block advance it, seek moves it.  A handle must be driven by one
-thread at a time.
+write_block advance it, seek moves it.  A buffered handle keeps no state
+of its own beside its stream, so driving the stream directly cannot put
+the handle out of step.  A handle must be driven by one thread at a time.
 
 transfer_full is the one full-transfer loop in the package: every
 positional request that must move all of its bytes goes through it, and
@@ -38,7 +41,6 @@ import contextlib
 import enum
 import errno
 import fcntl
-import functools
 import io
 import os
 import struct
@@ -46,7 +48,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -399,6 +401,12 @@ class FileHandle:
     Create these with open_file.  Handles are context managers; closing is
     idempotent.  Every handle is readable; writability follows from the
     (disposition, direction) pair it was opened with.
+
+    ``stream`` is a buffered handle's stream buffer and None on a direct
+    handle.  A read-only handle's is an io.BufferedReader, which refuses
+    writes with io.UnsupportedOperation itself.  A stream read of at most
+    the stream buffer, or of a multiple of it, issues the read calls
+    read_block would.
     """
 
     def __init__(self, fd, *, path, mode, geometry, writable, stream):
@@ -407,7 +415,7 @@ class FileHandle:
         self.geometry = geometry
         self.writable = writable
         self._fd = fd
-        self._stream = stream  # None for direct handles
+        self.stream = stream
         self._pos = 0  # authoritative only for direct handles
         self._closed = False
 
@@ -422,15 +430,15 @@ class FileHandle:
 
     @property
     def position(self) -> int:
-        if self._stream is not None:
-            return self._stream.tell()
+        if self.stream is not None:
+            return self.stream.tell()
         return self._pos
 
     @property
     def length(self) -> int:
         """Current file length in bytes, counting un-flushed stream data."""
-        if self._stream is not None and self.writable:
-            self._stream.flush()
+        if self.stream is not None and self.writable:
+            self.stream.flush()
         return os.fstat(self._fd).st_size
 
     # -- positioning ---------------------------------------------------
@@ -439,8 +447,8 @@ class FileHandle:
         """Move the position to an absolute byte offset."""
         if offset < 0:
             raise ValueError(f"cannot seek to negative offset {offset}")
-        if self._stream is not None:
-            self._stream.seek(offset)
+        if self.stream is not None:
+            self.stream.seek(offset)
         else:
             self._pos = offset
 
@@ -457,7 +465,7 @@ class FileHandle:
         against the volume geometry first and a DirectRequestError names
         every violation before anything is read.
         """
-        stream = self._stream
+        stream = self.stream
         if stream is None:
             return self._direct_transfer(buffer, length, write=False)
         if type(buffer) is not bytearray or (length is not None and length != len(buffer)):
@@ -475,7 +483,7 @@ class FileHandle:
         """
         if not self.writable:
             raise io.UnsupportedOperation(f"{self.path} is open read-only")
-        stream = self._stream
+        stream = self.stream
         if stream is None:
             return self._direct_transfer(buffer, length, write=True)
         kind = type(buffer)
@@ -486,50 +494,6 @@ class FileHandle:
         if buffer:
             stream.write(buffer)
         return len(buffer)
-
-    def lines(self) -> Iterator[bytes]:
-        """The lines from the current position to end of file, terminators kept.
-
-        They are split out of the stream buffer, so line reads issue the
-        same read calls as any other buffered read of the file.  A direct
-        handle has no stream buffer and raises io.UnsupportedOperation.
-        """
-        if self._stream is None:
-            raise self._needs_a_stream("lines")
-        return iter(self._stream)
-
-    def reads(self, size: int) -> Iterator[bytes]:
-        """Reads of ``size`` bytes from the current position until end of file.
-
-        Each item is one stream read call, made from C, so taking it runs no
-        Python frame; the last may be short.  A read of at most the stream
-        buffer, or of a multiple of it, issues the read calls ``read_block``
-        would; a longer read takes the whole stream buffers straight from
-        the file and the rest through the buffer.  A direct handle raises
-        io.UnsupportedOperation.
-        """
-        if self._stream is None:
-            raise self._needs_a_stream("reads")
-        if size < 1:
-            raise ValueError(f"read size must be at least 1 byte, got {size}")
-        return iter(functools.partial(self._stream.read, size), b"")
-
-    def write_each(self, pieces: Iterable) -> None:
-        """Write every piece of ``pieces`` at the current position, in order.
-
-        Each piece is one stream write call, made from C, so no Python
-        frame runs per piece; the stream batches them into the system
-        calls any buffered write makes.  A read-only handle refuses, as
-        write_block does, and a direct handle raises io.UnsupportedOperation.
-        """
-        if not self.writable:
-            raise io.UnsupportedOperation(f"{self.path} is open read-only")
-        if self._stream is None:
-            raise self._needs_a_stream("write_each")
-        self._stream.writelines(pieces)
-
-    def _needs_a_stream(self, method: str) -> io.UnsupportedOperation:
-        return io.UnsupportedOperation(f"{self.path} is direct; {method}() needs a buffered handle")
 
     def _direct_transfer(self, buffer, length, *, write: bool) -> int:
         if not (hasattr(buffer, "address") and hasattr(buffer, "capacity")):
@@ -559,8 +523,8 @@ class FileHandle:
         """Drain buffered data down to the requested tier."""
         if not self.writable:
             raise io.UnsupportedOperation(f"{self.path} is open read-only; nothing to flush")
-        if self._stream is not None:
-            self._stream.flush()
+        if self.stream is not None:
+            self.stream.flush()
         if level is FlushLevel.OPERATING_SYSTEM_CACHE:
             os.fsync(self._fd)
 
@@ -576,8 +540,8 @@ class FileHandle:
             raise ValueError(f"cannot preallocate a negative size {size}")
         if not self.writable:
             raise io.UnsupportedOperation(f"{self.path} is open read-only")
-        if self._stream is not None:
-            self._stream.flush()
+        if self.stream is not None:
+            self.stream.flush()
         current = os.fstat(self._fd).st_size
         if size > current:
             try:
@@ -595,8 +559,8 @@ class FileHandle:
         if self._closed:
             return
         self._closed = True
-        if self._stream is not None:
-            self._stream.close()  # owns and closes the fd
+        if self.stream is not None:
+            self.stream.close()  # owns and closes the fd
         else:
             os.close(self._fd)
 

@@ -13,6 +13,7 @@ counter, and the classic 100-byte-record sort input generator.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import struct
 import zlib
@@ -113,10 +114,10 @@ def _fixed_block(granularity: Granularity) -> int:
 def run_read(path: str | Path, granularity: Granularity) -> WorkloadResult:
     """Read the whole file at the given granularity and checksum it.
 
-    A fixed-size granularity (byte, block, record) makes one stream read
-    call per request, from C (``FileHandle.reads``).  The reads are joined
-    about DEFAULT_BLOCK bytes at a time, at least one read per join, and
-    one chained adler32 runs over each join: the checksum one call per
+    A fixed-size granularity (byte, block, record) makes one read call of
+    the handle's stream per request, from C.  The reads are joined about
+    DEFAULT_BLOCK bytes at a time, at least one read per join, and one
+    chained adler32 runs over each join: the checksum one call per
     request would give, with no Python frame per request.
     """
     if isinstance(granularity, LineAtATime):
@@ -128,7 +129,7 @@ def run_read(path: str | Path, granularity: Granularity) -> WorkloadResult:
     requests = 0
     stopwatch = Stopwatch()
     with open_file(path, OpenDisposition.OPEN, Direction.READ) as handle:
-        reads = handle.reads(step)
+        reads = iter(functools.partial(handle.stream.read, step), b"")
         while pieces := list(itertools.islice(reads, per_join)):
             data = b"".join(pieces)
             checksum = zlib.adler32(data, checksum)
@@ -143,7 +144,7 @@ def _read_lines(path: str | Path) -> WorkloadResult:
     lines = 0
     stopwatch = Stopwatch()
     with open_file(path, OpenDisposition.OPEN, Direction.READ) as handle:
-        for line in handle.lines():
+        for line in handle.stream:
             # "\r\n", then "\n"; a lone "\r" stays, so rstrip would not do
             if line.endswith(b"\n"):
                 line = line[:-2] if line.endswith(b"\r\n") else line[:-1]
@@ -162,8 +163,8 @@ def run_write(
     """Write exactly ``total_bytes`` of seeded random content.
 
     The file is created fresh (truncated if present).  Every request is
-    one stream write call, made from C (``FileHandle.write_each``).  A
-    fixed-size granularity writes what ``rng.bytes`` draws: one
+    one write call of the handle's stream, made from C by ``writelines``.
+    A fixed-size granularity writes what ``rng.bytes`` draws: one
     DEFAULT_BLOCK draw per 64 KiB of single bytes, and otherwise what one
     draw per block or record would give, drawn about 64 KiB of whole
     blocks at a time (see _draw_pieces), the short final block on its
@@ -191,7 +192,7 @@ def run_write(
     remaining = total_bytes
     stopwatch = Stopwatch()
     with open_file(path, OpenDisposition.CREATE, Direction.WRITE) as handle:
-        write_each = handle.write_each
+        writelines = handle.stream.writelines
         while remaining:
             if lines:
                 body, pieces = _draw_lines(rng, remaining)
@@ -206,7 +207,7 @@ def run_write(
                 body = pieces = _draw_pieces(rng, min(step, remaining), count)
                 remaining -= body.nbytes
             checksum = zlib.adler32(body, checksum)
-            write_each(pieces)
+            writelines(pieces)
             requests += len(pieces)
         handle.flush(FlushLevel.APPLICATION_BUFFERS)
     return WorkloadResult(total_bytes, checksum, stopwatch.sample(total_bytes, requests))

@@ -3,6 +3,7 @@ import collections
 import dataclasses
 import errno
 import gc
+import io
 import itertools
 import math
 import os
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import seqbench as sb
 from seqbench.bench import CLOCK_ENV_VAR, IoConfig, ThroughputSample
 from seqbench.core import Direction
-from seqbench.engine import FileHandle, IoMode
+from seqbench.engine import IoMode
 from seqbench.workloads import SORT_RECORD_BYTES
 
 
@@ -789,15 +790,16 @@ def _pinned_trial(cfg):
 @pytest.mark.parametrize(
     "overrides, budget",
     [
-        ({}, 1.1),
+        ({}, 0.05),
         ({"seek_pct": 100}, 3.0),
-        ({"direction": Direction.WRITE}, 1.1),
+        ({"direction": Direction.WRITE}, 0.05),
     ],
     ids=["sequential-read", "seeking-read", "write"],
 )
 def test_buffered_4k_trial_costs_one_frame_per_request(tmp_path, overrides, budget):
-    """read_block/write_block hand the trial's whole bytearray straight to the stream;
-    a seeking read adds only the seek and the offset generator."""
+    """A sequential trial hands its whole bytearray to the stream's readinto or
+    write from the run's loop, with no frame per request; a seeking read's
+    preadv/pwritev requests add only the offset generator."""
     assert _calls_per_request(_pinned_trial(_cfg(tmp_path, **overrides))) <= budget
 
 
@@ -1341,18 +1343,27 @@ def test_buffered_sequential_trial_reads_the_clock_once_per_run(tmp_path, monkey
 def test_duration_bounded_buffered_sequential_trial_overshoots_by_at_most_one_run(
     tmp_path, monkeypatch, deadline, block
 ):
-    """A clock that advances 1 ms per read_block: the duration is worth 600 reads,
-    and a run is 256 requests at both sizes."""
+    """A clock that advances 1 ms per read of the trial's stream: the duration is
+    worth 600 reads, and a run is 256 requests at both sizes.  The stream is
+    counted where open_file builds it, with ``io.open`` patched as
+    ``stream_enospc_at`` does."""
     cfg = _cfg(tmp_path, duration=0.6, block=block)
     sb.run_measurement(dataclasses.replace(cfg, max_requests=1), trials=1, warmup=0)
-    real = FileHandle.read_block
+    real = io.open
     reads: list[None] = []
 
-    def counted(self, buffer, length=None):
-        reads.append(None)
-        return real(self, buffer, length)
+    class Counted(io.BufferedReader):
+        def readinto(self, buffer):
+            reads.append(None)
+            return super().readinto(buffer)
 
-    monkeypatch.setattr(FileHandle, "read_block", counted)
+    def counting(file, mode="r", buffering=-1, *args, **kwargs):
+        if not isinstance(file, int):
+            return real(file, mode, buffering, *args, **kwargs)
+        assert mode == "rb"
+        return Counted(io.FileIO(file, "r"), buffering)
+
+    monkeypatch.setattr(io, "open", counting)
     monkeypatch.setattr(time, "perf_counter", lambda: len(reads) * 1e-3)
     sample = sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0).samples[0]
     assert 600 <= sample.request_count <= 600 + 256

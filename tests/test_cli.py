@@ -407,6 +407,22 @@ def test_an_endless_duration_is_a_usage_error_before_any_io(tmp_path, seconds, d
     assert not target.exists()
 
 
+@pytest.mark.parametrize("flag", ["r", "w", "x", "p"])
+def test_a_zero_file_size_is_a_usage_error_before_any_io(tmp_path, flag):
+    """A 0 size is refused, not replaced by the other phase's size or by 1G."""
+    other = "-p1M" if flag in "rw" else "-r1M"
+    with pytest.raises(sb.ConfigError) as info:
+        parse_iospeed([f"-{flag}0", other, "f"])
+    assert str(info.value) == f"-{flag}: file size must be at least 1 byte, got '0'"
+    target = tmp_path / "a.dat"
+    target.write_bytes(b"keep")
+    code, out, err = run_cli(["iospeed", f"-{flag}0", "-t0.1", "-q", str(target)])
+    assert code == 2
+    assert "usage: seqbench iospeed" in err
+    assert out == ""
+    assert target.read_bytes() == b"keep"
+
+
 # -- end-to-end runs ------------------------------------------------------------------------
 
 def test_quiet_read_emits_exactly_one_csv_row(tmp_path):
@@ -490,6 +506,14 @@ def test_asynccopy_run_verifies_and_cleans_up(tmp_path):
     code, out, _ = run_cli(["asynccopy", "-z1M", "-b64K", "-a2", str(tmp_path)])
     assert code == 0
     assert "verified" in out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_asynccopy_into_a_missing_directory_fails_and_leaves_nothing(tmp_path):
+    missing = tmp_path / "acdir" / "sub"
+    code, _, err = run_cli(["asynccopy", "-z1M", "-b64K", "-a2", str(missing)])
+    assert code == 1
+    assert str(missing) in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -156,22 +156,10 @@ def test_rng_rejects_negative():
         sb.make_rng(0, stream=-1)
 
 
-def test_split_rng_streams_and_count():
-    rngs = sb.split_rng(137, 4)
-    assert len(rngs) == 4
-    firsts = [int(r.integers(0, 2**63)) for r in rngs]
-    assert len(set(firsts)) == 4
-    # stream numbering starts at 1 so none of them shadows make_rng(seed)
-    assert firsts[0] == int(sb.make_rng(137, stream=1).integers(0, 2**63))
-    assert sb.split_rng(137, 0) == []
-    with pytest.raises(ValueError):
-        sb.split_rng(137, -1)
-
-
-def test_split_rng_byte_uniformity():
-    """Pooled bytes from split generators look uniform (chi-square)."""
+def test_make_rng_streams_byte_uniformity():
+    """Pooled bytes from streams 1..4 of one seed look uniform (chi-square)."""
     scipy_stats = pytest.importorskip("scipy.stats")
-    pooled = np.concatenate([r.integers(0, 256, size=20000) for r in sb.split_rng(137, 4)])
+    pooled = np.concatenate([sb.make_rng(137, s).integers(0, 256, size=20000) for s in range(1, 5)])
     counts = np.bincount(pooled, minlength=256)
     result = scipy_stats.chisquare(counts)
     assert result.pvalue > 1e-4

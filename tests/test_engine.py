@@ -1,5 +1,6 @@
 """Open dispositions, aligned buffers, direct-transfer validation, flushing."""
 import errno
+import functools
 import hashlib
 import io
 import itertools
@@ -384,13 +385,13 @@ def test_buffered_handle_takes_an_aligned_buffer(tmp_path):
 # buffers went straight to the stream: every buffer through _stream_view.
 def _reference_read(handle, buffer, length):
     view = _stream_view(buffer, length, target=True)
-    return (handle._stream.readinto(view) or 0) if view else 0
+    return (handle.stream.readinto(view) or 0) if view else 0
 
 
 def _reference_write(handle, buffer, length):
     view = _stream_view(buffer, length, target=False)
     if view:
-        handle._stream.write(view)
+        handle.stream.write(view)
     return len(view)
 
 
@@ -468,31 +469,34 @@ def test_buffered_transfer_matches_the_view_path(tmp_path, write, buffer_name, l
         assert outcomes[1][0][0] == pinned
 
 
-def test_write_each_and_reads_move_the_pieces_in_order(tmp_path):
+def test_stream_writelines_and_reads_move_the_pieces_in_order(tmp_path):
+    """The loops that drive a buffered handle's stream keep the handle in step."""
     p = tmp_path / "f"
     with sb.open_file(p, OpenDisposition.CREATE, Direction.WRITE) as h:
-        h.write_each([b"ab", b"", bytearray(b"cde"), memoryview(b"fg")])
-        h.write_each(memoryview(b"hij").cast("c"))
+        h.stream.writelines([b"ab", b"", bytearray(b"cde"), memoryview(b"fg")])
+        h.stream.writelines(memoryview(b"hij").cast("c"))
         assert h.position == 10
+        assert h.length == 10
     assert p.read_bytes() == b"abcdefghij"
     with sb.open_file(p, OpenDisposition.OPEN, Direction.READ) as h:
         h.seek(1)
-        assert list(h.reads(4)) == [b"bcde", b"fghi", b"j"]
-        assert list(h.reads(4)) == []
-        with pytest.raises(ValueError, match="at least 1 byte"):
-            h.reads(0)
-        with pytest.raises(io.UnsupportedOperation, match="read-only"):
-            h.write_each([b"x"])
+        assert list(iter(functools.partial(h.stream.read, 4), b"")) == [b"bcde", b"fghi", b"j"]
+        assert h.stream.read(4) == b""
+        assert h.position == 10
+        assert isinstance(h.stream, io.BufferedReader)
+        with pytest.raises(io.UnsupportedOperation):
+            h.stream.writelines([b"x"])
     assert p.read_bytes() == b"abcdefghij"
 
 
 def test_stream_calls_need_a_buffered_handle(tmp_path, need_direct):
+    """A direct handle has no stream; a buffered one opened for writing reads and writes."""
     p = tmp_path / "f"
     p.write_bytes(b"\0" * 4096)
     with sb.open_file(p, OpenDisposition.OPEN, Direction.WRITE, IoMode.DIRECT) as h:
-        for call in (h.lines, lambda: h.reads(4096), lambda: h.write_each([b"x" * 4096])):
-            with pytest.raises(io.UnsupportedOperation, match="needs a buffered handle"):
-                call()
+        assert h.stream is None
+    with sb.open_file(p, OpenDisposition.OPEN, Direction.WRITE) as h:
+        assert isinstance(h.stream, io.BufferedRandom)
     assert p.read_bytes() == b"\0" * 4096
 
 

@@ -7,6 +7,8 @@ the model's; reads return the model's bytes, and a flushed file holds
 them.  The same machine runs buffered and direct; a direct handle moves
 only whole sectors, so its sizes and offsets are rounded down to them.
 """
+import contextlib
+import functools
 import io
 import itertools
 
@@ -40,7 +42,7 @@ SIZES = st.one_of(
     st.sampled_from([4095, 4096, 8192, 65535, 65536, 65537, 100_000, 131_072, 250_000]),
 )
 
-#: Read sizes for reads(): the stream buffer, below it, its multiples, and neither.
+#: Read sizes for stream reads: the stream buffer, below it, its multiples, and neither.
 READ_SIZES = st.one_of(
     st.integers(1, 700),
     st.sampled_from([4096, 65535, 65536, 65537, 100_000, 131_072, 200_000]),
@@ -67,8 +69,13 @@ def _read_calls(path, position, read) -> tuple[bytes, int]:
         return data, proc_io()["syscr"] - before
 
 
+def _stream_reads(handle, size) -> list[bytes]:
+    """Reads of ``size`` bytes from the handle's stream until end of file."""
+    return list(iter(functools.partial(handle.stream.read, size), b""))
+
+
 def _read_all(handle, size) -> bytes:
-    return b"".join(handle.reads(size))
+    return b"".join(_stream_reads(handle, size))
 
 
 def _read_blocks(handle, size) -> bytes:
@@ -194,10 +201,9 @@ class HandleModel(RuleBasedStateMachine):
     @rule(size=READ_SIZES)
     def reads(self, size):
         if self.direct:
-            with pytest.raises(io.UnsupportedOperation):
-                self.handle.reads(size)
+            assert self.handle.stream is None
             return
-        pieces = list(self.handle.reads(size))
+        pieces = _stream_reads(self.handle, size)
         rest = self._moved(len(self.file))
         assert b"".join(pieces) == rest
         assert all(len(piece) == size for piece in pieces[:-1])
@@ -205,22 +211,25 @@ class HandleModel(RuleBasedStateMachine):
         self.pos += len(rest)
 
     @rule(pieces=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 300)), max_size=20))
-    def write_each(self, pieces):
+    def writelines(self, pieces):
         data = [_content(seed, size) for seed, size in pieces]
-        if self.direct or not self.writable:
-            with pytest.raises(io.UnsupportedOperation):
-                self.handle.write_each(data)
+        if self.direct:
+            assert self.handle.stream is None
             return
-        self.handle.write_each(data)
+        if not self.writable:
+            # A read-only stream refuses its first write; with no pieces there is none.
+            with pytest.raises(io.UnsupportedOperation) if data else contextlib.nullcontext():
+                self.handle.stream.writelines(data)
+            return
+        self.handle.stream.writelines(data)
         self._put(b"".join(data))
 
     @rule(count=st.integers(0, 5))
     def lines(self, count):
         if self.direct:
-            with pytest.raises(io.UnsupportedOperation):
-                self.handle.lines()
+            assert self.handle.stream is None
             return
-        taken = list(itertools.islice(self.handle.lines(), count))
+        taken = list(itertools.islice(self.handle.stream, count))
         assert taken == _lines(self._moved(len(self.file)))[:count]
         self.pos += sum(map(len, taken))
 
@@ -247,7 +256,7 @@ class HandleModel(RuleBasedStateMachine):
         self.handle.flush(level)
         assert self.path.read_bytes() == self.file
 
-    # -- reads() against read_block ---------------------------------------------
+    # -- stream reads against read_block ----------------------------------------
 
     @precondition(lambda self: not self.direct)
     @rule(size=READ_SIZES)
@@ -271,8 +280,8 @@ class HandleModel(RuleBasedStateMachine):
     "size", [7, 4096, 65535, 65536, 65537, 100_000, 131_072, 200_000, 400_000]
 )
 def test_reads_return_what_read_block_does(tmp_path, size):
-    """The same bytes at every size, and the same read calls where reads()
-    promises them: at most the stream buffer, or a multiple of it."""
+    """The same bytes at every size, and the same read calls where stream
+    reads promise them: at most the stream buffer, or a multiple of it."""
     path = tmp_path / "data"
     path.write_bytes(_content(3, 300_000))
     promised = size <= DEFAULT_STREAM_BUFFER or size % DEFAULT_STREAM_BUFFER == 0

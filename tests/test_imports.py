@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used, and every export list
-names what its module binds (a stand-in for a linter)."""
+"""Every module-level import in the package is used, every export list
+names what its module binds, and no module reaches into another object's
+private attributes (a stand-in for a linter)."""
 import ast
 import importlib
 from pathlib import Path
@@ -62,3 +63,24 @@ def test_the_package_imports_only_exported_names():
             exported = _exported_names(ast.parse((package / f"{node.module}.py").read_text()))
             stray += [f"{node.module}.{alias.name}" for alias in node.names if alias.name not in exported]
     assert not stray, f"seqbench/__init__.py imports names missing from __all__: {stray}"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+@pytest.mark.parametrize(
+    "source", sorted(Path(seqbench.__file__).parent.glob("*.py")), ids=lambda path: path.name
+)
+def test_no_private_attribute_of_another_object_is_read(source):
+    """``obj._name`` only on ``self`` or ``cls``: a buffered handle's stream, for
+    one, is reached through its public ``stream``, never ``handle._stream``."""
+    tree = ast.parse(source.read_text(), filename=str(source))
+    reached = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and _is_private(node.attr)
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+    assert not reached, f"{source.name} reads private attributes: {reached}"

@@ -1,7 +1,6 @@
 """Byte/line/block/record workloads, typed streams, text and sort helpers."""
 import errno
 import hashlib
-import io
 import math
 import os
 import struct
@@ -93,9 +92,11 @@ def test_every_read_granularity_goes_through_the_same_stream(tmp_path):
 def test_line_reads_need_a_buffered_handle(tmp_path, need_direct):
     p = tmp_path / "lines.txt"
     p.write_bytes(b"a\n" * 4096)
+    """Line reads split the stream buffer, which a direct handle does not have."""
     with sb.open_file(p, sb.OpenDisposition.OPEN, sb.Direction.READ, sb.IoMode.DIRECT) as handle:
-        with pytest.raises(io.UnsupportedOperation, match="buffered"):
-            handle.lines()
+        assert handle.stream is None
+    with sb.open_file(p, sb.OpenDisposition.OPEN, sb.Direction.READ) as handle:
+        assert list(handle.stream) == [b"a\n"] * 4096
 
 
 def test_empty_file_reads_cleanly(tmp_path):
