@@ -44,7 +44,8 @@ csv_path = root / "results.csv"
 csv_path.write_text(to_csv(rows))
 print(f"\nCSV:\n{to_csv(rows)}")
 
-# ... and as a log-log chart with one marker per measured point.
+# ... and as a chart of MB/s against log2(request size), one marker per
+# measured point.
 chart = root / "throughput.svg"
 emit_plot([PlotSeries(label="buffered read", points=tuple(points))],
           PlotKind.BANDWIDTH, chart, title="Read throughput vs request size")

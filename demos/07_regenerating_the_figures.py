@@ -25,7 +25,6 @@ tiny = SweepScale(
     file_size=4 << 20,
     duration=0.15,
     trials=3,
-    warmup=1,
     sizes=(1, 64, 1024, 65536),
     ext_size=2 << 20,
     ext_blocks=(65536, 262144),

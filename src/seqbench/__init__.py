@@ -73,9 +73,7 @@ from .workloads import (
     BlockAtATime,
     ByteAtATime,
     LineAtATime,
-    TypedReader,
     TypedRecords,
-    TypedWriter,
     WorkloadResult,
     count_lines,
     run_read,

@@ -130,35 +130,29 @@ def _is_power_of_two(value: int) -> bool:
 class SectorGeometry:
     """Alignment rules for direct transfers on one volume.
 
-    ``logical_sector`` is the unit the filesystem actually enforces;
-    ``recommended_alignment`` is the conservative unit callers should
-    allocate with, never smaller than the sector and never smaller than
-    64 KiB so one buffer works across volumes.
+    ``logical_sector`` is the unit the filesystem actually enforces.
+    ``recommended_alignment`` follows from it: the unit callers should
+    allocate with, the sector or 64 KiB, whichever is larger, so one
+    buffer works across volumes.
     """
 
     logical_sector: int
-    recommended_alignment: int
 
     def __post_init__(self):
         if not _is_power_of_two(self.logical_sector) or self.logical_sector < _MIN_SECTOR:
             raise ValueError(
                 f"logical sector must be a power of two >= {_MIN_SECTOR}, got {self.logical_sector}"
             )
-        if not _is_power_of_two(self.recommended_alignment):
-            raise ValueError(
-                f"recommended alignment must be a power of two, got {self.recommended_alignment}"
-            )
-        if self.recommended_alignment < max(self.logical_sector, _SAFE_ALIGNMENT):
-            raise ValueError(
-                "recommended alignment must be at least "
-                f"max(sector, {_SAFE_ALIGNMENT}), got {self.recommended_alignment}"
-            )
+
+    @property
+    def recommended_alignment(self) -> int:
+        return max(self.logical_sector, _SAFE_ALIGNMENT)
 
 
 #: What detect_sector_geometry offers when the probe fails.  Callers must
 #: adopt it explicitly (it rides along on GeometryProbeError); nothing in
 #: this package assumes it silently.
-FALLBACK_GEOMETRY = SectorGeometry(4096, _SAFE_ALIGNMENT)
+FALLBACK_GEOMETRY = SectorGeometry(4096)
 
 
 def detect_sector_geometry(path: str | os.PathLike) -> SectorGeometry:
@@ -181,15 +175,11 @@ def detect_sector_geometry(path: str | os.PathLike) -> SectorGeometry:
                 sector = _queue_sector(os.path.dirname(os.path.realpath(node, strict=True)))
             except (OSError, ValueError):
                 raise OSError(f"no block device queue information at {node}") from None
-    except OSError as exc:
+        return SectorGeometry(sector)
+    except (OSError, ValueError) as exc:  # ValueError: SectorGeometry refused the sector
         raise GeometryProbeError(
             f"cannot determine sector size for {os.fspath(path)!r}: {exc}", FALLBACK_GEOMETRY
         ) from exc
-    if sector < _MIN_SECTOR or not _is_power_of_two(sector):
-        raise GeometryProbeError(
-            f"implausible sector size {sector} reported for {os.fspath(path)!r}", FALLBACK_GEOMETRY
-        )
-    return SectorGeometry(sector, max(sector, _SAFE_ALIGNMENT))
 
 
 def _queue_sector(device: str) -> int:

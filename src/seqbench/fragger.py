@@ -166,15 +166,14 @@ class FragReport:
         return 100.0 * (self.base_used + self.live_bytes) / self.capacity
 
 
-def plan_directory_tree(cfg: FragConfig, volume_capacity: int | None = None) -> TreePlan:
+def plan_directory_tree(cfg: FragConfig, volume_capacity: int) -> TreePlan:
     """Lay out enough leaf directories for the worst-case file population.
 
-    Worst case is the fill target reached entirely with minimum-size
-    files.  Leaves hold at most ``max_files_per_dir`` files; interior
-    levels fan out ``max_subdirs`` wide, as many levels as needed.
+    Worst case is the fill target of ``volume_capacity`` bytes reached
+    entirely with minimum-size files.  Leaves hold at most
+    ``max_files_per_dir`` files; interior levels fan out ``max_subdirs``
+    wide, as many levels as needed.
     """
-    if volume_capacity is None:
-        volume_capacity = cfg.capacity_limit or shutil.disk_usage(cfg.root).total
     slots = math.ceil(volume_capacity * cfg.fill_pct / 100 / cfg.min_file)
     slots = min(max(slots, 1), cfg.max_files)
     leaf_count = math.ceil(slots / cfg.max_files_per_dir)

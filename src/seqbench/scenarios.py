@@ -22,7 +22,7 @@ from .bench import (
 )
 from .core import Direction, OpenDisposition
 from .engine import detect_sector_geometry, open_file, supports_direct_io
-from .errors import ScenarioError
+from .errors import GeometryProbeError, ScenarioError
 from .report import PlotKind, PlotSeries, emit_plot, result_row, to_csv
 
 __all__ = ["summary_scenario", "SweepScale", "QUICK", "FULL", "regen_figures"]
@@ -69,14 +69,14 @@ def summary_scenario(temp_dir: str | Path) -> None:
 class SweepScale:
     """How big a figure-regeneration run is.
 
-    ``sizes`` are the request sizes swept; extension runs use
-    ``ext_blocks`` write sizes up to a file of ``ext_size`` bytes.
+    ``sizes`` are the request sizes swept, each point ``trials`` timed
+    trials after one warm-up; extension runs use ``ext_blocks`` write
+    sizes up to a file of ``ext_size`` bytes.
     """
 
     file_size: int
     duration: float
     trials: int
-    warmup: int
     sizes: tuple[int, ...]
     ext_size: int
     ext_blocks: tuple[int, ...]
@@ -90,7 +90,6 @@ QUICK = SweepScale(
     file_size=256 << 20,
     duration=0.5,
     trials=3,
-    warmup=1,
     sizes=_ALL_POWERS,
     ext_size=32 << 20,
     ext_blocks=(64 << 10, 256 << 10, 1 << 20),
@@ -100,7 +99,6 @@ FULL = SweepScale(
     file_size=1 << 30,
     duration=5.0,
     trials=5,
-    warmup=1,
     sizes=_ALL_POWERS,
     ext_size=128 << 20,
     ext_blocks=(64 << 10, 256 << 10, 1 << 20, 4 << 20),
@@ -121,7 +119,7 @@ def _sweep(target, sizes, scale, clock, rows, *, direct):
                 block=block,
                 direct=direct,
             )
-            result = run_measurement(cfg, scale.trials, warmup=scale.warmup, clock_ghz=clock)
+            result = run_measurement(cfg, scale.trials, clock_ghz=clock)
             rows.append(result_row("sweep-direct" if direct else "sweep", result))
             points.append((block, result.mb_per_sec))
             deviations.append(result.stddev_mb_per_sec)
@@ -134,6 +132,19 @@ def _sweep(target, sizes, scale, clock, rows, *, direct):
     return bandwidth, cost
 
 
+def _direct_sector(scratch: Path) -> int | None:
+    """The sector size of direct sweeps in ``scratch``, or None after a
+    notice of why it can have none."""
+    try:
+        if supports_direct_io(scratch):
+            return detect_sector_geometry(scratch).logical_sector
+        reason = "cannot do uncached I/O"
+    except GeometryProbeError as exc:
+        reason = f"has no sector size to align to ({exc})"
+    print(f"notice: {scratch} {reason}; skipping fig4/fig5", file=sys.stderr)
+    return None
+
+
 def regen_figures(out_dir: str | Path, scale: SweepScale = QUICK) -> list[Path]:
     """Re-run the whole measurement suite and render its figures.
 
@@ -142,8 +153,9 @@ def regen_figures(out_dir: str | Path, scale: SweepScale = QUICK) -> list[Path]:
     the extension comparison; the numbering leaves gaps for figures that
     only make sense as hardware surveys).  The measured files live in
     ``out_dir/scratch``, which is removed on the way out.  When that
-    directory cannot do uncached I/O the direct figures are skipped with a
-    notice.  Returns the paths written.
+    directory cannot do uncached I/O, or its sector size cannot be probed,
+    the direct figures are skipped with a notice that says which.  Returns
+    the paths written.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -166,17 +178,12 @@ def regen_figures(out_dir: str | Path, scale: SweepScale = QUICK) -> list[Path]:
         figure("fig2.svg", bandwidth, PlotKind.BANDWIDTH, "Buffered throughput vs request size")
         figure("fig3.svg", cost, PlotKind.COST_PER_BYTE, "Buffered CPU cost vs request size")
 
-        if supports_direct_io(scratch):
-            sector = detect_sector_geometry(scratch).logical_sector
+        sector = _direct_sector(scratch)
+        if sector:
             direct_sizes = tuple(s for s in scale.sizes if s % sector == 0) or (sector,)
             d_bandwidth, d_cost = _sweep(target, direct_sizes, scale, clock, rows, direct=True)
             figure("fig4.svg", d_cost, PlotKind.COST_PER_BYTE, "Uncached CPU cost vs request size")
             figure("fig5.svg", d_bandwidth, PlotKind.BANDWIDTH, "Uncached throughput vs request size")
-        else:
-            print(
-                f"notice: {scratch} cannot do uncached I/O; skipping fig4/fig5",
-                file=sys.stderr,
-            )
 
         extension_series = []
         for mode in (ExtensionMode.INCREMENTAL, ExtensionMode.PREALLOCATED):

@@ -36,8 +36,6 @@ __all__ = [
     "WorkloadResult",
     "run_read",
     "run_write",
-    "TypedWriter",
-    "TypedReader",
     "typed_roundtrip",
     "count_lines",
     "write_sort_file",
@@ -243,91 +241,64 @@ def _draw_lines(rng: np.random.Generator, remaining: int) -> tuple[np.ndarray, l
 
 # -- typed binary streams ----------------------------------------------
 
-_U32 = struct.Struct("<I")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
 U32_MAX = (1 << 32) - 1
 I64_MIN, I64_MAX = -(1 << 63), (1 << 63) - 1
 
+#: Each fixed-width kind: its little-endian layout, and the inclusive range
+#: of values it takes (None: every float).  A "str" is not here: it is a
+#: u32 byte count, then that many bytes of UTF-8.
+_KINDS = {
+    "u32": (struct.Struct("<I"), (0, U32_MAX)),
+    "i64": (struct.Struct("<q"), (I64_MIN, I64_MAX)),
+    "f64": (struct.Struct("<d"), None),
+}
 
-class TypedWriter:
-    """Writes u32/i64/f64/str values to a binary stream.
 
-    Numbers are fixed-width little-endian; strings are UTF-8 with a u32
-    little-endian byte-length prefix.  The format is self-framing, so a
-    reader issuing the same sequence of typed reads gets the values back.
-    """
-
-    def __init__(self, stream: BinaryIO):
-        self._stream = stream
-
-    def write_u32(self, value: int) -> None:
-        if not 0 <= value <= U32_MAX:
-            raise ValueError(f"{value} does not fit in an unsigned 32-bit field")
-        self._stream.write(_U32.pack(value))
-
-    def write_i64(self, value: int) -> None:
-        if not I64_MIN <= value <= I64_MAX:
-            raise ValueError(f"{value} does not fit in a signed 64-bit field")
-        self._stream.write(_I64.pack(value))
-
-    def write_f64(self, value: float) -> None:
-        self._stream.write(_F64.pack(value))
-
-    def write_str(self, value: str) -> None:
+def _pack_typed(kind: str, value) -> bytes:
+    """The bytes one value of ``kind`` is stored as."""
+    if kind == "str":
         data = value.encode("utf-8")
-        if len(data) > U32_MAX:
-            raise ValueError("string is too long for a u32 length prefix")
-        self._stream.write(_U32.pack(len(data)))
-        self._stream.write(data)
-
-    def write(self, kind: str, value) -> None:
-        getattr(self, f"write_{kind}")(value)
+        return _pack_typed("u32", len(data)) + data  # too long: the u32 range check refuses it
+    layout, bounds = _KINDS[kind]
+    if bounds and not bounds[0] <= value <= bounds[1]:
+        raise ValueError(f"{value} does not fit in a {kind} field")
+    return layout.pack(value)
 
 
-class TypedReader:
-    """Reads values written by TypedWriter, in the same order and kinds."""
+def _read_exactly(stream: BinaryIO, count: int) -> bytes:
+    data = stream.read(count)
+    if len(data) != count:
+        raise StreamTruncatedError(
+            f"unexpected end of stream: wanted {count} more bytes, found {len(data)}"
+        )
+    return data
 
-    def __init__(self, stream: BinaryIO):
-        self._stream = stream
 
-    def _exactly(self, count: int) -> bytes:
-        data = self._stream.read(count)
-        if len(data) != count:
-            raise StreamTruncatedError(
-                f"unexpected end of stream: wanted {count} more bytes, found {len(data)}"
-            )
-        return data
-
-    def read_u32(self) -> int:
-        return _U32.unpack(self._exactly(4))[0]
-
-    def read_i64(self) -> int:
-        return _I64.unpack(self._exactly(8))[0]
-
-    def read_f64(self) -> float:
-        return _F64.unpack(self._exactly(8))[0]
-
-    def read_str(self) -> str:
-        length = self.read_u32()
-        return self._exactly(length).decode("utf-8")
-
-    def read(self, kind: str):
-        return getattr(self, f"read_{kind}")()
+def _read_typed(stream: BinaryIO, kind: str):
+    """Read the next value of ``kind`` from ``stream``."""
+    if kind == "str":
+        return _read_exactly(stream, _read_typed(stream, "u32")).decode("utf-8")
+    layout = _KINDS[kind][0]
+    return layout.unpack(_read_exactly(stream, layout.size))[0]
 
 
 def typed_roundtrip(values: Sequence[tuple[str, object]], path: str | Path) -> list[tuple[str, object]]:
-    """Write (kind, value) pairs to ``path``, read them back, return them."""
+    """Write (kind, value) pairs to ``path``, read them back, return them.
+
+    The kinds are "u32", "i64" and "f64", fixed-width little-endian, and
+    "str", UTF-8 after a u32 little-endian byte count.  The format is
+    self-framing, so reading the same kinds in order gets the values back.
+    A value outside its kind's range, or an unknown kind, raises
+    ValueError; a file cut short raises StreamTruncatedError.
+    """
+    for kind, _ in values:
+        if kind != "str" and kind not in _KINDS:
+            raise ValueError(f"unknown typed kind {kind!r}")
     with open(path, "wb") as stream:
-        writer = TypedWriter(stream)
         for kind, value in values:
-            writer.write(kind, value)
-    out = []
+            stream.write(_pack_typed(kind, value))
     with open(path, "rb") as stream:
-        reader = TypedReader(stream)
-        for kind, _ in values:
-            out.append((kind, reader.read(kind)))
-    return out
+        return [(kind, _read_typed(stream, kind)) for kind, _ in values]
 
 
 # -- text and sort-input helpers -----------------------------------------

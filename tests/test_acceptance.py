@@ -176,7 +176,7 @@ class _MisreportedBase:
 
 def test_criterion_04_direct_io_guards(tmp_path):
     with _Budget(4, "direct-I/O alignment guards", 10.0):
-        geometry = sb.SectorGeometry(logical_sector=512, recommended_alignment=65536)
+        geometry = sb.SectorGeometry(logical_sector=512)
         sector = geometry.logical_sector
         for base_off, len_off, off_off in itertools.product((0, 1), repeat=3):
             probe = _FakeBuffer(address=8 * sector + base_off, capacity=4 * sector)

@@ -5,8 +5,14 @@ directory, so a renamed or deleted public name fails here instead of only
 breaking a script nobody runs.  Left out, because they do not fit a
 quick unprivileged suite: 04 (times several configurations, about 7 s),
 06 (needs root and loop devices to build an aged volume) and 07
-(regenerates every figure, minutes of measurement).
+(regenerates every figure, about 8 s).  Every demo, those three among
+them, is also read without running it: each name it imports from
+seqbench must exist, and each keyword it passes to one of those names
+must be in that callable's signature.
 """
+import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -41,3 +47,22 @@ def test_demo_runs(tmp_path, name):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("path", sorted(DEMOS.glob("*.py")), ids=lambda path: path.name)
+def test_demo_imports_and_keywords_exist(path):
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.partition(".")[0] == "seqbench":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{node.module} has no {alias.name}"
+                imported[alias.asname or alias.name] = getattr(module, alias.name)
+    assert imported, "the demo imports nothing from seqbench"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in imported:
+            params = inspect.signature(imported[node.func.id]).parameters
+            for keyword in node.keywords:
+                assert keyword.arg is None or keyword.arg in params, (
+                    f"line {node.lineno}: {node.func.id} takes no keyword {keyword.arg!r}")

@@ -24,23 +24,25 @@ from seqbench.engine import FALLBACK_GEOMETRY, IoMode, SectorGeometry, _stream_v
 # -- SectorGeometry ---------------------------------------------------------
 
 def test_geometry_invariants_hold_for_valid_input():
-    g = SectorGeometry(logical_sector=512, recommended_alignment=65536)
+    g = SectorGeometry(logical_sector=512)
     assert g.logical_sector == 512 and g.recommended_alignment == 65536
 
 
+@pytest.mark.parametrize("sector", [512, 4096, 65536, 131072])
+def test_geometry_alignment_is_the_sector_or_64k_whichever_is_larger(sector):
+    assert SectorGeometry(sector).recommended_alignment == max(sector, 65536)
+
+
 @pytest.mark.parametrize(
-    "sector, alignment",
+    "sector",
     [
-        (500, 65536),     # not a power of two
-        (256, 65536),     # below 512
-        (512, 512),       # alignment below the 64K floor
-        (512, 100000),    # alignment not a power of two
-        (131072, 65536),  # alignment below the sector
+        500,  # not a power of two
+        256,  # below 512
     ],
 )
-def test_geometry_rejects_bad_values(sector, alignment):
+def test_geometry_rejects_bad_values(sector):
     with pytest.raises(ValueError):
-        SectorGeometry(logical_sector=sector, recommended_alignment=alignment)
+        SectorGeometry(logical_sector=sector)
 
 
 def test_fallback_geometry_is_conservative():
@@ -127,6 +129,13 @@ def test_a_device_without_a_queue_answers_from_its_parent(tmp_path, monkeypatch)
     else:
         assert sb.detect_sector_geometry(tmp_path).logical_sector == want
     assert asked == [node, parent]
+
+
+def test_an_implausible_sector_is_a_probe_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(sb.engine, "_queue_sector", lambda device: 100)
+    with pytest.raises(sb.GeometryProbeError, match="got 100") as info:
+        sb.detect_sector_geometry(tmp_path)
+    assert info.value.fallback == FALLBACK_GEOMETRY
 
 
 def test_detect_geometry_error_path_carries_fallback():
@@ -681,8 +690,8 @@ def test_allocate_aligned_rejects_bad_alignment():
 
 # -- validate_direct_request ------------------------------------------------------
 
-_GEOM_512 = SectorGeometry(512, 65536)
-_GEOM_4096 = SectorGeometry(4096, 65536)
+_GEOM_512 = SectorGeometry(512)
+_GEOM_4096 = SectorGeometry(4096)
 _FakeBuffer = namedtuple("_FakeBuffer", "address capacity")
 
 
@@ -732,7 +741,7 @@ def test_validator_flags_negative_values():
 def test_validator_matches_brute_force_oracle(sector_log, address, capacity, length, offset):
     """ok iff the three divisibility rules hold and length fits the buffer."""
     sector = 1 << sector_log
-    geom = SectorGeometry(sector, max(sector, 65536))
+    geom = SectorGeometry(sector)
     legal = (
         address % sector == 0
         and length % sector == 0

@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import seqbench as sb
+from seqbench import scenarios
 from seqbench.scenarios import SweepScale, regen_figures, summary_scenario
 
 
@@ -32,7 +33,6 @@ _TINY = SweepScale(
     file_size=4 << 20,
     duration=0.15,
     trials=3,
-    warmup=1,
     sizes=(1, 64, 1024, 65536),
     ext_size=2 << 20,
     ext_blocks=(65536, 262144),
@@ -110,6 +110,40 @@ def test_quick_sweep_shape_invariants(regen):
     for small, large in [(1, 64), (64, 1024), (1024, 65536)]:
         assert reads[large].mb_per_sec >= reads[small].mb_per_sec * 0.9
     assert reads[65536].ns_per_byte <= 0.1 * reads[1].ns_per_byte
+
+
+_ONE_SIZE = SweepScale(
+    file_size=1 << 20,
+    duration=0.02,
+    trials=1,
+    sizes=(4096,),
+    ext_size=1 << 20,
+    ext_blocks=(65536,),
+)
+
+
+def _probe_fails(path):
+    raise sb.GeometryProbeError(f"no block device queue information for {path}", sb.FALLBACK_GEOMETRY)
+
+
+@pytest.mark.parametrize(
+    "direct_io, probe, reason",
+    [
+        (False, None, "cannot do uncached I/O"),
+        (True, _probe_fails, "no block device queue information"),
+    ],
+    ids=["direct-open-refused", "no-sector-geometry"],
+)
+def test_regen_skips_the_direct_figures_with_a_notice(tmp_path, monkeypatch, capsys, direct_io, probe, reason):
+    monkeypatch.setattr(scenarios, "supports_direct_io", lambda path: direct_io)
+    if probe:
+        monkeypatch.setattr(scenarios, "detect_sector_geometry", probe)
+    paths = regen_figures(tmp_path, _ONE_SIZE)
+    assert sorted(p.name for p in paths) == ["fig2.svg", "fig3.svg", "fig8.svg", "results.csv"]
+    notice = capsys.readouterr().err
+    assert reason in notice and "skipping fig4/fig5" in notice
+    rows = sb.from_csv((tmp_path / "results.csv").read_text())
+    assert {r.tool for r in rows} == {"sweep", "extend"}
 
 
 def test_presets_are_coherent():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import seqbench as sb
-from seqbench.workloads import TypedReader, TypedWriter, _draw_pieces
+from seqbench.workloads import _draw_pieces, _read_typed
 
 from conftest import golden_text, open_fds
 
@@ -299,18 +299,22 @@ def test_typed_unicode_strings(tmp_path):
 
 
 def test_typed_range_checks(tmp_path):
-    with open(tmp_path / "t.bin", "wb") as stream:
-        writer = TypedWriter(stream)
-        with pytest.raises(ValueError):
-            writer.write_u32(-1)
-        with pytest.raises(ValueError):
-            writer.write_u32(2**32)
-        with pytest.raises(ValueError):
-            writer.write_i64(2**63)
-        with pytest.raises(ValueError):
-            writer.write_i64(-(2**63) - 1)
-        writer.write_i64(2**63 - 1)
-        writer.write_i64(-(2**63))
+    p = tmp_path / "t.bin"
+    with pytest.raises(ValueError):
+        sb.typed_roundtrip([("u32", -1)], p)
+    with pytest.raises(ValueError):
+        sb.typed_roundtrip([("u32", 2**32)], p)
+    with pytest.raises(ValueError):
+        sb.typed_roundtrip([("i64", 2**63)], p)
+    with pytest.raises(ValueError):
+        sb.typed_roundtrip([("i64", -(2**63) - 1)], p)
+    sb.typed_roundtrip([("i64", 2**63 - 1)], p)
+    sb.typed_roundtrip([("i64", -(2**63))], p)
+
+
+def test_typed_unknown_kind_is_named(tmp_path):
+    with pytest.raises(ValueError, match="'u16'"):
+        sb.typed_roundtrip([("u16", 7)], tmp_path / "t.bin")
 
 
 def test_typed_truncation_is_detected(tmp_path):
@@ -319,16 +323,14 @@ def test_typed_truncation_is_detected(tmp_path):
     with open(p, "r+b") as stream:
         stream.truncate(10)  # cuts the string body short
     with open(p, "rb") as stream:
-        reader = TypedReader(stream)
-        assert reader.read_u32() == 7
+        assert _read_typed(stream, "u32") == 7
         with pytest.raises(sb.StreamTruncatedError):
-            reader.read_str()
+            _read_typed(stream, "str")
     # callers watching for plain end-of-file see the same failure
     with open(p, "rb") as stream:
-        reader = TypedReader(stream)
-        reader.read_u32()
+        _read_typed(stream, "u32")
         with pytest.raises(EOFError):
-            reader.read_str()
+            _read_typed(stream, "str")
 
 
 _VALUE_STRATEGY = st.one_of(
