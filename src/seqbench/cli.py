@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 runtime I/O failure, 2 bad usage or config.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import sys
@@ -481,14 +482,21 @@ def _sha256(path: Path) -> str:
 
 
 def _run_asynccopy(inv: AsyncCopyInvocation) -> int:
-    made_directory = inv.directory is None
-    directory = Path(tempfile.mkdtemp(prefix="asynccopy_")) if made_directory else inv.directory
-    src = directory / "asynccopy_src.dat"
-    dst = directory / "asynccopy_dst.dat"
-    try:
+    with contextlib.ExitStack() as cleanup:
+        directory = inv.directory or Path(cleanup.enter_context(
+            tempfile.TemporaryDirectory(prefix="asynccopy_", ignore_cleanup_errors=True)
+        ))
+        src = directory / "asynccopy_src.dat"
+        dst = directory / "asynccopy_dst.dat"
+
+        @cleanup.callback
+        def remove_files():
+            for path in (src, dst):
+                with contextlib.suppress(OSError):
+                    path.unlink()
+
         for stale in (src, dst):
-            if stale.exists():
-                stale.unlink()
+            stale.unlink(missing_ok=True)
         print(f"creating {src} ({inv.size} bytes)")
         # Every chunk is fresh seeded data: with one chunk repeated, a block
         # copied to the wrong place could still match the source.
@@ -508,17 +516,6 @@ def _run_asynccopy(inv: AsyncCopyInvocation) -> int:
             raise ToolkitError("copy verification failed: source and destination differ")
         print("  verified: destination matches source")
         return 0
-    finally:
-        for path in (src, dst):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        if made_directory:
-            try:
-                directory.rmdir()
-            except OSError:
-                pass
 
 
 #: The tools: name -> (parser, usage page, invocation type, runner).

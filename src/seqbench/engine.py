@@ -415,10 +415,6 @@ class FileHandle:
         return self._fd
 
     @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
     def position(self) -> int:
         if self.stream is not None:
             return self.stream.tell()
@@ -521,10 +517,11 @@ class FileHandle:
     def preallocate(self, size: int) -> None:
         """Set the file length to exactly ``size`` without writing data.
 
-        Growing reserves backing extents eagerly where the filesystem
-        supports that (so later writes into the region do not pay for
-        allocation); shrinking truncates.  The position is clamped to the
-        new end when it would otherwise point past it.
+        Growing reserves backing extents eagerly (so later writes into the
+        region do not pay for allocation), or truncates where the filesystem
+        refuses that (EOPNOTSUPP); any other failure, a full disk among them,
+        raises.  Shrinking truncates.  The position is clamped to the new end
+        when it would otherwise point past it.
         """
         if size < 0:
             raise ValueError(f"cannot preallocate a negative size {size}")
@@ -536,7 +533,9 @@ class FileHandle:
         if size > current:
             try:
                 os.posix_fallocate(self._fd, 0, size)
-            except OSError:
+            except OSError as exc:
+                if exc.errno != errno.EOPNOTSUPP:
+                    raise
                 os.ftruncate(self._fd, size)
         else:
             os.ftruncate(self._fd, size)

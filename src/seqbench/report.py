@@ -189,12 +189,32 @@ class PlotSeries:
                 raise ValueError(f"series {self.label!r} has a non-finite value")
 
 
+# Not xml.sax.saxutils.escape: importing it loads urllib.request (about 7 MB
+# resident) into every process that imports seqbench.
 def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.2f}"
+def _fmt(value: float | int) -> str:
+    """Coordinates: a computed float to two decimals, a fixed integer as is."""
+    return f"{value:.2f}" if isinstance(value, float) else str(value)
+
+
+def _line(x1, y1, x2, y2, stroke: str, width: int = 1) -> str:
+    return (
+        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+        f'stroke="{stroke}" stroke-width="{width}"/>'
+    )
+
+
+def _text(x, y, content: str, size: int, *, anchor: str | None = "middle", rotate: bool = False) -> str:
+    """A sans-serif label at (x, y), turned a quarter left about that point when ``rotate``."""
+    anchor_attr = f' text-anchor="{anchor}"' if anchor else ""
+    turn = f' transform="rotate(-90 {_fmt(x)} {_fmt(y)})"' if rotate else ""
+    return (
+        f'<text x="{_fmt(x)}" y="{_fmt(y)}"{anchor_attr} font-family="sans-serif" '
+        f'font-size="{size}"{turn}>{_escape(content)}</text>'
+    )
 
 
 def emit_plot(
@@ -248,47 +268,25 @@ def emit_plot(
         'fill="none" stroke="#444444" stroke-width="1"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{_escape(title)}</text>'
-        )
+        parts.append(_text(_WIDTH // 2, 24, title, 15))
 
     # y grid and labels
     for step in range(6):
         value = top * step / 5
         y = y_at(value)
         if step:
-            parts.append(
-                f'<line x1="{_LEFT}" y1="{_fmt(y)}" x2="{_LEFT + plot_w}" y2="{_fmt(y)}" '
-                'stroke="#dddddd" stroke-width="1"/>'
-            )
-        parts.append(
-            f'<text x="{_LEFT - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{value:.4g}</text>'
-        )
-    parts.append(
-        f'<text x="20" y="{_TOP + plot_h // 2}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 20 {_TOP + plot_h // 2})">{_escape(y_label)}</text>'
-    )
+            parts.append(_line(_LEFT, y, _LEFT + plot_w, y, "#dddddd"))
+        parts.append(_text(_LEFT - 8, y + 4, f"{value:.4g}", 11, anchor="end"))
+    parts.append(_text(20, _TOP + plot_h // 2, y_label, 12, rotate=True))
 
     # x ticks at integer powers of two
     powers = [p for p in range(int(math.floor(tmin)), int(math.ceil(tmax)) + 1) if tmin - 1e-9 <= p <= tmax + 1e-9]
     stride = max(1, math.ceil(len(powers) / 12))
     for p in powers[::stride]:
-        x = _LEFT + (p - tmin) / tspan * plot_w
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_TOP + plot_h}" x2="{_fmt(x)}" '
-            f'y2="{_TOP + plot_h + 5}" stroke="#444444" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_TOP + plot_h + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{format_size(2**p)}</text>'
-        )
-    parts.append(
-        f'<text x="{_LEFT + plot_w // 2}" y="{_HEIGHT - 16}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">request size</text>'
-    )
+        x = x_at(2**p)
+        parts.append(_line(x, _TOP + plot_h, x, _TOP + plot_h + 5, "#444444"))
+        parts.append(_text(x, _TOP + plot_h + 20, format_size(2**p), 11))
+    parts.append(_text(_LEFT + plot_w // 2, _HEIGHT - 16, "request size", 12))
 
     for index, run in enumerate(series):
         color = _PALETTE[index % len(_PALETTE)]
@@ -298,15 +296,9 @@ def emit_plot(
                 if bar <= 0:
                     continue
                 y_lo, y_hi = y_at(max(value - bar, 0.0)), y_at(value + bar)
-                parts.append(
-                    f'<line x1="{_fmt(x)}" y1="{_fmt(y_hi)}" x2="{_fmt(x)}" '
-                    f'y2="{_fmt(y_lo)}" stroke="{color}" stroke-width="1"/>'
-                )
+                parts.append(_line(x, y_hi, x, y_lo, color))
                 for y_bar in (y_hi, y_lo):
-                    parts.append(
-                        f'<line x1="{_fmt(x - 3)}" y1="{_fmt(y_bar)}" x2="{_fmt(x + 3)}" '
-                        f'y2="{_fmt(y_bar)}" stroke="{color}" stroke-width="1"/>'
-                    )
+                    parts.append(_line(x - 3, y_bar, x + 3, y_bar, color))
         if len(coords) > 1:
             path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in coords)
             parts.append(
@@ -316,14 +308,8 @@ def emit_plot(
             parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="{color}"/>')
         legend_y = _TOP + 10 + index * 18
         legend_x = _WIDTH - _RIGHT + 14
-        parts.append(
-            f'<line x1="{legend_x}" y1="{legend_y}" x2="{legend_x + 22}" y2="{legend_y}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{legend_x + 28}" y="{legend_y + 4}" font-family="sans-serif" '
-            f'font-size="11">{_escape(run.label)}</text>'
-        )
+        parts.append(_line(legend_x, legend_y, legend_x + 22, legend_y, color, 2))
+        parts.append(_text(legend_x + 28, legend_y + 4, run.label, 11, anchor=None))
 
     parts.append("</svg>")
     Path(out_path).write_text("\n".join(parts) + "\n")

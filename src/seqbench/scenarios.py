@@ -37,8 +37,6 @@ def summary_scenario(temp_dir: str | Path) -> None:
     def step(name, action):
         try:
             return action()
-        except ScenarioError:
-            raise
         except Exception as exc:
             raise ScenarioError(f"step {name!r} failed: {exc}") from exc
 

@@ -1256,6 +1256,20 @@ def test_extension_ends_on_a_full_disk(tmp_path, enospc_at, deadline):
     assert open_fds() == before
 
 
+def test_preallocated_extension_ends_on_a_full_disk(tmp_path, monkeypatch):
+    def full(fd, offset, length):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "posix_fallocate", full)
+    before = open_fds()
+    with pytest.raises(OSError) as info:
+        sb.measure_extension(
+            tmp_path / "grown.dat", 32 * 4096, 4096, sb.ExtensionMode.PREALLOCATED, trials=1
+        )
+    assert info.value.errno == errno.ENOSPC
+    assert open_fds() == before
+
+
 # -- ticket runs ------------------------------------------------------------------
 
 @pytest.mark.parametrize("depth", [2, 4])

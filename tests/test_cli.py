@@ -5,6 +5,7 @@ import math
 import os
 import re
 import string
+import tempfile
 
 import pytest
 
@@ -505,6 +506,25 @@ def test_examples_with_zero_records_emits_six_empty_rows(tmp_path):
 def test_asynccopy_run_verifies_and_cleans_up(tmp_path):
     code, out, _ = run_cli(["asynccopy", "-z1M", "-b64K", "-a2", str(tmp_path)])
     assert code == 0
+    assert "verified" in out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_asynccopy_without_a_directory_cleans_up_its_scratch_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    code, out, _ = run_cli(["asynccopy", "-z1M", "-b64K", "-a2"])
+    assert code == 0
+    assert "verified" in out
+    assert f"creating {tmp_path / 'asynccopy_'}" in out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_asynccopy_replaces_stale_files_and_removes_them(tmp_path):
+    for name in ("asynccopy_src.dat", "asynccopy_dst.dat"):
+        (tmp_path / name).write_bytes(b"stale")
+    code, out, _ = run_cli(["asynccopy", "-z1M", "-b64K", "-a2", str(tmp_path)])
+    assert code == 0
+    assert f"creating {tmp_path / 'asynccopy_src.dat'} (1048576 bytes)" in out
     assert "verified" in out
     assert list(tmp_path.iterdir()) == []
 

@@ -8,12 +8,14 @@ quick unprivileged suite: 04 (times several configurations, about 7 s),
 (regenerates every figure, about 8 s).  Every demo, those three among
 them, is also read without running it: each name it imports from
 seqbench must exist, and each keyword it passes to one of those names
-must be in that callable's signature.
+must be in that callable's signature.  Each ```python block of README.md
+is read the same way.
 """
 import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +25,7 @@ import pytest
 import seqbench as sb
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+README = DEMOS.parent / "README.md"
 SOURCE = Path(sb.__file__).resolve().parent.parent
 
 
@@ -49,9 +52,19 @@ def test_demo_runs(tmp_path, name):
     assert done.returncode == 0, done.stderr
 
 
-@pytest.mark.parametrize("path", sorted(DEMOS.glob("*.py")), ids=lambda path: path.name)
-def test_demo_imports_and_keywords_exist(path):
-    tree = ast.parse(path.read_text(), str(path))
+def _sources() -> list:
+    """(source, name) of every demo and of every ```python block of README.md."""
+    sources = [pytest.param(path.read_text(), str(path), id=path.name) for path in sorted(DEMOS.glob("*.py"))]
+    readme = README.read_text()
+    for match in re.finditer(r"^```python\n(.*?)^```", readme, re.M | re.S):
+        name = f"README.md:{readme.count(chr(10), 0, match.start()) + 1}"
+        sources.append(pytest.param(match.group(1), name, id=name))
+    return sources
+
+
+@pytest.mark.parametrize("source, name", _sources())
+def test_demo_imports_and_keywords_exist(source, name):
+    tree = ast.parse(source, name)
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module.partition(".")[0] == "seqbench":
@@ -59,7 +72,7 @@ def test_demo_imports_and_keywords_exist(path):
             for alias in node.names:
                 assert hasattr(module, alias.name), f"{node.module} has no {alias.name}"
                 imported[alias.asname or alias.name] = getattr(module, alias.name)
-    assert imported, "the demo imports nothing from seqbench"
+    assert imported, f"{name} imports nothing from seqbench"
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in imported:
             params = inspect.signature(imported[node.func.id]).parameters

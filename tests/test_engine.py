@@ -609,6 +609,20 @@ def test_preallocate_falls_back_to_truncate_where_allocation_is_refused(tmp_path
     assert p.read_bytes() == b"z" * 4096 + bytes(65536 - 4096)
 
 
+def test_preallocate_on_a_full_disk_raises_and_keeps_the_length(tmp_path, monkeypatch):
+    def full(fd, offset, length):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "posix_fallocate", full)
+    p = _make(tmp_path / "f", b"z" * 4096)
+    with sb.open_file(p, OpenDisposition.OPEN_OR_CREATE, Direction.WRITE) as h:
+        with pytest.raises(OSError) as info:
+            h.preallocate(1 << 20)
+        assert info.value.errno == errno.ENOSPC
+        assert h.length == 4096
+    assert p.read_bytes() == b"z" * 4096
+
+
 # -- write_chunks ---------------------------------------------------------------
 
 def test_write_chunks_cuts_the_last_chunk_and_takes_no_more(tmp_path):

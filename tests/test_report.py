@@ -148,6 +148,34 @@ def test_plot_golden_bytes_are_stable(tmp_path):
     assert out.read_bytes() == golden_bytes("reference_plot.svg")
 
 
+#: (golden file, series, kind, emit_plot keywords): the paths reference_plot.svg does not take.
+_EDGE_PLOTS = [
+    # a marker with no line, the kind's default y label, no title
+    ("plot_single_point.svg", [sb.PlotSeries(label="solo", points=((64, 5.0),))],
+     sb.PlotKind.COST_PER_BYTE, {}),
+    # every value 0: the y scale falls back to a top of 1
+    ("plot_all_zero.svg",
+     [sb.PlotSeries(label="idle", points=((512, 0.0), (4096, 0.0), (65536, 0.0)))],
+     sb.PlotKind.BANDWIDTH, {"title": "nothing moved"}),
+    # an overridden y label, and a stddev of 0 that draws no bar
+    ("plot_y_label_and_zero_stddev.svg",
+     [sb.PlotSeries(label="direct write", points=((4096, 120.0), (65536, 300.0), (1 << 20, 340.0)),
+                    stddev=(2.0, 0.0, 7.5))],
+     sb.PlotKind.COST_PER_BYTE, {"y_label": "ns per byte"}),
+    ("plot_escaped_markup.svg",
+     [sb.PlotSeries(label="a<b & c>d", points=((1, 1.0), (2, 2.0))),
+      sb.PlotSeries(label="<&>", points=((1, 0.5), (2, 1.5)), stddev=(0.25, 0.5))],
+     sb.PlotKind.BANDWIDTH, {"title": "x < y & z", "y_label": "MB/s <&>"}),
+]
+
+
+@pytest.mark.parametrize("golden, series, kind, labels", _EDGE_PLOTS, ids=[case[0] for case in _EDGE_PLOTS])
+def test_plot_edge_case_golden_bytes_are_stable(tmp_path, golden, series, kind, labels):
+    out = tmp_path / "plot.svg"
+    sb.emit_plot(series, kind, out, **labels)
+    assert out.read_bytes() == golden_bytes(golden)
+
+
 def test_plot_is_valid_xml_with_expected_structure(tmp_path):
     out = tmp_path / "plot.svg"
     sb.emit_plot(_series(), sb.PlotKind.BANDWIDTH, out, title="demo")
