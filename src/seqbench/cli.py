@@ -470,15 +470,15 @@ def _run_examples(inv: ExamplesInvocation) -> int:
     return 0
 
 
-def _sha256(path: Path) -> str:
+def _sha256(path: Path) -> tuple[int, str]:
+    """The byte count and SHA-256 of what reading ``path`` gives."""
     digest = hashlib.sha256()
+    size = 0
     with open(path, "rb") as stream:
-        while True:
-            chunk = stream.read(1 << 20)
-            if not chunk:
-                break
+        while chunk := stream.read(1 << 20):
             digest.update(chunk)
-    return digest.hexdigest()
+            size += len(chunk)
+    return size, digest.hexdigest()
 
 
 def _run_asynccopy(inv: AsyncCopyInvocation) -> int:
@@ -512,7 +512,12 @@ def _run_asynccopy(inv: AsyncCopyInvocation) -> int:
             f"({rate:.2f} MB/s, {report.read_requests} reads, "
             f"{report.write_requests} writes, peak {report.peak_outstanding} in flight)"
         )
-        if _sha256(src) != _sha256(dst):
+        source, copied = _sha256(src), _sha256(dst)
+        if source[0] != inv.size:  # two empty reads would match
+            raise ToolkitError(
+                f"copy verification failed: read {source[0]} of {inv.size} source bytes"
+            )
+        if copied != source:
             raise ToolkitError("copy verification failed: source and destination differ")
         print("  verified: destination matches source")
         return 0

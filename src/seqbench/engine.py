@@ -310,14 +310,15 @@ def run_slots(
     threads do, so tracers and profilers see slot frames.  An exception
     escaping a slot, or raised while starting the threads, is recorded
     and handed to ``fail``, which must make the other slots finish and
-    keep no exception; a failed start runs neither that slot nor slot 0,
-    and starts no later one.  An interrupt (a signal handler's
-    exception, Ctrl-C) that reaches the calling thread while it runs
-    slot 0 is that slot's exception; one that reaches the wait for the
-    others goes to ``fail`` too, and the wait goes on.  Once every slot
-    has returned, this raises the first interrupt that reached the wait,
-    or else the first failure, and empties its record so that no
-    traceback is left in a reference cycle.
+    keep no exception; a failed start is an OSError (EAGAIN: the system
+    has no thread to give), runs neither that slot nor slot 0, and starts
+    no later one.  An interrupt (a signal handler's exception, Ctrl-C)
+    that reaches the calling thread while it runs slot 0 is that slot's
+    exception; one that reaches the wait for the others goes to ``fail``
+    too, and the wait goes on.  Once every slot has returned, this raises
+    the first interrupt that reached the wait, or else the first failure,
+    and empties its record so that no traceback is left in a reference
+    cycle.
     """
     failures: list[BaseException] = []  # interrupts that reached the wait come first
     waited = 0  # how many of those there are
@@ -346,7 +347,12 @@ def run_slots(
         for index in range(1, depth):
             finished = _thread.allocate_lock()
             finished.acquire()
-            _thread.start_new_thread(guarded, (index, finished))
+            try:
+                _thread.start_new_thread(guarded, (index, finished))
+            except RuntimeError as exc:  # the system has no thread to give
+                raise OSError(
+                    errno.EAGAIN, f"cannot start the thread of slot {index}: {exc}"
+                ) from None
             running.append(finished)
         if depth > 0:
             guarded(0)

@@ -1,6 +1,16 @@
-"""Shared fixtures: golden files, direct-I/O availability, fault scripts, deadlines, threads."""
+"""Shared fixtures: golden files, direct-I/O availability, faults, deadlines, threads.
+
+``faults`` is the one way a test makes a system call fail, come back
+short or with 0, or refuse a thread: it scripts one fault at the n-th
+call of one target.  A new fault cell for an I/O loop goes in the table
+of tests/test_faults.py, which runs every loop under every fault it can
+meet; a test outside it uses ``faults`` for a call the table does not
+reach, or for checks of its own that no cell makes the same way.
+"""
 import _thread
-import errno
+import builtins
+import contextlib
+import fcntl
 import io
 import itertools
 import os
@@ -11,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import seqbench as sb
+from seqbench import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -62,7 +73,8 @@ def deadline():
 
 
 class Interrupt(BaseException):
-    """What the ``interrupt_after`` alarm raises: like KeyboardInterrupt, not an Exception."""
+    """What ``interrupt_after`` and ``faults`` raise: like KeyboardInterrupt, not an
+    Exception, yet one that escapes fails its test instead of ending the session."""
 
 
 @pytest.fixture
@@ -90,60 +102,192 @@ def interrupt_after(deadline):
             signal.setitimer(signal.ITIMER_REAL, remaining)
 
 
-@pytest.fixture
-def enospc_at(monkeypatch):
-    """Script ``os.pwritev`` to fail with ENOSPC from its ``n``-th call on (1-based).
+#: The faults besides an errno (which raises that OSError) and Interrupt:
+#: a transfer that moves half its bytes, one that moves none, and a thread
+#: the system cannot start (RuntimeError, as ``_thread`` raises).
+SHORT, ZERO, REFUSED = "short", "zero", "refused"
 
-    ``enospc_at(n)`` patches the call for the rest of the test; the
-    first ``n - 1`` calls are real writes.
+#: Scripted zero-progress returns a loop may take before it counts as spinning.
+SPIN_LIMIT = 1000
+
+
+class Spin(BaseException):
+    """What a scripted 0 raises once a loop has taken SPIN_LIMIT of them: it would never end."""
+
+
+class _Script:
+    """One armed fault.  ``fired`` lists the calls it changed, one entry each."""
+
+    def __init__(self, fault, at: int, when):
+        self.fault, self.at, self.when = fault, at, when
+        self.calls = itertools.count(1)
+        self.fired: list[None] = []  # list.append counts calls from slot threads safely
+
+    def due(self, *args) -> bool:
+        """Whether this call transfers short or nothing; raises when its fault is an exception.
+
+        A fault lands on the ``at``-th call (of those ``when`` accepts) and on
+        every later one, as a full disk stays full, except Interrupt, which
+        lands once, as Ctrl-C does.
+        """
+        if self.when is not None and not self.when(*args):
+            return False
+        call = next(self.calls)
+        if call < self.at or (call > self.at and self.fault is Interrupt):
+            return False
+        self.fired.append(None)
+        if self.fault is Interrupt:
+            raise Interrupt(f"interrupted by faults at call {call}")
+        if self.fault == REFUSED:
+            raise RuntimeError("can't start new thread")
+        if isinstance(self.fault, int):
+            raise OSError(self.fault, os.strerror(self.fault))
+        if self.fault == ZERO and len(self.fired) > SPIN_LIMIT:
+            raise Spin(f"the loop retried {SPIN_LIMIT} transfers that moved nothing")
+        return True
+
+
+def _cut(buffer, unit: int = 1) -> memoryview:
+    """The first half of ``buffer``, in whole ``unit``s and at least one unit."""
+    view = memoryview(buffer).cast("B")
+    return view[: max(unit, len(view) // 2 // unit * unit)]
+
+
+def _scripted(real, script: _Script):
+    """``real`` under ``script``; a short preadv or pwritev on a direct descriptor is
+    cut in 4 KiB units."""
+
+    def call(*args, **kwargs):
+        if not script.due(*args):
+            return real(*args, **kwargs)
+        if script.fault == ZERO:
+            return 0
+        fd, buffers, offset = args
+        unit = 4096 if fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_DIRECT else 1
+        return real(fd, [_cut(buffers[0], unit)], offset)
+
+    return call
+
+
+class _Raw(io.FileIO):
+    """The raw file under the buffered streams ``faults`` opens: ``script`` faults ``method``.
+
+    One class for every arming, so that arming makes no garbage cycle.
     """
 
-    def install(n: int) -> None:
-        real = os.pwritev
-        calls = itertools.count(1)
+    script: _Script | None = None
+    method = ""
 
-        def scripted(fd, buffers, offset):
-            if next(calls) >= n:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return real(fd, buffers, offset)
+    def _scripted(self, method: str, buffer):
+        done = getattr(super(), method)
+        if method != self.method or not self.script.due(buffer):
+            return done(buffer)
+        return 0 if self.script.fault == ZERO else done(_cut(buffer))
 
-        monkeypatch.setattr(os, "pwritev", scripted)
+    def readinto(self, buffer):
+        return self._scripted("readinto", buffer)
 
-    return install
+    def write(self, data):
+        return self._scripted("write", data)
+
+
+_REAL_OPEN = io.open
+
+
+def _raw_open(file, mode="r", buffering=-1, *args, **kwargs):
+    """io.open, with every binary buffered stream over a _Raw file: a buffered
+    stream calls its raw file's readinto and write from C, so the way in is
+    ``open``.  Text streams and unbuffered opens are the real ones."""
+    if "b" not in mode or buffering == 0 or args or kwargs:
+        return _REAL_OPEN(file, mode, buffering, *args, **kwargs)
+    raw = _Raw(file, mode.replace("b", ""))
+    size = buffering if buffering > 0 else io.DEFAULT_BUFFER_SIZE
+    if "+" in mode:
+        return io.BufferedRandom(raw, size)
+    return (io.BufferedReader if "r" in mode else io.BufferedWriter)(raw, size)
+
+
+_TRANSFERS = ("preadv", "pwritev", "raw.readinto", "raw.write")
+#: The targets that are functions, each of the module it is looked up in.
+_CALLS = {
+    **dict.fromkeys(["preadv", "pwritev", "fsync", "posix_fallocate", "posix_fadvise", "open"], os),
+    "ioctl": fcntl,
+    "start_new_thread": _thread,
+}
+
+
+@contextlib.contextmanager
+def _arm(target: str, fault, at: int = 1, *, when=None):
+    thread = target == "start_new_thread"
+    kinds = {SHORT, ZERO} if target in _TRANSFERS else {REFUSED} if thread else set()
+    if target not in _TRANSFERS and target not in _CALLS or not (
+        fault is Interrupt or fault in kinds or isinstance(fault, int) and not thread
+    ):
+        raise ValueError(f"{target!r} cannot be scripted to fault with {fault!r}")
+    script = _Script(fault, at, when)
+    with pytest.MonkeyPatch.context() as patch:
+        if target.startswith("raw."):
+            patch.setattr(_Raw, "script", script)
+            patch.setattr(_Raw, "method", target[4:])
+            patch.setattr(io, "open", _raw_open)
+            patch.setattr(builtins, "open", _raw_open)  # the same function, by its other name
+        else:
+            owner = _CALLS[target]
+            patch.setattr(owner, target, _scripted(getattr(owner, target), script))
+        yield script
 
 
 @pytest.fixture
-def stream_enospc_at(monkeypatch):
-    """Script the raw file under buffered handles to fail with ENOSPC from its ``n``-th write on.
+def faults():
+    """``with faults(target, fault, at=n) as script:`` scripts ``fault`` at call n of ``target``.
 
-    A buffered handle writes through the stream ``io.open`` builds on its
-    file descriptor, and that stream's raw file calls write(2) from C, so
-    ``enospc_at`` cannot reach it.  ``stream_enospc_at(n)`` patches
-    ``io.open`` for the rest of the test: opening a file descriptor, which
-    only ``open_file`` does, puts the same buffer over a raw file whose
-    first ``n - 1`` writes (1-based, counted over every such stream) are
-    real.  Opening a path goes to the real ``io.open``.
+    ``target`` is a function named in _CALLS, such as "pwritev", "fsync"
+    or "start_new_thread", or "raw.readinto" or "raw.write", the calls a
+    buffered stream makes of the raw file under it (counted over every
+    binary stream opened while armed).  ``fault`` is an errno
+    (that OSError is raised), SHORT or ZERO (a transfer moves half its
+    bytes, in 4 KiB units on a direct descriptor, or none), REFUSED (a
+    thread start raises RuntimeError) or Interrupt.  ``when``, a predicate
+    of the call's arguments, limits the count to the calls it accepts.  A
+    ZERO that a loop retries SPIN_LIMIT times raises Spin.  ``script.fired``
+    lists the calls the fault changed; the calls are real again once the
+    block ends.
     """
+    return _arm
 
-    def install(n: int) -> None:
-        real = io.open
-        calls = itertools.count(1)
 
-        class ScriptedRaw(io.FileIO):
-            def write(self, data):
-                if next(calls) >= n:
-                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-                return super().write(data)
+def run_cli(argv) -> tuple[int, str, str]:
+    """Invoke the command line entry and capture (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
-        def scripted(file, mode="r", buffering=-1, *args, **kwargs):
-            if not isinstance(file, int):
-                return real(file, mode, buffering, *args, **kwargs)
-            stream = io.BufferedReader if mode == "rb" else io.BufferedRandom
-            return stream(ScriptedRaw(file, mode.replace("b", "")), buffering)
 
-        monkeypatch.setattr(io, "open", scripted)
+def offset_chain(cfg, stream: int, count: int) -> list[int]:
+    """The first ``count`` offsets of trial ``stream``, built with ``next_offset`` alone."""
+    rng, offsets = sb.make_rng(cfg.seed, stream), [0]
+    while len(offsets) < count:
+        offsets.append(sb.next_offset(offsets[-1], cfg, cfg.file_size, rng))
+    return offsets
 
-    return install
+
+def files_on_disk(root) -> dict[str, int]:
+    """Every file under ``root``, by its relative path, with its size."""
+    return {str(path.relative_to(root)): path.stat().st_size
+            for path in Path(root).rglob("*") if path.is_file()}
+
+
+def replay(events) -> dict[str, int]:
+    """The files a fragger event log leaves: each created file's size, less the deleted."""
+    live = {}
+    for event in events:
+        op, rel, size = event.split(" ")
+        if op == "C":
+            live[rel] = int(size)
+        else:
+            assert live.pop(rel) == int(size)
+    return live
 
 
 def open_fds() -> list[str]:
@@ -155,30 +299,6 @@ def proc_io() -> dict[str, int]:
     """This process's I/O counters from /proc/self/io (rchar, syscr, ...)."""
     with open("/proc/self/io") as stream:
         return {name: int(value) for name, value in (line.split(":") for line in stream)}
-
-
-@pytest.fixture
-def short_then_zero(monkeypatch):
-    """Script ``os.preadv`` or ``os.pwritev`` to move ``step`` bytes three times, then 0.
-
-    ``short_then_zero("pwritev")`` patches that call for the rest of the
-    test; the first three calls perform a real ``step``-byte transfer (a
-    direct handle needs a whole sector), every later call returns 0
-    without touching the file.
-    """
-
-    def install(name: str, step: int = 1) -> None:
-        real = getattr(os, name)
-        calls = itertools.count()
-
-        def scripted(fd, buffers, offset):
-            if next(calls) < 3:
-                return real(fd, [memoryview(buffers[0])[:step]], offset)
-            return 0
-
-        monkeypatch.setattr(os, name, scripted)
-
-    return install
 
 
 def os_threads() -> set[str]:
@@ -218,22 +338,3 @@ def thread_starts(monkeypatch):
 
     monkeypatch.setattr(_thread, "start_new_thread", counted)
     return started
-
-
-@pytest.fixture
-def thread_start_fails_for(monkeypatch):
-    """``thread_start_fails_for(index)``: starting slot ``index``'s thread raises
-    RuntimeError, as ``_thread`` does when the system has no thread to give;
-    every other start is real."""
-
-    def install(index: int) -> None:
-        real = _thread.start_new_thread
-
-        def refusing(function, args, *rest):
-            if args[0] == index:
-                raise RuntimeError("can't start new thread")
-            return real(function, args, *rest)
-
-        monkeypatch.setattr(_thread, "start_new_thread", refusing)
-
-    return install

