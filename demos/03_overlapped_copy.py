@@ -3,16 +3,20 @@ Copying with reads and writes in flight together
 ================================================
 
 A file copy at full speed keeps the source read and the destination
-write overlapped instead of strictly alternating.  copy_file runs depth
-slots, the calling thread being one and a thread each for the others.
-Every slot reads and writes its own blocks and hands each block to a hook
-between its read landing and its write being issued, in file order: a
-slot waits for its turn, runs the hook and passes the turn on before it
-writes.  The hook is the natural place to checksum or inspect the stream
-without a second pass.  The report's peak_outstanding is measured: the
-most reads and writes that were inside their system calls at once, which
-is at most depth and can be less when the transfers finish faster than
-the slots hand the turn over.
+write overlapped instead of strictly alternating.  copy_file first
+preallocates the destination to the source's length, so the overlapped
+writes fill space that already exists rather than each allocating it
+under the file's lock; a full disk fails there, before any block moves,
+and the report's wall time includes it.  Then it runs depth slots, the
+calling thread being one and a thread each for the others.  Every slot
+reads and writes its own blocks and hands each block to a hook between
+its read landing and its write being issued, in file order: a slot waits
+for its turn, runs the hook and passes the turn on before it writes.
+The hook is the natural place to checksum or inspect the stream without
+a second pass.  The report's peak_outstanding is measured: the most
+reads and writes that were inside their system calls at once, which is
+at most depth and can be less when the transfers finish faster than the
+slots hand the turn over.
 """
 import hashlib
 import tempfile

@@ -1,11 +1,13 @@
 """File I/O engine: open dispositions, aligned buffers, two buffering tiers.
 
-This is the package's one home of OS file services, for Linux only:
-direct opens, access hints, preallocation, sector geometry and extent
-counts.  Measured transfers go through it or the inline preadv/pwritev of
-the trial and copy loops.  The copy's two files, the fragger's files and
-the unmeasured ones (offset and event logs, typed_roundtrip, count_lines,
-the asynccopy checksum) are opened outside it, with open() or os.open.
+This is the package's one home of OS file services, for Linux only: direct
+opens, access hints, preallocation (``preallocate``, which
+FileHandle.preallocate and copy_file's destination both go through),
+sector geometry and extent counts.  Measured transfers go through it or
+the inline preadv/pwritev of the trial and copy loops.  The copy's two
+files, the fragger's files and the unmeasured ones (offset and event logs,
+typed_roundtrip, count_lines, the asynccopy checksum) are opened outside
+it, with open() or os.open.
 
 The benchmarks in this package need to know exactly which software layer a
 transfer passes through.  FileHandle therefore comes in two flavours:
@@ -72,6 +74,7 @@ __all__ = [
     "validate_direct_request",
     "transfer_full",
     "write_chunks",
+    "preallocate",
     "run_slots",
     "FileHandle",
     "open_file",
@@ -296,6 +299,25 @@ def write_chunks(fd: int, chunks: Iterable, offset: int, length: int) -> None:
             raise ValueError(f"chunks gave out {end - offset} bytes short of {length}")
         transfer_full(fd, view, offset, step, write=True)
         offset += step
+
+
+def preallocate(fd: int, size: int) -> None:
+    """Set the length of the file open as ``fd`` to exactly ``size`` without writing data.
+
+    Growing reserves backing extents eagerly (so later writes into the
+    region do not pay for allocation), or truncates where the filesystem
+    refuses that (EOPNOTSUPP); any other failure, a full disk among them,
+    raises and leaves the length as it was.  Shrinking truncates.
+    """
+    if size > os.fstat(fd).st_size:
+        try:
+            os.posix_fallocate(fd, 0, size)
+        except OSError as exc:
+            if exc.errno != errno.EOPNOTSUPP:
+                raise
+            os.ftruncate(fd, size)
+    else:
+        os.ftruncate(fd, size)
 
 
 def run_slots(
@@ -523,11 +545,9 @@ class FileHandle:
     def preallocate(self, size: int) -> None:
         """Set the file length to exactly ``size`` without writing data.
 
-        Growing reserves backing extents eagerly (so later writes into the
-        region do not pay for allocation), or truncates where the filesystem
-        refuses that (EOPNOTSUPP); any other failure, a full disk among them,
-        raises.  Shrinking truncates.  The position is clamped to the new end
-        when it would otherwise point past it.
+        The stream's pending writes land first; then the module function
+        preallocate sets the length.  The position is clamped to the new
+        end when it would otherwise point past it.
         """
         if size < 0:
             raise ValueError(f"cannot preallocate a negative size {size}")
@@ -535,16 +555,7 @@ class FileHandle:
             raise io.UnsupportedOperation(f"{self.path} is open read-only")
         if self.stream is not None:
             self.stream.flush()
-        current = os.fstat(self._fd).st_size
-        if size > current:
-            try:
-                os.posix_fallocate(self._fd, 0, size)
-            except OSError as exc:
-                if exc.errno != errno.EOPNOTSUPP:
-                    raise
-                os.ftruncate(self._fd, size)
-        else:
-            os.ftruncate(self._fd, size)
+        preallocate(self._fd, size)
         if self.position > size:
             self.seek(size)
 

@@ -15,6 +15,12 @@ as each transfer enters.  So the ring's state does not grow with the
 file.  Only the final block is short, and it moves at its exact length.
 The first failure in any slot, a hook exception or a shrunk source
 included, releases every turn so that all slots finish, and aborts the copy.
+
+Before the first read, the destination is preallocated to the source's
+length (engine.preallocate), so the slots' concurrent writes fill blocks
+that already exist instead of allocating them under the file's lock,
+where the other slot's write waits.  A disk too full for the copy fails
+there, before any block moves, with a report of no progress.
 """
 from __future__ import annotations
 
@@ -25,7 +31,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .engine import run_slots, transfer_full
+from .engine import preallocate, run_slots, transfer_full
 from .errors import CopyAbortedError
 
 __all__ = [
@@ -40,6 +46,9 @@ DEFAULT_DEPTH = 4  # slot threads, so at most this many requests in flight
 class CopyReport:
     """Accounting for one copy: request counts, bytes, wall time, overlap.
 
+    ``wall_time`` runs from the start of the call until every slot has
+    finished, so it includes opening both files and preallocating the
+    destination.
     ``peak_outstanding`` is the most requests, reads and writes together,
     that were inside their system calls at the same moment.
     """
@@ -87,11 +96,14 @@ def copy_file(
 
     The destination must not exist (FileExistsError if it does, and the
     existing file is left alone); a missing source raises
-    FileNotFoundError.  ``hook`` sees each block read-only, between its
-    read completing and its write being issued, in file order.  Any
-    failure mid-copy, including a hook exception, aborts the copy, deletes
-    the partial destination, and raises CopyAbortedError carrying a
-    CopyReport of the progress made.
+    FileNotFoundError.  Before the first read, ``dst`` is preallocated
+    to the source's length, so a disk too full for the copy fails there,
+    with a report of no reads and no writes.  ``hook`` sees each block
+    read-only, between its read completing and its write being issued,
+    in file order.  Any failure, including a hook exception, aborts the
+    copy, deletes the partial destination, and raises CopyAbortedError
+    carrying a CopyReport of the progress made; an interrupt such as
+    KeyboardInterrupt deletes it too and stays itself.
     """
     if block < 1 or depth < 1:
         raise ValueError(f"block and depth must be at least 1, got {block} and {depth}")
@@ -169,6 +181,7 @@ def _copy_blocks(src_fd, dst_fd, size, block, depth, hook, started) -> CopyRepor
         )
 
     try:
+        preallocate(dst_fd, size)
         run_slots(depth, slot, fail)
     except Exception as exc:  # an interrupt such as KeyboardInterrupt stays itself
         raise CopyAbortedError(f"copy aborted: {exc}", progress()) from exc

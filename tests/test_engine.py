@@ -552,6 +552,18 @@ def test_flush_on_read_only_handle_fails(tmp_path):
 
 
 # -- preallocate ---------------------------------------------------------------
+# Each behaviour is checked through FileHandle.preallocate and through the
+# engine function it calls, on a bare descriptor as copy_file uses it.
+
+def _preallocate_fd(path, size: int) -> int:
+    """engine.preallocate on a bare descriptor of ``path``; the length it leaves."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o644)
+    try:
+        sb.engine.preallocate(fd, size)
+        return os.fstat(fd).st_size
+    finally:
+        os.close(fd)
+
 
 def test_preallocate_grow_is_exact(tmp_path):
     p = tmp_path / "f"
@@ -559,6 +571,9 @@ def test_preallocate_grow_is_exact(tmp_path):
         h.preallocate(8 << 20)
         assert h.length == 8 << 20
     assert p.stat().st_size == 8 << 20
+    q = _make(tmp_path / "g", b"z" * 4096)
+    assert _preallocate_fd(q, 8 << 20) == 8 << 20
+    assert q.read_bytes() == b"z" * 4096 + bytes((8 << 20) - 4096)
 
 
 def test_preallocate_zero_truncates(tmp_path):
@@ -575,6 +590,9 @@ def test_preallocate_shrink_clamps_position(tmp_path):
         h.preallocate(4096)
         assert h.length == 4096
         assert h.position <= 4096
+    q = _make(tmp_path / "g", b"z" * 65536)
+    assert _preallocate_fd(q, 4096) == 4096
+    assert q.read_bytes() == b"z" * 4096
 
 
 def test_preallocate_then_write_overwrites_not_extends(tmp_path):
@@ -607,6 +625,10 @@ def test_preallocate_falls_back_to_truncate_where_allocation_is_refused(tmp_path
             h.preallocate(65536)
         assert refused.fired and h.length == 65536
     assert p.read_bytes() == b"z" * 4096 + bytes(65536 - 4096)
+    q = _make(tmp_path / "g", b"z" * 4096)
+    with faults("posix_fallocate", errno.EOPNOTSUPP) as refused:
+        assert _preallocate_fd(q, 65536) == 65536
+    assert refused.fired and q.read_bytes() == b"z" * 4096 + bytes(65536 - 4096)
 
 
 def test_preallocate_on_a_full_disk_raises_and_keeps_the_length(tmp_path, faults):
@@ -617,6 +639,10 @@ def test_preallocate_on_a_full_disk_raises_and_keeps_the_length(tmp_path, faults
         assert info.value.errno == errno.ENOSPC
         assert h.length == 4096
     assert p.read_bytes() == b"z" * 4096
+    q = _make(tmp_path / "g", b"z" * 4096)
+    with faults("posix_fallocate", errno.ENOSPC), pytest.raises(OSError) as info:
+        _preallocate_fd(q, 1 << 20)
+    assert info.value.errno == errno.ENOSPC and q.read_bytes() == b"z" * 4096
 
 
 # -- write_chunks ---------------------------------------------------------------

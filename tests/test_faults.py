@@ -135,7 +135,8 @@ def _copy(calls: str, depth: int) -> Loop:
 
     def check(d, outcome, cell):
         """A finished copy matches; a failed one leaves no destination, and its error
-        carries the progress made: every write before the failing call's landed."""
+        carries the progress made: every write before the failing call's landed, and
+        none where the destination's preallocation failed."""
         if _ok(outcome):
             assert (d / "dst").read_bytes() == (d / "src").read_bytes()
             assert (outcome.read_requests, outcome.write_requests) == (blocks, blocks)
@@ -148,6 +149,8 @@ def _copy(calls: str, depth: int) -> Loop:
             assert cell.target != "pwritev" or done.write_requests == cell.at - 1
             assert cell.target != "preadv" or done.read_requests < cell.at
             assert cell.target != "start_new_thread" or done.read_requests == 0
+            assert cell.target != "posix_fallocate" or (
+                done.read_requests, done.write_requests) == (0, 0)
 
     return Loop(
         lambda d: sb.copy_file(d / "src", d / "dst", block=4096, depth=depth), calls, check,
@@ -233,8 +236,8 @@ LOOPS = {
         lambda d: sb.bench._prepare_target(_fill(d)), "pwritev@2 fsync@1", _fill_check,
         setup=lambda d: (d / "target.dat").write_bytes(b"keep"),
     ),
-    "copy_file-depth1": _copy("preadv@7 pwritev@7", 1),
-    "copy_file-depth2": _copy("preadv@7 pwritev@7 start_new_thread@1", 2),
+    "copy_file-depth1": _copy("posix_fallocate@1 preadv@7 pwritev@7", 1),
+    "copy_file-depth2": _copy("posix_fallocate@1 preadv@7 pwritev@7 start_new_thread@1", 2),
     "run_cycles": Loop(
         lambda d: sb.run_cycles(sb.FragConfig.scaled(
             d / "aged", capacity_limit=8 << 20, seed=7, event_log=d / "events.log"
@@ -269,7 +272,8 @@ LOOPS = {
         "iospeed -t0.05 -b64K -w256K -a2 -p {d}/io.dat",
     ),
     "asynccopy": _tool(
-        "pwritev@1 pwritev@4 preadv@3 fsync@1 start_new_thread@1 raw.readinto@1",
+        "pwritev@1 pwritev@4 preadv@3 fsync@1 posix_fallocate@1 start_new_thread@1 "
+        "raw.readinto@1",
         "asynccopy -z256K -b16K -a2 {d}", check=_asynccopy_check,
     ),
     "fragdisk": _tool(

@@ -271,6 +271,35 @@ def test_copy_ends_on_a_full_disk_and_carries_its_progress(tmp_path, faults, dea
     assert 6 <= progress.read_requests < 20
 
 
+@pytest.mark.parametrize("depth", [1, 2])
+def test_copy_preallocates_its_destination_before_the_first_write(tmp_path, monkeypatch, depth):
+    """One posix_fallocate of the whole destination, before any pwritev; none for an
+    empty source, where there is nothing to grow (posix_fallocate refuses a length of 0)."""
+    calls = []
+
+    def fallocate(fd, offset, length, real=os.posix_fallocate):
+        calls.append(("posix_fallocate", os.readlink(f"/proc/self/fd/{fd}"), offset, length))
+        return real(fd, offset, length)
+
+    def pwritev(fd, buffers, offset, real=os.pwritev):
+        calls.append(("pwritev",))
+        return real(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "posix_fallocate", fallocate)
+    monkeypatch.setattr(os, "pwritev", pwritev)
+    for size in (5 * 4096 + 17, 0):
+        src, dst = tmp_path / f"src{size}", tmp_path / f"dst{size}"
+        _fill(src, size)
+        calls.clear()
+        sb.copy_file(src, dst, block=4096, depth=depth)
+        assert dst.read_bytes() == src.read_bytes()
+        if size:
+            assert calls[0] == ("posix_fallocate", str(dst), 0, size)
+            assert calls[1:] == [("pwritev",)] * 6
+        else:
+            assert calls == []
+
+
 def test_copy_existing_destination_is_left_alone(tmp_path):
     src, dst = tmp_path / "src", tmp_path / "dst"
     _fill(src, 4096)
