@@ -30,7 +30,6 @@ from .core import (
 from .engine import (
     AccessHint,
     AlignedBuffer,
-    FALLBACK_GEOMETRY,
     FileHandle,
     FlushLevel,
     IoMode,

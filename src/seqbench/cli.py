@@ -114,7 +114,7 @@ deletes a random subset until only -k percent is used, and repeats.
   -FM<size>  maximum file size; bare numbers mean MiB (default 256)
   -c<count>  files created per cycle (default 1000)
   -d<count>  maximum files per directory (default 100)
-  -s<count>  maximum subdirectories per directory (default 10)
+  -s<count>  maximum subdirectories per directory, at least 2 (default 10)
   -n<count>  cycles to run; 0 means until interrupted (default 0)
   -k<pct>    keep percentage after deleting (default 5)
   -f<pct>    fill percentage while creating (default 70)

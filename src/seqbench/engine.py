@@ -67,7 +67,6 @@ __all__ = [
     "AccessHint",
     "FlushLevel",
     "SectorGeometry",
-    "FALLBACK_GEOMETRY",
     "DEFAULT_STREAM_BUFFER",
     "detect_sector_geometry",
     "AlignedBuffer",
@@ -152,21 +151,15 @@ class SectorGeometry:
         return max(self.logical_sector, _SAFE_ALIGNMENT)
 
 
-#: What detect_sector_geometry offers when the probe fails.  Callers must
-#: adopt it explicitly (it rides along on GeometryProbeError); nothing in
-#: this package assumes it silently.
-FALLBACK_GEOMETRY = SectorGeometry(4096)
-
-
 def detect_sector_geometry(path: str | os.PathLike) -> SectorGeometry:
     """Probe the volume holding ``path`` for its direct-transfer alignment.
 
     Reads the logical sector size from the device's sysfs queue.  A whole
     disk (a loop device among them) answers from its own; only when that
     read fails is the device's sysfs link resolved, to read the queue of
-    the parent disk of a partition.  Raises GeometryProbeError, carrying
-    FALLBACK_GEOMETRY, when the device cannot be resolved or reports
-    something implausible.
+    the parent disk of a partition.  Raises GeometryProbeError when the
+    device cannot be resolved or reports something implausible; no sector
+    size is assumed in its place.
     """
     try:
         st = os.stat(path)
@@ -181,7 +174,7 @@ def detect_sector_geometry(path: str | os.PathLike) -> SectorGeometry:
         return SectorGeometry(sector)
     except (OSError, ValueError) as exc:  # ValueError: SectorGeometry refused the sector
         raise GeometryProbeError(
-            f"cannot determine sector size for {os.fspath(path)!r}: {exc}", FALLBACK_GEOMETRY
+            f"cannot determine sector size for {os.fspath(path)!r}: {exc}"
         ) from exc
 
 
@@ -216,11 +209,6 @@ class AlignedBuffer:
     def address(self) -> int:
         """Base address of the usable region."""
         return self._array.ctypes.data
-
-    @property
-    def array(self) -> np.ndarray:
-        """The usable region as a uint8 numpy array."""
-        return self._array
 
     @property
     def view(self) -> memoryview:

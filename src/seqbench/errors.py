@@ -50,15 +50,7 @@ class DirectRequestError(ToolkitError, ValueError):
 
 
 class GeometryProbeError(ToolkitError, OSError):
-    """Sector geometry could not be determined.
-
-    Carries a conservative ``fallback`` geometry the caller may adopt
-    explicitly.  Nothing in this package adopts it silently.
-    """
-
-    def __init__(self, message: str, fallback):
-        self.fallback = fallback
-        super().__init__(f"{message} (conservative fallback: {fallback})")
+    """Sector geometry could not be determined; no sector size is assumed instead."""
 
 
 class ExtentQueryError(ToolkitError, OSError):

@@ -23,6 +23,7 @@ Two sizing modes:
 """
 from __future__ import annotations
 
+import contextlib
 import errno
 import itertools
 import math
@@ -85,9 +86,11 @@ class FragConfig:
             raise ValueError(
                 f"minimum file size {self.min_file} exceeds maximum {self.max_file}"
             )
-        for name in ("max_files", "files_per_cycle", "max_files_per_dir", "max_subdirs"):
+        for name in ("max_files", "files_per_cycle", "max_files_per_dir"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.max_subdirs < 2:  # a fan-out of 1 holds only the root leaf
+            raise ValueError(f"max_subdirs must be at least 2, got {self.max_subdirs}")
         if self.max_cycles < 0:
             raise ValueError(f"max_cycles may not be negative, got {self.max_cycles}")
         if self.seed < 0:
@@ -119,13 +122,13 @@ class FragConfig:
 class TreePlan:
     """Where files will go: leaf directories sized to hold every slot.
 
-    ``depth`` counts directory levels including the root itself, and
     ``slots`` is the number of minimum-size files a full run might need,
-    so leaf_count * max_files_per_dir >= slots always holds.
+    so leaf_count * max_files_per_dir >= slots always holds.  run_cycles
+    creates a file only while fewer than ``slots`` files are live, so the
+    least-loaded leaf always has room.
     """
 
     leaves: tuple[PurePosixPath, ...]
-    depth: int
     slots: int
 
     @property
@@ -178,7 +181,7 @@ def plan_directory_tree(cfg: FragConfig, volume_capacity: int) -> TreePlan:
     slots = min(max(slots, 1), cfg.max_files)
     leaf_count = math.ceil(slots / cfg.max_files_per_dir)
     if leaf_count == 1:
-        return TreePlan((PurePosixPath("."),), 1, slots)
+        return TreePlan((PurePosixPath("."),), slots)
     levels = 1
     while cfg.max_subdirs**levels < leaf_count:
         levels += 1
@@ -191,7 +194,7 @@ def plan_directory_tree(cfg: FragConfig, volume_capacity: int) -> TreePlan:
             remainder, digit = divmod(remainder, cfg.max_subdirs)
             parts.append(f"d{digit:0{width}d}")
         leaves.append(PurePosixPath(*reversed(parts)))
-    return TreePlan(tuple(leaves), levels + 1, slots)
+    return TreePlan(tuple(leaves), slots)
 
 
 def _fill_chunk(max_size: int) -> bytes:
@@ -210,10 +213,8 @@ def _write_file(path: str, size: int, chunk: bytes) -> None:
         write_chunks(fd, itertools.repeat(chunk), 0, size)
     except BaseException:
         os.close(fd)
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(path)
-        except OSError:
-            pass
         raise
     os.close(fd)
 
@@ -222,13 +223,13 @@ def run_cycles(cfg: FragConfig) -> FragReport:
     """Run fill/purge cycles under ``cfg.root`` and report what happened.
 
     Each cycle creates files of uniform random size in [min_file,
-    max_file] until the fill target, the per-cycle file budget, the total
-    file cap or the directory tree binds, placing each file in the
-    currently least-loaded leaf.  After a sync (files must reach the
-    allocator before deletions can carve holes), a uniform random subset
-    is deleted until occupancy drops to the keep target.  A full disk is
-    absorbed by moving to the purge phase early; anything else (such as a
-    permission error) aborts with the original exception.
+    max_file] until the fill target, the per-cycle file budget or the
+    total file cap binds, placing each file in the currently least-loaded
+    leaf.  After a sync (files must reach the allocator before deletions
+    can carve holes), a uniform random subset is deleted until occupancy
+    drops to the keep target.  A full disk is absorbed by moving to the
+    purge phase early; anything else (such as a permission error) aborts
+    with the original exception.
 
     The per-file work is a string join and the system calls: the fill
     chunk is built once per call, and each file's path is its leaf's
@@ -297,11 +298,7 @@ def run_cycles(cfg: FragConfig) -> FragReport:
                 if cfg.capacity_limit is not None and occupancy + size > capacity:
                     notes.append(f"cycle {cycle}: quota full, purging early")
                     break
-                load = min(leaf_loads)
-                if load >= cfg.max_files_per_dir:
-                    notes.append(f"cycle {cycle}: directory tree full, purging early")
-                    break
-                leaf_index = leaf_loads.index(load)
+                leaf_index = leaf_loads.index(min(leaf_loads))
                 rel = f"{prefixes[leaf_index]}f{serial:08d}.dat"
                 serial += 1
                 in_flight = "C", rel

@@ -48,16 +48,14 @@ def summary_scenario(temp_dir: str | Path) -> None:
             raise ScenarioError(f"step 'write' failed: file length {handle.length}, wanted 100")
         step("rewind", lambda: handle.seek(0))
         buffer = bytearray(1)
-        reads = 0
-        while True:
-            got = step("read", lambda: handle.read_block(buffer, 1))
-            if got == 0:
-                break
-            if bytes(buffer) != one:
-                raise ScenarioError(f"step 'read' failed: byte {reads} is {bytes(buffer)!r}")
-            reads += 1
-        if reads != 100:
-            raise ScenarioError(f"step 'read' failed: {reads} reads before end of file, wanted 100")
+        back = bytearray()
+        while step("read", lambda: handle.read_block(buffer, 1)):
+            back += buffer
+        if back != one * 100:
+            raise ScenarioError(
+                f"step 'read' failed: read back {len(back)} bytes, {back.count(one)} of them "
+                f"{one!r}; wanted 100, all {one!r}"
+            )
     finally:
         step("close", handle.close)
     step("delete", path.unlink)

@@ -11,12 +11,14 @@ why the host cannot do it, so callers can skip cleanly.
 """
 from __future__ import annotations
 
+import contextlib
+import errno
 import os
 import shutil
 import subprocess
+import sys
 import tempfile
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import VolumeUnsupportedError
@@ -63,7 +65,7 @@ def _image_directory(size_bytes: int) -> str:
     return tempfile.gettempdir()
 
 
-@contextmanager
+@contextlib.contextmanager
 def scratch_volume(size_bytes: int):
     """Yield the mount point of a fresh ext4 volume of ``size_bytes``.
 
@@ -74,7 +76,10 @@ def scratch_volume(size_bytes: int):
 
     The backing image lives in /dev/shm when it fits, which takes device
     latency out of whatever is measured on the volume.  Everything is
-    removed on exit, even on error.
+    removed on exit, even on error.  When neither ``umount`` nor a lazy
+    ``umount -l`` succeeds, the volume stays mounted: the image still
+    goes, then an OSError (EBUSY) names the mount point, or, when the body
+    raised, its exception carries a note naming it instead.
     """
     if size_bytes < 16 << 20:
         raise ValueError(f"volume size must be at least 16 MiB, got {size_bytes}")
@@ -84,7 +89,7 @@ def scratch_volume(size_bytes: int):
     mkfs = _find_mkfs()
     fd, image = tempfile.mkstemp(prefix="seqbench_vol_", suffix=".img", dir=_image_directory(size_bytes))
     mount_point = None
-    mounted = False
+    mounted = finished = False
     try:
         os.ftruncate(fd, size_bytes)
         os.close(fd)
@@ -94,24 +99,23 @@ def scratch_volume(size_bytes: int):
         _run(["mount", "-o", "loop,nodelalloc", image, mount_point])
         mounted = True
         yield Path(mount_point)
+        finished = True
     finally:
         if fd is not None:
             os.close(fd)
         if mounted:
-            for attempt in ("umount", "lazy"):
-                result = subprocess.run(
-                    ["umount"] + (["-l"] if attempt == "lazy" else []) + [mount_point],
-                    capture_output=True,
-                )
-                if result.returncode == 0:
+            for umount in (["umount"], ["umount", "-l"]):
+                if subprocess.run(umount + [mount_point], capture_output=True).returncode == 0:
+                    mounted = False
                     break
                 time.sleep(0.2)
         if mount_point is not None:
-            try:
+            with contextlib.suppress(OSError):  # EBUSY while still mounted
                 os.rmdir(mount_point)
-            except OSError:
-                pass
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(image)
-        except OSError:
-            pass
+        if mounted:  # neither umount worked
+            stuck = "scratch volume could not be unmounted"
+            if finished:
+                raise OSError(errno.EBUSY, stuck, mount_point)
+            sys.exc_info()[1].add_note(f"{stuck}: still mounted at {mount_point}")

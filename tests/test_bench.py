@@ -8,6 +8,7 @@ import io
 import itertools
 import math
 import os
+import pathlib
 import statistics
 import sys
 import threading
@@ -268,6 +269,33 @@ def test_clock_env_outside_its_range_is_an_error(monkeypatch, value):
 @pytest.mark.parametrize("value, ghz", [("0.1", 0.1), ("10", 10.0)])
 def test_clock_env_range_ends_are_accepted(monkeypatch, value, ghz):
     monkeypatch.setenv(CLOCK_ENV_VAR, value)
+    assert sb.detect_clock_ghz() == ghz
+
+
+#: cpuinfo text -> the clock read from it: the model name's rated clock wins over
+#: the running MHz; neither, or no readable cpuinfo, is no clock.
+_CPUINFO = {
+    "model-name": ("model name\t: Intel(R) Xeon(R) CPU E5-2680 v4 @ 2.40GHz\n"
+                   "cpu MHz\t\t: 1200.000\n", 2.4),
+    "mhz": ("model name\t: AMD EPYC 7B13 64-Core Processor\ncpu MHz\t\t: 2450.000\n", 2.45),
+    "neither": ("processor\t: 0\nmodel name\t: QEMU Virtual CPU\n", None),
+    "unreadable": (None, None),
+}
+
+
+@pytest.mark.parametrize("text, ghz", list(_CPUINFO.values()), ids=list(_CPUINFO))
+def test_the_clock_comes_from_the_model_name_then_the_running_mhz(monkeypatch, text, ghz):
+    real = pathlib.Path.read_text
+
+    def read_text(path, *args, **kwargs):
+        if str(path) != "/proc/cpuinfo":
+            return real(path, *args, **kwargs)
+        if text is None:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return text
+
+    monkeypatch.delenv(CLOCK_ENV_VAR, raising=False)
+    monkeypatch.setattr(pathlib.Path, "read_text", read_text)
     assert sb.detect_clock_ghz() == ghz
 
 
@@ -672,27 +700,6 @@ def _call_rate(fewer, more, span) -> _CallRate:
     return _CallRate((more.total() - fewer.total()) / span, by_function)
 
 
-@pytest.mark.parametrize(
-    "overrides, budget",
-    [
-        ({}, 3),
-        ({"seek_pct": 100}, 4),
-        ({"direction": Direction.WRITE}, 4),
-    ],
-    ids=["sequential-read", "seeking-read", "write"],
-)
-def test_buffered_4k_trial_stays_within_its_call_budget(tmp_path, overrides, budget):
-    cfg = _cfg(tmp_path, max_requests=1, **overrides)
-    sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)  # creates the target
-
-    def run(requests):
-        pinned = dataclasses.replace(cfg, max_requests=requests)
-        sample = sb.run_measurement(pinned, trials=1, warmup=0, clock_ghz=1.0).samples[0]
-        assert sample.request_count == requests
-
-    assert _calls_per_request(run) <= budget
-
-
 def _measurement_call(tmp_path, depth):
     cfg = _cfg(tmp_path, max_requests=1, async_depth=depth)
     return lambda: sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
@@ -751,26 +758,6 @@ def test_a_depth_2_call_stays_within_its_fixed_cost_budget(tmp_path, call, budge
     CPython 3.11."""
     events = _fixed_cost_events(call(tmp_path, 2))
     assert events.total() <= budget, events.most_common()
-
-
-def test_byte_at_a_time_workloads_stay_within_their_call_budget(tmp_path):
-    path = tmp_path / "bytes.dat"
-    rng = sb.make_rng(5)
-
-    def write(requests):
-        result = sb.run_write(path, sb.ByteAtATime(), requests, rng)
-        assert result.sample.request_count == requests
-
-    def read(requests):
-        result = sb.run_read(sources[requests], sb.ByteAtATime())
-        assert result.sample.request_count == requests
-
-    sources = {}
-    for requests in (1000, 3000):
-        sources[requests] = tmp_path / f"read_{requests}.dat"
-        sources[requests].write_bytes(rng.bytes(requests))
-    assert _calls_per_request(write) <= 2
-    assert _calls_per_request(read) <= 2
 
 
 def _pinned_trial(cfg):
@@ -1117,20 +1104,6 @@ def test_direct_read_measurement(tmp_path, need_direct):
     assert result.bytes_moved == 8 * 65536
 
 
-def test_direct_ragged_block_is_rejected(tmp_path, need_direct):
-    cfg = _cfg(tmp_path, direct=True, block=1000, max_requests=4)
-    with pytest.raises(sb.DirectRequestError):
-        sb.run_measurement(cfg, trials=1, warmup=0)
-
-
-def test_rejected_direct_async_trial_leaves_no_thread_behind(tmp_path, need_direct, deadline):
-    cfg = _cfg(tmp_path, direct=True, block=1000, async_depth=3, max_requests=12)
-    before = os_threads()
-    with pytest.raises(sb.DirectRequestError):
-        sb.run_measurement(cfg, trials=1, warmup=0)
-    assert not lingering_threads(before)
-
-
 @pytest.mark.parametrize(
     "direction, call, error",
     [(Direction.READ, "preadv", "short read"), (Direction.WRITE, "pwritev", "no progress")],
@@ -1327,9 +1300,11 @@ def test_direct_ragged_block_is_rejected_before_any_request_or_thread(
         return real_preadv(fd, buffers, offset)
 
     monkeypatch.setattr(os, "preadv", counted_preadv)
+    before = os_threads()
     with pytest.raises(sb.DirectRequestError):
         sb.run_measurement(cfg, trials=1, warmup=0)
     assert requests == [] and thread_starts == []
+    assert not lingering_threads(before)
 
 
 @pytest.mark.parametrize("block", [4096, 512])

@@ -555,6 +555,15 @@ def test_asynccopy_catches_a_misplaced_block(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_fan_out_of_1_is_a_usage_error_before_any_file(tmp_path, deadline):
+    """A fan-out of 1 holds only the root leaf, so a run that needs more leaves
+    is refused rather than left planning its tree forever."""
+    code, out, err = run_cli(["fragdisk", "-s1", "-n1", str(tmp_path)])
+    assert code == 2
+    assert "fragdisk: max_subdirs must be at least 2, got 1" in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
 def test_fragdisk_bounded_run(tmp_path):
     code, out, _ = run_cli(
         ["fragdisk", "-n1", "-c50", "-Fm4K", "-FM16K", "-f99", "-k1", str(tmp_path)]

@@ -1,5 +1,7 @@
 """Open dispositions, aligned buffers, direct-transfer validation, flushing."""
+import contextlib
 import errno
+import fcntl
 import functools
 import hashlib
 import io
@@ -18,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import seqbench as sb
 from seqbench.core import Direction, OpenDisposition
-from seqbench.engine import FALLBACK_GEOMETRY, IoMode, SectorGeometry, _stream_view, run_slots
+from seqbench.engine import IoMode, SectorGeometry, _stream_view, run_slots
 
 
 # -- SectorGeometry ---------------------------------------------------------
@@ -45,17 +47,12 @@ def test_geometry_rejects_bad_values(sector):
         SectorGeometry(logical_sector=sector)
 
 
-def test_fallback_geometry_is_conservative():
-    assert FALLBACK_GEOMETRY.logical_sector == 4096
-    assert FALLBACK_GEOMETRY.recommended_alignment == 65536
-
-
 def test_detect_geometry_on_real_volume(tmp_path):
-    """Detection either reports sane geometry or carries the fallback."""
+    """Detection either reports sane geometry or raises a probe error naming the path."""
     try:
         g = sb.detect_sector_geometry(tmp_path)
     except sb.GeometryProbeError as exc:
-        assert exc.fallback == FALLBACK_GEOMETRY
+        assert repr(str(tmp_path)) in str(exc)
         return
     assert g.logical_sector >= 512
     assert g.logical_sector & (g.logical_sector - 1) == 0
@@ -131,15 +128,15 @@ def test_a_device_without_a_queue_answers_from_its_parent(tmp_path, monkeypatch)
 
 def test_an_implausible_sector_is_a_probe_error(tmp_path, monkeypatch):
     monkeypatch.setattr(sb.engine, "_queue_sector", lambda device: 100)
-    with pytest.raises(sb.GeometryProbeError, match="got 100") as info:
+    with pytest.raises(sb.GeometryProbeError, match="got 100"):
         sb.detect_sector_geometry(tmp_path)
-    assert info.value.fallback == FALLBACK_GEOMETRY
 
 
-def test_detect_geometry_error_path_carries_fallback():
+def test_detect_geometry_error_path_names_the_path():
     with pytest.raises(sb.GeometryProbeError) as info:
         sb.detect_sector_geometry("/no/such/volume/anywhere")
-    assert info.value.fallback == FALLBACK_GEOMETRY
+    assert str(info.value).startswith("cannot determine sector size for '/no/such/volume/anywhere'")
+    assert isinstance(info.value, OSError) and isinstance(info.value.__cause__, FileNotFoundError)
 
 
 # -- open_file truth table ---------------------------------------------------
@@ -379,15 +376,16 @@ def test_buffered_typed_buffer_is_counted_in_bytes(tmp_path):
 def test_buffered_handle_takes_an_aligned_buffer(tmp_path):
     p = tmp_path / "f"
     out = sb.AlignedBuffer(4096, 4096)
-    out.array[:] = np.arange(4096) % 251
+    np.frombuffer(out.view, np.uint8)[:] = np.arange(4096) % 251
+    written = bytes(out.view)
     with sb.open_file(p, OpenDisposition.CREATE, Direction.WRITE) as h:
         assert h.write_block(out) == 4096
         assert h.write_block(out, 100) == 100
-    assert p.read_bytes() == out.array.tobytes() + out.array[:100].tobytes()
+    assert p.read_bytes() == written + written[:100]
     back = sb.AlignedBuffer(4096, 512)
     with sb.open_file(p, OpenDisposition.OPEN, Direction.READ) as h:
         assert h.read_block(back) == 4096
-        assert bytes(back.view) == out.array.tobytes()
+        assert bytes(back.view) == written
         assert h.read_block(back, 4096) == 100
         with pytest.raises(ValueError, match="exceeds buffer capacity 4096"):
             h.read_block(back, 4097)
@@ -409,7 +407,7 @@ def _reference_write(handle, buffer, length):
 
 def _aligned_16():
     buffer = sb.AlignedBuffer(16, 512)
-    buffer.array[:] = np.arange(1, 17)
+    np.frombuffer(buffer.view, np.uint8)[:] = np.arange(1, 17)
     return buffer
 
 
@@ -451,7 +449,7 @@ def _outcome(call, handle, buffer, length):
         result = ("count", call(handle, buffer, length))
     except Exception as exc:
         result = (type(exc), str(exc))
-    held = buffer.array if isinstance(buffer, sb.AlignedBuffer) else memoryview(buffer)
+    held = buffer.view if isinstance(buffer, sb.AlignedBuffer) else memoryview(buffer)
     return result, held.tobytes(), handle.position
 
 
@@ -711,7 +709,17 @@ def test_allocate_aligned_properties(capacity, alignment):
     assert len(buf) == capacity
     assert bytes(buf.view) == b"\x00" * capacity
     buf.view[0] = 0xFF  # writable
-    assert buf.array[0] == 0xFF
+    assert np.frombuffer(buf.view, np.uint8)[0] == 0xFF
+
+
+def test_reprs_say_what_a_buffer_and_a_handle_are(tmp_path):
+    assert repr(sb.AlignedBuffer(100, 512)) == "AlignedBuffer(capacity=100, alignment=512)"
+    path = tmp_path / "f"
+    handle = sb.open_file(path, OpenDisposition.CREATE, Direction.WRITE)
+    handle.write_block(b"abc")
+    assert repr(handle) == f"<FileHandle {path} buffered pos=3>"
+    handle.close()
+    assert repr(handle) == f"<FileHandle {path} buffered closed>"
 
 
 def test_allocate_aligned_rejects_bad_alignment():
@@ -820,6 +828,27 @@ def test_direct_rejects_ragged_request_before_transfer(tmp_path, need_direct):
         assert h.position == 0
 
 
+def test_a_direct_transfer_takes_an_aligned_buffer_whole_by_default(tmp_path, need_direct):
+    """A buffer without an address and a capacity is refused before any transfer;
+    with no length, a transfer asks for the buffer's whole capacity."""
+    geom = sb.detect_sector_geometry(tmp_path)
+    buf = sb.AlignedBuffer(geom.recommended_alignment, geom.recommended_alignment)
+    buf.view[:] = payload = sb.make_rng(6).bytes(buf.capacity)
+    back = sb.AlignedBuffer(2 * buf.capacity, geom.recommended_alignment)
+    with sb.open_file(
+        tmp_path / "d.dat", OpenDisposition.CREATE, Direction.WRITE, io_mode=IoMode.DIRECT
+    ) as h:
+        for call in (h.read_block, h.write_block):
+            with pytest.raises(TypeError, match="got bytearray"):
+                call(bytearray(buf.capacity))
+        assert (h.position, h.length) == (0, 0)
+        assert h.write_block(buf) == buf.capacity
+        h.seek(0)
+        assert h.read_block(back) == buf.capacity  # the end of the file cuts it short
+        assert h.position == buf.capacity
+    assert bytes(back.view[: buf.capacity]) == payload
+
+
 def test_direct_write_ends_when_the_device_stops_making_progress(
     tmp_path, need_direct, faults, deadline
 ):
@@ -871,9 +900,8 @@ def test_a_failed_geometry_probe_closes_the_direct_open(tmp_path, monkeypatch):
     monkeypatch.setattr(sb.engine, "_queue_sector", lambda device: real_queue(f"{device}/none"))
     p = _make(tmp_path / "f")
     before = open_fds()
-    with pytest.raises(sb.GeometryProbeError) as info:
+    with pytest.raises(sb.GeometryProbeError, match="no block device queue"):
         sb.open_file(p, OpenDisposition.OPEN, Direction.READ, io_mode=IoMode.DIRECT)
-    assert info.value.fallback == FALLBACK_GEOMETRY
     assert open_fds() == before
 
 
@@ -901,6 +929,24 @@ def test_count_extents_on_real_file(tmp_path):
         except sb.ExtentQueryError:
             pytest.skip("filesystem does not answer extent queries")
     assert extents >= 1
+
+
+def test_an_extent_count_covers_the_writes_still_in_the_stream(tmp_path, monkeypatch):
+    """The stream's pending bytes reach the file before the query is made."""
+    sizes = []
+    real = fcntl.ioctl
+
+    def ioctl(fd, request, arg):
+        sizes.append(os.fstat(fd).st_size)
+        return real(fd, request, arg)
+
+    monkeypatch.setattr(fcntl, "ioctl", ioctl)
+    with sb.open_file(tmp_path / "f", OpenDisposition.CREATE, Direction.WRITE) as h:
+        h.write_block(b"e" * 4096)
+        assert os.fstat(h.fileno()).st_size == 0  # still in the stream buffer
+        with contextlib.suppress(sb.ExtentQueryError):  # a filesystem may not answer
+            sb.count_extents(h)
+    assert sizes == [4096]
 
 
 def test_a_refused_extent_query_is_an_extent_query_error(tmp_path, faults):

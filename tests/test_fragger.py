@@ -1,4 +1,5 @@
 """Volume aging: tree planning, churn cycles, determinism, occupancy targets."""
+import errno
 import hashlib
 import itertools
 import math
@@ -7,6 +8,7 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import seqbench as sb
 from seqbench import fragger
@@ -47,6 +49,7 @@ def test_defaults_match_the_documented_table(tmp_path):
         {"max_cycles": -1},
         {"seed": -1},
         {"capacity_limit": 0},
+        {"max_subdirs": 1},  # holds only the root leaf
     ],
 )
 def test_config_rejects_invalid_values(tmp_path, overrides):
@@ -67,8 +70,7 @@ def test_single_leaf_when_few_slots_needed(tmp_path):
     cfg = FragConfig(root=tmp_path, min_file=1 << 20, fill_pct=70)
     plan = sb.plan_directory_tree(cfg, volume_capacity=100 << 20)
     # 70 slots fit into one directory of 100
-    assert plan.leaf_count == 1
-    assert plan.depth == 1
+    assert [leaf.parts for leaf in plan.leaves] == [()]  # the root itself
     assert plan.slots == 70
 
 
@@ -81,7 +83,7 @@ def test_thousand_slots_make_ten_leaves_depth_two(tmp_path):
     plan = sb.plan_directory_tree(cfg, volume_capacity=2000 << 20)
     assert plan.slots == 1000
     assert plan.leaf_count == 10
-    assert plan.depth == 2
+    assert {len(leaf.parts) for leaf in plan.leaves} == {1}  # one level below the root
 
 
 def test_default_plan_for_250_gb_volume(tmp_path):
@@ -104,8 +106,36 @@ def test_plan_respects_subdir_fanout(tmp_path):
         for part in leaf.parts:
             if part != ".":
                 assert int(part.lstrip("d0") or 0) < 3
-    assert plan.leaf_count <= 3 ** (plan.depth - 1)
+    (levels,) = {len(leaf.parts) for leaf in plan.leaves}
+    assert plan.leaf_count <= 3**levels
     assert plan.leaf_count * 2 >= plan.slots
+
+
+@given(
+    capacity=st.integers(1, 1 << 52),
+    fill_pct=st.integers(2, 99),
+    min_file=st.integers(1, 1 << 44),
+    max_files=st.integers(1, 3000),
+    max_files_per_dir=st.integers(1, 300),
+    max_subdirs=st.integers(2, 16),
+)
+def test_the_tree_has_room_for_every_file_a_run_holds_live(
+    capacity, fill_pct, min_file, max_files, max_files_per_dir, max_subdirs
+):
+    """run_cycles creates a file only while fewer than max_files are live and the
+    occupancy is below the fill target, and each live file holds at least
+    min_file bytes.  So fewer than min(max_files, ceil(fill_target / min_file))
+    files are live when one is created, and the tree's leaves hold that many:
+    the least-loaded leaf always has room."""
+    cfg = FragConfig(
+        root=Path("aging"), min_file=min_file, max_file=min_file, max_files=max_files,
+        max_files_per_dir=max_files_per_dir, max_subdirs=max_subdirs, keep_pct=1,
+        fill_pct=fill_pct,
+    )
+    fill_target = capacity * fill_pct // 100  # as run_cycles computes it
+    most_live = min(max_files, -(-fill_target // min_file))
+    plan = sb.plan_directory_tree(cfg, capacity)
+    assert plan.leaf_count * max_files_per_dir >= plan.slots >= most_live
 
 
 def test_slots_never_exceed_max_files(tmp_path):
@@ -324,6 +354,26 @@ def test_the_fill_chunk_is_built_once_per_run(tmp_path, monkeypatch, files_per_c
     report = sb.run_cycles(_scaled(tmp_path, files_per_cycle=files_per_cycle))
     assert report.created_files >= 2 * files_per_cycle
     assert built == [_scaled(tmp_path).max_file]
+
+
+def test_a_failed_write_whose_file_cannot_be_removed_raises_the_write_failure(
+    tmp_path, monkeypatch, faults
+):
+    """The first create's write fails and so does its clean-up unlink: the run
+    raises the write's error, keeps no descriptor, and leaves that empty file,
+    which its event log never recorded."""
+    def refused(path):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+    root, log = tmp_path / "aged", tmp_path / "events.log"
+    before = open_fds()
+    monkeypatch.setattr(fragger.os, "unlink", refused)
+    with faults("pwritev", errno.EIO), pytest.raises(OSError) as info:
+        sb.run_cycles(_scaled(root, event_log=log))
+    assert info.value.errno == errno.EIO
+    assert open_fds() == before
+    assert log.read_text() == ""
+    assert list(files_on_disk(root).values()) == [0]
 
 
 def _interrupt_fifth(monkeypatch, point):

@@ -12,7 +12,6 @@ import functools
 import io
 import itertools
 
-import numpy as np
 import pytest
 from conftest import proc_io
 from hypothesis import HealthCheck, settings, strategies as st
@@ -186,7 +185,7 @@ class HandleModel(RuleBasedStateMachine):
         data = _content(seed, self._size(size))
         if self.direct:
             buffer = AlignedBuffer(max(len(data), 1), self.handle.geometry.recommended_alignment)
-            buffer.array[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+            buffer.view[: len(data)] = data
         else:
             buffer = kind(data)
         if not self.writable:

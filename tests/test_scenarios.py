@@ -2,6 +2,7 @@
 import xml.etree.ElementTree as ET
 
 import pytest
+from conftest import ZERO
 
 import seqbench as sb
 from seqbench import scenarios
@@ -25,6 +26,23 @@ def test_summary_scenario_names_the_failing_step(tmp_path):
     with pytest.raises(sb.ScenarioError) as info:
         summary_scenario(tmp_path / "missing_subdir")
     assert "create" in str(info.value)
+
+
+def test_summary_scenario_names_a_write_that_did_not_land(tmp_path, monkeypatch):
+    """A handle that reports each write done yet writes nothing fails the write step."""
+    monkeypatch.setattr(sb.FileHandle, "write_block", lambda self, buffer, length=None: length)
+    with pytest.raises(sb.ScenarioError) as info:
+        summary_scenario(tmp_path)
+    assert str(info.value) == "step 'write' failed: file length 0, wanted 100"
+
+
+def test_summary_scenario_names_a_read_back_that_ends_early(tmp_path, faults):
+    """A read that returns 0 at once is an early end of file: nothing comes back."""
+    with faults("raw.readinto", ZERO), pytest.raises(sb.ScenarioError) as info:
+        summary_scenario(tmp_path)
+    assert str(info.value) == (
+        "step 'read' failed: read back 0 bytes, 0 of them b'a'; wanted 100, all b'a'"
+    )
 
 
 # -- figure regeneration ---------------------------------------------------------

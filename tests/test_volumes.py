@@ -159,14 +159,41 @@ def test_an_image_that_cannot_be_sized_is_closed_and_removed(steps, tmp_path, mo
     assert steps.done == ["unlink"] and open_fds() == fds and list(tmp_path.iterdir()) == []
 
 
+_STUCK = {"umount": 32, "umount -l": 32, "rmdir": errno.EBUSY}  # still mounted
+
+
 def test_a_volume_that_will_not_unmount_keeps_only_its_mount_point(steps, tmp_path):
     """Both umounts fail, so the mount point is busy and stays; the image still goes,
-    and the cleanup raises nothing over the body's own outcome."""
-    steps.exit.update({"umount": 32, "umount -l": 32, "rmdir": errno.EBUSY})
-    with volumes.scratch_volume(_SIZE) as mount:
-        pass
+    and then an EBUSY error names the mount point that is left."""
+    steps.exit.update(_STUCK)
+    with pytest.raises(OSError) as info:
+        with volumes.scratch_volume(_SIZE) as mount:
+            pass
+    assert (info.value.errno, info.value.filename) == (errno.EBUSY, str(mount))
     assert steps.done == ["mkfs.ext4", "mount", "umount", "umount -l", "rmdir", "unlink"]
     assert list(tmp_path.iterdir()) == [mount]
+
+
+def test_a_failed_body_on_a_volume_that_will_not_unmount_keeps_its_own_error(steps, tmp_path):
+    """The body's exception is what leaves the block, with a note naming the mount point."""
+    steps.exit.update(_STUCK)
+    with pytest.raises(_Failed) as info:
+        with volumes.scratch_volume(_SIZE) as mount:
+            raise _Failed("the experiment failed")
+    assert info.value.__notes__ == [
+        f"scratch volume could not be unmounted: still mounted at {mount}"
+    ]
+    assert steps.done == ["mkfs.ext4", "mount", "umount", "umount -l", "rmdir", "unlink"]
+    assert list(tmp_path.iterdir()) == [mount]
+
+
+def test_an_image_that_cannot_be_removed_stays_without_an_error(steps, tmp_path):
+    """A failed unlink of the image is not reported: the volume is gone, its image stays."""
+    steps.exit["unlink"] = errno.EACCES
+    with volumes.scratch_volume(_SIZE):
+        pass
+    assert steps.done == ["mkfs.ext4", "mount", "umount", "rmdir", "unlink"]
+    assert [path.name.startswith("seqbench_vol_") for path in tmp_path.iterdir()] == [True]
 
 
 @pytest.mark.parametrize("size, change, error", [

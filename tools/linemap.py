@@ -3,23 +3,25 @@
     python tools/linemap.py [pytest arguments]
 
 The suite runs in this process (by default ``-q -m "not mounts" tests``)
-under a ``sys.settrace`` and ``threading.settrace`` hook that records
-every line run in a frame of a src/seqbench module.  A line counts when
-it belongs to a function (lambdas and comprehensions included), as the
-function's code objects report it through ``co_lines``; module and class
-bodies run at import and are left out.  The map then lists each module's
+under a ``sys.settrace`` hook that records every line run in a frame of a
+src/seqbench module.  Every thread started while it runs has the hook
+before its first line: ``threading``'s through ``threading.settrace``, and
+bare ``_thread`` threads (``engine.run_slots`` starts its slots with
+``_thread.start_new_thread``) through a wrapper around that function.  A
+line counts when it belongs to a function (lambdas and comprehensions
+included), as the function's code objects report it through ``co_lines``;
+module and class bodies run at import and are left out.  The map then lists each module's
 unreached lines as ranges, and the total.  Tests that fail under the
 tracer are listed too, after the map: a test that only fails when traced
 still ran its lines, so it is named rather than hidden.  The exit status
 is pytest's.
 
 Only the standard library is used.  A traced run takes about twice as
-long as the plain suite, so this is a tool, not a test.  Lines a slot
-thread runs before it installs the caller's hook (the start of
-``run_slots.<locals>.guarded``) show as unreached.
+long as the plain suite, so this is a tool, not a test.
 """
 from __future__ import annotations
 
+import _thread
 import inspect
 import sys
 import threading
@@ -68,11 +70,22 @@ def traced_run(args: list[str]) -> tuple[int, dict[str, set[int]], list[str]]:
             if report.failed:
                 failed.append(f"{report.nodeid} ({report.when})")
 
+    start_new_thread = _thread.start_new_thread
+
+    def traced_start(function, *rest):
+        def run(*args, **kwargs):
+            sys.settrace(tracer)
+            return function(*args, **kwargs)
+
+        return start_new_thread(run, *rest)
+
     threading.settrace(tracer)
     sys.settrace(tracer)
+    _thread.start_new_thread = traced_start
     try:
         status = pytest.main(args, plugins=[Failures()])
     finally:
+        _thread.start_new_thread = start_new_thread
         sys.settrace(None)
         threading.settrace(None)
     return int(status), ran, failed
