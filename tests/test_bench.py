@@ -700,6 +700,27 @@ def _call_rate(fewer, more, span) -> _CallRate:
     return _CallRate((more.total() - fewer.total()) / span, by_function)
 
 
+@pytest.mark.parametrize(
+    "overrides, budget",
+    [
+        ({}, 3),
+        ({"seek_pct": 100}, 4),
+        ({"direction": Direction.WRITE}, 4),
+    ],
+    ids=["sequential-read", "seeking-read", "write"],
+)
+def test_buffered_4k_trial_stays_within_its_call_budget(tmp_path, overrides, budget):
+    cfg = _cfg(tmp_path, max_requests=1, **overrides)
+    sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)  # creates the target
+
+    def run(requests):
+        pinned = dataclasses.replace(cfg, max_requests=requests)
+        sample = sb.run_measurement(pinned, trials=1, warmup=0, clock_ghz=1.0).samples[0]
+        assert sample.request_count == requests
+
+    assert _calls_per_request(run) <= budget
+
+
 def _measurement_call(tmp_path, depth):
     cfg = _cfg(tmp_path, max_requests=1, async_depth=depth)
     return lambda: sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
@@ -758,6 +779,26 @@ def test_a_depth_2_call_stays_within_its_fixed_cost_budget(tmp_path, call, budge
     CPython 3.11."""
     events = _fixed_cost_events(call(tmp_path, 2))
     assert events.total() <= budget, events.most_common()
+
+
+def test_byte_at_a_time_workloads_stay_within_their_call_budget(tmp_path):
+    path = tmp_path / "bytes.dat"
+    rng = sb.make_rng(5)
+
+    def write(requests):
+        result = sb.run_write(path, sb.ByteAtATime(), requests, rng)
+        assert result.sample.request_count == requests
+
+    def read(requests):
+        result = sb.run_read(sources[requests], sb.ByteAtATime())
+        assert result.sample.request_count == requests
+
+    sources = {}
+    for requests in (1000, 3000):
+        sources[requests] = tmp_path / f"read_{requests}.dat"
+        sources[requests].write_bytes(rng.bytes(requests))
+    assert _calls_per_request(write) <= 2
+    assert _calls_per_request(read) <= 2
 
 
 def _pinned_trial(cfg):
@@ -1102,6 +1143,20 @@ def test_direct_read_measurement(tmp_path, need_direct):
     cfg = _cfg(tmp_path, direct=True, block=65536, max_requests=8)
     result = sb.run_measurement(cfg, trials=1, warmup=0)
     assert result.bytes_moved == 8 * 65536
+
+
+def test_direct_ragged_block_is_rejected(tmp_path, need_direct):
+    cfg = _cfg(tmp_path, direct=True, block=1000, max_requests=4)
+    with pytest.raises(sb.DirectRequestError):
+        sb.run_measurement(cfg, trials=1, warmup=0)
+
+
+def test_rejected_direct_async_trial_leaves_no_thread_behind(tmp_path, need_direct, deadline):
+    cfg = _cfg(tmp_path, direct=True, block=1000, async_depth=3, max_requests=12)
+    before = os_threads()
+    with pytest.raises(sb.DirectRequestError):
+        sb.run_measurement(cfg, trials=1, warmup=0)
+    assert not lingering_threads(before)
 
 
 @pytest.mark.parametrize(
