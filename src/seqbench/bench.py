@@ -37,7 +37,6 @@ from .core import DEFAULT_SEED, Direction, OpenDisposition, make_rng
 from .engine import (
     AccessHint,
     AlignedBuffer,
-    FileHandle,
     FlushLevel,
     IoMode,
     open_file,
@@ -352,31 +351,31 @@ def _prepare_target(cfg: IoConfig) -> None:
         handle.flush(FlushLevel.OPERATING_SYSTEM_CACHE)
 
 
-def _make_buffer(cfg: IoConfig, geometry) -> tuple[AlignedBuffer | bytearray, memoryview]:
-    """A one-block transfer buffer and a view of it, pattern-filled for writes."""
+def _slot_view(cfg: IoConfig, geometry) -> memoryview:
+    """A view of one slot's one-block transfer buffer, pattern-filled for writes.
+
+    A direct slot's buffer is an AlignedBuffer, checked against the
+    volume's rules here: every request uses it whole, at a block multiple.
+    """
     if cfg.direct:
         buffer = AlignedBuffer(cfg.block, geometry.recommended_alignment)
+        violations = validate_direct_request(geometry, buffer, cfg.block, 0)
+        if violations:
+            raise DirectRequestError(violations)
         view = buffer.view
     else:
-        buffer = bytearray(cfg.block)
-        view = memoryview(buffer)
+        view = memoryview(bytearray(cfg.block))
     if cfg.direction is Direction.WRITE:
         view[:] = bytes([_FILL_BYTE]) * cfg.block
-    return buffer, view
-
-
-def _open_for_trial(cfg: IoConfig) -> FileHandle:
-    hint = AccessHint.RANDOM if cfg.seek_pct else AccessHint.SEQUENTIAL
-    mode = IoMode.DIRECT if cfg.direct else IoMode.BUFFERED
-    return open_file(cfg.path, OpenDisposition.OPEN, cfg.direction, mode, hint)
+    return view
 
 
 def _trial(cfg: IoConfig, rng, log: TextIO | None = None) -> ThroughputSample:
     """One timed trial at depth ``async_depth``, or 1 when it is unset.
 
-    Each slot owns one buffer and loops: under a ticket lock it takes a
-    run of the next tickets (about ``_RUN_BYTES`` of requests, at least
-    one and at most ``_RUN_REQUESTS``) with their offsets from
+    Each slot owns one ``_slot_view`` and loops: under a ticket lock it
+    takes a run of the next tickets (about ``_RUN_BYTES`` of requests, at
+    least one and at most ``_RUN_REQUESTS``) with their offsets from
     ``_offset_chain(cfg, rng)``, transfers them, and comes back.  ``rng``
     is None for sequential configs, whose chain draws nothing.  Tickets
     go out in order, so every depth issues the same offsets.  The first
@@ -388,16 +387,15 @@ def _trial(cfg: IoConfig, rng, log: TextIO | None = None) -> ThroughputSample:
 
     A buffered sequential trial (no ``seek_pct``, ``async_depth`` or
     ``direct``) drives the handle's stream itself: one ``readinto`` or
-    ``write`` of the slot's whole buffer per request, made from the run's
+    ``write`` of the slot's whole view per request, made from the run's
     loop with no Python frame of its own.  It seeks the stream only to
     offset 0, where the chain starts and wraps, and a write trial drains
     the stream before the clock stops.  Every other request is one
     preadv/pwritev of the request size at its offset, through the OS
     cache (past it when ``direct``), a short transfer continued by
-    ``transfer_full``.  A direct trial checks each slot buffer once,
-    before any request: every request uses that buffer and length, at a
-    multiple of the block.  With ``touch``, an adler32 pass whose sum is
-    dropped reads every byte of each transfer.
+    ``transfer_full``; a direct slot's buffer is checked once, as its view
+    is made, before any request or thread.  With ``touch``, an adler32
+    pass whose sum is dropped reads every byte of each transfer.
 
     Slot 0 runs on the calling thread (depth 1 starts no thread);
     preadv/pwritev release the interpreter lock, so up to ``depth``
@@ -415,18 +413,14 @@ def _trial(cfg: IoConfig, rng, log: TextIO | None = None) -> ThroughputSample:
     issued = 0
     stopped: list[bool] = []  # non-empty once a slot has failed; holds no exception
     lock = threading.Lock()
-    with _open_for_trial(cfg) as handle:
-        geometry = handle.geometry
-        buffers = [_make_buffer(cfg, geometry) for _ in range(depth)]
-        if cfg.direct:
-            for buffer, _ in buffers:
-                violations = validate_direct_request(geometry, buffer, block, 0)
-                if violations:
-                    raise DirectRequestError(violations)
+    hint = AccessHint.RANDOM if cfg.seek_pct else AccessHint.SEQUENTIAL
+    mode = IoMode.DIRECT if cfg.direct else IoMode.BUFFERED
+    with open_file(cfg.path, OpenDisposition.OPEN, cfg.direction, mode, hint) as handle:
+        views = [_slot_view(cfg, handle.geometry) for _ in range(depth)]
         fd = handle.fileno()
         call = os.pwritev if write else os.preadv
 
-        def positional(taken, buffer, view):
+        def positional(taken, view):
             iov = [view]
             for offset in taken:
                 got = call(fd, iov, offset)
@@ -437,11 +431,11 @@ def _trial(cfg: IoConfig, rng, log: TextIO | None = None) -> ThroughputSample:
                 if touch:
                     zlib.adler32(view)
 
-        def streamed(taken, buffer, view):
+        def streamed(taken, view):
             for offset in taken:
                 if not offset:
                     seek(0)
-                got = transfer(buffer)
+                got = transfer(view)
                 if got != block:
                     return offset, got
                 if touch:
@@ -458,7 +452,6 @@ def _trial(cfg: IoConfig, rng, log: TextIO | None = None) -> ThroughputSample:
 
         def slot(index: int) -> None:
             nonlocal issued
-            buffer, view = buffers[index]
             while True:
                 with lock:
                     start = issued
@@ -472,7 +465,7 @@ def _trial(cfg: IoConfig, rng, log: TextIO | None = None) -> ThroughputSample:
                     issued = start + len(taken)
                     if log is not None:
                         log.write("%d\n" * len(taken) % tuple(taken))
-                short = requests(taken, buffer, view)
+                short = requests(taken, views[index])
                 if short:
                     offset, got = short
                     raise OSError(

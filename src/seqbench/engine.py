@@ -459,20 +459,21 @@ class FileHandle:
     def read_block(self, buffer, length: int | None = None) -> int:
         """Read up to ``length`` bytes at the current position.
 
-        Returns the byte count actually read; 0 means end of file.  The
-        position advances by the returned count.  On a buffered handle a
-        whole ``bytearray`` (``length`` None or its size) goes straight to
-        the stream; any other buffer, or a shorter length, is made a flat
-        byte view first.  On a direct handle the request is validated
-        against the volume geometry first and a DirectRequestError names
-        every violation before anything is read.
+        Returns the count that one ``readinto`` of the stream, or one
+        preadv on a direct handle, read; 0 means end of file, and the
+        position advances by it.  On a buffered handle a whole
+        ``bytearray`` (``length`` None or its size) goes straight to the
+        stream; any other buffer, or a shorter length, is made a flat byte
+        view first.  A direct request is validated against the volume
+        geometry first and a DirectRequestError names every violation
+        before anything is read.
         """
         stream = self.stream
         if stream is None:
             return self._direct_transfer(buffer, length, write=False)
         if type(buffer) is not bytearray or (length is not None and length != len(buffer)):
             buffer = _stream_view(buffer, length, target=True)
-        return (stream.readinto(buffer) or 0) if buffer else 0
+        return stream.readinto(buffer)
 
     def write_block(self, buffer, length: int | None = None) -> int:
         """Write ``length`` bytes at the current position; returns that count.
@@ -493,9 +494,7 @@ class FileHandle:
             length is not None and length != len(buffer)
         ):
             buffer = _stream_view(buffer, length, target=False)
-        if buffer:
-            stream.write(buffer)
-        return len(buffer)
+        return stream.write(buffer)
 
     def _direct_transfer(self, buffer, length, *, write: bool) -> int:
         if not (hasattr(buffer, "address") and hasattr(buffer, "capacity")):

@@ -30,8 +30,8 @@ __all__ = ["summary_scenario", "SweepScale", "QUICK", "FULL", "regen_figures"]
 
 def summary_scenario(temp_dir: str | Path) -> None:
     """Create a file, write 100 bytes, rewind, read them back one at a
-    time, close and delete.  Raises ScenarioError naming the failed step;
-    re-runnable because it starts by truncating and ends by deleting."""
+    time, close and delete, also after a failed step.  Raises ScenarioError
+    naming the failed step; re-runnable: it truncates first, deletes last."""
     path = Path(temp_dir) / "summary_scenario.dat"
 
     def step(name, action):
@@ -58,7 +58,7 @@ def summary_scenario(temp_dir: str | Path) -> None:
             )
     finally:
         step("close", handle.close)
-    step("delete", path.unlink)
+        step("delete", path.unlink)
 
 
 @dataclass(frozen=True)

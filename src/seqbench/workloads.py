@@ -116,23 +116,25 @@ def run_read(path: str | Path, granularity: Granularity) -> WorkloadResult:
     the handle's stream per request, from C.  The reads are joined about
     DEFAULT_BLOCK bytes at a time, at least one read per join, and one
     chained adler32 runs over each join: the checksum one call per
-    request would give, with no Python frame per request.
+    request would give, with no Python frame per request.  A read that
+    returns nothing short of the file's length at open raises OSError.
     """
     if isinstance(granularity, LineAtATime):
         return _read_lines(path)
     step = _fixed_block(granularity)
     per_join = max(1, DEFAULT_BLOCK // step)
     checksum = 1
-    processed = 0
     requests = 0
     stopwatch = Stopwatch()
     with open_file(path, OpenDisposition.OPEN, Direction.READ) as handle:
+        length = handle.length
         reads = iter(functools.partial(handle.stream.read, step), b"")
         while pieces := list(itertools.islice(reads, per_join)):
-            data = b"".join(pieces)
-            checksum = zlib.adler32(data, checksum)
-            processed += len(data)
+            checksum = zlib.adler32(b"".join(pieces), checksum)
             requests += len(pieces)
+        processed = handle.stream.tell()
+        if processed < length:
+            raise OSError(f"short read: reads ended at byte {processed} of {length} in {path}")
     return WorkloadResult(processed, checksum, stopwatch.sample(processed, requests))
 
 
@@ -142,6 +144,7 @@ def _read_lines(path: str | Path) -> WorkloadResult:
     lines = 0
     stopwatch = Stopwatch()
     with open_file(path, OpenDisposition.OPEN, Direction.READ) as handle:
+        length = handle.length
         for line in handle.stream:
             # "\r\n", then "\n"; a lone "\r" stays, so rstrip would not do
             if line.endswith(b"\n"):
@@ -149,6 +152,8 @@ def _read_lines(path: str | Path) -> WorkloadResult:
             checksum = zlib.adler32(line, checksum)
             payload += len(line)
             lines += 1
+        if (end := handle.stream.tell()) < length:
+            raise OSError(f"short read: reads ended at byte {end} of {length} in {path}")
     return WorkloadResult(payload, checksum, stopwatch.sample(payload, lines))
 
 
@@ -331,38 +336,40 @@ def write_sort_file(
 
     Record i is 10 seeded-random key bytes, i as a zero-padded 20-digit
     decimal, and spaces out to 100 bytes.  Output is written in
-    ``io_block``-byte requests regardless of record boundaries.  Returns
-    the bytes written, their checksum and the write request count.
+    ``io_block``-byte requests regardless of record boundaries: each is
+    one write of the handle's stream, made from C, of a view into the
+    pending bytes, and the last may be short.  Returns the bytes written,
+    their checksum and the write request count.
     """
     if record_count < 0:
         raise ValueError(f"record count may not be negative, got {record_count}")
     if io_block < 1:
         raise ValueError(f"io block must be at least 1 byte, got {io_block}")
     build_chunk = 4096  # records materialized per numpy batch
+    powers = np.uint64(10) ** np.arange(_SORT_INDEX_DIGITS - 1, -1, -1, dtype=np.uint64)
     pending = bytearray()
     checksum = 1
     requests = 0
     stopwatch = Stopwatch()
     with open_file(path, OpenDisposition.CREATE, Direction.WRITE) as handle:
+        writelines = handle.stream.writelines
         for start in range(0, record_count, build_chunk):
             count = min(build_chunk, record_count - start)
             records = np.full((count, RECORD_BYTES), 0x20, dtype=np.uint8)
             records[:, :_SORT_KEY_BYTES] = rng.integers(
                 0, 256, size=(count, _SORT_KEY_BYTES), dtype=np.uint8
             )
-            digits = "".join(f"{i:020d}" for i in range(start, start + count))
-            records[:, _SORT_KEY_BYTES : _SORT_KEY_BYTES + _SORT_INDEX_DIGITS] = (
-                np.frombuffer(digits.encode("ascii"), dtype=np.uint8).reshape(count, -1)
-            )
-            data = records.tobytes()
-            checksum = zlib.adler32(data, checksum)
-            pending += data
-            while len(pending) >= io_block:
-                handle.write_block(pending[:io_block])
-                del pending[:io_block]
-                requests += 1
+            digits = np.arange(start, start + count, dtype=np.uint64)[:, None] // powers % 10
+            records[:, _SORT_KEY_BYTES : _SORT_KEY_BYTES + _SORT_INDEX_DIGITS] = digits + ord("0")
+            checksum = zlib.adler32(records, checksum)
+            pending += records.data
+            ends = range(io_block, len(pending) + 1, io_block)
+            with memoryview(pending) as view:  # an exported bytearray cannot shrink
+                writelines(map(view.__getitem__, map(slice, range(0, len(pending), io_block), ends)))
+            requests += len(ends)
+            del pending[: len(ends) * io_block]
         if pending:
-            handle.write_block(pending)
+            handle.stream.write(pending)
             requests += 1
         handle.flush(FlushLevel.APPLICATION_BUFFERS)
     total = record_count * RECORD_BYTES

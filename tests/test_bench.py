@@ -913,6 +913,24 @@ def test_sort_file_costs_one_frame_per_write(tmp_path):
     assert _calls_per_request(run) <= 1.0
 
 
+def test_sort_file_makes_no_python_call_per_write_or_record(tmp_path):
+    """The writes are views handed to the stream from C, and numpy builds the
+    digits: neither a write nor a record costs a Python call."""
+    records = 3000
+
+    def writes(count):
+        io_block = records * SORT_RECORD_BYTES // count
+        result = sb.write_sort_file(tmp_path / "sort.dat", records, sb.make_rng(3), io_block=io_block)
+        assert result.sample.request_count == count
+
+    def records_of(count):
+        sb.write_sort_file(tmp_path / "sort.dat", count, sb.make_rng(3), io_block=1 << 20)
+
+    records_of(1)  # what a first run imports lazily falls in neither profiled run
+    assert _calls_per_request(writes) <= 0.05
+    assert _calls_per_request(records_of) <= 0.05
+
+
 def test_extension_costs_no_frame_per_block(tmp_path):
     """Each block is an os.pwritev and an os.fsync, both called from the loop itself."""
 

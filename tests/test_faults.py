@@ -48,7 +48,7 @@ class Loop:
     calls: str  # "target@n ...": each call a fault lands on, and at which call number
     check: Callable = lambda d, outcome, cell: None  # the files and progress left behind
     setup: Callable = lambda d: None
-    zero_read: tuple | None = (OSError, "short read")  # how a read's 0 ends it; None: as EOF
+    zero_read: tuple = (OSError, "short read")  # the error a read's 0 ends it with
     wrap: type | None = None  # the error that carries every failure but an interrupt
     full_disk_ok: bool = False  # a full disk is absorbed and reported
     tool: bool = False  # run returns (exit code, stdout, stderr)
@@ -175,10 +175,10 @@ _TYPED = [("i64", value * 7919) for value in range(-1500, 1500)] + [("str", "ün
 
 
 def _read_check(d, outcome, cell):
-    """What was read and its checksum: the whole file, or what came before a 0."""
+    """What was read and its checksum: the whole file."""
     if _ok(outcome):
-        assert outcome.checksum == zlib.adler32(_PAYLOAD[: outcome.bytes_processed])
-        assert outcome.bytes_processed == len(_PAYLOAD) or cell.fault == ZERO
+        assert outcome.bytes_processed == len(_PAYLOAD)
+        assert outcome.checksum == zlib.adler32(_PAYLOAD)
 
 
 def _written(name):
@@ -246,7 +246,7 @@ LOOPS = {
     ),
     "run_read": Loop(
         lambda d: sb.run_read(d / "data.bin", sb.ByteAtATime()), "raw.readinto@2", _read_check,
-        setup=lambda d: (d / "data.bin").write_bytes(_PAYLOAD), zero_read=None,
+        setup=lambda d: (d / "data.bin").write_bytes(_PAYLOAD),
     ),
     "run_write-byte": Loop(
         lambda d: sb.run_write(d / "bytes.bin", sb.ByteAtATime(), 256 << 10, sb.make_rng(4)),
@@ -280,7 +280,7 @@ LOOPS = {
         "pwritev@6", "fragdisk -n2 -c20 -Fm4K -FM16K -f99 -k1 {d}/aged", check=_fragdisk_check,
         full_disk_ok=True,
     ),
-    "examples": _tool("raw.write@2 raw.readinto@2", "examples {d}/ex.dat 300", zero_read=None),
+    "examples": _tool("raw.write@2 raw.readinto@2", "examples {d}/ex.dat 300"),
 }
 
 #: Cells the program fails, each with the CHANGES.md FOUND line that names the defect.
@@ -307,8 +307,8 @@ def _expect(loop: Loop, cell: Cell, outcome) -> None:
     """Assert that ``outcome`` is how ``loop`` ends under ``cell``'s fault.
 
     A short transfer is continued, so the loop finishes.  An interrupt
-    stays itself.  A read's 0 ends the loop as ``zero_read`` says, and a
-    write's raises "no progress".  An errno raises that OSError, unless a
+    stays itself.  A read's 0 raises ``zero_read``, and a write's raises
+    "no progress".  An errno raises that OSError, unless a
     ``full_disk_ok`` loop absorbs ENOSPC; a refused thread raises OSError
     (EAGAIN).  ``wrap`` carries any of these but the interrupt.  A tool
     exits 1 instead, with one stderr line naming the error, or 0 where the
@@ -318,12 +318,8 @@ def _expect(loop: Loop, cell: Cell, outcome) -> None:
     if fault is Interrupt:
         assert isinstance(outcome, Interrupt), outcome
         return
-    finishes = fault == SHORT or (fault == errno.ENOSPC and loop.full_disk_ok) or (
-        fault == ZERO and cell.target in _READS and loop.zero_read is None
-    )
-    kind, message = (loop.zero_read or (None, None)) if cell.target in _READS else (
-        OSError, "no progress"
-    )
+    finishes = fault == SHORT or (fault == errno.ENOSPC and loop.full_disk_ok)
+    kind, message = loop.zero_read if cell.target in _READS else (OSError, "no progress")
     if loop.tool:
         code, _, err = outcome
         assert code == (0 if finishes else 1), err

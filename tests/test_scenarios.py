@@ -34,6 +34,7 @@ def test_summary_scenario_names_a_write_that_did_not_land(tmp_path, monkeypatch)
     with pytest.raises(sb.ScenarioError) as info:
         summary_scenario(tmp_path)
     assert str(info.value) == "step 'write' failed: file length 0, wanted 100"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_summary_scenario_names_a_read_back_that_ends_early(tmp_path, faults):
@@ -43,6 +44,7 @@ def test_summary_scenario_names_a_read_back_that_ends_early(tmp_path, faults):
     assert str(info.value) == (
         "step 'read' failed: read back 0 bytes, 0 of them b'a'; wanted 100, all b'a'"
     )
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- figure regeneration ---------------------------------------------------------
