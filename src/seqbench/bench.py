@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import mmap
 import os
 import re
 import statistics
@@ -352,28 +353,27 @@ def _prepare_target(cfg: IoConfig) -> None:
 
 
 def _slot_view(cfg: IoConfig, geometry) -> memoryview:
-    """A view of one slot's one-block transfer buffer, pattern-filled for writes.
+    """The view of one slot's one-block transfer buffer, filled with the pattern.
 
-    A direct slot's buffer is an AlignedBuffer, checked against the
-    volume's rules here: every request uses it whole, at a block multiple.
+    Every slot is page-aligned AlignedBuffer memory (a direct one at the
+    volume's recommended alignment), and the fill maps its pages before
+    any request.  A direct slot's buffer is checked against the volume's
+    rules here: every request uses it whole, at a block multiple.
     """
+    buffer = AlignedBuffer(cfg.block, geometry.recommended_alignment if cfg.direct else mmap.PAGESIZE)
     if cfg.direct:
-        buffer = AlignedBuffer(cfg.block, geometry.recommended_alignment)
         violations = validate_direct_request(geometry, buffer, cfg.block, 0)
         if violations:
             raise DirectRequestError(violations)
-        view = buffer.view
-    else:
-        view = memoryview(bytearray(cfg.block))
-    if cfg.direction is Direction.WRITE:
-        view[:] = bytes([_FILL_BYTE]) * cfg.block
-    return view
+    buffer.view[:] = bytes([_FILL_BYTE]) * cfg.block
+    return buffer.view
 
 
 def _trial(cfg: IoConfig, rng, log: TextIO | None = None) -> ThroughputSample:
     """One timed trial at depth ``async_depth``, or 1 when it is unset.
 
-    Each slot owns one ``_slot_view`` and loops: under a ticket lock it
+    Each slot owns one ``_slot_view``, page-aligned ``AlignedBuffer``
+    memory filled before the clock starts, and loops: under a ticket lock it
     takes a run of the next tickets (about ``_RUN_BYTES`` of requests, at
     least one and at most ``_RUN_REQUESTS``) with their offsets from
     ``_offset_chain(cfg, rng)``, transfers them, and comes back.  ``rng``

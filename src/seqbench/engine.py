@@ -188,11 +188,12 @@ class AlignedBuffer:
     """Zero-filled transfer buffer whose base address is alignment-aligned.
 
     The allocation over-provisions by one alignment unit and slices at the
-    first aligned byte, so no platform allocator support is needed.  The
-    numpy view keeps the parent allocation alive.
+    first aligned byte, so no platform allocator support is needed.
+    ``address`` (the usable region's base) and ``view`` (a writable flat
+    byte view of it, which keeps the allocation alive) are fixed here.
     """
 
-    __slots__ = ("capacity", "alignment", "_array")
+    __slots__ = ("capacity", "alignment", "address", "view")
 
     def __init__(self, capacity: int, alignment: int):
         if capacity < 1:
@@ -200,20 +201,12 @@ class AlignedBuffer:
         if not _is_power_of_two(alignment):
             raise ValueError(f"alignment must be a power of two, got {alignment}")
         raw = np.zeros(capacity + alignment, dtype=np.uint8)
-        start = (-raw.ctypes.data) % alignment
+        base = raw.__array_interface__["data"][0]
+        start = -base % alignment
         self.capacity = capacity
         self.alignment = alignment
-        self._array = raw[start : start + capacity]
-
-    @property
-    def address(self) -> int:
-        """Base address of the usable region."""
-        return self._array.ctypes.data
-
-    @property
-    def view(self) -> memoryview:
-        """Writable memoryview of the usable region."""
-        return memoryview(self._array)
+        self.address = base + start
+        self.view = memoryview(raw[start : start + capacity])
 
     def __len__(self) -> int:
         return self.capacity

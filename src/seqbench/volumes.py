@@ -79,7 +79,9 @@ def scratch_volume(size_bytes: int):
     removed on exit, even on error.  When neither ``umount`` nor a lazy
     ``umount -l`` succeeds, the volume stays mounted: the image still
     goes, then an OSError (EBUSY) names the mount point, or, when the body
-    raised, its exception carries a note naming it instead.
+    raised, its exception carries a note naming it instead.  An image that
+    cannot be deleted is reported the same way: unlink's OSError names it,
+    or a note on the error already leaving the block does.
     """
     if size_bytes < 16 << 20:
         raise ValueError(f"volume size must be at least 16 MiB, got {size_bytes}")
@@ -112,10 +114,22 @@ def scratch_volume(size_bytes: int):
         if mount_point is not None:
             with contextlib.suppress(OSError):  # EBUSY while still mounted
                 os.rmdir(mount_point)
-        with contextlib.suppress(OSError):
+        try:
             os.unlink(image)
+            left = None
+        except OSError as error:  # the image stays, as large as the volume
+            left = error
+        failure = None if finished else sys.exc_info()[1]
         if mounted:  # neither umount worked
             stuck = "scratch volume could not be unmounted"
             if finished:
-                raise OSError(errno.EBUSY, stuck, mount_point)
-            sys.exc_info()[1].add_note(f"{stuck}: still mounted at {mount_point}")
+                failure = OSError(errno.EBUSY, stuck, mount_point)
+            else:
+                failure.add_note(f"{stuck}: still mounted at {mount_point}")
+        if left is not None:
+            if failure is None:
+                failure = left
+            else:
+                failure.add_note(f"scratch volume image could not be removed: {left}")
+        if finished and failure is not None:
+            raise failure

@@ -7,6 +7,7 @@ import gc
 import io
 import itertools
 import math
+import mmap
 import os
 import pathlib
 import statistics
@@ -16,6 +17,7 @@ import time
 import tracemalloc
 import zlib
 
+import numpy as np
 import pytest
 from conftest import (
     SHORT, ZERO, Interrupt, lingering_threads, offset_chain, open_fds, os_threads, proc_io,
@@ -1242,6 +1244,36 @@ def test_async_write_trial_ends_on_a_full_disk(tmp_path, faults, deadline, depth
         sb.run_measurement(cfg, trials=1, warmup=0)
     assert info.value.errno == errno.ENOSPC
     assert not lingering_threads(before)
+
+
+# -- slot memory ------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"seek_pct": 50}, {"direction": Direction.WRITE}, {"async_depth": 2}, {"direct": True}],
+    ids=["sequential", "seek", "write", "depth2", "direct"],
+)
+def test_every_slot_is_page_aligned_and_pattern_filled_before_any_request(
+    tmp_path, monkeypatch, request, overrides
+):
+    """Reads and writes, buffered and direct: one kind of slot memory, mapped by its fill."""
+    if overrides.get("direct"):
+        request.getfixturevalue("need_direct")
+    cfg = _cfg(tmp_path, max_requests=8, **overrides)
+    slots = []
+    real = sb.bench._slot_view
+
+    def spy(cfg, geometry):
+        view = real(cfg, geometry)
+        slots.append((np.frombuffer(view, np.uint8).ctypes.data, view.tobytes()))
+        return view
+
+    monkeypatch.setattr(sb.bench, "_slot_view", spy)
+    sb.run_measurement(cfg, trials=1, warmup=0)
+    assert len(slots) == (cfg.async_depth or 1)
+    for address, held in slots:
+        assert address % mmap.PAGESIZE == 0
+        assert held == b"\xa5" * cfg.block
 
 
 # -- ticket runs ------------------------------------------------------------------

@@ -705,6 +705,9 @@ def test_write_chunks_ends_on_a_full_disk(tmp_path, faults, deadline):
 def test_allocate_aligned_properties(capacity, alignment):
     buf = sb.AlignedBuffer(capacity, alignment)
     assert buf.address % alignment == 0
+    assert np.frombuffer(buf.view, np.uint8).ctypes.data == buf.address
+    assert (buf.view.format, buf.view.ndim, buf.view.readonly) == ("B", 1, False)
+    assert buf.view.nbytes == len(buf.view) == capacity
     assert buf.capacity == capacity
     assert len(buf) == capacity
     assert bytes(buf.view) == b"\x00" * capacity

@@ -187,13 +187,42 @@ def test_a_failed_body_on_a_volume_that_will_not_unmount_keeps_its_own_error(ste
     assert list(tmp_path.iterdir()) == [mount]
 
 
-def test_an_image_that_cannot_be_removed_stays_without_an_error(steps, tmp_path):
-    """A failed unlink of the image is not reported: the volume is gone, its image stays."""
+def _image(tmp_path):
+    """The one image scratch_volume left in ``tmp_path``."""
+    (image,) = (path for path in tmp_path.iterdir() if path.name.startswith("seqbench_vol_"))
+    return str(image)
+
+
+def test_an_image_that_cannot_be_removed_is_reported(steps, tmp_path):
+    """The volume is gone and its image stays, so unlink's own error names the image."""
     steps.exit["unlink"] = errno.EACCES
-    with volumes.scratch_volume(_SIZE):
-        pass
+    with pytest.raises(OSError) as info:
+        with volumes.scratch_volume(_SIZE):
+            pass
     assert steps.done == ["mkfs.ext4", "mount", "umount", "rmdir", "unlink"]
-    assert [path.name.startswith("seqbench_vol_") for path in tmp_path.iterdir()] == [True]
+    assert (info.value.errno, info.value.filename) == (errno.EACCES, _image(tmp_path))
+
+
+def test_a_failed_body_whose_image_cannot_be_removed_keeps_its_own_error(steps, tmp_path):
+    """The body's exception leaves the block, with a note naming the image that stays."""
+    steps.exit["unlink"] = errno.EACCES
+    with pytest.raises(_Failed) as info:
+        with volumes.scratch_volume(_SIZE):
+            raise _Failed("the experiment failed")
+    assert info.value.__notes__ == [
+        "scratch volume image could not be removed: "
+        f"[Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: '{_image(tmp_path)}'"
+    ]
+
+
+def test_a_stuck_volume_whose_image_cannot_be_removed_names_both(steps, tmp_path):
+    """The EBUSY error names the mount point, and its note names the image."""
+    steps.exit.update(_STUCK, unlink=errno.EACCES)
+    with pytest.raises(OSError) as info:
+        with volumes.scratch_volume(_SIZE) as mount:
+            pass
+    assert (info.value.errno, info.value.filename) == (errno.EBUSY, str(mount))
+    assert len(info.value.__notes__) == 1 and _image(tmp_path) in info.value.__notes__[0]
 
 
 @pytest.mark.parametrize("size, change, error", [
