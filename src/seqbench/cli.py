@@ -9,7 +9,9 @@ Flag style follows the classic single-dash, attached-value convention
 (``-t30``, ``-b64K``, ``-Fm2M``): values are glued to the flag, flags
 cannot be combined, and matching is case-sensitive with the longest flag
 name winning (so ``-Fm`` and ``-FM`` are distinct).  Size values accept
-the K/M/G binary suffixes, case-insensitively.
+the K/M/G binary suffixes, case-insensitively.  Every flag-taking tool
+has one table, ``{flag: (field, parser, bare)}``, which ``_scan`` walks;
+what is left in a tool's parser belongs to that tool alone.
 
 Exit codes: 0 success, 1 runtime I/O failure, 2 bad usage or config.
 """
@@ -26,8 +28,6 @@ from pathlib import Path
 from . import pipeline, workloads
 from .bench import (
     DEFAULT_ASYNC_DEPTH,
-    DEFAULT_BLOCK,
-    DEFAULT_DURATION,
     DEFAULT_FILE_SIZE,
     BenchmarkResult,
     ExtensionMode,
@@ -162,8 +162,12 @@ class FragdiskInvocation:
 
 @dataclass(frozen=True)
 class ExamplesInvocation:
+    """With ``scratch`` (no file named), the run writes a file named
+    ``path.name`` in a fresh temp directory and removes both at its end."""
+
     path: Path
     record_count: int
+    scratch: bool = False
 
 
 @dataclass(frozen=True)
@@ -182,50 +186,43 @@ class AsyncCopyInvocation:
             raise ConfigError(f"depth must be at least 1, got {self.depth}")
 
 
-_BARE, _OPTIONAL, _REQUIRED = "bare", "optional", "required"
-
-_IOSPEED_FLAGS = {
-    "r": _OPTIONAL,
-    "w": _OPTIONAL,
-    "t": _REQUIRED,
-    "b": _REQUIRED,
-    "a": _OPTIONAL,
-    "d": _BARE,
-    "s": _OPTIONAL,
-    "x": _OPTIONAL,
-    "p": _OPTIONAL,
-    "c": _BARE,
-    "q": _BARE,
-}
+#: Markers for a flag table's ``bare`` column, which otherwise holds the
+#: value a flag given with no value stands for: a switch takes no value and
+#: stands for True; a flag that needs a value has no bare form.
+_SWITCH, _NEEDS_VALUE = object(), object()
 
 
-def _scan(args, flags: dict[str, str], tool: str):
-    """Split argv into {flag: attached value or None} and positionals.
+def _scan(args, table: dict, tool: str):
+    """Split argv into {field: parsed value} for the given flags, and positionals.
 
-    Longest-name, case-sensitive matching; a repeated flag's last
-    spelling wins, like most of the tools this mimics.
+    ``table`` maps each flag to ``(field, parser, bare)``.  Longest-name,
+    case-sensitive matching; a repeated flag's last spelling wins, like most
+    of the tools this mimics.  Only that spelling is parsed, after the whole
+    scan, so an earlier malformed one is ignored.
     """
-    names = sorted(flags, key=len, reverse=True)
-    found: dict[str, str | None] = {}
+    names = sorted(table, key=len, reverse=True)
+    given: dict[str, str] = {}
     positionals: list[str] = []
     for token in args:
         if not token.startswith("-") or token == "-":
             positionals.append(token)
             continue
         rest = token[1:]
-        for name in names:
-            if rest.startswith(name):
-                value = rest[len(name) :]
-                kind = flags[name]
-                if kind == _BARE and value:
-                    raise ConfigError(f"{tool}: flag -{name} takes no value, got {token!r}")
-                if kind == _REQUIRED and not value:
-                    raise ConfigError(f"{tool}: flag -{name} needs an attached value, like -{name}30")
-                found[name] = value or None
-                break
-        else:
+        name = next((name for name in names if rest.startswith(name)), None)
+        if name is None:
             raise ConfigError(f"{tool}: unknown flag {token!r}")
-    return found, positionals
+        value = rest[len(name) :]
+        bare = table[name][2]
+        if bare is _SWITCH and value:
+            raise ConfigError(f"{tool}: flag -{name} takes no value, got {token!r}")
+        if bare is _NEEDS_VALUE and not value:
+            raise ConfigError(f"{tool}: flag -{name} needs an attached value, like -{name}30")
+        given[name] = value
+    values = {}
+    for name, text in given.items():
+        field, parse, bare = table[name]
+        values[field] = parse(text, name) if text else (True if bare is _SWITCH else bare)
+    return values, positionals
 
 
 def _size(text: str, flag: str) -> int:
@@ -264,29 +261,11 @@ def _size_mb_default(text: str, flag: str) -> int:
     return _size(text, flag)
 
 
-def _value(found, flag, parse, bare=None, absent=None):
-    """``flag``'s value read by ``parse``: ``bare`` if it has none, ``absent`` if not given."""
-    if flag not in found:
-        return absent
-    text = found[flag]
-    return bare if text is None else parse(text, flag)
-
-
-def _given(*values):
-    """The first of ``values`` that is not None."""
-    return next(value for value in values if value is not None)
-
-
-def _values(found, table) -> dict:
-    """Keyword values for the given flags of a ``{flag: (field, parser)}`` table."""
-    return {field: parse(found[flag], flag) for flag, (field, parse) in table.items() if flag in found}
-
-
-def _either(found, first: str, second: str) -> str | None:
-    """Which flag of a mutually exclusive pair was given, if either."""
-    if first in found and second in found:
-        raise ConfigError(f"iospeed: -{first} and -{second} are mutually exclusive")
-    return first if first in found else second if second in found else None
+def _either(values: dict, first, second, flags: str):
+    """Which field of a mutually exclusive pair was given, if either."""
+    if first in values and second in values:
+        raise ConfigError(f"iospeed: {flags} are mutually exclusive")
+    return first if first in values else second if second in values else None
 
 
 def _build(tool: str, kind, **values):
@@ -297,59 +276,74 @@ def _build(tool: str, kind, **values):
         raise ConfigError(f"{tool}: {exc}") from None
 
 
+#: iospeed flag -> (field, value parser, bare).  The fields of -r/-w and
+#: -x/-p are the modes they pick; a bare one stands for "no size given".
+_IOSPEED_FLAGS = {
+    "r": (Direction.READ, _file_size, None),
+    "w": (Direction.WRITE, _file_size, None),
+    "x": (ExtensionMode.INCREMENTAL, _file_size, None),
+    "p": (ExtensionMode.PREALLOCATED, _file_size, None),
+    "t": ("duration", _seconds, _NEEDS_VALUE),
+    "b": ("block", _size, _NEEDS_VALUE),
+    "a": ("async_depth", _int, DEFAULT_ASYNC_DEPTH),
+    "d": ("direct", None, _SWITCH),
+    "s": ("seek_pct", _int, 100),
+    "c": ("touch", None, _SWITCH),
+    "q": ("quiet", None, _SWITCH),
+}
+
+#: fragdisk flag -> (FragConfig field, value parser, bare); every flag needs a value.
+_FRAGDISK_FLAGS = {
+    "m": ("max_files", _int, _NEEDS_VALUE),
+    "Fm": ("min_file", _size_mb_default, _NEEDS_VALUE),
+    "FM": ("max_file", _size_mb_default, _NEEDS_VALUE),
+    "c": ("files_per_cycle", _int, _NEEDS_VALUE),
+    "d": ("max_files_per_dir", _int, _NEEDS_VALUE),
+    "s": ("max_subdirs", _int, _NEEDS_VALUE),
+    "n": ("max_cycles", _int, _NEEDS_VALUE),
+    "k": ("keep_pct", _int, _NEEDS_VALUE),
+    "f": ("fill_pct", _int, _NEEDS_VALUE),
+    "r": ("seed", _int, _NEEDS_VALUE),
+}
+
+#: asynccopy flag -> (AsyncCopyInvocation field, value parser, bare); every flag needs a value.
+_ASYNCCOPY_FLAGS = {
+    "z": ("size", _size, _NEEDS_VALUE),
+    "b": ("block", _size, _NEEDS_VALUE),
+    "a": ("depth", _int, _NEEDS_VALUE),
+}
+
+
 def parse_iospeed(args) -> IospeedInvocation:
-    found, positionals = _scan(args, _IOSPEED_FLAGS, "iospeed")
+    values, positionals = _scan(args, _IOSPEED_FLAGS, "iospeed")
     if len(positionals) != 1:
         raise ConfigError(f"iospeed needs exactly one file path, got {positionals!r}")
-    timed = _either(found, "r", "w")
-    grow = _either(found, "x", "p")
-    rw_size = _value(found, timed, _file_size)
-    ext_size = _value(found, grow, _file_size)
-    extension = {"x": ExtensionMode.INCREMENTAL, "p": ExtensionMode.PREALLOCATED}.get(grow)
-    # Ranges (duration, depth, seek percentage) are IoConfig's to check.
+    direction = _either(values, Direction.READ, Direction.WRITE, "-r and -w") or Direction.READ
+    extension = _either(values, ExtensionMode.INCREMENTAL, ExtensionMode.PREALLOCATED, "-x and -p")
+    # Bare forms borrow the other phase's explicit size; with neither
+    # spelled out, both default to 1G.
+    rw_size, ext_size = values.pop(direction, None), values.pop(extension, None)
+    if extension is not None:
+        ext_size = ext_size or rw_size or DEFAULT_FILE_SIZE
+    quiet = values.pop("quiet", False)
+    values["seek_pct"] = values.get("seek_pct") or None  # -s0 spells sequential out loud
+    # Ranges (duration, depth, seek percentage) are IoConfig's to check;
+    # absent flags take its defaults.
     config = _build(
         "iospeed",
         IoConfig,
         path=Path(positionals[0]),
-        direction=Direction.WRITE if timed == "w" else Direction.READ,
-        # Bare forms borrow the other phase's explicit size; with neither
-        # spelled out, both default to 1G.
-        file_size=_given(rw_size, ext_size, DEFAULT_FILE_SIZE),
-        duration=_value(found, "t", _seconds, absent=DEFAULT_DURATION),
-        block=_value(found, "b", _size, absent=DEFAULT_BLOCK),
-        async_depth=_value(found, "a", _int, bare=DEFAULT_ASYNC_DEPTH),
-        direct="d" in found,
-        seek_pct=_value(found, "s", _int, bare=100) or None,  # -s0 spells sequential out loud
-        touch="c" in found,
+        direction=direction,
+        file_size=rw_size or ext_size or DEFAULT_FILE_SIZE,
+        **values,
     )
-    if extension is not None:
-        ext_size = _given(ext_size, rw_size, DEFAULT_FILE_SIZE)
-    return IospeedInvocation(config, extension, ext_size, "q" in found)
-
-
-#: fragdisk flag -> (FragConfig field, value parser); every flag needs a value.
-_FRAGDISK_FIELDS = {
-    "m": ("max_files", _int),
-    "Fm": ("min_file", _size_mb_default),
-    "FM": ("max_file", _size_mb_default),
-    "c": ("files_per_cycle", _int),
-    "d": ("max_files_per_dir", _int),
-    "s": ("max_subdirs", _int),
-    "n": ("max_cycles", _int),
-    "k": ("keep_pct", _int),
-    "f": ("fill_pct", _int),
-    "r": ("seed", _int),
-}
-
-#: asynccopy flag -> (AsyncCopyInvocation field, value parser); every flag needs a value.
-_ASYNCCOPY_FIELDS = {"z": ("size", _size), "b": ("block", _size), "a": ("depth", _int)}
+    return IospeedInvocation(config, extension, ext_size, quiet)
 
 
 def parse_fragdisk(args) -> FragdiskInvocation:
-    found, positionals = _scan(args, dict.fromkeys(_FRAGDISK_FIELDS, _REQUIRED), "fragdisk")
+    values, positionals = _scan(args, _FRAGDISK_FLAGS, "fragdisk")
     if len(positionals) != 1:
         raise ConfigError(f"fragdisk needs exactly one directory, got {positionals!r}")
-    values = _values(found, _FRAGDISK_FIELDS)
     return FragdiskInvocation(_build("fragdisk", FragConfig, root=Path(positionals[0]), **values))
 
 
@@ -363,7 +357,7 @@ def parse_examples(args) -> ExamplesInvocation:
         positionals.append(token)
     if len(positionals) > 2:
         raise ConfigError(f"examples takes at most a file and a record count, got {positionals!r}")
-    path = Path(positionals[0]) if positionals else Path(tempfile.gettempdir()) / "io_examples_temp.dat"
+    path = Path(positionals[0] if positionals else "io_examples_temp.dat")
     count = 1_000_000
     if len(positionals) == 2:
         try:
@@ -372,14 +366,13 @@ def parse_examples(args) -> ExamplesInvocation:
             raise ConfigError(f"examples: record count must be an integer, got {positionals[1]!r}") from None
         if count < 0:
             raise ConfigError(f"examples: record count may not be negative, got {count}")
-    return ExamplesInvocation(path, count)
+    return ExamplesInvocation(path, count, scratch=not positionals)
 
 
 def parse_asynccopy(args) -> AsyncCopyInvocation:
-    found, positionals = _scan(args, dict.fromkeys(_ASYNCCOPY_FIELDS, _REQUIRED), "asynccopy")
+    values, positionals = _scan(args, _ASYNCCOPY_FLAGS, "asynccopy")
     if len(positionals) > 1:
         raise ConfigError(f"asynccopy takes at most one directory, got {positionals!r}")
-    values = _values(found, _ASYNCCOPY_FIELDS)
     directory = Path(positionals[0]) if positionals else None
     return _build("asynccopy", AsyncCopyInvocation, directory=directory, **values)
 
@@ -446,28 +439,33 @@ def _run_fragdisk(inv: FragdiskInvocation) -> int:
 
 
 def _run_examples(inv: ExamplesInvocation) -> int:
-    path = inv.path
-    total = inv.record_count * SORT_RECORD_BYTES
-    block = workloads.DEFAULT_BLOCK
-    rng = make_rng(DEFAULT_SEED)
-    clock = detect_clock_ghz()
-    print(f"workload matrix on {path}: {inv.record_count} records, {total} bytes")
-    cells = (  # (direction, block_bytes, what one call moves, workload), in run order
-        ("write", 1, "one byte per call", lambda: run_write(path, ByteAtATime(), total, rng)),
-        ("write", block, "64K blocks (builds the sort input file)",
-         lambda: write_sort_file(path, inv.record_count, rng, io_block=block)),
-        ("write", 0, "one line per call", lambda: run_write(path, LineAtATime(), total, rng)),
-        ("read", 1, "one byte per call", lambda: run_read(path, ByteAtATime())),
-        ("read", 0, "one line per call", lambda: run_read(path, LineAtATime())),
-        ("read", block, "64K blocks", lambda: run_read(path, BlockAtATime(block))),
-    )
-    rows = []
-    for direction, block_bytes, unit, workload in cells:
-        print(f"  {direction}, {unit}")
-        result = BenchmarkResult.from_samples([workload().sample], clock)
-        rows.append(result_row("examples", result, direction=direction, block_bytes=block_bytes))
-    sys.stdout.write(to_csv(rows))
-    return 0
+    with contextlib.ExitStack() as cleanup:
+        path = inv.path
+        if inv.scratch:
+            path = Path(cleanup.enter_context(
+                tempfile.TemporaryDirectory(prefix="examples_", ignore_cleanup_errors=True)
+            ), path.name)
+        total = inv.record_count * SORT_RECORD_BYTES
+        block = workloads.DEFAULT_BLOCK
+        rng = make_rng(DEFAULT_SEED)
+        clock = detect_clock_ghz()
+        print(f"workload matrix on {path}: {inv.record_count} records, {total} bytes")
+        cells = (  # (direction, block_bytes, what one call moves, workload), in run order
+            ("write", 1, "one byte per call", lambda: run_write(path, ByteAtATime(), total, rng)),
+            ("write", block, "64K blocks (builds the sort input file)",
+             lambda: write_sort_file(path, inv.record_count, rng, io_block=block)),
+            ("write", 0, "one line per call", lambda: run_write(path, LineAtATime(), total, rng)),
+            ("read", 1, "one byte per call", lambda: run_read(path, ByteAtATime())),
+            ("read", 0, "one line per call", lambda: run_read(path, LineAtATime())),
+            ("read", block, "64K blocks", lambda: run_read(path, BlockAtATime(block))),
+        )
+        rows = []
+        for direction, block_bytes, unit, workload in cells:
+            print(f"  {direction}, {unit}")
+            result = BenchmarkResult.from_samples([workload().sample], clock)
+            rows.append(result_row("examples", result, direction=direction, block_bytes=block_bytes))
+        sys.stdout.write(to_csv(rows))
+        return 0
 
 
 def _sha256(path: Path) -> tuple[int, str]:

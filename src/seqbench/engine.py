@@ -1,5 +1,6 @@
 """File I/O engine: open dispositions, aligned buffers, two buffering tiers.
 
+It imports only the standard library and the package's own modules.
 This is the package's one home of OS file services, for Linux only: direct
 opens, access hints, preallocation (``preallocate``, which
 FileHandle.preallocate and copy_file's destination both go through),
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import _thread
 import contextlib
+import ctypes
 import enum
 import errno
 import fcntl
@@ -51,8 +53,6 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
-
-import numpy as np
 
 from .core import Direction, OpenDisposition
 from .errors import (
@@ -187,10 +187,11 @@ def _queue_sector(device: str) -> int:
 class AlignedBuffer:
     """Zero-filled transfer buffer whose base address is alignment-aligned.
 
-    The allocation over-provisions by one alignment unit and slices at the
-    first aligned byte, so no platform allocator support is needed.
-    ``address`` (the usable region's base) and ``view`` (a writable flat
-    byte view of it, which keeps the allocation alive) are fixed here.
+    The memory is one ``bytearray`` that over-provisions by one alignment
+    unit; the view starts at its first aligned byte, so no platform
+    allocator support is needed.  ``address`` (the usable region's base,
+    read through ctypes) and ``view`` (a writable flat byte view of it,
+    which keeps the allocation alive) are fixed here.
     """
 
     __slots__ = ("capacity", "alignment", "address", "view")
@@ -200,13 +201,13 @@ class AlignedBuffer:
             raise ValueError(f"capacity must be at least 1, got {capacity}")
         if not _is_power_of_two(alignment):
             raise ValueError(f"alignment must be a power of two, got {alignment}")
-        raw = np.zeros(capacity + alignment, dtype=np.uint8)
-        base = raw.__array_interface__["data"][0]
+        raw = bytearray(capacity + alignment)
+        base = ctypes.addressof(ctypes.c_char.from_buffer(raw))
         start = -base % alignment
         self.capacity = capacity
         self.alignment = alignment
         self.address = base + start
-        self.view = memoryview(raw[start : start + capacity])
+        self.view = memoryview(raw)[start : start + capacity]
 
     def __len__(self) -> int:
         return self.capacity

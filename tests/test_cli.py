@@ -1,4 +1,5 @@
 """Flag grammar for all four tools and end-to-end command runs."""
+import dataclasses
 import math
 import os
 import re
@@ -121,6 +122,25 @@ def test_fractional_duration_accepted():
 
 def test_last_spelling_of_repeated_flag_wins():
     assert parse_iospeed("-b4K -b8K x".split()).config.block == 8192
+
+
+@pytest.mark.parametrize(
+    "tool, malformed, valid, positionals",
+    [
+        ("iospeed", "-tfast", "-t30", ["f"]),
+        ("fragdisk", "-nX", "-n1", ["d"]),
+        ("asynccopy", "-zZ", "-z1M", []),
+    ],
+)
+def test_an_earlier_malformed_spelling_is_ignored_when_a_later_one_is_valid(
+    tool, malformed, valid, positionals
+):
+    """Only a flag's last spelling is parsed, so one the user corrected later
+    on the line is no error."""
+    parse = cli._TOOLS[tool][0]
+    with pytest.raises(sb.ConfigError):
+        parse([malformed] + positionals)
+    assert parse([malformed, valid] + positionals) == parse([valid] + positionals)
 
 
 def test_seek_composes_with_async():
@@ -491,6 +511,26 @@ def test_examples_rows_derive_rate_and_cost_from_their_own_sample(tmp_path):
         assert not row.direct and row.async_depth is None and row.seek_pct is None
         assert row.mb_per_sec == row.bytes_moved / 1e6 / row.wall_s
         assert row.ns_per_byte == row.cpu_s * 1e9 / row.bytes_moved
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["pass", "fail"])
+def test_examples_without_a_file_removes_its_scratch_file(tmp_path, monkeypatch, capsys, fails):
+    """With no file named, the run's file and its directory go when it ends,
+    pass or fail; a file named on the command line stays."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    if fails:
+        def no_reads(path, granularity):
+            raise OSError(5, "read failed", str(path))
+
+        monkeypatch.setattr(cli, "run_read", no_reads)
+    invocation = dataclasses.replace(parse_examples([]), record_count=1000)
+    assert cli.run(invocation) == (1 if fails else 0)
+    assert f"workload matrix on {tmp_path / 'examples_'}" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+    named = tmp_path / "named" / "io_examples_temp.dat"
+    named.parent.mkdir()
+    assert cli.run(parse_examples([str(named), "1000"])) == (1 if fails else 0)
+    assert named.stat().st_size == 100 * 1000
 
 
 def test_examples_with_zero_records_emits_six_empty_rows(tmp_path):

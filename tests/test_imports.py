@@ -3,6 +3,7 @@ names what its module binds, and no module reaches into another object's
 private attributes (a stand-in for a linter)."""
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,3 +85,19 @@ def test_no_private_attribute_of_another_object_is_read(source):
         and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
     ]
     assert not reached, f"{source.name} reads private attributes: {reached}"
+
+
+def test_engine_imports_only_the_standard_library_and_the_package():
+    """The OS layer needs no third-party module: its aligned buffers are
+    ``bytearray`` memory whose address ctypes reads."""
+    source = Path(seqbench.__file__).parent / "engine.py"
+    outside = []
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        outside += [name for name in modules if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not outside, f"engine.py imports from outside the standard library: {outside}"
