@@ -5,7 +5,11 @@ granularities worth comparing: one byte per call, one text line per call,
 one fixed block per call, and fixed-width typed records.  Each runner
 reports what it processed, a checksum of the payload it saw, and a
 ThroughputSample, so different granularities over the same data can be
-checked for equivalence and compared for speed.
+checked for equivalence and compared for speed.  The runners issue their
+stream calls from C, through ``map``: per request, nothing runs but the
+call.  Their Python work (joining, checksumming, drawing content) is
+done once per window of requests, a window being about one stream
+buffer of reads, a batch of lines, or one draw of pieces to write.
 
 Also here: a length-prefixed typed binary stream (the portable way to put
 numbers and strings in a file without inventing a text format), a line
@@ -13,7 +17,7 @@ counter, and the classic 100-byte-record sort input generator.
 """
 from __future__ import annotations
 
-import functools
+import collections
 import itertools
 import struct
 import zlib
@@ -25,7 +29,7 @@ import numpy as np
 
 from .bench import Stopwatch, ThroughputSample
 from .core import Direction, OpenDisposition
-from .engine import FlushLevel, open_file
+from .engine import DEFAULT_STREAM_BUFFER, FlushLevel, open_file
 from .errors import StreamTruncatedError
 
 __all__ = [
@@ -52,7 +56,8 @@ SORT_RECORD_BYTES = RECORD_BYTES
 _SORT_KEY_BYTES = 10
 _SORT_INDEX_DIGITS = 20
 
-#: Lines LineAtATime writes draw per batch, about 40 KiB of text.
+#: Lines a LineAtATime pass draws (writing) or joins (reading) per batch,
+#: about 40 KiB of the text run_write makes.
 _LINE_BATCH = 1024
 _NEWLINE = ord("\n")
 
@@ -113,25 +118,43 @@ def run_read(path: str | Path, granularity: Granularity) -> WorkloadResult:
     """Read the whole file at the given granularity and checksum it.
 
     A fixed-size granularity (byte, block, record) makes one read call of
-    the handle's stream per request, from C.  The reads are joined about
-    DEFAULT_BLOCK bytes at a time, at least one read per join, and one
-    chained adler32 runs over each join: the checksum one call per
-    request would give, with no Python frame per request.  A read that
-    returns nothing short of the file's length at open raises OSError.
+    the handle's stream per request, and the file reads that a loop of
+    those calls makes.  A step below the stream buffer goes a window at a
+    time: one read, which refills the buffer where that loop would, then
+    the whole requests left before the next stream-buffer boundary of the
+    file or its length at open, issued from C by ``map`` and joined.  The
+    buffer refills whole buffer-aligned stretches of the file, so it
+    already holds them.  A larger step is one read per window.  One
+    chained adler32 runs over each window: the checksum one call per
+    request would give.  The pass ends at the first empty read (should
+    the file shrink while it is read, the rest of that window's reads
+    come back empty too).  A read that returns nothing short of the
+    file's length at open raises OSError.
     """
     if isinstance(granularity, LineAtATime):
         return _read_lines(path)
     step = _fixed_block(granularity)
-    per_join = max(1, DEFAULT_BLOCK // step)
+    windowed = step < DEFAULT_STREAM_BUFFER
     checksum = 1
     requests = 0
     stopwatch = Stopwatch()
     with open_file(path, OpenDisposition.OPEN, Direction.READ) as handle:
         length = handle.length
-        reads = iter(functools.partial(handle.stream.read, step), b"")
-        while pieces := list(itertools.islice(reads, per_join)):
-            checksum = zlib.adler32(b"".join(pieces), checksum)
-            requests += len(pieces)
+        read = handle.stream.read
+        position = 0  # bytes read so far: the stream's position, kept with no tell()
+        while piece := read(step):
+            checksum = zlib.adler32(piece, checksum)
+            requests += 1
+            position += len(piece)
+            # A short piece means a raw read came back empty: the end of the
+            # file, or a zero read mid-file.  The next read alone decides which.
+            if windowed and len(piece) == step:
+                boundary = position - position % DEFAULT_STREAM_BUFFER + DEFAULT_STREAM_BUFFER
+                count = (min(length, boundary) - position) // step
+                window = b"".join(map(read, itertools.repeat(step, count)))
+                checksum = zlib.adler32(window, checksum)
+                requests += count
+                position += len(window)
         processed = handle.stream.tell()
         if processed < length:
             raise OSError(f"short read: reads ended at byte {processed} of {length} in {path}")
@@ -139,19 +162,22 @@ def run_read(path: str | Path, granularity: Granularity) -> WorkloadResult:
 
 
 def _read_lines(path: str | Path) -> WorkloadResult:
+    """run_read by lines: _LINE_BATCH lines from the stream at a time, joined."""
     checksum = 1
     payload = 0
     lines = 0
     stopwatch = Stopwatch()
     with open_file(path, OpenDisposition.OPEN, Direction.READ) as handle:
         length = handle.length
-        for line in handle.stream:
-            # "\r\n", then "\n"; a lone "\r" stays, so rstrip would not do
-            if line.endswith(b"\n"):
-                line = line[:-2] if line.endswith(b"\r\n") else line[:-1]
-            checksum = zlib.adler32(line, checksum)
-            payload += len(line)
-            lines += 1
+        full = True
+        while full:
+            batch = list(itertools.islice(handle.stream, _LINE_BATCH))
+            full = len(batch) == _LINE_BATCH  # past a short batch, a next line would read again
+            # Every "\n" ends a line, so every "\r\n" is a terminator; a lone "\r" stays.
+            text = b"".join(batch).replace(b"\r\n", b"").replace(b"\n", b"")
+            checksum = zlib.adler32(text, checksum)
+            payload += len(text)
+            lines += len(batch)
         if (end := handle.stream.tell()) < length:
             raise OSError(f"short read: reads ended at byte {end} of {length} in {path}")
     return WorkloadResult(payload, checksum, stopwatch.sample(payload, lines))
@@ -166,7 +192,9 @@ def run_write(
     """Write exactly ``total_bytes`` of seeded random content.
 
     The file is created fresh (truncated if present).  Every request is
-    one write call of the handle's stream, made from C by ``writelines``.
+    one call of the handle's bound stream ``write``, issued from C by
+    ``map`` and drained by a zero-length deque (``writelines`` would look
+    ``write`` up by name for every piece).
     A fixed-size granularity writes what ``rng.bytes`` draws: one
     DEFAULT_BLOCK draw per 64 KiB of single bytes, and otherwise what one
     draw per block or record would give, drawn about 64 KiB of whole
@@ -195,7 +223,7 @@ def run_write(
     remaining = total_bytes
     stopwatch = Stopwatch()
     with open_file(path, OpenDisposition.CREATE, Direction.WRITE) as handle:
-        writelines = handle.stream.writelines
+        write = handle.stream.write
         while remaining:
             if lines:
                 body, pieces = _draw_lines(rng, remaining)
@@ -210,7 +238,7 @@ def run_write(
                 body = pieces = _draw_pieces(rng, min(step, remaining), count)
                 remaining -= body.nbytes
             checksum = zlib.adler32(body, checksum)
-            writelines(pieces)
+            collections.deque(map(write, pieces), maxlen=0)
             requests += len(pieces)
         handle.flush(FlushLevel.APPLICATION_BUFFERS)
     return WorkloadResult(total_bytes, checksum, stopwatch.sample(total_bytes, requests))
@@ -310,7 +338,13 @@ def typed_roundtrip(values: Sequence[tuple[str, object]], path: str | Path) -> l
 
 def count_lines(path: str | Path, chunk: int = 1 << 20) -> int:
     """Count lines the way editors do: LF terminated, CRLF welcome, and an
-    unterminated final fragment still counts as a line."""
+    unterminated final fragment still counts as a line.
+
+    The file is read ``chunk`` bytes at a time; a chunk under 1 byte
+    raises ValueError.
+    """
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1 byte, got {chunk}")
     lines = 0
     last = b""
     with open(path, "rb") as stream:
@@ -337,9 +371,9 @@ def write_sort_file(
     Record i is 10 seeded-random key bytes, i as a zero-padded 20-digit
     decimal, and spaces out to 100 bytes.  Output is written in
     ``io_block``-byte requests regardless of record boundaries: each is
-    one write of the handle's stream, made from C, of a view into the
-    pending bytes, and the last may be short.  Returns the bytes written,
-    their checksum and the write request count.
+    one call of the handle's bound stream ``write``, issued from C by
+    ``map``, of a view into the pending bytes, and the last may be short.
+    Returns the bytes written, their checksum and the write request count.
     """
     if record_count < 0:
         raise ValueError(f"record count may not be negative, got {record_count}")
@@ -352,7 +386,7 @@ def write_sort_file(
     requests = 0
     stopwatch = Stopwatch()
     with open_file(path, OpenDisposition.CREATE, Direction.WRITE) as handle:
-        writelines = handle.stream.writelines
+        write = handle.stream.write
         for start in range(0, record_count, build_chunk):
             count = min(build_chunk, record_count - start)
             records = np.full((count, RECORD_BYTES), 0x20, dtype=np.uint8)
@@ -365,11 +399,12 @@ def write_sort_file(
             pending += records.data
             ends = range(io_block, len(pending) + 1, io_block)
             with memoryview(pending) as view:  # an exported bytearray cannot shrink
-                writelines(map(view.__getitem__, map(slice, range(0, len(pending), io_block), ends)))
+                blocks = map(view.__getitem__, map(slice, range(0, len(pending), io_block), ends))
+                collections.deque(map(write, blocks), maxlen=0)
             requests += len(ends)
             del pending[: len(ends) * io_block]
         if pending:
-            handle.stream.write(pending)
+            write(pending)
             requests += 1
         handle.flush(FlushLevel.APPLICATION_BUFFERS)
     total = record_count * RECORD_BYTES

@@ -181,6 +181,19 @@ def _read_check(d, outcome, cell):
         assert outcome.checksum == zlib.adler32(_PAYLOAD)
 
 
+#: About 240 KiB of lines, "\r\n" or "\n" terminated, and their payloads.
+_TEXT_LINES = [b"x" * (i % 97) + (b"\r\n" if i % 3 else b"\n") for i in range(5000)]
+_TEXT_PAYLOAD = b"".join(line.rstrip(b"\n").removesuffix(b"\r") for line in _TEXT_LINES)
+
+
+def _lines_check(d, outcome, cell):
+    """What was read and its checksum: every line's payload."""
+    if _ok(outcome):
+        assert outcome.bytes_processed == len(_TEXT_PAYLOAD)
+        assert outcome.checksum == zlib.adler32(_TEXT_PAYLOAD)
+        assert outcome.sample.request_count == len(_TEXT_LINES)
+
+
 def _written(name):
     def check(d, outcome, cell):
         """A finished write leaves the bytes it reports (a line write sums payloads only)."""
@@ -247,6 +260,18 @@ LOOPS = {
     "run_read": Loop(
         lambda d: sb.run_read(d / "data.bin", sb.ByteAtATime()), "raw.readinto@2", _read_check,
         setup=lambda d: (d / "data.bin").write_bytes(_PAYLOAD),
+    ),
+    "run_read-line": Loop(
+        lambda d: sb.run_read(d / "lines.txt", sb.LineAtATime()), "raw.readinto@2", _lines_check,
+        setup=lambda d: (d / "lines.txt").write_bytes(b"".join(_TEXT_LINES)),
+    ),
+    "run_read-block4096": Loop(
+        lambda d: sb.run_read(d / "data.bin", sb.BlockAtATime(4096)), "raw.readinto@2",
+        _read_check, setup=lambda d: (d / "data.bin").write_bytes(_PAYLOAD),
+    ),
+    "run_read-block7": Loop(  # its second refill is inside a read that straddles it
+        lambda d: sb.run_read(d / "data.bin", sb.BlockAtATime(7)), "raw.readinto@2",
+        _read_check, setup=lambda d: (d / "data.bin").write_bytes(_PAYLOAD),
     ),
     "run_write-byte": Loop(
         lambda d: sb.run_write(d / "bytes.bin", sb.ByteAtATime(), 256 << 10, sb.make_rng(4)),

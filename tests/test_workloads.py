@@ -1,5 +1,8 @@
 """Byte/line/block/record workloads, typed streams, text and sort helpers."""
+import functools
 import hashlib
+import io
+import itertools
 import math
 import os
 import struct
@@ -7,7 +10,7 @@ import tracemalloc
 import zlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import seqbench as sb
 from seqbench.workloads import _draw_pieces, _read_typed
@@ -58,6 +61,49 @@ def test_line_read_counts_payload_not_terminators(tmp_path):
     assert result.bytes_processed == 8  # "ab" + "cd" + "tail"
     assert result.checksum == zlib.adler32(b"abcdtail", 1)
     assert result.sample.request_count == 3
+
+
+def _per_line_pass(path):
+    """The line pass as one loop step per line: payload bytes, checksum and lines."""
+    checksum, payload, lines = 1, 0, 0
+    with sb.open_file(path, sb.OpenDisposition.OPEN, sb.Direction.READ) as handle:
+        for line in handle.stream:
+            if line.endswith(b"\n"):
+                line = line[:-2] if line.endswith(b"\r\n") else line[:-1]
+            checksum = zlib.adler32(line, checksum)
+            payload += len(line)
+            lines += 1
+    return payload, checksum, lines
+
+
+_LINE_PIECES = st.sampled_from([b"a", b"bc", b"\r", b"\n", b"\r\n", b"\r\r\n", b"\n\r"])
+_BATCH = sb.workloads._LINE_BATCH
+
+
+@given(
+    head=st.lists(_LINE_PIECES, max_size=30),
+    filler=st.sampled_from([0, 1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH]),
+    long_line=st.booleans(),
+    tail=st.lists(_LINE_PIECES, max_size=30),
+)
+@example(head=[], filler=_BATCH - 1, long_line=False, tail=[])
+@example(head=[], filler=_BATCH, long_line=False, tail=[])
+@example(head=[], filler=_BATCH + 1, long_line=False, tail=[b"a"])
+@example(head=[b"\r\r\n", b"\n"], filler=0, long_line=True, tail=[b"\r"])
+@settings(max_examples=60, deadline=None)
+def test_batched_line_reads_match_one_step_per_line(
+    tmp_path_factory, head, filler, long_line, tail
+):
+    """Terminators "\r\n" and "\n", lone and doubled "\r", empty lines, no final
+    terminator, a line past the 64 KiB stream buffer, and line counts either side of
+    a batch."""
+    filler_lines = b"".join(b"q\r\n" if i % 2 else b"\n" for i in range(filler))
+    text = b"".join(head) + (b"y" * 70_000 + b"\r\n" if long_line else b"") + filler_lines
+    p = tmp_path_factory.mktemp("lines") / "lines.txt"
+    p.write_bytes(text + b"".join(tail))
+    result = sb.run_read(p, sb.LineAtATime())
+    want = _per_line_pass(p)
+    assert (result.bytes_processed, result.checksum, result.sample.request_count) == want
 
 
 def _read_syscalls(run) -> int:
@@ -263,6 +309,98 @@ def test_a_megabyte_block_read_holds_about_one_block(tmp_path):
     assert peak < 4_000_000, peak
 
 
+# -- read calls pinned --------------------------------------------------------------
+
+class _LoggedRaw(io.FileIO):
+    """A raw file that logs every readinto as (bytes asked for, bytes read)."""
+
+    log: list = []
+
+    def readinto(self, buffer):
+        got = super().readinto(buffer)
+        self.log.append((memoryview(buffer).nbytes, got))
+        return got
+
+
+def _raw_reads(monkeypatch, run):
+    """What ``run()`` returns, and the raw reads its buffered read streams made."""
+
+    def logged_open(file, mode="r", buffering=-1):
+        assert mode == "rb", mode
+        return io.BufferedReader(_LoggedRaw(file, "r"), buffering)
+
+    log = []
+    with monkeypatch.context() as patch:
+        patch.setattr(_LoggedRaw, "log", log)
+        patch.setattr(io, "open", logged_open)
+        return run(), log
+
+
+def _runs(log) -> str:
+    """``asked:got`` per raw read, a run of n equal reads written once with ``xn``."""
+    runs = ((call, len(list(group))) for call, group in itertools.groupby(log))
+    return " ".join(f"{asked}:{got}" + (f"x{n}" if n > 1 else "") for (asked, got), n in runs)
+
+
+#: The passes of tests/golden/run_read_calls_seed137.txt, by the name it gives them.
+_PINNED_READS = {
+    **{f"random-step{step}": ("random.bin", sb.BlockAtATime(step))
+       for step in (1, 7, 100, 4096, 65536, 100_000, 1 << 20)},
+    "random-lines": ("random.bin", sb.LineAtATime()),
+    "text-lines": ("text.txt", sb.LineAtATime()),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_files(tmp_path_factory):
+    """2,200,000 seeded random bytes (past two 1 MiB reads, no size a step divides
+    but 100,000) and 300,000 bytes of seeded letter lines."""
+    root = tmp_path_factory.mktemp("pinned")
+    (root / "random.bin").write_bytes(sb.make_rng(137).bytes(2_200_000))
+    sb.run_write(root / "text.txt", sb.LineAtATime(), 300_000, sb.make_rng(137))
+    return root
+
+
+def _pinned_pass(monkeypatch, root, name) -> str:
+    """One golden line: the pass's bytes, checksum and requests, then its raw reads."""
+    file, granularity = _PINNED_READS[name]
+    result, log = _raw_reads(monkeypatch, lambda: sb.run_read(root / file, granularity))
+    return (f"{name} bytes={result.bytes_processed} checksum={result.checksum:#010x} "
+            f"requests={result.sample.request_count} reads={_runs(log)}")
+
+
+@pytest.mark.parametrize("name", list(_PINNED_READS))
+def test_read_passes_make_their_golden_raw_reads(monkeypatch, pinned_files, name):
+    """Every raw read a pass makes, its size asked and its count read, and the pass's
+    result: a 1 MiB step reads 1 MiB at a time, and a small one refills 64 KiB."""
+    lines = golden_text("run_read_calls_seed137.txt").splitlines()
+    want = {line.split()[0]: line for line in lines}
+    assert _pinned_pass(monkeypatch, pinned_files, name) == want[name]
+
+
+def _per_request_pass(path, step):
+    """The pass as one read call per request in a Python loop: bytes, checksum, requests."""
+    checksum, requests = 1, 0
+    with sb.open_file(path, sb.OpenDisposition.OPEN, sb.Direction.READ) as handle:
+        for piece in iter(functools.partial(handle.stream.read, step), b""):
+            checksum = zlib.adler32(piece, checksum)
+            requests += 1
+        return handle.stream.tell(), checksum, requests
+
+
+@pytest.mark.parametrize("step", [1, 7, 4096, 40_000, 65535, 65536, 100_000, 1 << 20])
+@pytest.mark.parametrize("size", [0, 1, 6, 4095, 65535, 65536, 65537, 65536 + 4095,
+                                  3 * 65536, 3 * 65536 + 40_000, (1 << 20) + 1])
+def test_a_read_pass_makes_the_raw_reads_of_one_call_per_request(monkeypatch, tmp_path, size, step):
+    """Files that end at, just past and just short of a stream buffer or a step."""
+    path = tmp_path / "data.bin"
+    path.write_bytes(sb.make_rng(size).bytes(size))
+    result, log = _raw_reads(monkeypatch, lambda: sb.run_read(path, sb.BlockAtATime(step)))
+    want, want_log = _raw_reads(monkeypatch, lambda: _per_request_pass(path, step))
+    assert (result.bytes_processed, result.checksum, result.sample.request_count) == want
+    assert _runs(log) == _runs(want_log)
+
+
 # -- typed streams -----------------------------------------------------------------
 
 def test_typed_roundtrip_example(tmp_path):
@@ -393,6 +531,15 @@ def test_count_lines_matches_naive_splitter_on_random_text(tmp_path):
         p.write_bytes(payload)
         naive = len(payload.split(b"\n")) - (1 if payload.endswith(b"\n") or not payload else 0)
         assert sb.count_lines(p, chunk=7) == naive, payload
+
+
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_count_lines_refuses_a_chunk_under_one_byte(tmp_path, chunk):
+    """A chunk of 0 would read nothing and count no lines; one of -1 would read it all."""
+    p = tmp_path / "t.txt"
+    p.write_bytes(b"a\nb\nc\n")
+    with pytest.raises(ValueError, match=f"chunk must be at least 1 byte, got {chunk}"):
+        sb.count_lines(p, chunk=chunk)
 
 
 # -- sort input file ----------------------------------------------------------------
