@@ -402,6 +402,14 @@ class FileHandle:
     idempotent.  Every handle is readable; writability follows from the
     (disposition, direction) pair it was opened with.
 
+    One file object owns the descriptor: a buffered handle's stream, or a
+    direct handle's io.FileIO over its O_DIRECT descriptor.  Every use of
+    the descriptor goes through it, so once the handle is closed every
+    call but ``close`` and ``repr`` raises ValueError, and none reaches a
+    descriptor number that another file may have been given since.  A
+    handle dropped unclosed is closed when it is collected, with a
+    ResourceWarning, on both tiers.
+
     ``stream`` is a buffered handle's stream buffer and None on a direct
     handle.  A read-only handle's is an io.BufferedReader, which refuses
     writes with io.UnsupportedOperation itself.  A stream read of at most
@@ -409,33 +417,33 @@ class FileHandle:
     read_block would.
     """
 
-    def __init__(self, fd, *, path, mode, geometry, writable, stream):
+    def __init__(self, file, *, path, mode, geometry, writable):
         self.path = path if isinstance(path, Path) else Path(path)
         self.mode = mode
         self.geometry = geometry
         self.writable = writable
-        self._fd = fd
-        self.stream = stream
+        self._file = file  # owns the descriptor: the stream, or a direct handle's FileIO
+        self.stream = file if mode is IoMode.BUFFERED else None
         self._pos = 0  # authoritative only for direct handles
-        self._closed = False
 
     # -- introspection -------------------------------------------------
 
     def fileno(self) -> int:
-        return self._fd
+        return self._file.fileno()
 
     @property
     def position(self) -> int:
         if self.stream is not None:
             return self.stream.tell()
+        if self._file.closed:
+            raise ValueError("I/O operation on closed file")
         return self._pos
 
     @property
     def length(self) -> int:
         """Current file length in bytes, counting un-flushed stream data."""
-        if self.stream is not None and self.writable:
-            self.stream.flush()
-        return os.fstat(self._fd).st_size
+        self._file.flush()
+        return os.fstat(self._file.fileno()).st_size
 
     # -- positioning ---------------------------------------------------
 
@@ -445,6 +453,8 @@ class FileHandle:
             raise ValueError(f"cannot seek to negative offset {offset}")
         if self.stream is not None:
             self.stream.seek(offset)
+        elif self._file.closed:
+            raise ValueError("I/O operation on closed file")
         else:
             self._pos = offset
 
@@ -457,60 +467,85 @@ class FileHandle:
         preadv on a direct handle, read; 0 means end of file, and the
         position advances by it.  On a buffered handle a whole
         ``bytearray`` (``length`` None or its size) goes straight to the
-        stream; any other buffer, or a shorter length, is made a flat byte
-        view first.  A direct request is validated against the volume
-        geometry first and a DirectRequestError names every violation
-        before anything is read.
+        stream; any other request goes through _request_view first, which
+        validates a direct request against the volume geometry and raises
+        DirectRequestError naming every violation before anything is read.
         """
         stream = self.stream
-        if stream is None:
-            return self._direct_transfer(buffer, length, write=False)
-        if type(buffer) is not bytearray or (length is not None and length != len(buffer)):
-            buffer = _stream_view(buffer, length, target=True)
+        if stream is None or type(buffer) is not bytearray or (
+            length is not None and length != len(buffer)
+        ):
+            buffer = self._request_view(buffer, length, target=True)
+            if stream is None:
+                got = os.preadv(self._file.fileno(), [buffer], self._pos)
+                self._pos += got
+                return got
         return stream.readinto(buffer)
 
     def write_block(self, buffer, length: int | None = None) -> int:
         """Write ``length`` bytes at the current position; returns that count.
 
         Unlike reads, writes are all-or-nothing: the full count is written
-        (the file grows as needed) or an exception is raised.  On a
-        buffered handle a whole ``bytes`` or ``bytearray`` (``length`` None
-        or its size) goes straight to the stream; any other buffer, or a
-        shorter length, is made a flat byte view first.
+        (the file grows as needed) or an exception is raised; a direct
+        write continues a short transfer with transfer_full.  On a buffered
+        handle a whole ``bytes`` or ``bytearray`` (``length`` None or its
+        size) goes straight to the stream; any other request goes through
+        _request_view first, as read_block's does.
         """
         if not self.writable:
             raise io.UnsupportedOperation(f"{self.path} is open read-only")
         stream = self.stream
-        if stream is None:
-            return self._direct_transfer(buffer, length, write=True)
         kind = type(buffer)
-        if (kind is not bytes and kind is not bytearray) or (
+        if stream is None or (kind is not bytes and kind is not bytearray) or (
             length is not None and length != len(buffer)
         ):
-            buffer = _stream_view(buffer, length, target=False)
+            buffer = self._request_view(buffer, length, target=False)
+            if stream is None:
+                length = len(buffer)
+                transfer_full(self._file.fileno(), buffer, self._pos, length, write=True)
+                self._pos += length
+                return length
         return stream.write(buffer)
 
-    def _direct_transfer(self, buffer, length, *, write: bool) -> int:
-        if not (hasattr(buffer, "address") and hasattr(buffer, "capacity")):
-            raise TypeError(
-                "direct transfers need an aligned buffer exposing .address and "
-                f".capacity (see AlignedBuffer), got {type(buffer).__name__}"
-            )
-        if length is None:
-            length = buffer.capacity
-        violations = validate_direct_request(self.geometry, buffer, length, self._pos)
-        if violations:
-            raise DirectRequestError(violations)
-        if length == 0:
-            return 0
-        view = buffer.view
-        if write:
-            transfer_full(self._fd, view, self._pos, length, write=True)
-            self._pos += length
-            return length
-        got = os.preadv(self._fd, [view[:length]], self._pos)
-        self._pos += got
-        return got
+    def _request_view(self, buffer, length: int | None, *, target: bool) -> memoryview:
+        """``buffer`` as a flat byte view of the ``length`` bytes one request moves.
+
+        ``target`` marks a read's destination.  A direct request needs a
+        buffer exposing ``address`` and ``capacity`` (an AlignedBuffer),
+        moves its whole capacity when ``length`` is None, and must pass
+        validate_direct_request at the position.  A buffered one takes any
+        buffer, writable when it is a target; its view is cast only when it
+        is not already flat bytes and sliced only when ``length`` is short
+        of the buffer.
+        """
+        if self.stream is None:
+            if not (hasattr(buffer, "address") and hasattr(buffer, "capacity")):
+                raise TypeError(
+                    "direct transfers need an aligned buffer exposing .address and "
+                    f".capacity (see AlignedBuffer), got {type(buffer).__name__}"
+                )
+            if length is None:
+                length = buffer.capacity
+            violations = validate_direct_request(self.geometry, buffer, length, self._pos)
+            if violations:
+                raise DirectRequestError(violations)
+            return buffer.view[:length]
+        if isinstance(buffer, AlignedBuffer):
+            view = buffer.view
+        else:
+            view = memoryview(buffer)
+            if target and view.readonly:
+                raise TypeError("read target buffer is read-only")
+            if view.ndim != 1 or view.format != "B" or not view.c_contiguous:
+                view = view.cast("B")
+        size = len(view)
+        if length is None or length == size:
+            return view
+        if length < 0:
+            raise ValueError(f"negative transfer length {length}")
+        if length > size:
+            raise ValueError(f"transfer length {length} exceeds buffer capacity {size}")
+        return view[:length]
 
     # -- durability and allocation --------------------------------------
 
@@ -518,10 +553,9 @@ class FileHandle:
         """Drain buffered data down to the requested tier."""
         if not self.writable:
             raise io.UnsupportedOperation(f"{self.path} is open read-only; nothing to flush")
-        if self.stream is not None:
-            self.stream.flush()
+        self._file.flush()
         if level is FlushLevel.OPERATING_SYSTEM_CACHE:
-            os.fsync(self._fd)
+            os.fsync(self._file.fileno())
 
     def preallocate(self, size: int) -> None:
         """Set the file length to exactly ``size`` without writing data.
@@ -534,22 +568,15 @@ class FileHandle:
             raise ValueError(f"cannot preallocate a negative size {size}")
         if not self.writable:
             raise io.UnsupportedOperation(f"{self.path} is open read-only")
-        if self.stream is not None:
-            self.stream.flush()
-        preallocate(self._fd, size)
+        self._file.flush()
+        preallocate(self._file.fileno(), size)
         if self.position > size:
             self.seek(size)
 
     # -- lifecycle -------------------------------------------------------
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self.stream is not None:
-            self.stream.close()  # owns and closes the fd
-        else:
-            os.close(self._fd)
+        self._file.close()
 
     def __enter__(self) -> "FileHandle":
         return self
@@ -558,33 +585,8 @@ class FileHandle:
         self.close()
 
     def __repr__(self) -> str:
-        state = "closed" if self._closed else f"pos={self.position}"
+        state = "closed" if self._file.closed else f"pos={self.position}"
         return f"<FileHandle {self.path} {self.mode.value} {state}>"
-
-
-def _stream_view(buffer, length: int | None, *, target: bool) -> memoryview:
-    """``buffer`` as a flat byte view of ``length`` bytes for a buffered transfer.
-
-    ``target`` marks a read's destination, which must be writable.  The
-    view is cast only when it is not already flat bytes and sliced only
-    when ``length`` is short of the buffer.
-    """
-    if isinstance(buffer, AlignedBuffer):
-        view = buffer.view
-    else:
-        view = memoryview(buffer)
-        if target and view.readonly:
-            raise TypeError("read target buffer is read-only")
-        if view.ndim != 1 or view.format != "B" or not view.c_contiguous:
-            view = view.cast("B")
-    size = len(view)
-    if length is None or length == size:
-        return view
-    if length < 0:
-        raise ValueError(f"negative transfer length {length}")
-    if length > size:
-        raise ValueError(f"transfer length {length} exceeds buffer capacity {size}")
-    return view[:length]
 
 
 def open_file(
@@ -602,9 +604,11 @@ def open_file(
     (OPEN, READ) pair yields a read-only handle.  APPEND positions at the
     current end of file; it does not pin later writes there.
 
-    Buffered handles get a DEFAULT_STREAM_BUFFER stream buffer.  Direct
-    handles probe the volume's SectorGeometry after opening, and a probe
-    failure surfaces as GeometryProbeError rather than being papered over.
+    Buffered handles get a DEFAULT_STREAM_BUFFER stream buffer, and
+    direct handles an io.FileIO over the O_DIRECT descriptor; that object
+    owns the descriptor from then on (see FileHandle).  Direct handles
+    probe the volume's SectorGeometry after opening, and a probe failure
+    surfaces as GeometryProbeError rather than being papered over.
 
     Missing files, existing files under CREATE_NEW, and permission
     problems raise the standard FileNotFoundError, FileExistsError and
@@ -621,18 +625,17 @@ def open_file(
     flags = _DISPOSITION_FLAGS[disposition]
     flags |= os.O_RDONLY if read_only else os.O_RDWR
 
-    fd = _open_raw(path, flags, direct=io_mode is IoMode.DIRECT)
+    direct = io_mode is IoMode.DIRECT
+    fd = _open_raw(path, flags, direct=direct)
     try:
         try:
             os.posix_fadvise(fd, 0, 0, _ADVICE[access_hint])
         except OSError:  # only a hint, which a filesystem may refuse
             pass
-        geometry = None
-        stream = None
-        if io_mode is IoMode.DIRECT:
-            geometry = detect_sector_geometry(path)
-        else:
-            stream = io.open(fd, "rb" if read_only else "r+b", buffering=DEFAULT_STREAM_BUFFER)
+        geometry = detect_sector_geometry(path) if direct else None
+        # owns fd from here on: an io.FileIO when unbuffered, else a stream over one
+        file = io.open(fd, "rb" if read_only else "r+b",
+                       buffering=0 if direct else DEFAULT_STREAM_BUFFER)
     except IsADirectoryError:  # a read-only open of a directory; io.open names the fd
         os.close(fd)
         raise _is_a_directory(path) from None
@@ -641,15 +644,10 @@ def open_file(
         raise
 
     handle = FileHandle(
-        fd,
-        path=path,
-        mode=io_mode,
-        geometry=geometry,
-        writable=not read_only,
-        stream=stream,
+        file, path=path, mode=io_mode, geometry=geometry, writable=not read_only
     )
     if disposition is OpenDisposition.APPEND:
-        handle.seek(os.fstat(fd).st_size)
+        handle.seek(handle.length)
     return handle
 
 
@@ -666,7 +664,7 @@ def _open_raw(path: str | os.PathLike, flags: int, *, direct: bool) -> int:
     try:
         return os.open(path, flags | os.O_DIRECT, 0o666)
     except OSError as exc:
-        if exc.errno in (errno.EINVAL, errno.EOPNOTSUPP, errno.ENOTSUP):
+        if exc.errno in (errno.EINVAL, errno.EOPNOTSUPP):
             if os.path.isdir(path):
                 raise _is_a_directory(path) from None
             raise DirectIoUnsupportedError(

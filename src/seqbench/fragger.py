@@ -122,10 +122,13 @@ class FragConfig:
 class TreePlan:
     """Where files will go: leaf directories sized to hold every slot.
 
-    ``slots`` is the number of minimum-size files a full run might need,
-    so leaf_count * max_files_per_dir >= slots always holds.  run_cycles
-    creates a file only while fewer than ``slots`` files are live, so the
-    least-loaded leaf always has room.
+    ``slots`` is min(ceil(fill target / min_file), max_files): the most
+    files a run can hold, and leaf_count * max_files_per_dir >= slots
+    always holds.  run_cycles never reads ``slots``; the bound holds
+    because every file is at least min_file bytes and creation stops at
+    the fill target or at max_files live files, so fewer than ``slots``
+    files are live whenever one is created and the least-loaded leaf
+    always has room.
     """
 
     leaves: tuple[PurePosixPath, ...]

@@ -8,6 +8,7 @@ CSV into a directory.
 """
 from __future__ import annotations
 
+import contextlib
 import shutil
 import sys
 from dataclasses import dataclass
@@ -31,8 +32,10 @@ __all__ = ["summary_scenario", "SweepScale", "QUICK", "FULL", "regen_figures"]
 def summary_scenario(temp_dir: str | Path) -> None:
     """Create a file, write 100 bytes, rewind, read them back one at a
     time, close and delete, also after a failed step.  Raises ScenarioError
-    naming the failed step; re-runnable: it truncates first, deletes last."""
+    naming the first failed step, from its failure; re-runnable: it
+    truncates first, deletes last."""
     path = Path(temp_dir) / "summary_scenario.dat"
+    one = b"a"
 
     def step(name, action):
         try:
@@ -40,25 +43,35 @@ def summary_scenario(temp_dir: str | Path) -> None:
         except Exception as exc:
             raise ScenarioError(f"step {name!r} failed: {exc}") from exc
 
-    handle = step("create", lambda: open_file(path, OpenDisposition.CREATE, Direction.WRITE))
-    try:
-        one = b"a"
-        step("write", lambda: [handle.write_block(one, 1) for _ in range(100)])
-        if handle.length != 100:
-            raise ScenarioError(f"step 'write' failed: file length {handle.length}, wanted 100")
-        step("rewind", lambda: handle.seek(0))
-        buffer = bytearray(1)
-        back = bytearray()
-        while step("read", lambda: handle.read_block(buffer, 1)):
+    def write():
+        for _ in range(100):
+            handle.write_block(one, 1)
+        length = handle.length  # flushes the 100 bytes: a failed write-back fails this step
+        if length != 100:
+            raise ValueError(f"file length {length}, wanted 100")
+
+    def read():
+        buffer, back = bytearray(1), bytearray()
+        while handle.read_block(buffer, 1):
             back += buffer
         if back != one * 100:
-            raise ScenarioError(
-                f"step 'read' failed: read back {len(back)} bytes, {back.count(one)} of them "
-                f"{one!r}; wanted 100, all {one!r}"
+            raise ValueError(
+                f"read back {len(back)} bytes, {back.count(one)} of them {one!r}; "
+                f"wanted 100, all {one!r}"
             )
-    finally:
-        step("close", handle.close)
-        step("delete", path.unlink)
+
+    handle = step("create", lambda: open_file(path, OpenDisposition.CREATE, Direction.WRITE))
+    try:
+        step("write", write)
+        step("rewind", lambda: handle.seek(0))
+        step("read", read)
+    except BaseException:  # the first failure is the one raised; close and delete still run
+        for cleanup in (handle.close, path.unlink):
+            with contextlib.suppress(Exception):
+                cleanup()
+        raise
+    step("close", handle.close)
+    step("delete", path.unlink)
 
 
 @dataclass(frozen=True)

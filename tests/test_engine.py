@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import seqbench as sb
 from seqbench.core import Direction, OpenDisposition
-from seqbench.engine import IoMode, SectorGeometry, _stream_view, run_slots
+from seqbench.engine import IoMode, SectorGeometry, run_slots
 
 
 # -- SectorGeometry ---------------------------------------------------------
@@ -392,14 +392,14 @@ def test_buffered_handle_takes_an_aligned_buffer(tmp_path):
 
 
 # What read_block/write_block did on a buffered handle before whole bytes
-# buffers went straight to the stream: every buffer through _stream_view.
+# buffers went straight to the stream: every buffer through the request step.
 def _reference_read(handle, buffer, length):
-    view = _stream_view(buffer, length, target=True)
+    view = handle._request_view(buffer, length, target=True)
     return (handle.stream.readinto(view) or 0) if view else 0
 
 
 def _reference_write(handle, buffer, length):
-    view = _stream_view(buffer, length, target=False)
+    view = handle._request_view(buffer, length, target=False)
     if view:
         handle.stream.write(view)
     return len(view)
@@ -522,6 +522,63 @@ def test_close_is_idempotent(tmp_path):
     h = sb.open_file(p, OpenDisposition.OPEN, Direction.READ)
     h.close()
     h.close()
+
+
+@pytest.mark.parametrize("direction", [Direction.READ, Direction.WRITE], ids=["read-only", "read-write"])
+@pytest.mark.parametrize("mode", list(IoMode), ids=lambda mode: mode.value)
+def test_a_closed_handle_refuses_every_call(tmp_path, request, mode, direction):
+    """Every call but close and repr raises ValueError, and the file that now has the
+    closed handle's descriptor number keeps its bytes and its length."""
+    if mode is IoMode.DIRECT:
+        request.getfixturevalue("need_direct")
+    p, other = tmp_path / "closed.dat", tmp_path / "other.dat"
+    p.write_bytes(b"\1" * 8192)
+    other.write_bytes(b"\2" * 100)
+    h = sb.open_file(p, OpenDisposition.OPEN, direction, mode)
+    buffer = sb.AlignedBuffer(4096, 4096) if mode is IoMode.DIRECT else bytearray(4096)
+    fd = h.fileno()
+    h.close()
+    reopened = os.open(other, os.O_RDWR)
+    if reopened != fd:  # give the other file the closed handle's number
+        os.dup2(reopened, fd)
+        os.close(reopened)
+    try:
+        calls = {
+            "fileno": h.fileno,
+            "position": lambda: h.position,
+            "length": lambda: h.length,
+            "seek": lambda: h.seek(0),
+            "read_block": lambda: h.read_block(buffer),
+            "write_block": lambda: h.write_block(buffer),
+            "flush": h.flush,
+            "flush to the device": lambda: h.flush(sb.FlushLevel.OPERATING_SYSTEM_CACHE),
+            "preallocate": lambda: h.preallocate(0),
+            "count_extents": lambda: sb.count_extents(h),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError):
+                call()
+                pytest.fail(f"{name} ran on a closed handle")
+        h.close()
+        assert repr(h) == f"<FileHandle {p} {mode.value} closed>"
+        assert os.fstat(fd).st_size == 100 and os.pread(fd, 200, 0) == b"\2" * 100
+    finally:
+        os.close(fd)
+    assert p.read_bytes() == b"\1" * 8192
+
+
+@pytest.mark.parametrize("mode", list(IoMode), ids=lambda mode: mode.value)
+def test_a_dropped_handle_is_closed_with_a_resource_warning(tmp_path, request, mode):
+    if mode is IoMode.DIRECT:
+        request.getfixturevalue("need_direct")
+    p = tmp_path / "dropped.dat"
+    p.write_bytes(b"\0" * 4096)
+    fds = open_fds()
+    h = sb.open_file(p, OpenDisposition.OPEN, Direction.READ, mode)
+    assert open_fds() != fds
+    with pytest.warns(ResourceWarning, match="unclosed file"):
+        del h
+    assert open_fds() == fds
 
 
 # -- flush tiers --------------------------------------------------------------

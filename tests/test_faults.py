@@ -25,7 +25,7 @@ from conftest import (
 )
 
 import seqbench as sb
-from seqbench.core import Direction
+from seqbench.core import Direction, OpenDisposition
 
 #: The faults each call can meet.  A read allocates nothing, so it cannot
 #: find the disk full; fsync and fallocate move no bytes of their own.
@@ -159,6 +159,37 @@ def _copy(calls: str, depth: int) -> Loop:
     )
 
 
+def _handle_direct(d):
+    """A write_block of two 4 KiB units through a direct handle (two sectors of a 4 KiB
+    sector volume), then a read_block of them back: (written, read, bytes read).  A
+    short transfer on a direct descriptor is one unit.  A read of 0 where the write
+    landed is an early end of file.  (A list: a tuple is a tool's outcome.)"""
+    with sb.open_file(d / "direct.dat", OpenDisposition.CREATE, Direction.WRITE,
+                      sb.IoMode.DIRECT) as handle:
+        geometry = handle.geometry
+        size = 2 * max(geometry.logical_sector, 4096)
+        out, back = (sb.AlignedBuffer(size, geometry.recommended_alignment) for _ in range(2))
+        out.view[:] = _PATTERN * size
+        written = handle.write_block(out)
+        handle.seek(0)
+        got = handle.read_block(back)
+        if got == 0:
+            raise OSError(f"short read: the file ended at 0 of {size} bytes")
+        return [written, got, bytes(back.view[:got])]
+
+
+def _handle_direct_check(d, outcome, cell):
+    """Only the pattern lands.  A write that returns finished the whole request; a read
+    returns what its one preadv gave, one unit where that came back short."""
+    data = (d / "direct.dat").read_bytes()
+    assert data == _PATTERN * len(data)
+    if _ok(outcome):
+        written, got, back = outcome
+        assert len(data) == written
+        assert got == (written // 2 if (cell.target, cell.fault) == ("preadv", SHORT) else written)
+        assert back == _PATTERN * got
+
+
 def _aging_check(d, outcome, cell):
     """The event log replays to the files on disk however the run ends; a run that
     returns reports them, and a full disk in its notes."""
@@ -205,6 +236,14 @@ def _written(name):
     return check
 
 
+def _summary_check(d, outcome, cell):
+    """Nothing is left behind, and a failure names the step that met the fault."""
+    assert list(d.iterdir()) == []
+    if isinstance(outcome, sb.ScenarioError):
+        step = "write" if cell.target == "raw.write" else "read"
+        assert str(outcome).startswith(f"step {step!r} failed: "), outcome
+
+
 def _typed_check(d, outcome, cell):
     assert not _ok(outcome) or outcome == _TYPED
 
@@ -241,6 +280,8 @@ LOOPS = {
     "trial-pwrite-depth2": _trial("pwritev@10 start_new_thread@1", Direction.WRITE, async_depth=2),
     "trial-direct-read": _trial("preadv@5", **_DIRECT),
     "trial-direct-write": _trial("pwritev@5", Direction.WRITE, **_DIRECT),
+    "handle-direct": Loop(_handle_direct, "pwritev@1 preadv@1", _handle_direct_check,
+                          direct=True),
     "measure_extension-incremental": _extension("pwritev@5 fsync@5", sb.ExtensionMode.INCREMENTAL),
     "measure_extension-preallocated": _extension(
         "posix_fallocate@1 pwritev@5 fsync@5", sb.ExtensionMode.PREALLOCATED
@@ -289,6 +330,10 @@ LOOPS = {
         lambda d: sb.write_sort_file(d / "sort.dat", 3000, sb.make_rng(3), io_block=4096),
         "raw.write@2", _written("sort.dat"),
     ),
+    "summary_scenario": Loop(
+        sb.summary_scenario, "raw.write@1 raw.readinto@1", _summary_check,
+        zero_read=(ValueError, "read back 0 bytes"), wrap=sb.ScenarioError,
+    ),
     "iospeed-buffered-read": _tool(
         "pwritev@1 fsync@1 raw.readinto@2", "iospeed -t0.05 -b4K -r256K {d}/io.dat"
     ),
@@ -309,11 +354,13 @@ LOOPS = {
 }
 
 #: Cells the program fails, each with the CHANGES.md FOUND line that names the defect.
+_SPINS = ("FOUND in CHANGES.md: io.BufferedWriter retries a raw write that returns 0 "
+          "without end, so a loop that writes through a buffered stream spins")
 _KNOWN = {
-    Cell(name, "raw.write", 2, ZERO): "FOUND in CHANGES.md: io.BufferedWriter retries a raw "
-    "write that returns 0 without end, so a loop that writes through a buffered stream spins"
-    for name in ("trial-stream-write", "run_write-byte", "run_write-line", "typed_roundtrip",
-                 "write_sort_file", "examples")
+    **{Cell(name, "raw.write", 2, ZERO): _SPINS
+       for name in ("trial-stream-write", "run_write-byte", "run_write-line", "typed_roundtrip",
+                    "write_sort_file", "examples")},
+    Cell("summary_scenario", "raw.write", 1, ZERO): _SPINS,
 }
 
 

@@ -14,7 +14,8 @@ module and class bodies run at import and are left out.  The map then lists each
 unreached lines as ranges, and the total.  Tests that fail under the
 tracer are listed too, after the map: a test that only fails when traced
 still ran its lines, so it is named rather than hidden.  The exit status
-is pytest's.
+is pytest's when that is not 0, and otherwise 1 when a line is unreached,
+so the map's 0 can be checked by exit status alone.
 
 Only the standard library is used.  A traced run takes about twice as
 long as the plain suite, so this is a tool, not a test.
@@ -119,7 +120,7 @@ def main(argv: list[str]) -> int:
         print(f"{len(failed)} test(s) failed under the tracer:")
         for name in failed:
             print(f"  {name}")
-    return status
+    return status or int(unreached_total > 0)
 
 
 if __name__ == "__main__":
