@@ -105,18 +105,18 @@ class ExtensionMode(enum.Enum):
 class IoConfig:
     """Everything one measurement needs to know.
 
-    ``seek_pct`` of None or 0 means pure sequential access; otherwise each
-    request lands a bounded random distance from the last.  Every trial
-    runs one loop at depth ``async_depth`` or 1, reading the clock once
-    per ticket run.  A buffered sequential trial without ``async_depth``
-    reads or writes through the handle's stream buffer; every other
-    trial issues positional requests, one preadv/pwritev of the request
-    size each, through the OS cache (past it when ``direct``, with the
-    request checked once per trial).  ``max_requests``
-    caps the request count per trial regardless of the clock, which pins
-    the request stream for determinism tests.  ``offset_log`` names a file
-    that receives every issued offset of the measured trials, one decimal
-    per line, when set.
+    ``seek_pct`` None means pure sequential access (0 is stored as None:
+    one pattern, one config, one row); otherwise each request lands a
+    bounded random distance from the last.  Every trial runs one loop at
+    depth ``async_depth`` or 1, reading the clock once per ticket run.  A
+    buffered sequential trial without ``async_depth`` reads or writes
+    through the handle's stream buffer; every other trial issues
+    positional requests, one preadv/pwritev of the request size each,
+    through the OS cache (past it when ``direct``, with the request
+    checked once per trial).  ``max_requests`` caps the request count per
+    trial regardless of the clock, which pins the request stream for
+    determinism tests.  ``offset_log`` names a file that receives every
+    issued offset of the measured trials, one decimal per line, when set.
     """
 
     path: Path
@@ -136,6 +136,8 @@ class IoConfig:
         object.__setattr__(self, "path", Path(self.path))
         if self.offset_log is not None:
             object.__setattr__(self, "offset_log", Path(self.offset_log))
+        if self.direction is not Direction.READ and self.direction is not Direction.WRITE:
+            raise ConfigError(f"direction must be a Direction, got {self.direction!r}")
         if self.block < 1:
             raise ConfigError(f"block must be at least 1 byte, got {self.block}")
         if self.file_size < self.block:
@@ -148,6 +150,7 @@ class IoConfig:
             raise ConfigError(f"async depth must be at least 1, got {self.async_depth}")
         if self.seek_pct is not None and not 0 <= self.seek_pct <= 100:
             raise ConfigError(f"seek percentage must be in 0..100, got {self.seek_pct}")
+        object.__setattr__(self, "seek_pct", self.seek_pct or None)  # 0 spells sequential too
         if self.max_requests is not None and self.max_requests < 1:
             raise ConfigError(f"max_requests must be at least 1, got {self.max_requests}")
 
@@ -274,7 +277,7 @@ def summarize(rates) -> tuple[float, float]:
 def next_offset(current: int, cfg: IoConfig, file_size: int, rng: np.random.Generator) -> int:
     """Offset of the request after one at ``current``.
 
-    Sequential (seek_pct falsy): the next block, wrapping to 0 when
+    Sequential (seek_pct None): the next block, wrapping to 0 when
     another full block would not fit.  Seeking: a uniform random delta in
     [-d, +d] with d = seek_pct percent of the file size is added past the
     sequential position, wrapped into [0, file_size - block] and rounded
@@ -494,10 +497,10 @@ def run_measurement(
     ``cfg.seed``, so results are reproducible request-for-request; the
     warm-up trials use distant streams and are discarded.  Sequential
     trials draw nothing, so no generator is built for them.  With
-    ``cfg.offset_log`` set, the log is opened once, after the warm-up, and
-    each ticket run's offsets go to it as the trials issue them, so a
-    failed measurement leaves the offsets it issued.  Returns the median
-    summary.
+    ``cfg.offset_log`` set, the log is opened first, so an unwritable one
+    fails before any I/O; each ticket run of the measured trials (not the
+    warm-up) writes its offsets to it as they are issued, so a failed
+    measurement leaves the offsets it issued.  Returns the median summary.
     """
     if trials < 1:
         raise ConfigError(f"need at least one trial, got {trials}")
@@ -505,14 +508,13 @@ def run_measurement(
         raise ConfigError(f"warm-up count may not be negative, got {warmup}")
     if clock_ghz is None:
         clock_ghz = detect_clock_ghz()
-    _prepare_target(cfg)
-    seeking = bool(cfg.seek_pct)
-    for index in range(warmup):
-        _trial(cfg, make_rng(cfg.seed, _WARMUP_STREAM_BASE + index) if seeking else None)
     log = open(cfg.offset_log, "w") if cfg.offset_log else None
     try:
+        _prepare_target(cfg)
+        for index in range(warmup):
+            _trial(cfg, make_rng(cfg.seed, _WARMUP_STREAM_BASE + index) if cfg.seek_pct else None)
         samples = [
-            _trial(cfg, make_rng(cfg.seed, index) if seeking else None, log)
+            _trial(cfg, make_rng(cfg.seed, index) if cfg.seek_pct else None, log)
             for index in range(trials)
         ]
     finally:

@@ -326,7 +326,6 @@ def parse_iospeed(args) -> IospeedInvocation:
     if extension is not None:
         ext_size = ext_size or rw_size or DEFAULT_FILE_SIZE
     quiet = values.pop("quiet", False)
-    values["seek_pct"] = values.get("seek_pct") or None  # -s0 spells sequential out loud
     # Ranges (duration, depth, seek percentage) are IoConfig's to check;
     # absent flags take its defaults.
     config = _build(

@@ -399,10 +399,10 @@ class FileHandle:
     """An open file with an explicit position and a fixed buffering tier.
 
     Create these with open_file.  Handles are context managers; closing is
-    idempotent.  Every handle is readable; writability follows from the
-    (disposition, direction) pair it was opened with.
+    idempotent.  Every handle is readable; it is direct exactly when it
+    holds a geometry, and writable exactly when its file object is.
 
-    One file object owns the descriptor: a buffered handle's stream, or a
+    That file object owns the descriptor: a buffered handle's stream, or a
     direct handle's io.FileIO over its O_DIRECT descriptor.  Every use of
     the descriptor goes through it, so once the handle is closed every
     call but ``close`` and ``repr`` raises ValueError, and none reaches a
@@ -417,13 +417,13 @@ class FileHandle:
     read_block would.
     """
 
-    def __init__(self, file, *, path, mode, geometry, writable):
+    def __init__(self, file, *, path, geometry):
         self.path = path if isinstance(path, Path) else Path(path)
-        self.mode = mode
+        self.mode = IoMode.BUFFERED if geometry is None else IoMode.DIRECT
         self.geometry = geometry
-        self.writable = writable
+        self.writable = file.writable()
         self._file = file  # owns the descriptor: the stream, or a direct handle's FileIO
-        self.stream = file if mode is IoMode.BUFFERED else None
+        self.stream = file if geometry is None else None
         self._pos = 0  # authoritative only for direct handles
 
     # -- introspection -------------------------------------------------
@@ -550,7 +550,11 @@ class FileHandle:
     # -- durability and allocation --------------------------------------
 
     def flush(self, level: FlushLevel = FlushLevel.APPLICATION_BUFFERS) -> None:
-        """Drain buffered data down to the requested tier."""
+        """Drain buffered data down to ``level``; a non-FlushLevel raises TypeError first."""
+        if level is not FlushLevel.APPLICATION_BUFFERS and (
+            level is not FlushLevel.OPERATING_SYSTEM_CACHE
+        ):
+            raise TypeError(f"level must be a FlushLevel, got {level!r}")
         if not self.writable:
             raise io.UnsupportedOperation(f"{self.path} is open read-only; nothing to flush")
         self._file.flush()
@@ -604,11 +608,11 @@ def open_file(
     (OPEN, READ) pair yields a read-only handle.  APPEND positions at the
     current end of file; it does not pin later writes there.
 
-    Buffered handles get a DEFAULT_STREAM_BUFFER stream buffer, and
-    direct handles an io.FileIO over the O_DIRECT descriptor; that object
-    owns the descriptor from then on (see FileHandle).  Direct handles
-    probe the volume's SectorGeometry after opening, and a probe failure
-    surfaces as GeometryProbeError rather than being papered over.
+    Buffered handles get a DEFAULT_STREAM_BUFFER stream buffer; direct
+    ones O_DIRECT, a probe of the volume's SectorGeometry and an io.FileIO.
+    That file object owns the descriptor from then on (see FileHandle).  A
+    probe failure surfaces as GeometryProbeError rather than being papered
+    over.  An argument outside its enum raises TypeError before any open.
 
     Missing files, existing files under CREATE_NEW, and permission
     problems raise the standard FileNotFoundError, FileExistsError and
@@ -620,16 +624,21 @@ def open_file(
         raise TypeError(f"disposition must be an OpenDisposition, got {disposition!r}")
     if not isinstance(direction, Direction):
         raise TypeError(f"direction must be a Direction, got {direction!r}")
+    direct = io_mode is IoMode.DIRECT
+    if not direct and io_mode is not IoMode.BUFFERED:
+        raise TypeError(f"io_mode must be an IoMode, got {io_mode!r}")
+    try:
+        advice = _ADVICE[access_hint]
+    except KeyError:
+        raise TypeError(f"access_hint must be an AccessHint, got {access_hint!r}") from None
 
     read_only = disposition is OpenDisposition.OPEN and direction is Direction.READ
     flags = _DISPOSITION_FLAGS[disposition]
     flags |= os.O_RDONLY if read_only else os.O_RDWR
-
-    direct = io_mode is IoMode.DIRECT
     fd = _open_raw(path, flags, direct=direct)
     try:
         try:
-            os.posix_fadvise(fd, 0, 0, _ADVICE[access_hint])
+            os.posix_fadvise(fd, 0, 0, advice)
         except OSError:  # only a hint, which a filesystem may refuse
             pass
         geometry = detect_sector_geometry(path) if direct else None
@@ -643,9 +652,7 @@ def open_file(
         os.close(fd)
         raise
 
-    handle = FileHandle(
-        file, path=path, mode=io_mode, geometry=geometry, writable=not read_only
-    )
+    handle = FileHandle(file, path=path, geometry=geometry)
     if disposition is OpenDisposition.APPEND:
         handle.seek(handle.length)
     return handle
@@ -675,8 +682,8 @@ def _open_raw(path: str | os.PathLike, flags: int, *, direct: bool) -> int:
 
 def count_extents(handle: FileHandle) -> int:
     """How many extents back the file (FIEMAP); raises ExtentQueryError if unknowable."""
-    if handle.writable:
-        handle.flush(FlushLevel.APPLICATION_BUFFERS)
+    if handle.stream is not None:  # a direct handle's file object buffers nothing
+        handle.stream.flush()
     request = bytearray(_FIEMAP_HEADER.pack(0, (1 << 64) - 1, _FIEMAP_FLAG_SYNC, 0, 0, 0))
     try:
         fcntl.ioctl(handle.fileno(), _FS_IOC_FIEMAP, request)

@@ -61,6 +61,29 @@ def test_config_rejects_bad_values(tmp_path, overrides):
         _cfg(tmp_path, **overrides)
 
 
+def test_config_refuses_a_direction_outside_its_enum(tmp_path):
+    with pytest.raises(sb.ConfigError, match="direction must be a Direction, got 'write'"):
+        _cfg(tmp_path, direction="write")
+
+
+def test_seek_pct_0_is_the_sequential_config(tmp_path):
+    """Sequential access has one spelling: 0 is stored as None."""
+    assert _cfg(tmp_path, seek_pct=0).seek_pct is None
+    assert _cfg(tmp_path, seek_pct=0) == _cfg(tmp_path)
+
+
+def test_an_unwritable_offset_log_fails_before_any_io(tmp_path, monkeypatch):
+    """The log opens before the target is filled and before the warm-up trial."""
+    transfers = []
+    for name in ("preadv", "pwritev"):
+        monkeypatch.setattr(os, name, lambda *args, name=name: transfers.append(name))
+    cfg = _cfg(tmp_path, max_requests=1, offset_log=tmp_path / "missing" / "offsets.txt")
+    with pytest.raises(FileNotFoundError):
+        sb.run_measurement(cfg, trials=1, warmup=1, clock_ghz=1.0)
+    assert transfers == []
+    assert not cfg.path.exists()
+
+
 @pytest.mark.parametrize("counts", [{"trials": 0}, {"warmup": -1}])
 def test_a_measurement_refuses_bad_trial_counts_before_any_io(tmp_path, counts):
     cfg = _cfg(tmp_path, max_requests=1)

@@ -85,6 +85,21 @@ def test_bare_s_means_full_seek_and_s0_means_sequential():
     assert parse_iospeed("-s10 x".split()).config.seek_pct == 10
 
 
+def test_every_spelling_of_sequential_access_prints_one_row():
+    """-s0, seek_pct=0 and the default config are one experiment, so one row."""
+    sample = sb.ThroughputSample(4096, wall_seconds=0.5, cpu_seconds=0.25, request_count=1)
+    configs = [
+        parse_iospeed("-s0 -b4K x".split()).config,
+        sb.IoConfig(path="x", block=4096, seek_pct=0),
+        sb.IoConfig(path="x", block=4096),
+    ]
+    rows = {
+        sb.to_csv([sb.result_row("iospeed", sb.BenchmarkResult.from_samples([sample], 1.0, cfg))])
+        for cfg in configs
+    }
+    assert len(rows) == 1
+
+
 def test_direct_touch_and_quiet_flags():
     inv = parse_iospeed("-d -c -q x".split())
     cfg = inv.config

@@ -163,6 +163,53 @@ def test_open_missing_fails(tmp_path):
     assert not (tmp_path / "f").exists()
 
 
+@pytest.mark.parametrize(
+    "arguments, message",
+    [
+        (("direct",), "io_mode must be an IoMode, got 'direct'"),
+        ((IoMode.BUFFERED, "sequential"), "access_hint must be an AccessHint, got 'sequential'"),
+    ],
+    ids=["io_mode", "access_hint"],
+)
+def test_open_file_refuses_a_mode_or_hint_outside_its_enum_before_any_open(
+    tmp_path, arguments, message
+):
+    fds = open_fds()
+    with pytest.raises(TypeError, match=message):
+        sb.open_file(tmp_path / "f", OpenDisposition.CREATE, Direction.WRITE, *arguments)
+    assert not (tmp_path / "f").exists()
+    assert open_fds() == fds
+
+
+@pytest.mark.parametrize("disposition", list(OpenDisposition), ids=lambda d: d.value)
+@pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+@pytest.mark.parametrize("mode", list(IoMode), ids=lambda m: m.value)
+def test_a_handle_reads_its_tier_and_writability_from_what_it_holds(
+    tmp_path, request, mode, direction, disposition
+):
+    """``mode`` and ``stream`` follow the geometry, which only a direct open
+    probes, and ``writable`` the file object, which only (OPEN, READ) opens
+    read-only; both agree with the descriptor's own flags."""
+    if mode is IoMode.DIRECT:
+        request.getfixturevalue("need_direct")
+    p = tmp_path / "f"
+    if disposition is not OpenDisposition.CREATE_NEW:
+        p.write_bytes(b"\0" * 4096)
+    with sb.open_file(p, disposition, direction, mode) as h:
+        flags = fcntl.fcntl(h.fileno(), fcntl.F_GETFL)
+        assert h.mode is mode
+        assert (h.geometry is None) is (mode is IoMode.BUFFERED)
+        assert bool(flags & os.O_DIRECT) is (mode is IoMode.DIRECT)
+        assert h.writable is ((flags & os.O_ACCMODE) == os.O_RDWR)
+        assert h.writable is not (
+            disposition is OpenDisposition.OPEN and direction is Direction.READ
+        )
+        if mode is IoMode.BUFFERED:
+            assert h.stream.fileno() == h.fileno() and h.stream.writable() is h.writable
+        else:
+            assert h.stream is None
+
+
 def test_create_existing_truncates(tmp_path):
     p = _make(tmp_path / "f")
     with sb.open_file(p, OpenDisposition.CREATE, Direction.WRITE) as h:
@@ -589,6 +636,18 @@ def test_flush_application_buffers_makes_bytes_visible(tmp_path):
         h.write_block(b"q" * 10)
         h.flush(sb.FlushLevel.APPLICATION_BUFFERS)
         assert p.read_bytes() == b"q" * 10
+
+
+def test_flush_refuses_a_level_outside_its_enum_before_flushing(tmp_path, monkeypatch):
+    p = tmp_path / "f"
+    fsyncs = []
+    monkeypatch.setattr(os, "fsync", fsyncs.append)
+    with sb.open_file(p, OpenDisposition.CREATE, Direction.WRITE) as h:
+        h.write_block(b"q" * 10)
+        with pytest.raises(TypeError, match="level must be a FlushLevel, got 'operating_sys"):
+            h.flush("operating_system_cache")
+        assert p.read_bytes() == b""  # the stream was not drained either
+    assert fsyncs == []
 
 
 def test_flush_os_cache_level(tmp_path):
