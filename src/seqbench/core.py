@@ -110,9 +110,48 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     distinct streams under one seed are statistically independent.  A
     stream must be owned by exactly one consumer at a time; hand each
     worker a stream of its own rather than sharing a generator.
+
+    The generator is numpy's, except that ``bytes`` takes its words from
+    the bit generator's raw 64-bit stream in one call: the same bytes,
+    leaving the same state, as numpy's ``Generator.bytes``, which draws
+    them one bounded 32-bit word at a time.
     """
     if seed < 0 or stream < 0:
         raise ValueError("seed and stream must be non-negative")
     key = np.array([seed & U64_MAX, stream & U64_MAX], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return _Generator(np.random.Philox(key=key))
 
+
+class _Generator(np.random.Generator):
+    """numpy's Generator with ``bytes`` drawn from the raw stream."""
+
+    def bytes(self, length: int) -> bytes:
+        """``length`` random bytes, as numpy's ``Generator.bytes`` draws them.
+
+        numpy takes ceil(length / 4) words (one for a length of 0), each
+        a ``next_uint32``: the half-word the bit generator holds pending
+        if it has one, and otherwise the low half of a fresh 64-bit
+        output, leaving the high half pending.  So the words are that
+        pending half-word, then the raw outputs' halves, low half first;
+        an odd count leaves the last high half pending, and numpy's
+        state keeps the last high half drawn even once it is used.  A
+        negative length raises ValueError, before anything is drawn.
+        """
+        if length < 0:
+            raise ValueError(f"length may not be negative, got {length}")
+        bit_generator = self.bit_generator
+        state = bit_generator.state
+        pending = state["has_uint32"]
+        head = state["uinteger"].to_bytes(4, "little") if pending else b""
+        words = (-(-length // 4) or 1) - pending
+        raw = bit_generator.random_raw(-(-words // 2))
+        state = bit_generator.state
+        state["has_uint32"] = words % 2
+        if raw.size:
+            state["uinteger"] = int(raw[-1]) >> 32
+        bit_generator.state = state
+        return b"".join((head, raw.astype("<u8", copy=False).view(np.uint8)))[:length]
+
+    def __reduce__(self):
+        # numpy's rebuilds a plain Generator: a copy or an unpickled one would lose this bytes.
+        return type(self), (self.bit_generator,)

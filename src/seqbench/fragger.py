@@ -54,7 +54,9 @@ class FragConfig:
 
     ``max_cycles`` of 0 means run until interrupted.  ``event_log`` names
     a file that receives one ``C|D <relative-path> <bytes>`` line per
-    create/delete as it happens.
+    create/delete as it happens.  A bounded run also keeps those lines
+    in its report's ``events``; an unbounded one keeps none, so its
+    memory does not grow with the cycles it runs.
     """
 
     root: Path
@@ -271,7 +273,8 @@ def run_cycles(cfg: FragConfig) -> FragReport:
     log_stream = open(cfg.event_log, "w") if cfg.event_log is not None else None
 
     def record(event: str) -> None:
-        events.append(event)
+        if cfg.max_cycles:
+            events.append(event)
         if log_stream is not None:
             log_stream.write(event + "\n")
 

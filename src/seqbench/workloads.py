@@ -252,8 +252,9 @@ def _draw_pieces(rng: np.random.Generator, step: int, count: int) -> np.ndarray:
     each row cut to ``step`` bytes, equals those draws in a row.  Returns
     the pieces as the rows of one contiguous uint8 array.
     """
-    words = rng.integers(0, 1 << 32, size=(count, -(-step // 4)), dtype=np.uint32)
-    return np.ascontiguousarray(words.astype("<u4", copy=False).view(np.uint8)[:, :step])
+    row = 4 * -(-step // 4)
+    rows = np.frombuffer(rng.bytes(count * row), np.uint8).reshape(count, row)
+    return np.ascontiguousarray(rows[:, :step])
 
 
 def _draw_lines(rng: np.random.Generator, remaining: int) -> tuple[np.ndarray, list[bytes]]:

@@ -272,6 +272,15 @@ def offset_chain(cfg, stream: int, count: int) -> list[int]:
     return offsets
 
 
+def rng_state(rng) -> dict:
+    """A generator's bit-generator state, its arrays as lists so that states compare with ==."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        return value.tolist() if hasattr(value, "tolist") else value
+    return plain(rng.bit_generator.state)
+
+
 def files_on_disk(root) -> dict[str, int]:
     """Every file under ``root``, by its relative path, with its size."""
     return {str(path.relative_to(root)): path.stat().st_size

@@ -1,4 +1,7 @@
 """Size parsing, size formatting and deterministic RNG construction."""
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +9,7 @@ from hypothesis import given, strategies as st
 import seqbench as sb
 from seqbench.core import SUFFIXES, U64_MAX
 
-from conftest import golden_text
+from conftest import golden_text, rng_state
 
 
 # -- parse_size -------------------------------------------------------------
@@ -154,6 +157,56 @@ def test_rng_rejects_negative():
         sb.make_rng(-1)
     with pytest.raises(ValueError):
         sb.make_rng(0, stream=-1)
+
+
+def _numpy_generator(seed, stream):
+    """numpy's own Generator over the bit generator make_rng keys."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+
+
+#: One draw: ("bytes", length), ("integers", an odd count of uint32 words, which
+#: leaves a half-word pending) or ("random", None).
+_DRAWS = st.one_of(
+    st.tuples(st.just("bytes"), st.sampled_from([0, 1, 3, 4, 5, 7, 8, 65537]) | st.integers(0, 4096)),
+    st.tuples(st.just("integers"), st.integers(0, 20).map(lambda k: 2 * k + 1)),
+    st.tuples(st.just("random"), st.none()),
+)
+
+
+@given(st.integers(0, U64_MAX), st.integers(0, U64_MAX), st.lists(_DRAWS, max_size=12))
+def test_make_rng_draws_as_numpy_does(seed, stream, draws):
+    """make_rng's bytes come from the raw stream, yet every draw, interleaved
+    any way with pending half-words, equals numpy's and leaves its state."""
+    ours, theirs = sb.make_rng(seed, stream), _numpy_generator(seed, stream)
+    assert isinstance(ours, np.random.Generator)
+    for kind, arg in draws:
+        if kind == "bytes":
+            assert ours.bytes(arg) == theirs.bytes(arg)
+        elif kind == "integers":
+            want = theirs.integers(0, 2**32, size=arg, dtype=np.uint32)
+            assert (ours.integers(0, 2**32, size=arg, dtype=np.uint32) == want).all()
+        else:
+            assert ours.random() == theirs.random()
+        assert rng_state(ours) == rng_state(theirs)
+
+
+def test_a_copied_or_pickled_generator_draws_on_as_the_original():
+    rng = sb.make_rng(5, 2)
+    rng.bytes(5)  # leaves a half-word pending
+    copies = [copy.deepcopy(rng), pickle.loads(pickle.dumps(rng))]
+    want = rng.bytes(13), rng.random(), rng.bytes(64)
+    for other in copies:
+        assert type(other) is type(rng)
+        assert (other.bytes(13), other.random(), other.bytes(64)) == want
+        assert rng_state(other) == rng_state(rng)
+
+
+def test_a_negative_byte_count_draws_nothing():
+    rng = sb.make_rng(3)
+    before = rng_state(rng)
+    with pytest.raises(ValueError, match="length may not be negative"):
+        rng.bytes(-1)
+    assert rng_state(rng) == before
 
 
 def test_make_rng_streams_byte_uniformity():

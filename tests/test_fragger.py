@@ -420,7 +420,9 @@ def test_an_interrupt_mid_write_ends_the_run_and_leaves_only_what_it_reports(
 ):
     """Ctrl-C ends an unbounded run; here it lands in the fifth file write or
     delete.  A file whose create was not recorded goes with its descriptor,
-    and a delete that reached the disk is recorded."""
+    and a delete that reached the disk is recorded.  The run's history is
+    in its event log alone: the report's counts agree with the log, and it
+    holds no events."""
     created, deleted = _INTERRUPTS[point]
     if created is None:
         created = sb.run_cycles(_scaled(tmp_path / "reference", max_cycles=1)).created_files
@@ -433,7 +435,11 @@ def test_an_interrupt_mid_write_ends_the_run_and_leaves_only_what_it_reports(
     assert report.created_files == created
     assert report.deleted_files == deleted
     assert files_on_disk(root) == {str(p): s for p, s in report.survivors}
-    assert log.read_text().splitlines() == list(report.events)
+    assert report.events == ()
+    events = log.read_text().splitlines()
+    for op, files, moved in (("C", created, report.bytes_written), ("D", deleted, report.bytes_deleted)):
+        sizes = [int(event.split(" ")[2]) for event in events if event[0] == op]
+        assert (len(sizes), sum(sizes)) == (files, moved)
     assert open_fds() == before
-    assert replay(report.events) == files_on_disk(root)
+    assert replay(events) == files_on_disk(root)
     assert report.live_bytes == sum(size for _, size in report.survivors)

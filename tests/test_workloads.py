@@ -9,13 +9,14 @@ import struct
 import tracemalloc
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import seqbench as sb
 from seqbench.workloads import _draw_pieces, _read_typed
 
-from conftest import golden_text
+from conftest import golden_text, rng_state
 
 
 # -- read granularities -------------------------------------------------------
@@ -248,6 +249,19 @@ def test_batched_pieces_are_the_per_piece_draws(step, count):
     assert pieces.shape == (count, step)
     assert pieces.tobytes() == b"".join(single.bytes(step) for _ in range(count))
     assert batched.bytes(16) == single.bytes(16)
+
+
+@pytest.mark.parametrize("step", [3, 4, 7, 100, 4096])
+@pytest.mark.parametrize("make", [lambda: sb.make_rng(1), lambda: np.random.Generator(np.random.MT19937(1))],
+                         ids=["make_rng", "mt19937"])
+def test_batched_pieces_take_their_words_from_rng_bytes(make, step):
+    """The pieces are as many rng.bytes(step) draws for any Generator, and the
+    generator ends where they would leave it: make_rng's, which draws 64-bit
+    Philox outputs, and one over MT19937, whose native output is 32 bits."""
+    batched, single = make(), make()
+    pieces = _draw_pieces(batched, step, 17)
+    assert [row.tobytes() for row in pieces] == [single.bytes(step) for _ in range(17)]
+    assert rng_state(batched) == rng_state(single)
 
 
 _FIXED_SIZES = [sb.ByteAtATime(), sb.BlockAtATime(7), sb.TypedRecords(), sb.BlockAtATime(4096),
