@@ -15,7 +15,6 @@ from pathlib import Path
 from seqbench import (
     Direction,
     IoConfig,
-    PlotKind,
     PlotSeries,
     emit_plot,
     result_row,
@@ -48,7 +47,7 @@ print(f"\nCSV:\n{to_csv(rows)}")
 # measured point.
 chart = root / "throughput.svg"
 emit_plot([PlotSeries(label="buffered read", points=tuple(points))],
-          PlotKind.BANDWIDTH, chart, title="Read throughput vs request size")
+          chart, y_label="MB/s", title="Read throughput vs request size")
 print(f"chart written to {chart}")
 
 for path in (target, csv_path, chart):

@@ -58,7 +58,6 @@ from .pipeline import CopyReport, copy_file, plan_schedule
 from .report import (
     CSV_COLUMNS,
     CSV_SCHEMA_VERSION,
-    PlotKind,
     PlotSeries,
     ResultRow,
     emit_plot,
@@ -74,7 +73,6 @@ from .workloads import (
     LineAtATime,
     TypedRecords,
     WorkloadResult,
-    count_lines,
     run_read,
     run_write,
     typed_roundtrip,

@@ -7,8 +7,8 @@ FileHandle.preallocate and copy_file's destination both go through),
 sector geometry and extent counts.  Measured transfers go through it or
 the inline preadv/pwritev of the trial and copy loops.  The copy's two
 files, the fragger's files and the unmeasured ones (offset and event logs,
-typed_roundtrip, count_lines, the asynccopy checksum) are opened outside
-it, with open() or os.open.
+typed_roundtrip, the asynccopy checksum) are opened outside it, with
+open() or os.open.
 
 The benchmarks in this package need to know exactly which software layer a
 transfer passes through.  FileHandle therefore comes in two flavours:

@@ -8,7 +8,6 @@ pixel decisions), so both can be golden-tested and diffed across runs.
 from __future__ import annotations
 
 import csv
-import enum
 import io
 import math
 from dataclasses import dataclass, fields
@@ -24,7 +23,6 @@ __all__ = [
     "result_row",
     "to_csv",
     "from_csv",
-    "PlotKind",
     "PlotSeries",
     "emit_plot",
 ]
@@ -147,16 +145,6 @@ def from_csv(text: str) -> list[ResultRow]:
 
 # -- plotting -------------------------------------------------------------
 
-class PlotKind(enum.Enum):
-    BANDWIDTH = "bandwidth"
-    COST_PER_BYTE = "cost_per_byte"
-
-
-_Y_LABELS = {
-    PlotKind.BANDWIDTH: "MB/s",
-    PlotKind.COST_PER_BYTE: "cycles per byte",
-}
-
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _WIDTH, _HEIGHT = 720, 480
@@ -184,9 +172,10 @@ class PlotSeries:
             raise ValueError(f"series {self.label!r} has a size below 1 byte")
         if self.stddev is not None and len(self.stddev) != len(self.points):
             raise ValueError(f"series {self.label!r} stddev count does not match points")
-        for _, value in self.points:
-            if not math.isfinite(value):
-                raise ValueError(f"series {self.label!r} has a non-finite value")
+        if not all(math.isfinite(value) for _, value in self.points):
+            raise ValueError(f"series {self.label!r} has a non-finite value")
+        if self.stddev is not None and not all(math.isfinite(bar) and bar >= 0 for bar in self.stddev):
+            raise ValueError(f"series {self.label!r} has a negative or non-finite stddev")
 
 
 # Not xml.sax.saxutils.escape: importing it loads urllib.request (about 7 MB
@@ -219,13 +208,12 @@ def _text(x, y, content: str, size: int, *, anchor: str | None = "middle", rotat
 
 def emit_plot(
     series: Sequence[PlotSeries],
-    kind: PlotKind,
     out_path: str | Path,
     *,
+    y_label: str,
     title: str | None = None,
-    y_label: str | None = None,
 ) -> None:
-    """Write an SVG line chart of value against log2(request size).
+    """Write an SVG line chart of value, in ``y_label``'s unit, against log2(request size).
 
     Hand-rendered with fixed geometry and fixed number formatting so the
     same input always produces the same bytes.  X ticks land on powers of
@@ -236,18 +224,12 @@ def emit_plot(
     series = list(series)
     if not series:
         raise ValueError("need at least one series to plot")
-    if not isinstance(kind, PlotKind):
-        raise TypeError(f"kind must be a PlotKind, got {kind!r}")
-    y_label = y_label if y_label is not None else _Y_LABELS[kind]
 
     logs = [math.log2(s) for run in series for s, _ in run.points]
     tmin, tmax = min(logs), max(logs)
     tspan = tmax - tmin or 1.0
-    top = 0.0
-    for run in series:
-        for index, (_, value) in enumerate(run.points):
-            bar = run.stddev[index] if run.stddev else 0.0
-            top = max(top, value + bar)
+    top = max(value + (run.stddev[index] if run.stddev else 0.0)
+              for run in series for index, (_, value) in enumerate(run.points))
     if top <= 0:
         top = 1.0
 
@@ -293,7 +275,7 @@ def emit_plot(
         coords = [(x_at(s), y_at(v)) for s, v in run.points]
         if run.stddev is not None:
             for (x, _), (_, value), bar in zip(coords, run.points, run.stddev):
-                if bar <= 0:
+                if not bar:
                     continue
                 y_lo, y_hi = y_at(max(value - bar, 0.0)), y_at(value + bar)
                 parts.append(_line(x, y_hi, x, y_lo, color))

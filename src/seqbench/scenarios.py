@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .bench import (
 from .core import Direction, OpenDisposition
 from .engine import detect_sector_geometry, open_file, supports_direct_io
 from .errors import GeometryProbeError, ScenarioError
-from .report import PlotKind, PlotSeries, emit_plot, result_row, to_csv
+from .report import PlotSeries, emit_plot, result_row, to_csv
 
 __all__ = ["summary_scenario", "SweepScale", "QUICK", "FULL", "regen_figures"]
 
@@ -132,9 +133,7 @@ def _sweep(target, sizes, scale, clock, rows, *, direct):
             rows.append(result_row("sweep-direct" if direct else "sweep", result))
             points.append((block, result.mb_per_sec))
             deviations.append(result.stddev_mb_per_sec)
-            cost_points.append(
-                (block, result.per_byte_cycles if clock else result.per_byte_ns)
-            )
+            cost_points.append((block, result.per_byte_cycles if clock else result.per_byte_ns))
         label = direction.value
         bandwidth.append(PlotSeries(label, tuple(points), tuple(deviations)))
         cost.append(PlotSeries(label, tuple(cost_points)))
@@ -160,39 +159,38 @@ def regen_figures(out_dir: str | Path, scale: SweepScale = QUICK) -> list[Path]:
     Writes results.csv and fig2/fig3/fig4/fig5/fig8 SVGs into ``out_dir``
     (bandwidth and cost for buffered, cost and bandwidth for direct, and
     the extension comparison; the numbering leaves gaps for figures that
-    only make sense as hardware surveys).  The measured files live in
-    ``out_dir/scratch``, which is removed on the way out.  When that
-    directory cannot do uncached I/O, or its sector size cannot be probed,
-    the direct figures are skipped with a notice that says which.  Returns
-    the paths written.
+    only make sense as hardware surveys).  Cost is in cycles per byte
+    with a known clock rate, else in ns per byte.  The measured files live
+    in a fresh ``scratch_*`` directory in ``out_dir``, the only one it
+    removes.  When that directory cannot do uncached I/O, or its sector
+    size cannot be probed, the direct figures are skipped with a notice
+    that says which.  Returns the paths written.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scratch = out / "scratch"
-    scratch.mkdir(parents=True, exist_ok=True)
-
     clock = detect_clock_ghz()
-    cost_label = None if clock else "ns per byte"
-    target = scratch / "sweep.dat"
+    cost_unit = "cycles per byte" if clock else "ns per byte"  # as _sweep picks cost points
     rows: list = []
     written: list[Path] = []
 
-    def figure(name, series, kind, title):
+    def figure(name, series, y_label, title):
         path = out / name
-        emit_plot(series, kind, path, title=title, y_label=cost_label if kind is PlotKind.COST_PER_BYTE else None)
+        emit_plot(series, path, y_label=y_label, title=title)
         written.append(path)
 
+    scratch = Path(tempfile.mkdtemp(prefix="scratch_", dir=out))
+    target = scratch / "sweep.dat"
     try:
         bandwidth, cost = _sweep(target, scale.sizes, scale, clock, rows, direct=False)
-        figure("fig2.svg", bandwidth, PlotKind.BANDWIDTH, "Buffered throughput vs request size")
-        figure("fig3.svg", cost, PlotKind.COST_PER_BYTE, "Buffered CPU cost vs request size")
+        figure("fig2.svg", bandwidth, "MB/s", "Buffered throughput vs request size")
+        figure("fig3.svg", cost, cost_unit, "Buffered CPU cost vs request size")
 
         sector = _direct_sector(scratch)
         if sector:
             direct_sizes = tuple(s for s in scale.sizes if s % sector == 0) or (sector,)
             d_bandwidth, d_cost = _sweep(target, direct_sizes, scale, clock, rows, direct=True)
-            figure("fig4.svg", d_cost, PlotKind.COST_PER_BYTE, "Uncached CPU cost vs request size")
-            figure("fig5.svg", d_bandwidth, PlotKind.BANDWIDTH, "Uncached throughput vs request size")
+            figure("fig4.svg", d_cost, cost_unit, "Uncached CPU cost vs request size")
+            figure("fig5.svg", d_bandwidth, "MB/s", "Uncached throughput vs request size")
 
         extension_series = []
         for mode in (ExtensionMode.INCREMENTAL, ExtensionMode.PREALLOCATED):
@@ -206,7 +204,7 @@ def regen_figures(out_dir: str | Path, scale: SweepScale = QUICK) -> list[Path]:
                 points.append((block, result.mb_per_sec))
                 deviations.append(result.stddev_mb_per_sec)
             extension_series.append(PlotSeries(mode.value, tuple(points), tuple(deviations)))
-        figure("fig8.svg", extension_series, PlotKind.BANDWIDTH, "File extension: incremental vs preallocated")
+        figure("fig8.svg", extension_series, "MB/s", "File extension: incremental vs preallocated")
 
         csv_path = out / "results.csv"
         csv_path.write_text(to_csv(rows))

@@ -12,8 +12,8 @@ done once per window of requests, a window being about one stream
 buffer of reads, a batch of lines, or one draw of pieces to write.
 
 Also here: a length-prefixed typed binary stream (the portable way to put
-numbers and strings in a file without inventing a text format), a line
-counter, and the classic 100-byte-record sort input generator.
+numbers and strings in a file without inventing a text format), and the
+classic 100-byte-record sort input generator.
 """
 from __future__ import annotations
 
@@ -41,7 +41,6 @@ __all__ = [
     "run_read",
     "run_write",
     "typed_roundtrip",
-    "count_lines",
     "write_sort_file",
     "SORT_RECORD_BYTES",
 ]
@@ -97,8 +96,10 @@ class WorkloadResult:
     """What a workload run processed and how fast.
 
     For LineAtATime, ``bytes_processed`` and ``checksum`` cover line
-    payloads only (terminators excluded); every other granularity covers
-    the raw file content.
+    payloads only (terminators excluded), and a read's
+    ``sample.request_count`` is the file's line count, counted as editors
+    do: LF ends a line, CRLF is welcome, and an unterminated last fragment
+    counts.  Every other granularity covers the raw file content.
     """
 
     bytes_processed: int
@@ -335,30 +336,7 @@ def typed_roundtrip(values: Sequence[tuple[str, object]], path: str | Path) -> l
         return [(kind, _read_typed(stream, kind)) for kind, _ in values]
 
 
-# -- text and sort-input helpers -----------------------------------------
-
-def count_lines(path: str | Path, chunk: int = 1 << 20) -> int:
-    """Count lines the way editors do: LF terminated, CRLF welcome, and an
-    unterminated final fragment still counts as a line.
-
-    The file is read ``chunk`` bytes at a time; a chunk under 1 byte
-    raises ValueError.
-    """
-    if chunk < 1:
-        raise ValueError(f"chunk must be at least 1 byte, got {chunk}")
-    lines = 0
-    last = b""
-    with open(path, "rb") as stream:
-        while True:
-            data = stream.read(chunk)
-            if not data:
-                break
-            lines += data.count(b"\n")
-            last = data[-1:]
-    if last and last != b"\n":
-        lines += 1
-    return lines
-
+# -- sort input ------------------------------------------------------------------
 
 def write_sort_file(
     path: str | Path,

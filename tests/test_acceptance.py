@@ -422,7 +422,7 @@ def test_criterion_10_workload_equivalence(tmp_path):
             text_file = tmp_path / "lines.txt"
             text_file.write_bytes(raw)
             naive = len(raw.split(b"\n")) - (1 if raw.endswith(b"\n") or not raw else 0)
-            assert sb.count_lines(text_file, chunk=997) == naive, (case, raw[:40])
+            assert sb.run_read(text_file, sb.LineAtATime()).sample.request_count == naive, (case, raw[:40])
 
         for count in (0, 1, 17, 1000):
             sort_file = tmp_path / "sort.dat"
@@ -455,7 +455,7 @@ def test_criterion_11_serialization_stability(tmp_path):
         renders = []
         for run in range(2):
             out = tmp_path / f"plot{run}.svg"
-            sb.emit_plot(_pinned_series(), sb.PlotKind.BANDWIDTH, out,
+            sb.emit_plot(_pinned_series(), out, y_label="MB/s",
                          title="throughput against request size")
             renders.append(out.read_bytes())
         assert renders[0] == renders[1] == golden_bytes("reference_plot.svg")

@@ -142,43 +142,50 @@ def test_series_validation():
         sb.PlotSeries(label="x", points=((1, 1.0), (2, 2.0)), stddev=(0.1,))
 
 
+@pytest.mark.parametrize("bar", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
+def test_series_refuses_a_stddev_that_is_negative_or_not_finite(bar):
+    """A NaN or infinite bar would put nan or inf coordinates in the SVG; a negative one would not draw."""
+    with pytest.raises(ValueError, match="series 'direct read' has a negative or non-finite stddev"):
+        sb.PlotSeries(label="direct read", points=((1, 1.0), (2, 2.0)), stddev=(0.5, bar))
+
+
 def test_plot_golden_bytes_are_stable(tmp_path):
     out = tmp_path / "plot.svg"
-    sb.emit_plot(_series(), sb.PlotKind.BANDWIDTH, out, title="throughput against request size")
+    sb.emit_plot(_series(), out, y_label="MB/s", title="throughput against request size")
     assert out.read_bytes() == golden_bytes("reference_plot.svg")
 
 
-#: (golden file, series, kind, emit_plot keywords): the paths reference_plot.svg does not take.
+#: (golden file, series, emit_plot keywords): the paths reference_plot.svg does not take.
 _EDGE_PLOTS = [
-    # a marker with no line, the kind's default y label, no title
+    # a marker with no line, no title
     ("plot_single_point.svg", [sb.PlotSeries(label="solo", points=((64, 5.0),))],
-     sb.PlotKind.COST_PER_BYTE, {}),
+     {"y_label": "cycles per byte"}),
     # every value 0: the y scale falls back to a top of 1
     ("plot_all_zero.svg",
      [sb.PlotSeries(label="idle", points=((512, 0.0), (4096, 0.0), (65536, 0.0)))],
-     sb.PlotKind.BANDWIDTH, {"title": "nothing moved"}),
-    # an overridden y label, and a stddev of 0 that draws no bar
+     {"y_label": "MB/s", "title": "nothing moved"}),
+    # another y label, and a stddev of 0 that draws no bar
     ("plot_y_label_and_zero_stddev.svg",
      [sb.PlotSeries(label="direct write", points=((4096, 120.0), (65536, 300.0), (1 << 20, 340.0)),
                     stddev=(2.0, 0.0, 7.5))],
-     sb.PlotKind.COST_PER_BYTE, {"y_label": "ns per byte"}),
+     {"y_label": "ns per byte"}),
     ("plot_escaped_markup.svg",
      [sb.PlotSeries(label="a<b & c>d", points=((1, 1.0), (2, 2.0))),
       sb.PlotSeries(label="<&>", points=((1, 0.5), (2, 1.5)), stddev=(0.25, 0.5))],
-     sb.PlotKind.BANDWIDTH, {"title": "x < y & z", "y_label": "MB/s <&>"}),
+     {"title": "x < y & z", "y_label": "MB/s <&>"}),
 ]
 
 
-@pytest.mark.parametrize("golden, series, kind, labels", _EDGE_PLOTS, ids=[case[0] for case in _EDGE_PLOTS])
-def test_plot_edge_case_golden_bytes_are_stable(tmp_path, golden, series, kind, labels):
+@pytest.mark.parametrize("golden, series, labels", _EDGE_PLOTS, ids=[case[0] for case in _EDGE_PLOTS])
+def test_plot_edge_case_golden_bytes_are_stable(tmp_path, golden, series, labels):
     out = tmp_path / "plot.svg"
-    sb.emit_plot(series, kind, out, **labels)
+    sb.emit_plot(series, out, **labels)
     assert out.read_bytes() == golden_bytes(golden)
 
 
 def test_plot_is_valid_xml_with_expected_structure(tmp_path):
     out = tmp_path / "plot.svg"
-    sb.emit_plot(_series(), sb.PlotKind.BANDWIDTH, out, title="demo")
+    sb.emit_plot(_series(), out, y_label="MB/s", title="demo")
     text = out.read_text()
     root = ET.fromstring(text)
     assert root.tag.endswith("svg")
@@ -200,7 +207,7 @@ def test_single_point_series_renders_marker_not_line(tmp_path):
     out = tmp_path / "plot.svg"
     sb.emit_plot(
         [sb.PlotSeries(label="solo", points=((64, 5.0),))],
-        sb.PlotKind.COST_PER_BYTE, out,
+        out, y_label="cycles per byte",
     )
     text = out.read_text()
     assert "<polyline" not in text
@@ -210,7 +217,7 @@ def test_single_point_series_renders_marker_not_line(tmp_path):
 
 def test_plot_y_label_override(tmp_path):
     out = tmp_path / "plot.svg"
-    sb.emit_plot(_series()[:1], sb.PlotKind.COST_PER_BYTE, out, y_label="ns per byte")
+    sb.emit_plot(_series()[:1], out, y_label="ns per byte")
     assert "ns per byte" in out.read_text()
 
 
@@ -218,16 +225,12 @@ def test_plot_escapes_markup_in_labels(tmp_path):
     out = tmp_path / "plot.svg"
     sb.emit_plot(
         [sb.PlotSeries(label="a<b & c>d", points=((1, 1.0), (2, 2.0)))],
-        sb.PlotKind.BANDWIDTH, out, title="x < y & z",
+        out, y_label="MB/s", title="x < y & z",
     )
     ET.fromstring(out.read_text())  # parses despite hostile labels
 
 
 def test_plot_requires_at_least_one_series(tmp_path):
     with pytest.raises(ValueError):
-        sb.emit_plot([], sb.PlotKind.BANDWIDTH, tmp_path / "x.svg")
+        sb.emit_plot([], tmp_path / "x.svg", y_label="MB/s")
 
-
-def test_plot_rejects_wrong_kind(tmp_path):
-    with pytest.raises(TypeError):
-        sb.emit_plot(_series(), "bandwidth", tmp_path / "x.svg")

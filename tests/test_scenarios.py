@@ -1,5 +1,6 @@
 """End-to-end flows: the 100-byte smoke scenario and figure regeneration."""
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from conftest import ZERO
@@ -158,6 +159,83 @@ def test_regen_skips_the_direct_figures_with_a_notice(tmp_path, monkeypatch, cap
     assert reason in notice and "skipping fig4/fig5" in notice
     rows = sb.from_csv((tmp_path / "results.csv").read_text())
     assert {r.tool for r in rows} == {"sweep", "extend"}
+
+
+def _stub_result(block, clock, config=None):
+    """A one-trial result whose rate and cost vary with the request size."""
+    sample = sb.ThroughputSample(block << 10, 1e-3 * block.bit_length(), 1e-4 * (1 + block % 7), 1024)
+    return sb.BenchmarkResult.from_samples([sample], clock, config)
+
+
+@pytest.fixture
+def stubbed_regen(monkeypatch):
+    """regen_figures with no measurement run and no direct sweep: returns the
+    paths the measurements were handed and, by figure name, the series and
+    y label each figure was drawn from."""
+    targets, plotted = [], {}
+    real_plot = scenarios.emit_plot
+
+    def measure(cfg, trials, *, clock_ghz):
+        targets.append(Path(cfg.path))
+        return _stub_result(cfg.block, clock_ghz, cfg)
+
+    def extend(path, size, block, mode, *, trials, clock_ghz):
+        targets.append(Path(path))
+        return _stub_result(block, clock_ghz)
+
+    def plot(series, out_path, **labels):
+        plotted[Path(out_path).name] = (series, labels["y_label"])
+        real_plot(series, out_path, **labels)
+
+    monkeypatch.setattr(scenarios, "run_measurement", measure)
+    monkeypatch.setattr(scenarios, "measure_extension", extend)
+    monkeypatch.setattr(scenarios, "emit_plot", plot)
+    monkeypatch.setattr(scenarios, "supports_direct_io", lambda path: False)
+    return targets, plotted
+
+
+def test_regen_measures_in_a_fresh_directory_and_removes_only_that(tmp_path, monkeypatch, stubbed_regen):
+    """A directory named scratch in the output directory is the user's: its files
+    are neither measured nor removed, whether the run passes or fails."""
+    targets, _ = stubbed_regen
+    mine = tmp_path / "scratch"
+    mine.mkdir()
+    (mine / "keep.txt").write_text("keep")
+    (mine / "sweep.dat").write_bytes(b"x" * _ONE_SIZE.file_size)  # long enough to be a read target
+    regen_figures(tmp_path, _ONE_SIZE)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fig2.svg", "fig3.svg", "fig8.svg", "results.csv", "scratch"
+    ]
+    assert sorted(p.name for p in mine.iterdir()) == ["keep.txt", "sweep.dat"]
+    assert (mine / "keep.txt").read_text() == "keep"
+    (measured,) = {path.parent for path in targets}
+    assert measured.parent == tmp_path and measured.name.startswith("scratch_")
+
+    monkeypatch.setattr(scenarios, "measure_extension", lambda *args, **kwargs: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        regen_figures(tmp_path, _ONE_SIZE)
+    assert sorted(p.name for p in mine.iterdir()) == ["keep.txt", "sweep.dat"]
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith("scratch_")]
+
+
+@pytest.mark.parametrize(
+    "clock, unit, column",
+    [(2.5, "cycles per byte", "cycles_per_byte"), (None, "ns per byte", "ns_per_byte")],
+    ids=["clock", "no-clock"],
+)
+def test_regen_draws_cost_in_cycles_only_with_a_clock(tmp_path, monkeypatch, stubbed_regen, clock, unit, column):
+    _, plotted = stubbed_regen
+    monkeypatch.setattr(scenarios, "detect_clock_ghz", lambda: clock)
+    regen_figures(tmp_path, _TINY)
+    series, y_label = plotted["fig3.svg"]
+    assert y_label == unit
+    assert f">{unit}</text>" in (tmp_path / "fig3.svg").read_text()
+    rows = sb.from_csv((tmp_path / "results.csv").read_text())
+    assert [run.label for run in series] == ["read", "write"]
+    for run in series:
+        column_points = [(r.block_bytes, getattr(r, column)) for r in rows if r.tool == "sweep" and r.direction == run.label]
+        assert list(run.points) == column_points
+    assert plotted["fig2.svg"][1] == plotted["fig8.svg"][1] == "MB/s"
 
 
 def test_presets_are_coherent():

@@ -508,7 +508,15 @@ def test_typed_roundtrip_identity_property(tmp_path_factory, values):
     assert path.read_bytes() == bytes(expected)
 
 
-# -- count_lines ------------------------------------------------------------------
+# -- line counts: the line pass's request count -------------------------------------
+
+def _line_count(path):
+    return sb.run_read(path, sb.LineAtATime()).sample.request_count
+
+
+def _naive_line_count(payload):
+    return len(payload.split(b"\n")) - (1 if payload.endswith(b"\n") or not payload else 0)
+
 
 @pytest.mark.parametrize(
     "payload, want",
@@ -526,14 +534,26 @@ def test_typed_roundtrip_identity_property(tmp_path_factory, values):
 def test_count_lines_cases(tmp_path, payload, want):
     p = tmp_path / "t.txt"
     p.write_bytes(payload)
-    assert sb.count_lines(p) == want
+    assert _line_count(p) == want
 
 
 def test_count_lines_with_terminator_straddling_chunks(tmp_path):
+    """A CRLF whose CR ends a 4 KiB page or the 64 KiB stream buffer and whose LF starts the next."""
     p = tmp_path / "t.txt"
-    chunk = 4096
-    p.write_bytes(b"a" * (chunk - 1) + b"\r\n" + b"b")
-    assert sb.count_lines(p, chunk=chunk) == 2
+    for boundary in (4096, sb.engine.DEFAULT_STREAM_BUFFER):
+        p.write_bytes(b"a" * (boundary - 1) + b"\r\n" + b"b")
+        result = sb.run_read(p, sb.LineAtATime())
+        assert result.sample.request_count == 2
+        assert result.bytes_processed == boundary  # both terminator bytes dropped
+
+
+@pytest.mark.parametrize("terminated", [True, False], ids=["terminated", "unterminated"])
+@pytest.mark.parametrize("count", [_BATCH - 1, _BATCH, _BATCH + 1])
+def test_line_pass_counts_every_line_either_side_of_a_batch(tmp_path, count, terminated):
+    payload = b"\r\n".join(b"line %d" % i for i in range(count)) + (b"\r\n" if terminated else b"")
+    p = tmp_path / "t.txt"
+    p.write_bytes(payload)
+    assert _line_count(p) == count == _naive_line_count(payload)
 
 
 def test_count_lines_matches_naive_splitter_on_random_text(tmp_path):
@@ -543,17 +563,7 @@ def test_count_lines_matches_naive_splitter_on_random_text(tmp_path):
         payload = bytes(alphabet[i] for i in rng.integers(0, 4, size=int(rng.integers(0, 400))))
         p = tmp_path / f"t{case}.txt"
         p.write_bytes(payload)
-        naive = len(payload.split(b"\n")) - (1 if payload.endswith(b"\n") or not payload else 0)
-        assert sb.count_lines(p, chunk=7) == naive, payload
-
-
-@pytest.mark.parametrize("chunk", [0, -1])
-def test_count_lines_refuses_a_chunk_under_one_byte(tmp_path, chunk):
-    """A chunk of 0 would read nothing and count no lines; one of -1 would read it all."""
-    p = tmp_path / "t.txt"
-    p.write_bytes(b"a\nb\nc\n")
-    with pytest.raises(ValueError, match=f"chunk must be at least 1 byte, got {chunk}"):
-        sb.count_lines(p, chunk=chunk)
+        assert _line_count(p) == _naive_line_count(payload), payload
 
 
 # -- sort input file ----------------------------------------------------------------
