@@ -6,6 +6,7 @@ values around (including across threads) without ceremony.
 from __future__ import annotations
 
 import enum
+import io
 
 import numpy as np
 
@@ -28,6 +29,10 @@ SUFFIXES = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}
 
 #: Seed every tool uses unless told otherwise.
 DEFAULT_SEED = 137
+
+#: Raw 64-bit outputs per piece of a ``bytes`` draw: 64 KiB, below glibc's
+#: 128 KiB mmap threshold, so each piece reuses heap memory the last one freed.
+_PIECE_OUTPUTS = 8192
 
 
 class Direction(enum.Enum):
@@ -112,9 +117,9 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     worker a stream of its own rather than sharing a generator.
 
     The generator is numpy's, except that ``bytes`` takes its words from
-    the bit generator's raw 64-bit stream in one call: the same bytes,
-    leaving the same state, as numpy's ``Generator.bytes``, which draws
-    them one bounded 32-bit word at a time.
+    the bit generator's raw 64-bit stream in 64 KiB pieces: the same
+    bytes, leaving the same state, as numpy's ``Generator.bytes``, which
+    draws them one bounded 32-bit word at a time.
     """
     if seed < 0 or stream < 0:
         raise ValueError("seed and stream must be non-negative")
@@ -136,21 +141,37 @@ class _Generator(np.random.Generator):
         an odd count leaves the last high half pending, and numpy's
         state keeps the last high half drawn even once it is used.  A
         negative length raises ValueError, before anything is drawn.
+
+        The result is sized once, in an ``io.BytesIO`` whose ``getvalue``
+        hands its buffer over without a copy, and the raw outputs are
+        written into it in pieces of 64 KiB, the last one cut to
+        ``length``.  No other allocation outgrows a piece, so a draw
+        holds about its own length of memory, and drawing that length
+        again reuses heap pages already faulted in.
         """
         if length < 0:
             raise ValueError(f"length may not be negative, got {length}")
         bit_generator = self.bit_generator
         state = bit_generator.state
         pending = state["has_uint32"]
-        head = state["uinteger"].to_bytes(4, "little") if pending else b""
         words = (-(-length // 4) or 1) - pending
-        raw = bit_generator.random_raw(-(-words // 2))
+        outputs = -(-words // 2)
+        out = io.BytesIO()
+        out.seek(length)
+        out.write(b"\0")  # sizes the buffer once; truncate drops this byte
+        out.seek(0)
+        if pending:
+            out.write(state["uinteger"].to_bytes(4, "little")[:length])
+        for start in range(0, outputs, _PIECE_OUTPUTS):
+            raw = bit_generator.random_raw(min(_PIECE_OUTPUTS, outputs - start))
+            out.write(raw.astype("<u8", copy=False).view(np.uint8)[:length - out.tell()])
         state = bit_generator.state
         state["has_uint32"] = words % 2
-        if raw.size:
+        if outputs:
             state["uinteger"] = int(raw[-1]) >> 32
         bit_generator.state = state
-        return b"".join((head, raw.astype("<u8", copy=False).view(np.uint8)))[:length]
+        out.truncate(length)
+        return out.getvalue()
 
     def __reduce__(self):
         # numpy's rebuilds a plain Generator: a copy or an unpickled one would lose this bytes.

@@ -172,8 +172,8 @@ class PlotSeries:
             raise ValueError(f"series {self.label!r} has a size below 1 byte")
         if self.stddev is not None and len(self.stddev) != len(self.points):
             raise ValueError(f"series {self.label!r} stddev count does not match points")
-        if not all(math.isfinite(value) for _, value in self.points):
-            raise ValueError(f"series {self.label!r} has a non-finite value")
+        if not all(math.isfinite(value) and value >= 0 for _, value in self.points):
+            raise ValueError(f"series {self.label!r} has a negative or non-finite value")
         if self.stddev is not None and not all(math.isfinite(bar) and bar >= 0 for bar in self.stddev):
             raise ValueError(f"series {self.label!r} has a negative or non-finite stddev")
 

@@ -1,10 +1,12 @@
 """Size parsing, size formatting and deterministic RNG construction."""
 import copy
 import pickle
+import resource
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import seqbench as sb
 from seqbench.core import SUFFIXES, U64_MAX
@@ -164,16 +166,27 @@ def _numpy_generator(seed, stream):
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
+MiB = 1 << 20
+
+#: Bytes in one piece of a draw: 8,192 raw 64-bit outputs.
+_PIECE = 64 << 10
+
+#: Lengths at the edge of a piece: a byte short of one, exactly one, a byte
+#: and a whole output into a second, and 64 pieces with a 3-byte tail.
+_PIECE_EDGES = [_PIECE - 1, _PIECE, _PIECE + 1, _PIECE + 8, 4 * MiB + 3]
+
 #: One draw: ("bytes", length), ("integers", an odd count of uint32 words, which
 #: leaves a half-word pending) or ("random", None).
 _DRAWS = st.one_of(
-    st.tuples(st.just("bytes"), st.sampled_from([0, 1, 3, 4, 5, 7, 8, 65537]) | st.integers(0, 4096)),
+    st.tuples(st.just("bytes"), st.sampled_from([0, 1, 3, 4, 5, 7, 8, *_PIECE_EDGES]) | st.integers(0, 4096)),
     st.tuples(st.just("integers"), st.integers(0, 20).map(lambda k: 2 * k + 1)),
     st.tuples(st.just("random"), st.none()),
 )
 
 
 @given(st.integers(0, U64_MAX), st.integers(0, U64_MAX), st.lists(_DRAWS, max_size=12))
+@example(137, 0, [("bytes", length) for length in _PIECE_EDGES])
+@example(137, 1, [draw for length in [0, 3, *_PIECE_EDGES] for draw in (("integers", 1), ("bytes", length))])
 def test_make_rng_draws_as_numpy_does(seed, stream, draws):
     """make_rng's bytes come from the raw stream, yet every draw, interleaved
     any way with pending half-words, equals numpy's and leaves its state."""
@@ -199,6 +212,31 @@ def test_a_copied_or_pickled_generator_draws_on_as_the_original():
         assert type(other) is type(rng)
         assert (other.bytes(13), other.random(), other.bytes(64)) == want
         assert rng_state(other) == rng_state(rng)
+
+
+def test_a_draw_holds_about_its_own_length_of_memory():
+    """The result is the one allocation larger than a piece: a 4 MiB draw
+    peaks far below the 2 x 4 MiB of a raw array plus a copy of it."""
+    rng = sb.make_rng(11)
+    tracemalloc.start()
+    try:
+        rng.bytes(4 * MiB)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 4 * MiB <= peak <= 4 * MiB + 4 * _PIECE
+
+
+def test_repeated_draws_reuse_the_pages_they_freed():
+    """After one warm-up draw, a 4 MiB draw faults in fewer pages than its
+    result has (1,024), because the freed pieces and result are reused."""
+    rng = sb.make_rng(12)
+    rng.bytes(4 * MiB)
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    for _ in range(10):
+        rng.bytes(4 * MiB)
+    faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+    assert faults / 10 < 4 * MiB // 4096
 
 
 def test_a_negative_byte_count_draws_nothing():

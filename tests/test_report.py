@@ -142,6 +142,13 @@ def test_series_validation():
         sb.PlotSeries(label="x", points=((1, 1.0), (2, 2.0)), stddev=(0.1,))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -5.0], ids=["nan", "inf", "negative"])
+def test_series_refuses_a_value_that_is_negative_or_not_finite(value):
+    """The y scale starts at 0: a negative value would draw below the canvas (cy="2276.00" at -5)."""
+    with pytest.raises(ValueError, match="series 'neg' has a negative or non-finite value"):
+        sb.PlotSeries(label="neg", points=((1, value), (2, 1.0)))
+
+
 @pytest.mark.parametrize("bar", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
 def test_series_refuses_a_stddev_that_is_negative_or_not_finite(bar):
     """A NaN or infinite bar would put nan or inf coordinates in the SVG; a negative one would not draw."""
