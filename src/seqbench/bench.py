@@ -18,6 +18,7 @@ identical request streams.
 """
 from __future__ import annotations
 
+import contextlib
 import enum
 import itertools
 import math
@@ -41,6 +42,7 @@ from .engine import (
     FlushLevel,
     IoMode,
     open_file,
+    preallocate,
     run_slots,
     transfer_full,
     validate_direct_request,
@@ -339,35 +341,57 @@ def _prepare_target(cfg: IoConfig) -> None:
     measurement never opens it for writing.  Otherwise the target is
     created or extended with the fill pattern, and the fill is flushed
     through the OS cache so trial one does not inherit someone else's
-    dirty pages.  A directory is refused by the open that finds it, by
-    name (``open_file`` raises IsADirectoryError naming the path).
+    dirty pages.  A direct config first opens the target uncached and
+    checks its block with ``_direct_slot``, so a volume that refuses
+    uncached opens, or a block that breaks its sector rules, is refused
+    before any fill is written, and a target it created is removed again.
+    A directory is refused by the open that finds it, by name
+    (``open_file`` raises IsADirectoryError naming the path).
     """
     try:
         current = os.stat(cfg.path).st_size
     except FileNotFoundError:
-        current = 0
-    missing = cfg.file_size - current
+        current = None
+    missing = cfg.file_size - (current or 0)
     if missing <= 0:
         return
+    if cfg.direct:
+        try:
+            with open_file(cfg.path, OpenDisposition.OPEN_OR_CREATE, Direction.WRITE,
+                           IoMode.DIRECT) as handle:
+                _direct_slot(cfg, handle.geometry)
+        except BaseException:
+            if current is None:
+                with contextlib.suppress(OSError):
+                    os.unlink(cfg.path)
+            raise
     with open_file(cfg.path, OpenDisposition.OPEN_OR_CREATE, Direction.WRITE) as handle:
         chunk = bytes([_FILL_BYTE]) * min(_FILL_CHUNK, missing)
-        write_chunks(handle.fileno(), itertools.repeat(chunk), current, missing)
+        write_chunks(handle.fileno(), itertools.repeat(chunk), current or 0, missing)
         handle.flush(FlushLevel.OPERATING_SYSTEM_CACHE)
+
+
+def _direct_slot(cfg: IoConfig, geometry) -> AlignedBuffer:
+    """A direct slot's one-block buffer, at the volume's recommended alignment.
+
+    It is checked against the volume's rules here, once: every request
+    uses it whole, at a block multiple, so a block the volume refuses
+    raises DirectRequestError naming every violation before any request.
+    """
+    buffer = AlignedBuffer(cfg.block, geometry.recommended_alignment)
+    violations = validate_direct_request(geometry, buffer, cfg.block, 0)
+    if violations:
+        raise DirectRequestError(violations)
+    return buffer
 
 
 def _slot_view(cfg: IoConfig, geometry) -> memoryview:
     """The view of one slot's one-block transfer buffer, filled with the pattern.
 
-    Every slot is page-aligned AlignedBuffer memory (a direct one at the
-    volume's recommended alignment), and the fill maps its pages before
-    any request.  A direct slot's buffer is checked against the volume's
-    rules here: every request uses it whole, at a block multiple.
+    Every slot is page-aligned AlignedBuffer memory (a ``_direct_slot``
+    when direct), and the fill maps its pages before any request.
     """
-    buffer = AlignedBuffer(cfg.block, geometry.recommended_alignment if cfg.direct else mmap.PAGESIZE)
-    if cfg.direct:
-        violations = validate_direct_request(geometry, buffer, cfg.block, 0)
-        if violations:
-            raise DirectRequestError(violations)
+    buffer = _direct_slot(cfg, geometry) if cfg.direct else AlignedBuffer(cfg.block, mmap.PAGESIZE)
     buffer.view[:] = bytes([_FILL_BYTE]) * cfg.block
     return buffer.view
 
@@ -537,14 +561,15 @@ def measure_extension(
     INCREMENTAL appends block after block, so the filesystem allocates
     space piecemeal as the file grows.  PREALLOCATED sets the final length
     first and then performs the identical writes into the reserved space.
-    Each block is one pwritev of the pattern at its offset, straight to
-    the descriptor (the handle's stream buffer copies nothing), a short
-    write continued by ``transfer_full``, and then an fsync, so each
-    write is pushed through the OS cache before the next one is issued;
-    that is what makes allocation cost visible at all, since a purely
-    cached run would defer it.  One more fsync ends the trial.  Each
-    trial starts from scratch: any existing file at ``path`` is deleted
-    first.
+    The file is a bare descriptor, opened with ``open(path, "xb",
+    buffering=0)``; a preallocated trial sets its length with
+    ``engine.preallocate``.  Each block is one pwritev of the pattern at
+    its offset, a short write continued by ``transfer_full``, and then an
+    fsync, so each write is pushed through the OS cache before the next
+    one is issued; that is what makes allocation cost visible at all,
+    since a purely cached run would defer it.  One more fsync ends the
+    trial.  Each trial starts from scratch: any existing file at ``path``
+    is deleted first.
     """
     if final_size < 1:
         raise ConfigError(f"final size must be at least 1 byte, got {final_size}")
@@ -564,10 +589,10 @@ def measure_extension(
         if path.exists():
             path.unlink()
         stopwatch = Stopwatch()
-        with open_file(path, OpenDisposition.CREATE_NEW, Direction.WRITE) as handle:
+        with open(path, "xb", buffering=0) as file:
+            fd = file.fileno()
             if mode is ExtensionMode.PREALLOCATED:
-                handle.preallocate(final_size)
-            fd = handle.fileno()
+                preallocate(fd, final_size)
             iov = [pattern]
             for written in range(0, final_size, block):
                 step = min(block, final_size - written)

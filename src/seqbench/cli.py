@@ -54,7 +54,6 @@ from .workloads import (
 
 __all__ = [
     "IospeedInvocation",
-    "FragdiskInvocation",
     "ExamplesInvocation",
     "AsyncCopyInvocation",
     "parse_iospeed",
@@ -153,11 +152,6 @@ class IospeedInvocation:
     extension: ExtensionMode | None = None
     extension_size: int | None = None
     quiet: bool = False
-
-
-@dataclass(frozen=True)
-class FragdiskInvocation:
-    config: FragConfig
 
 
 @dataclass(frozen=True)
@@ -339,11 +333,11 @@ def parse_iospeed(args) -> IospeedInvocation:
     return IospeedInvocation(config, extension, ext_size, quiet)
 
 
-def parse_fragdisk(args) -> FragdiskInvocation:
+def parse_fragdisk(args) -> FragConfig:
     values, positionals = _scan(args, _FRAGDISK_FLAGS, "fragdisk")
     if len(positionals) != 1:
         raise ConfigError(f"fragdisk needs exactly one directory, got {positionals!r}")
-    return FragdiskInvocation(_build("fragdisk", FragConfig, root=Path(positionals[0]), **values))
+    return _build("fragdisk", FragConfig, root=Path(positionals[0]), **values)
 
 
 def parse_examples(args) -> ExamplesInvocation:
@@ -418,8 +412,7 @@ def _run_iospeed(inv: IospeedInvocation) -> int:
     return 0
 
 
-def _run_fragdisk(inv: FragdiskInvocation) -> int:
-    cfg = inv.config
+def _run_fragdisk(cfg: FragConfig) -> int:
     report = run_cycles(cfg)
     mode = "quota" if cfg.capacity_limit else "volume"
     print(f"aged {cfg.root} ({mode} capacity {report.capacity} bytes)")
@@ -523,7 +516,7 @@ def _run_asynccopy(inv: AsyncCopyInvocation) -> int:
 #: The tools: name -> (parser, usage page, invocation type, runner).
 _TOOLS = {
     "iospeed": (parse_iospeed, IOSPEED_USAGE, IospeedInvocation, _run_iospeed),
-    "fragdisk": (parse_fragdisk, FRAGDISK_USAGE, FragdiskInvocation, _run_fragdisk),
+    "fragdisk": (parse_fragdisk, FRAGDISK_USAGE, FragConfig, _run_fragdisk),
     "examples": (parse_examples, EXAMPLES_USAGE, ExamplesInvocation, _run_examples),
     "asynccopy": (parse_asynccopy, ASYNCCOPY_USAGE, AsyncCopyInvocation, _run_asynccopy),
 }

@@ -3,10 +3,11 @@
 It imports only the standard library and the package's own modules.
 This is the package's one home of OS file services, for Linux only: direct
 opens, access hints, preallocation (``preallocate``, which
-FileHandle.preallocate and copy_file's destination both go through),
-sector geometry and extent counts.  Measured transfers go through it or
-the inline preadv/pwritev of the trial and copy loops.  The copy's two
-files, the fragger's files and the unmeasured ones (offset and event logs,
+FileHandle.preallocate, copy_file's destination and the extension trial's
+file all go through), sector geometry and extent counts.  Measured
+transfers go through it or the inline preadv/pwritev of the trial,
+extension and copy loops.  The copy's two files, the extension trial's
+file, the fragger's files and the unmeasured ones (offset and event logs,
 typed_roundtrip, the asynccopy checksum) are opened outside it, with
 open() or os.open.
 

@@ -37,7 +37,6 @@ from .engine import write_chunks
 
 __all__ = [
     "FragConfig",
-    "TreePlan",
     "PhaseBoundary",
     "FragReport",
     "plan_directory_tree",
@@ -121,27 +120,6 @@ class FragConfig:
 
 
 @dataclass(frozen=True)
-class TreePlan:
-    """Where files will go: leaf directories sized to hold every slot.
-
-    ``slots`` is min(ceil(fill target / min_file), max_files): the most
-    files a run can hold, and leaf_count * max_files_per_dir >= slots
-    always holds.  run_cycles never reads ``slots``; the bound holds
-    because every file is at least min_file bytes and creation stops at
-    the fill target or at max_files live files, so fewer than ``slots``
-    files are live whenever one is created and the least-loaded leaf
-    always has room.
-    """
-
-    leaves: tuple[PurePosixPath, ...]
-    slots: int
-
-    @property
-    def leaf_count(self) -> int:
-        return len(self.leaves)
-
-
-@dataclass(frozen=True)
 class PhaseBoundary:
     """Occupancy snapshot when a fill or purge phase ended."""
 
@@ -174,19 +152,23 @@ class FragReport:
         return 100.0 * (self.base_used + self.live_bytes) / self.capacity
 
 
-def plan_directory_tree(cfg: FragConfig, volume_capacity: int) -> TreePlan:
-    """Lay out enough leaf directories for the worst-case file population.
+def plan_directory_tree(cfg: FragConfig, volume_capacity: int) -> tuple[PurePosixPath, ...]:
+    """The leaf directories a run places its files in, as paths under its root.
 
-    Worst case is the fill target of ``volume_capacity`` bytes reached
-    entirely with minimum-size files.  Leaves hold at most
-    ``max_files_per_dir`` files; interior levels fan out ``max_subdirs``
-    wide, as many levels as needed.
+    There are enough leaves of ``max_files_per_dir`` files for
+    min(ceil(fill target / min_file), max_files) files, where the fill
+    target is ``fill_pct`` of ``volume_capacity`` bytes.  A run never holds
+    that many live when it creates one: every file is at least
+    ``min_file`` bytes, and creation stops at the fill target or at
+    ``max_files`` live files.  So the least-loaded leaf always has room.
+    Interior levels fan out ``max_subdirs`` wide, as many levels as needed;
+    a single leaf is the root itself.
     """
     slots = math.ceil(volume_capacity * cfg.fill_pct / 100 / cfg.min_file)
     slots = min(max(slots, 1), cfg.max_files)
     leaf_count = math.ceil(slots / cfg.max_files_per_dir)
     if leaf_count == 1:
-        return TreePlan((PurePosixPath("."),), slots)
+        return (PurePosixPath("."),)
     levels = 1
     while cfg.max_subdirs**levels < leaf_count:
         levels += 1
@@ -199,12 +181,7 @@ def plan_directory_tree(cfg: FragConfig, volume_capacity: int) -> TreePlan:
             remainder, digit = divmod(remainder, cfg.max_subdirs)
             parts.append(f"d{digit:0{width}d}")
         leaves.append(PurePosixPath(*reversed(parts)))
-    return TreePlan(tuple(leaves), slots)
-
-
-def _fill_chunk(max_size: int) -> bytes:
-    """The pattern bytes one run writes its files from: enough for its largest file, up to a chunk."""
-    return bytes([_FILL_BYTE]) * min(_WRITE_CHUNK, max_size)
+    return tuple(leaves)
 
 
 def _write_file(path: str, size: int, chunk: bytes) -> None:
@@ -251,16 +228,16 @@ def run_cycles(cfg: FragConfig) -> FragReport:
     fill_target = capacity * cfg.fill_pct // 100
     keep_target = capacity * cfg.keep_pct // 100
 
-    plan = plan_directory_tree(cfg, capacity)
-    for leaf in plan.leaves:
+    leaves = plan_directory_tree(cfg, capacity)
+    for leaf in leaves:
         (root / leaf).mkdir(parents=True, exist_ok=True)
-    prefixes = [f"{leaf}/" if leaf.parts else "" for leaf in plan.leaves]
+    prefixes = [f"{leaf}/" if leaf.parts else "" for leaf in leaves]
     base = os.path.join(root, "")
-    chunk = _fill_chunk(cfg.max_file)
+    chunk = bytes([_FILL_BYTE]) * min(_WRITE_CHUNK, cfg.max_file)
 
     rng = make_rng(cfg.seed)
     live: list[tuple[str, int, int]] = []  # (relative path, size, leaf index) per live file
-    leaf_loads = [0] * plan.leaf_count
+    leaf_loads = [0] * len(leaves)
 
     events: list[str] = []
     notes: list[str] = []

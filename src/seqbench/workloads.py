@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import operator
 import struct
 import zlib
 from dataclasses import dataclass
@@ -290,14 +291,27 @@ _KINDS = {
 
 
 def _pack_typed(kind: str, value) -> bytes:
-    """The bytes one value of ``kind`` is stored as."""
+    """The bytes one value of ``kind`` is stored as.
+
+    An unknown kind, or a value outside its kind's range, raises
+    ValueError; a value of the wrong type raises TypeError naming both.
+    """
     if kind == "str":
+        if not isinstance(value, str):
+            raise TypeError(f"a str field cannot hold {value!r}")
         data = value.encode("utf-8")
         return _pack_typed("u32", len(data)) + data  # too long: the u32 range check refuses it
+    if kind not in _KINDS:
+        raise ValueError(f"unknown typed kind {kind!r}")
     layout, bounds = _KINDS[kind]
-    if bounds and not bounds[0] <= value <= bounds[1]:
-        raise ValueError(f"{value} does not fit in a {kind} field")
-    return layout.pack(value)
+    try:
+        if bounds:
+            value = operator.index(value)
+            if not bounds[0] <= value <= bounds[1]:
+                raise ValueError(f"{value} does not fit in a {kind} field")
+        return layout.pack(value)
+    except (TypeError, struct.error):
+        raise TypeError(f"a {kind} field cannot hold {value!r}") from None
 
 
 def _read_exactly(stream: BinaryIO, count: int) -> bytes:
@@ -324,14 +338,15 @@ def typed_roundtrip(values: Sequence[tuple[str, object]], path: str | Path) -> l
     "str", UTF-8 after a u32 little-endian byte count.  The format is
     self-framing, so reading the same kinds in order gets the values back.
     A value outside its kind's range, or an unknown kind, raises
-    ValueError; a file cut short raises StreamTruncatedError.
+    ValueError, and a value of the wrong type TypeError, both before the
+    file is opened, since every value is packed first; then each value
+    is one write of the stream.  A file cut short raises
+    StreamTruncatedError.
     """
-    for kind, _ in values:
-        if kind != "str" and kind not in _KINDS:
-            raise ValueError(f"unknown typed kind {kind!r}")
+    pieces = [_pack_typed(kind, value) for kind, value in values]
     with open(path, "wb") as stream:
-        for kind, value in values:
-            stream.write(_pack_typed(kind, value))
+        for piece in pieces:
+            stream.write(piece)
     with open(path, "rb") as stream:
         return [(kind, _read_typed(stream, kind)) for kind, _ in values]
 

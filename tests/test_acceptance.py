@@ -357,7 +357,7 @@ def test_criterion_09_cli_contract_table(tmp_path):
         assert flagged.config.direct and flagged.config.touch and flagged.quiet
 
         # all ten aging-tool defaults, then the documented example override
-        defaults = parse_fragdisk([str(tmp_path)]).config
+        defaults = parse_fragdisk([str(tmp_path)])
         assert defaults.max_files == 100_000
         assert defaults.min_file == 1 << 20
         assert defaults.max_file == 256 << 20
@@ -369,7 +369,7 @@ def test_criterion_09_cli_contract_table(tmp_path):
         assert defaults.fill_pct == 70
         assert defaults.seed == 137
 
-        example = parse_fragdisk(["-f95", "-k10", str(tmp_path)]).config
+        example = parse_fragdisk(["-f95", "-k10", str(tmp_path)])
         assert example == dataclasses.replace(defaults, fill_pct=95, keep_pct=10)
 
         with pytest.raises(sb.ConfigError, match="directory"):

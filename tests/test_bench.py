@@ -1435,6 +1435,31 @@ def test_direct_ragged_block_is_rejected_before_any_request_or_thread(
     assert not lingering_threads(before)
 
 
+@pytest.mark.parametrize("existing", [None, b"short"])
+def test_a_direct_ragged_block_is_refused_before_the_target_is_filled(
+    tmp_path, need_direct, existing
+):
+    """A missing target is not made, and a short one is not extended, before the
+    trial would refuse the block."""
+    cfg = _cfg(tmp_path, direct=True, block=1000, file_size=64 << 20)
+    if existing is not None:
+        cfg.path.write_bytes(existing)
+    with pytest.raises(sb.DirectRequestError, match="ragged length 1000"):
+        sb.run_measurement(cfg, trials=1, warmup=0)
+    if existing is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert cfg.path.read_bytes() == existing
+
+
+def test_a_volume_that_refuses_uncached_opens_gets_no_target(tmp_path, faults):
+    cfg = _cfg(tmp_path, direct=True, file_size=64 << 20)
+    with faults("open", errno.EINVAL, when=lambda path, flags, *rest: flags & os.O_DIRECT), \
+            pytest.raises(sb.DirectIoUnsupportedError):
+        sb.run_measurement(cfg, trials=1, warmup=0)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("block", [4096, 512])
 def test_sequential_direct_write_trial_is_a_depth_1_trial(tmp_path, need_direct, deadline, block):
     """Without and with async_depth=1, a sequential direct write trial issues the same

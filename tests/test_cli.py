@@ -192,7 +192,7 @@ def test_iospeed_rejects_bad_usage(argv, fragment):
 # -- fragdisk parsing --------------------------------------------------------------
 
 def test_fragdisk_defaults_match_usage_page(tmp_path):
-    cfg = parse_fragdisk([str(tmp_path)]).config
+    cfg = parse_fragdisk([str(tmp_path)])
     assert cfg.max_files == 100_000
     assert cfg.min_file == 1 << 20
     assert cfg.max_file == 256 << 20
@@ -207,7 +207,7 @@ def test_fragdisk_defaults_match_usage_page(tmp_path):
 
 
 def test_fragdisk_usage_example_line(tmp_path):
-    cfg = parse_fragdisk(["-f95", "-k10", str(tmp_path)]).config
+    cfg = parse_fragdisk(["-f95", "-k10", str(tmp_path)])
     assert cfg.fill_pct == 95
     assert cfg.keep_pct == 10
     assert cfg.max_files == 100_000  # rest stays defaulted
@@ -217,7 +217,7 @@ def test_fragdisk_every_override(tmp_path):
     cfg = parse_fragdisk(
         ["-m500", "-Fm2", "-FM32", "-c50", "-d20", "-s4", "-n3", "-k2", "-f60", "-r9",
          str(tmp_path)]
-    ).config
+    )
     assert cfg.max_files == 500
     assert cfg.min_file == 2 << 20
     assert cfg.max_file == 32 << 20
@@ -231,19 +231,19 @@ def test_fragdisk_every_override(tmp_path):
 
 
 def test_fragdisk_file_sizes_bare_numbers_are_mib(tmp_path):
-    cfg = parse_fragdisk(["-Fm3", "-FM64", str(tmp_path)]).config
+    cfg = parse_fragdisk(["-Fm3", "-FM64", str(tmp_path)])
     assert cfg.min_file == 3 << 20
     assert cfg.max_file == 64 << 20
 
 
 def test_fragdisk_size_suffixes_override_mib_rule(tmp_path):
-    cfg = parse_fragdisk(["-Fm128K", "-FM256K", str(tmp_path)]).config
+    cfg = parse_fragdisk(["-Fm128K", "-FM256K", str(tmp_path)])
     assert cfg.min_file == 128 * 1024
     assert cfg.max_file == 256 * 1024
 
 
 def test_fragdisk_fm_and_FM_are_distinct_flags(tmp_path):
-    cfg = parse_fragdisk(["-Fm2", str(tmp_path)]).config
+    cfg = parse_fragdisk(["-Fm2", str(tmp_path)])
     assert cfg.min_file == 2 << 20
     assert cfg.max_file == 256 << 20
 
@@ -492,6 +492,14 @@ def test_io_failure_exits_one_and_names_the_path(tmp_path):
     code, _, err = run_cli(["iospeed", "-t0.1", "-r1M", "-q", str(missing)])
     assert code == 1
     assert str(missing.parent) in err or str(missing) in err
+
+
+def test_a_direct_ragged_block_exits_one_before_filling_the_target(tmp_path, need_direct):
+    target = tmp_path / "f"
+    code, _, err = run_cli(["iospeed", "-d", "-b3", "-r16M", "-t0.1", str(target)])
+    assert code == 1
+    assert "ragged length 3" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_runner_config_error_exits_two_and_run_takes_only_invocations(tmp_path, monkeypatch):

@@ -68,10 +68,9 @@ def test_scaled_mode_shrinks_sizes_with_quota(tmp_path):
 
 def test_single_leaf_when_few_slots_needed(tmp_path):
     cfg = FragConfig(root=tmp_path, min_file=1 << 20, fill_pct=70)
-    plan = sb.plan_directory_tree(cfg, volume_capacity=100 << 20)
+    leaves = sb.plan_directory_tree(cfg, volume_capacity=100 << 20)
     # 70 slots fit into one directory of 100
-    assert [leaf.parts for leaf in plan.leaves] == [()]  # the root itself
-    assert plan.slots == 70
+    assert [leaf.parts for leaf in leaves] == [()]  # the root itself
 
 
 def test_thousand_slots_make_ten_leaves_depth_two(tmp_path):
@@ -80,19 +79,17 @@ def test_thousand_slots_make_ten_leaves_depth_two(tmp_path):
         max_files_per_dir=100, max_subdirs=10,
     )
     # 50% of 2000 MiB in 1 MiB slots is exactly 1000
-    plan = sb.plan_directory_tree(cfg, volume_capacity=2000 << 20)
-    assert plan.slots == 1000
-    assert plan.leaf_count == 10
-    assert {len(leaf.parts) for leaf in plan.leaves} == {1}  # one level below the root
+    leaves = sb.plan_directory_tree(cfg, volume_capacity=2000 << 20)
+    assert len(leaves) == 10
+    assert {len(leaf.parts) for leaf in leaves} == {1}  # one level below the root
 
 
 def test_default_plan_for_250_gb_volume(tmp_path):
     cfg = FragConfig(root=tmp_path)
-    plan = sb.plan_directory_tree(cfg, volume_capacity=250 * 10**9)
+    leaves = sb.plan_directory_tree(cfg, volume_capacity=250 * 10**9)
     needed = min(math.ceil(0.70 * 250 * 10**9 / (1 << 20)), cfg.max_files)
-    assert plan.slots == needed
-    assert plan.leaf_count * cfg.max_files_per_dir >= plan.slots
-    assert plan.leaf_count == math.ceil(needed / cfg.max_files_per_dir)
+    assert len(leaves) * cfg.max_files_per_dir >= needed
+    assert len(leaves) == math.ceil(needed / cfg.max_files_per_dir)
 
 
 def test_plan_respects_subdir_fanout(tmp_path):
@@ -100,15 +97,15 @@ def test_plan_respects_subdir_fanout(tmp_path):
         root=tmp_path, min_file=4096, fill_pct=50,
         max_files_per_dir=2, max_subdirs=3,
     )
-    plan = sb.plan_directory_tree(cfg, volume_capacity=4096 * 1000)
+    leaves = sb.plan_directory_tree(cfg, volume_capacity=4096 * 1000)
     # every level of every leaf path stays inside the fanout limit
-    for leaf in plan.leaves:
+    for leaf in leaves:
         for part in leaf.parts:
             if part != ".":
                 assert int(part.lstrip("d0") or 0) < 3
-    (levels,) = {len(leaf.parts) for leaf in plan.leaves}
-    assert plan.leaf_count <= 3**levels
-    assert plan.leaf_count * 2 >= plan.slots
+    (levels,) = {len(leaf.parts) for leaf in leaves}
+    assert len(leaves) <= 3**levels
+    assert len(leaves) * 2 >= 500  # half the capacity in min_file files
 
 
 @given(
@@ -134,14 +131,14 @@ def test_the_tree_has_room_for_every_file_a_run_holds_live(
     )
     fill_target = capacity * fill_pct // 100  # as run_cycles computes it
     most_live = min(max_files, -(-fill_target // min_file))
-    plan = sb.plan_directory_tree(cfg, capacity)
-    assert plan.leaf_count * max_files_per_dir >= plan.slots >= most_live
+    leaves = sb.plan_directory_tree(cfg, capacity)
+    assert len(leaves) * max_files_per_dir >= most_live
 
 
 def test_slots_never_exceed_max_files(tmp_path):
     cfg = FragConfig(root=tmp_path, max_files=50, min_file=4096)
-    plan = sb.plan_directory_tree(cfg, volume_capacity=1 << 30)
-    assert plan.slots == 50
+    leaves = sb.plan_directory_tree(cfg, volume_capacity=1 << 30)
+    assert [leaf.parts for leaf in leaves] == [()]  # 50 files fit in the root
 
 
 # -- run_cycles -----------------------------------------------------------------
@@ -343,17 +340,18 @@ def test_every_file_reads_back_as_the_fill_byte(tmp_path, min_file, max_file):
 
 @pytest.mark.parametrize("files_per_cycle", [1, 40])
 def test_the_fill_chunk_is_built_once_per_run(tmp_path, monkeypatch, files_per_cycle):
-    built = []
-    real = fragger._fill_chunk
+    chunks = []
+    real = fragger._write_file
 
-    def spy(max_size):
-        built.append(max_size)
-        return real(max_size)
+    def spy(path, size, chunk):
+        chunks.append(chunk)
+        return real(path, size, chunk)
 
-    monkeypatch.setattr(fragger, "_fill_chunk", spy)
+    monkeypatch.setattr(fragger, "_write_file", spy)
     report = sb.run_cycles(_scaled(tmp_path, files_per_cycle=files_per_cycle))
     assert report.created_files >= 2 * files_per_cycle
-    assert built == [_scaled(tmp_path).max_file]
+    assert len({id(chunk) for chunk in chunks}) == 1  # one object for every file
+    assert chunks[0] == b"\x66" * min(1 << 20, _scaled(tmp_path).max_file)
 
 
 def test_a_failed_write_whose_file_cannot_be_removed_raises_the_write_failure(

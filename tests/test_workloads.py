@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import os
+import re
 import struct
 import tracemalloc
 import zlib
@@ -453,6 +454,30 @@ def test_typed_range_checks(tmp_path):
         sb.typed_roundtrip([("i64", -(2**63) - 1)], p)
     sb.typed_roundtrip([("i64", 2**63 - 1)], p)
     sb.typed_roundtrip([("i64", -(2**63))], p)
+
+
+@pytest.mark.parametrize(
+    "kind, value",
+    [("u32", 1.5), ("u32", "7"), ("i64", 1.5), ("i64", None), ("f64", "x"), ("f64", None),
+     ("str", 5), ("str", b"bytes")],
+)
+def test_typed_wrong_type_is_a_type_error_naming_kind_and_value(tmp_path, kind, value):
+    path = tmp_path / "t.bin"
+    with pytest.raises(TypeError, match=f"{kind} .*{re.escape(repr(value))}"):
+        sb.typed_roundtrip([(kind, value)], path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [("i64", 2**63), ("f64", "x"), ("u16", 1)])
+def test_typed_bad_value_after_good_ones_writes_nothing(tmp_path, bad):
+    """Every value is packed before the file is opened: no new file, and an old one unchanged."""
+    fresh, existing = tmp_path / "fresh.bin", tmp_path / "existing.bin"
+    existing.write_bytes(b"keep me")
+    for path in (fresh, existing):
+        with pytest.raises((TypeError, ValueError)):
+            sb.typed_roundtrip([("u32", 1), ("str", "ok"), bad], path)
+    assert not fresh.exists()
+    assert existing.read_bytes() == b"keep me"
 
 
 def test_typed_unknown_kind_is_named(tmp_path):

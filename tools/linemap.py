@@ -18,11 +18,14 @@ is pytest's when that is not 0, and otherwise 1 when a line is unreached,
 so the map's 0 can be checked by exit status alone.
 
 Only the standard library is used.  A traced run takes about twice as
-long as the plain suite, so this is a tool, not a test.
+long as the plain suite, so this is a tool, not a test.  tools/traffic.py
+maps the package's own programs with the same hook (``lines_run``) and
+the same map (``print_map``).
 """
 from __future__ import annotations
 
 import _thread
+import contextlib
 import inspect
 import sys
 import threading
@@ -45,13 +48,18 @@ def function_lines(path: Path) -> set[int]:
     return lines
 
 
-def traced_run(args: list[str]) -> tuple[int, dict[str, set[int]], list[str]]:
-    """Run pytest with ``args`` under the hook: (exit status, lines run per file, failed tests)."""
-    import pytest
+@contextlib.contextmanager
+def lines_run():
+    """Record, while the block runs, the lines run in src/seqbench frames, on every thread.
 
+    Yields ``{filename: lines run}``, filled as the block runs.  The hook
+    is set with ``sys.settrace`` on this thread, ``threading.settrace``
+    for ``threading``'s threads and a wrapper around
+    ``_thread.start_new_thread`` for bare ones; all three are taken off
+    when the block ends.
+    """
     prefix = str(PACKAGE) + "/"
     ran: dict[str, set[int]] = {}
-    failed: list[str] = []
 
     def local(frame, event, arg):
         if event == "line":
@@ -64,12 +72,6 @@ def traced_run(args: list[str]) -> tuple[int, dict[str, set[int]], list[str]]:
             return None
         ran.setdefault(filename, set()).add(frame.f_lineno)
         return local
-
-    class Failures:
-        @staticmethod
-        def pytest_runtest_logreport(report):
-            if report.failed:
-                failed.append(f"{report.nodeid} ({report.when})")
 
     start_new_thread = _thread.start_new_thread
 
@@ -84,11 +86,27 @@ def traced_run(args: list[str]) -> tuple[int, dict[str, set[int]], list[str]]:
     sys.settrace(tracer)
     _thread.start_new_thread = traced_start
     try:
-        status = pytest.main(args, plugins=[Failures()])
+        yield ran
     finally:
         _thread.start_new_thread = start_new_thread
         sys.settrace(None)
         threading.settrace(None)
+
+
+def traced_run(args: list[str]) -> tuple[int, dict[str, set[int]], list[str]]:
+    """Run pytest with ``args`` under the hook: (exit status, lines run per file, failed tests)."""
+    import pytest
+
+    failed: list[str] = []
+
+    class Failures:
+        @staticmethod
+        def pytest_runtest_logreport(report):
+            if report.failed:
+                failed.append(f"{report.nodeid} ({report.when})")
+
+    with lines_run() as ran:
+        status = pytest.main(args, plugins=[Failures()])
     return int(status), ran, failed
 
 
@@ -103,11 +121,10 @@ def ranges(lines) -> str:
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
 
 
-def main(argv: list[str]) -> int:
-    sys.path.insert(0, str(ROOT / "src"))
-    status, ran, failed = traced_run(argv or DEFAULT_ARGS)
+def print_map(ran: dict[str, set[int]], what: str) -> int:
+    """Print each module's lines that ``what`` never ran, and the total; return that total."""
     total = unreached_total = 0
-    print("\nlines of src/seqbench functions that no test ran:")
+    print(f"\nlines of src/seqbench functions that {what} ran:")
     for path in sorted(PACKAGE.glob("*.py")):
         lines = function_lines(path)
         unreached = lines - ran.get(str(path), set())
@@ -116,6 +133,13 @@ def main(argv: list[str]) -> int:
         if unreached:
             print(f"  {path.name}: {len(unreached)}: {ranges(unreached)}")
     print(f"total: {unreached_total} of {total} lines unreached")
+    return unreached_total
+
+
+def main(argv: list[str]) -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    status, ran, failed = traced_run(argv or DEFAULT_ARGS)
+    unreached_total = print_map(ran, "no test")
     if failed:
         print(f"{len(failed)} test(s) failed under the tracer:")
         for name in failed:
