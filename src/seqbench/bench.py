@@ -405,9 +405,9 @@ def _trial(cfg: IoConfig, rng, log: TextIO | None = None) -> ThroughputSample:
     least one and at most ``_RUN_REQUESTS``) with their offsets from
     ``_offset_chain(cfg, rng)``, transfers them, and comes back.  ``rng``
     is None for sequential configs, whose chain draws nothing.  Tickets
-    go out in order, so every depth issues the same offsets.  The first
-    ``depth`` tickets are always issued; after that none past
-    ``max_requests``, and none once the duration has run out.  The clock
+    go out in order, so every depth issues the same offsets.  None goes
+    out past ``max_requests``; the first ``depth`` below it always do, and
+    no later one once the duration has run out.  The clock
     is read once per run, so a slot overshoots the duration by at most
     one run.  Each run's offsets are written to ``log``, one decimal per
     line and under the ticket lock, when it is given.
@@ -435,7 +435,7 @@ def _trial(cfg: IoConfig, rng, log: TextIO | None = None) -> ThroughputSample:
     touch = cfg.touch
     write = cfg.direction is Direction.WRITE
     run = min(_RUN_REQUESTS, max(1, _RUN_BYTES // block))
-    limit = max(depth, cfg.max_requests) if cfg.max_requests is not None else None
+    limit = cfg.max_requests
     chain = _offset_chain(cfg, rng)
     issued = 0
     stopped: list[bool] = []  # non-empty once a slot has failed; holds no exception

@@ -210,9 +210,6 @@ class AlignedBuffer:
         self.address = base + start
         self.view = memoryview(raw)[start : start + capacity]
 
-    def __len__(self) -> int:
-        return self.capacity
-
     def __repr__(self) -> str:
         return f"AlignedBuffer(capacity={self.capacity}, alignment={self.alignment})"
 
@@ -462,21 +459,22 @@ class FileHandle:
     # -- transfers -----------------------------------------------------
 
     def read_block(self, buffer, length: int | None = None) -> int:
-        """Read up to ``length`` bytes at the current position.
+        """Read up to ``length`` bytes, the whole buffer when None, at the position.
 
         Returns the count that one ``readinto`` of the stream, or one
         preadv on a direct handle, read; 0 means end of file, and the
-        position advances by it.  On a buffered handle a whole
-        ``bytearray`` (``length`` None or its size) goes straight to the
-        stream; any other request goes through _request_view first, which
-        validates a direct request against the volume geometry and raises
-        DirectRequestError naming every violation before anything is read.
+        position advances by it.  A buffered handle reads into a
+        ``bytearray``, a direct one into an AlignedBuffer.  A whole
+        ``bytearray`` goes straight to the stream; any other request goes
+        through _request_view first, which raises TypeError for a wrong
+        buffer, or DirectRequestError naming every violation of the volume
+        geometry, before anything is read.
         """
         stream = self.stream
         if stream is None or type(buffer) is not bytearray or (
             length is not None and length != len(buffer)
         ):
-            buffer = self._request_view(buffer, length, target=True)
+            buffer = self._request_view(buffer, length)
             if stream is None:
                 got = os.preadv(self._file.fileno(), [buffer], self._pos)
                 self._pos += got
@@ -484,13 +482,13 @@ class FileHandle:
         return stream.readinto(buffer)
 
     def write_block(self, buffer, length: int | None = None) -> int:
-        """Write ``length`` bytes at the current position; returns that count.
+        """Write ``length`` bytes, the whole buffer when None, at the position; returns that count.
 
         Unlike reads, writes are all-or-nothing: the full count is written
         (the file grows as needed) or an exception is raised; a direct
-        write continues a short transfer with transfer_full.  On a buffered
-        handle a whole ``bytes`` or ``bytearray`` (``length`` None or its
-        size) goes straight to the stream; any other request goes through
+        write continues a short transfer with transfer_full.  A buffered
+        handle writes from ``bytes`` or a ``bytearray``; a whole one goes
+        straight to the stream, and any other request goes through
         _request_view first, as read_block's does.
         """
         if not self.writable:
@@ -500,7 +498,7 @@ class FileHandle:
         if stream is None or (kind is not bytes and kind is not bytearray) or (
             length is not None and length != len(buffer)
         ):
-            buffer = self._request_view(buffer, length, target=False)
+            buffer = self._request_view(buffer, length)
             if stream is None:
                 length = len(buffer)
                 transfer_full(self._file.fileno(), buffer, self._pos, length, write=True)
@@ -508,16 +506,14 @@ class FileHandle:
                 return length
         return stream.write(buffer)
 
-    def _request_view(self, buffer, length: int | None, *, target: bool) -> memoryview:
-        """``buffer`` as a flat byte view of the ``length`` bytes one request moves.
+    def _request_view(self, buffer, length: int | None) -> memoryview:
+        """A view of the ``length`` bytes one request moves, the whole buffer when None.
 
-        ``target`` marks a read's destination.  A direct request needs a
-        buffer exposing ``address`` and ``capacity`` (an AlignedBuffer),
-        moves its whole capacity when ``length`` is None, and must pass
-        validate_direct_request at the position.  A buffered one takes any
-        buffer, writable when it is a target; its view is cast only when it
-        is not already flat bytes and sliced only when ``length`` is short
-        of the buffer.
+        A direct request needs a buffer exposing ``address`` and
+        ``capacity`` (an AlignedBuffer) and must pass
+        validate_direct_request at the position.  A buffered one needs
+        ``bytes`` or a ``bytearray``; the stream's ``readinto`` refuses
+        ``bytes`` as a read target, also with TypeError.
         """
         if self.stream is None:
             if not (hasattr(buffer, "address") and hasattr(buffer, "capacity")):
@@ -531,22 +527,16 @@ class FileHandle:
             if violations:
                 raise DirectRequestError(violations)
             return buffer.view[:length]
-        if isinstance(buffer, AlignedBuffer):
-            view = buffer.view
-        else:
-            view = memoryview(buffer)
-            if target and view.readonly:
-                raise TypeError("read target buffer is read-only")
-            if view.ndim != 1 or view.format != "B" or not view.c_contiguous:
-                view = view.cast("B")
-        size = len(view)
-        if length is None or length == size:
-            return view
-        if length < 0:
-            raise ValueError(f"negative transfer length {length}")
-        if length > size:
-            raise ValueError(f"transfer length {length} exceeds buffer capacity {size}")
-        return view[:length]
+        if not isinstance(buffer, (bytes, bytearray)):
+            raise TypeError(
+                f"buffered transfers take bytes or a bytearray, got {type(buffer).__name__}"
+            )
+        if length is not None:
+            if length < 0:
+                raise ValueError(f"negative transfer length {length}")
+            if length > len(buffer):
+                raise ValueError(f"transfer length {length} exceeds buffer capacity {len(buffer)}")
+        return memoryview(buffer)[:length]
 
     # -- durability and allocation --------------------------------------
 

@@ -309,7 +309,11 @@ def _pack_typed(kind: str, value) -> bytes:
             value = operator.index(value)
             if not bounds[0] <= value <= bounds[1]:
                 raise ValueError(f"{value} does not fit in a {kind} field")
+        elif isinstance(value, int):
+            value = float(value)  # past a double's range: OverflowError, not struct.error
         return layout.pack(value)
+    except OverflowError:
+        raise ValueError(f"{value} does not fit in a {kind} field") from None
     except (TypeError, struct.error):
         raise TypeError(f"a {kind} field cannot hold {value!r}") from None
 

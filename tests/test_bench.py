@@ -639,7 +639,7 @@ def test_trial_offsets_follow_next_offset(tmp_path_factory, file_size, block, se
     )
     sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
     got = [int(line) for line in log.read_text().split()]
-    assert got == offset_chain(cfg, 0, max(n, depth or 1))
+    assert got == offset_chain(cfg, 0, n)
 
 
 @pytest.mark.parametrize("seed", [137, 11, 5, 3])
@@ -1316,12 +1316,12 @@ def test_async_trial_issues_exactly_max_requests_across_runs(
     assert [int(line) for line in log.read_text().split()] == offset_chain(cfg, 0, requests)
 
 
-def test_async_trial_issues_depth_requests_even_below_max_requests(tmp_path):
+def test_async_trial_issues_max_requests_even_below_its_depth(tmp_path):
     log = tmp_path / "offsets.txt"
     cfg = _cfg(tmp_path, async_depth=4, max_requests=2, seek_pct=30, offset_log=log)
     result = sb.run_measurement(cfg, trials=1, warmup=0, clock_ghz=1.0)
-    assert result.samples[0].request_count == 4
-    assert [int(line) for line in log.read_text().split()] == offset_chain(cfg, 0, 4)
+    assert result.samples[0].request_count == 2
+    assert [int(line) for line in log.read_text().split()] == offset_chain(cfg, 0, 2)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 4])

@@ -356,25 +356,6 @@ def test_write_on_read_only_handle_fails(tmp_path):
 
 # -- buffer contract of buffered handles -------------------------------------------
 
-def test_buffered_read_into_bytes_is_a_type_error(tmp_path):
-    p = _make(tmp_path / "f")
-    with sb.open_file(p, OpenDisposition.OPEN, Direction.READ) as h:
-        with pytest.raises(TypeError, match="read target buffer is read-only"):
-            h.read_block(b"\x00" * 16)
-        with pytest.raises(TypeError, match="read target buffer is read-only"):
-            h.read_block(memoryview(bytearray(16)).toreadonly(), 4)
-        assert h.position == 0
-
-
-@pytest.mark.parametrize("write", [False, True], ids=["read", "write"])
-def test_buffered_non_contiguous_buffer_is_a_type_error(tmp_path, write):
-    p = _make(tmp_path / "f")
-    with sb.open_file(p, OpenDisposition.OPEN, Direction.WRITE) as h:
-        with pytest.raises(TypeError, match="C-contiguous"):
-            (h.write_block if write else h.read_block)(memoryview(bytearray(32))[::2])
-    assert p.read_bytes() == b"x" * 100
-
-
 @pytest.mark.parametrize("write", [False, True], ids=["read", "write"])
 @pytest.mark.parametrize(
     "length, message",
@@ -400,56 +381,26 @@ def test_buffered_zero_length_moves_nothing(tmp_path):
     assert p.read_bytes() == b"x" * 100
 
 
-def test_buffered_typed_buffer_is_counted_in_bytes(tmp_path):
-    p = tmp_path / "f"
-    words = array("I", [0x01020304, 0x05060708, 0x0A0B0C0D, 0xDEADBEEF])
-    with sb.open_file(p, OpenDisposition.CREATE, Direction.WRITE) as h:
-        assert h.write_block(words) == 16
-        assert h.write_block(words, 6) == 6
-        assert h.position == 22
-    assert p.read_bytes() == words.tobytes() + words.tobytes()[:6]
-    back = array("I", [0] * 4)
-    with sb.open_file(p, OpenDisposition.OPEN, Direction.READ) as h:
-        assert h.read_block(back) == 16
-        assert back == words
-        assert h.read_block(back, 3) == 3
-        assert h.read_block(back) == 3  # the 6-byte tail's last 3 bytes
-    grid = memoryview(bytearray(range(16))).cast("B", (4, 4))
-    with sb.open_file(p, OpenDisposition.CREATE, Direction.WRITE) as h:
-        assert h.write_block(grid) == 16
-    assert p.read_bytes() == bytes(range(16))
+#: direction -> buffer name -> a maker of a fresh buffer, each one a kind the direction takes
+_ACCEPTED = {
+    "read": {
+        "bytearray": lambda: bytearray(range(1, 17)),
+        "empty-bytearray": bytearray,
+    },
+    "write": {
+        "bytes": lambda: bytes(range(1, 17)),
+        "bytearray": lambda: bytearray(range(1, 17)),
+        "empty-bytes": bytes,
+        "empty-bytearray": bytearray,
+    },
+}
 
-
-def test_buffered_handle_takes_an_aligned_buffer(tmp_path):
-    p = tmp_path / "f"
-    out = sb.AlignedBuffer(4096, 4096)
-    np.frombuffer(out.view, np.uint8)[:] = np.arange(4096) % 251
-    written = bytes(out.view)
-    with sb.open_file(p, OpenDisposition.CREATE, Direction.WRITE) as h:
-        assert h.write_block(out) == 4096
-        assert h.write_block(out, 100) == 100
-    assert p.read_bytes() == written + written[:100]
-    back = sb.AlignedBuffer(4096, 512)
-    with sb.open_file(p, OpenDisposition.OPEN, Direction.READ) as h:
-        assert h.read_block(back) == 4096
-        assert bytes(back.view) == written
-        assert h.read_block(back, 4096) == 100
-        with pytest.raises(ValueError, match="exceeds buffer capacity 4096"):
-            h.read_block(back, 4097)
-
-
-# What read_block/write_block did on a buffered handle before whole bytes
-# buffers went straight to the stream: every buffer through the request step.
-def _reference_read(handle, buffer, length):
-    view = handle._request_view(buffer, length, target=True)
-    return (handle.stream.readinto(view) or 0) if view else 0
-
-
-def _reference_write(handle, buffer, length):
-    view = handle._request_view(buffer, length, target=False)
-    if view:
-        handle.stream.write(view)
-    return len(view)
+_LENGTHS = {
+    "none": lambda size: None,
+    "equal": lambda size: size,
+    "short": lambda size: size // 2,
+    "zero": lambda size: 0,
+}
 
 
 def _aligned_16():
@@ -460,70 +411,89 @@ def _aligned_16():
 
 _WORDS = [0x04030201, 0x08070605, 0x0C0B0A09, 0x100F0E0D]
 
-#: name -> (a maker of a fresh buffer, its size in bytes)
-_BUFFERS = {
-    "bytes": (lambda: bytes(range(1, 17)), 16),
-    "bytearray": (lambda: bytearray(range(1, 17)), 16),
-    "memoryview": (lambda: memoryview(bytearray(range(1, 17))), 16),
-    "sliced-memoryview": (lambda: memoryview(bytearray(range(33)))[1:17], 16),
-    "int32-memoryview": (lambda: memoryview(array("i", _WORDS)), 16),
-    "strided-memoryview": (lambda: memoryview(bytearray(range(1, 33)))[::2], 16),
-    "numpy-int32": (lambda: np.array(_WORDS, dtype=np.int32), 16),
-    "aligned": (_aligned_16, 16),
-    "empty-bytes": (lambda: b"", 0),
-    "empty-bytearray": (lambda: bytearray(), 0),
-}
-
-_LENGTHS = {
-    "none": lambda size: None,
-    "equal": lambda size: size,
-    "short": lambda size: size // 2,
-    "negative": lambda size: -1,
-    "too-long": lambda size: size + 1,
-}
-
-_PINNED = {
-    ("read", "bytes", "none"): (TypeError, "read target buffer is read-only"),
-    ("read", "bytearray", "too-long"): (ValueError, "transfer length 17 exceeds buffer capacity 16"),
-    ("write", "bytes", "too-long"): (ValueError, "transfer length 17 exceeds buffer capacity 16"),
-    ("write", "bytearray", "negative"): (ValueError, "negative transfer length -1"),
-    ("read", "empty-bytearray", "too-long"): (ValueError, "transfer length 1 exceeds buffer capacity 0"),
+#: name -> a maker of a fresh buffer that neither direction takes
+_REFUSED = {
+    "memoryview": lambda: memoryview(bytearray(range(1, 17))),
+    "read-only-memoryview": lambda: memoryview(bytearray(range(1, 17))).toreadonly(),
+    "uint32-array": lambda: array("I", _WORDS),
+    "numpy-int32": lambda: np.array(_WORDS, dtype=np.int32),
+    "aligned": _aligned_16,
 }
 
 
-def _outcome(call, handle, buffer, length):
-    try:
-        result = ("count", call(handle, buffer, length))
-    except Exception as exc:
-        result = (type(exc), str(exc))
-    held = buffer.view if isinstance(buffer, sb.AlignedBuffer) else memoryview(buffer)
-    return result, held.tobytes(), handle.position
+def _held(buffer) -> bytes:
+    return bytes(buffer.view if isinstance(buffer, sb.AlignedBuffer) else buffer)
 
 
 @pytest.mark.parametrize("length_name", list(_LENGTHS))
-@pytest.mark.parametrize("buffer_name", list(_BUFFERS))
-@pytest.mark.parametrize("write", [False, True], ids=["read", "write"])
-def test_buffered_transfer_matches_the_view_path(tmp_path, write, buffer_name, length_name):
-    """Same count, same bytes moved and held, same exception type and message."""
-    make, size = _BUFFERS[buffer_name]
-    length = _LENGTHS[length_name](size)
-    source = bytes(range(100, 164))
+@pytest.mark.parametrize(
+    "direction, buffer_name",
+    [(direction, name) for direction, makers in _ACCEPTED.items() for name in makers],
+)
+def test_buffered_transfer_matches_a_plain_stream(tmp_path, direction, buffer_name, length_name):
+    """Same count, bytes held, position and file as one readinto/write of the view's prefix."""
+    make = _ACCEPTED[direction][buffer_name]
+    length = _LENGTHS[length_name](len(make()))
+    write = direction == "write"
+    opening = (
+        (OpenDisposition.CREATE, Direction.WRITE) if write else (OpenDisposition.OPEN, Direction.READ)
+    )
+
+    def through_a_plain_stream(path, buffer):
+        with io.open(path, "wb" if write else "rb", buffering=65536) as stream:
+            view = memoryview(buffer)[:length]
+            return (stream.write if write else stream.readinto)(view), stream.tell()
+
+    def through_the_handle(path, buffer):
+        with sb.open_file(path, *opening) as h:
+            return (h.write_block if write else h.read_block)(buffer, length), h.position
+
     outcomes = []
-    for call in (_reference_write, sb.FileHandle.write_block) if write else (
-        _reference_read, sb.FileHandle.read_block
-    ):
-        p = tmp_path / call.__name__
-        p.write_bytes(b"" if write else source)
-        disposition, direction = (
-            (OpenDisposition.CREATE, Direction.WRITE) if write else (OpenDisposition.OPEN, Direction.READ)
-        )
-        with sb.open_file(p, disposition, direction) as handle:
-            outcome = _outcome(call, handle, make(), length)
-        outcomes.append((outcome, p.read_bytes()))
+    for transfer in (through_a_plain_stream, through_the_handle):
+        path = tmp_path / transfer.__name__
+        path.write_bytes(b"" if write else bytes(range(100, 164)))
+        buffer = make()
+        outcomes.append((*transfer(path, buffer), _held(buffer), path.read_bytes()))
     assert outcomes[1] == outcomes[0]
-    pinned = _PINNED.get(("write" if write else "read", buffer_name, length_name))
-    if pinned is not None:
-        assert outcomes[1][0][0] == pinned
+
+
+@pytest.mark.parametrize("length, message", [
+    (-1, "negative transfer length -1"), (17, "transfer length 17 exceeds buffer capacity 16"),
+])
+@pytest.mark.parametrize("write", [False, True], ids=["read", "write"])
+def test_a_buffered_length_outside_bytes_is_a_value_error(tmp_path, write, length, message):
+    """As for a bytearray; a read's length is checked before its bytes target is refused."""
+    p = _make(tmp_path / "f")
+    with sb.open_file(p, OpenDisposition.OPEN, Direction.WRITE) as h:
+        h.seek(3)
+        with pytest.raises(ValueError, match=message):
+            (h.write_block if write else h.read_block)(bytes(16), length)
+        assert h.position == 3
+    assert p.read_bytes() == b"x" * 100
+
+
+@pytest.mark.parametrize("length", [None, 4])
+@pytest.mark.parametrize(
+    "direction, buffer_name",
+    [("read", "bytes"), *((direction, name) for direction in _ACCEPTED for name in _REFUSED)],
+)
+def test_a_buffered_handle_refuses_any_other_buffer(tmp_path, direction, buffer_name, length):
+    """A TypeError before a byte moves: the position, the buffer and the file stay."""
+    write = direction == "write"
+    if buffer_name == "bytes":  # a read target; the stream's readinto refuses it
+        make, message = _ACCEPTED["write"]["bytes"], "read-write bytes-like object"
+    else:
+        make, message = _REFUSED[buffer_name], "buffered transfers take bytes or a bytearray, got "
+    p = _make(tmp_path / "f")
+    buffer = make()
+    with sb.open_file(p, OpenDisposition.OPEN, Direction.WRITE) as h:
+        h.seek(3)
+        with pytest.raises(TypeError, match=message):
+            (h.write_block if write else h.read_block)(buffer, length)
+        assert h.position == 3
+        assert h.length == 100
+    assert _held(buffer) == _held(make())
+    assert p.read_bytes() == b"x" * 100
 
 
 def test_stream_writelines_and_reads_move_the_pieces_in_order(tmp_path):
@@ -825,7 +795,6 @@ def test_allocate_aligned_properties(capacity, alignment):
     assert (buf.view.format, buf.view.ndim, buf.view.readonly) == ("B", 1, False)
     assert buf.view.nbytes == len(buf.view) == capacity
     assert buf.capacity == capacity
-    assert len(buf) == capacity
     assert bytes(buf.view) == b"\x00" * capacity
     buf.view[0] = 0xFF  # writable
     assert np.frombuffer(buf.view, np.uint8)[0] == 0xFF

@@ -456,6 +456,19 @@ def test_typed_range_checks(tmp_path):
     sb.typed_roundtrip([("i64", -(2**63))], p)
 
 
+
+@pytest.mark.parametrize("value", [10**400, -(10**400), 2**1024])
+def test_an_integer_past_a_doubles_range_is_a_value_error(tmp_path, value):
+    path = tmp_path / "t.bin"
+    with pytest.raises(ValueError, match="does not fit in a f64 field"):
+        sb.typed_roundtrip([("f64", value)], path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [2**1023, 1.5, math.inf])
+def test_an_f64_round_trips_a_double_or_an_integer_within_its_range(tmp_path, value):
+    assert sb.typed_roundtrip([("f64", value)], tmp_path / "t.bin") == [("f64", value)]
+
 @pytest.mark.parametrize(
     "kind, value",
     [("u32", 1.5), ("u32", "7"), ("i64", 1.5), ("i64", None), ("f64", "x"), ("f64", None),
