@@ -15,9 +15,7 @@ from .bench import (
     detect_clock_ghz,
     measure_extension,
     next_offset,
-    per_byte_cost,
     run_measurement,
-    summarize,
 )
 from .core import (
     DEFAULT_SEED,
@@ -53,7 +51,7 @@ from .errors import (
     ToolkitError,
     VolumeUnsupportedError,
 )
-from .fragger import FragConfig, FragReport, plan_directory_tree, run_cycles
+from .fragger import FragConfig, FragReport, run_cycles
 from .pipeline import CopyReport, copy_file, plan_schedule
 from .report import (
     CSV_COLUMNS,

@@ -64,8 +64,6 @@ __all__ = [
     "BenchmarkResult",
     "detect_clock_ghz",
     "next_offset",
-    "per_byte_cost",
-    "summarize",
     "run_measurement",
     "measure_extension",
 ]
@@ -182,19 +180,15 @@ class Stopwatch:
 
 @dataclass(frozen=True)
 class BenchmarkResult:
-    """Median summary of a measurement's trials.
+    """A measurement's trials, and the summaries computed from them when read.
 
-    ``per_byte_cycles`` is NaN when no clock rate was available.  A trial
-    that moved no bytes counts as 0 MB/s with a NaN per-byte cost.  The
+    A trial that moved no bytes counts as 0 MB/s with a NaN per-byte cost.
+    ``per_byte_cycles`` is NaN when no clock rate was available.  The
     warm-up trial is not included in ``samples``.
     """
 
     samples: tuple[ThroughputSample, ...]
     clock_ghz: float | None
-    mb_per_sec: float
-    stddev_mb_per_sec: float
-    per_byte_ns: float
-    per_byte_cycles: float
     config: IoConfig | None = None
 
     @classmethod
@@ -202,13 +196,34 @@ class BenchmarkResult:
         samples = tuple(samples)
         if not samples:
             raise ValueError("cannot summarize zero samples")
-        rates = [s.bytes_moved / 1e6 / s.wall_seconds if s.bytes_moved else 0.0 for s in samples]
-        mb_per_sec, stddev = summarize(rates)
-        nan = float("nan")
-        ns_values = [per_byte_cost(s, clock_ghz)[0] if s.bytes_moved else nan for s in samples]
-        per_byte_ns = statistics.median(ns_values)
-        cycles = nan if clock_ghz is None else per_byte_ns * clock_ghz
-        return cls(samples, clock_ghz, mb_per_sec, stddev, per_byte_ns, cycles, config)
+        return cls(samples, clock_ghz, config)
+
+    def _rates(self) -> list[float]:
+        return [s.bytes_moved / 1e6 / s.wall_seconds if s.bytes_moved else 0.0
+                for s in self.samples]
+
+    @property
+    def mb_per_sec(self) -> float:
+        return statistics.median(self._rates())
+
+    @property
+    def stddev_mb_per_sec(self) -> float:
+        # The population deviation, summed in floats rather than statistics.pstdev's
+        # exact fractions: it agrees with pstdev to a few ulp, costs a small fraction
+        # of its time, and is exactly 0.0 for a single trial.
+        rates = self._rates()
+        mean = statistics.fmean(rates)
+        return math.sqrt(statistics.fmean([(rate - mean) ** 2 for rate in rates]))
+
+    @property
+    def per_byte_ns(self) -> float:
+        return statistics.median([
+            s.cpu_seconds * 1e9 / s.bytes_moved if s.bytes_moved else math.nan for s in self.samples
+        ])
+
+    @property
+    def per_byte_cycles(self) -> float:
+        return math.nan if self.clock_ghz is None else self.per_byte_ns * self.clock_ghz
 
     @property
     def bytes_moved(self) -> int:
@@ -250,30 +265,6 @@ def detect_clock_ghz() -> float | None:
     if mhz:
         return float(mhz.group(1)) / 1000.0
     return None
-
-
-def per_byte_cost(sample: ThroughputSample, clock_ghz: float | None) -> tuple[float, float]:
-    """CPU cost of one trial as (nanoseconds per byte, cycles per byte)."""
-    if sample.bytes_moved <= 0:
-        raise ValueError("per-byte cost undefined for a trial that moved no bytes")
-    ns = sample.cpu_seconds * 1e9 / sample.bytes_moved
-    cycles = float("nan") if clock_ghz is None else ns * clock_ghz
-    return ns, cycles
-
-
-def summarize(rates) -> tuple[float, float]:
-    """Median and population standard deviation of per-trial rates.
-
-    The deviation is summed in floats rather than ``statistics.pstdev``'s
-    exact fractions: it agrees with pstdev to a few ulp, costs a small
-    fraction of its time, and is exactly 0.0 for a single rate.
-    """
-    rates = list(rates)
-    if not rates:
-        raise ValueError("cannot summarize zero trials")
-    mean = statistics.fmean(rates)
-    deviation = math.sqrt(statistics.fmean([(rate - mean) ** 2 for rate in rates]))
-    return statistics.median(rates), deviation
 
 
 def next_offset(current: int, cfg: IoConfig, file_size: int, rng: np.random.Generator) -> int:
@@ -524,7 +515,7 @@ def run_measurement(
     ``cfg.offset_log`` set, the log is opened first, so an unwritable one
     fails before any I/O; each ticket run of the measured trials (not the
     warm-up) writes its offsets to it as they are issued, so a failed
-    measurement leaves the offsets it issued.  Returns the median summary.
+    measurement leaves the offsets it issued.  Returns a BenchmarkResult.
     """
     if trials < 1:
         raise ConfigError(f"need at least one trial, got {trials}")

@@ -39,7 +39,6 @@ __all__ = [
     "FragConfig",
     "PhaseBoundary",
     "FragReport",
-    "plan_directory_tree",
     "run_cycles",
 ]
 
@@ -152,7 +151,7 @@ class FragReport:
         return 100.0 * (self.base_used + self.live_bytes) / self.capacity
 
 
-def plan_directory_tree(cfg: FragConfig, volume_capacity: int) -> tuple[PurePosixPath, ...]:
+def _plan_directory_tree(cfg: FragConfig, volume_capacity: int) -> tuple[PurePosixPath, ...]:
     """The leaf directories a run places its files in, as paths under its root.
 
     There are enough leaves of ``max_files_per_dir`` files for
@@ -228,7 +227,7 @@ def run_cycles(cfg: FragConfig) -> FragReport:
     fill_target = capacity * cfg.fill_pct // 100
     keep_target = capacity * cfg.keep_pct // 100
 
-    leaves = plan_directory_tree(cfg, capacity)
+    leaves = _plan_directory_tree(cfg, capacity)
     for leaf in leaves:
         (root / leaf).mkdir(parents=True, exist_ok=True)
     prefixes = [f"{leaf}/" if leaf.parts else "" for leaf in leaves]

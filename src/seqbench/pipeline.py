@@ -35,7 +35,7 @@ from .engine import preallocate, run_slots, transfer_full
 from .errors import CopyAbortedError
 
 __all__ = [
-    "DEFAULT_BLOCK", "DEFAULT_DEPTH", "CopyReport", "plan_schedule", "process_hook", "copy_file",
+    "DEFAULT_BLOCK", "DEFAULT_DEPTH", "CopyReport", "plan_schedule", "copy_file",
 ]
 
 DEFAULT_BLOCK = 1 << 20  # bytes per request
@@ -81,7 +81,7 @@ def plan_schedule(file_size: int, block: int, depth: int) -> list[tuple[int, int
     ]
 
 
-def process_hook(block: memoryview) -> None:
+def _process_hook(block: memoryview) -> None:
     """Default per-buffer processing step: look at nothing, change nothing."""
 
 
@@ -90,7 +90,7 @@ def copy_file(
     dst: str | os.PathLike,
     block: int = DEFAULT_BLOCK,
     depth: int = DEFAULT_DEPTH,
-    hook: Callable[[memoryview], None] = process_hook,
+    hook: Callable[[memoryview], None] = _process_hook,
 ) -> CopyReport:
     """Copy ``src`` to a brand new ``dst`` with overlapped transfers.
 

@@ -96,16 +96,19 @@ class TypedRecords(Granularity):
 class WorkloadResult:
     """What a workload run processed and how fast.
 
-    For LineAtATime, ``bytes_processed`` and ``checksum`` cover line
-    payloads only (terminators excluded), and a read's
+    For LineAtATime, ``checksum`` and a read's ``bytes_processed`` cover
+    line payloads only (terminators excluded), and a read's
     ``sample.request_count`` is the file's line count, counted as editors
     do: LF ends a line, CRLF is welcome, and an unterminated last fragment
-    counts.  Every other granularity covers the raw file content.
+    counts.  Every other count covers the raw file content.
     """
 
-    bytes_processed: int
     checksum: int
     sample: ThroughputSample
+
+    @property
+    def bytes_processed(self) -> int:
+        return self.sample.bytes_moved
 
 
 def _fixed_block(granularity: Granularity) -> int:
@@ -160,7 +163,7 @@ def run_read(path: str | Path, granularity: Granularity) -> WorkloadResult:
         processed = handle.stream.tell()
         if processed < length:
             raise OSError(f"short read: reads ended at byte {processed} of {length} in {path}")
-    return WorkloadResult(processed, checksum, stopwatch.sample(processed, requests))
+    return WorkloadResult(checksum, stopwatch.sample(processed, requests))
 
 
 def _read_lines(path: str | Path) -> WorkloadResult:
@@ -182,7 +185,7 @@ def _read_lines(path: str | Path) -> WorkloadResult:
             lines += len(batch)
         if (end := handle.stream.tell()) < length:
             raise OSError(f"short read: reads ended at byte {end} of {length} in {path}")
-    return WorkloadResult(payload, checksum, stopwatch.sample(payload, lines))
+    return WorkloadResult(checksum, stopwatch.sample(payload, lines))
 
 
 def run_write(
@@ -243,7 +246,7 @@ def run_write(
             collections.deque(map(write, pieces), maxlen=0)
             requests += len(pieces)
         handle.flush(FlushLevel.APPLICATION_BUFFERS)
-    return WorkloadResult(total_bytes, checksum, stopwatch.sample(total_bytes, requests))
+    return WorkloadResult(checksum, stopwatch.sample(total_bytes, requests))
 
 
 def _draw_pieces(rng: np.random.Generator, step: int, count: int) -> np.ndarray:
@@ -290,6 +293,14 @@ _KINDS = {
 }
 
 
+def _shown(value) -> str:
+    """``value`` as a message names it: an integer past 64 bits by its bit
+    length (Python refuses to print one of over 4,300 digits), else its repr."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"a {value.bit_length()}-bit integer"
+    return repr(value)
+
+
 def _pack_typed(kind: str, value) -> bytes:
     """The bytes one value of ``kind`` is stored as.
 
@@ -298,7 +309,7 @@ def _pack_typed(kind: str, value) -> bytes:
     """
     if kind == "str":
         if not isinstance(value, str):
-            raise TypeError(f"a str field cannot hold {value!r}")
+            raise TypeError(f"a str field cannot hold {_shown(value)}")
         data = value.encode("utf-8")
         return _pack_typed("u32", len(data)) + data  # too long: the u32 range check refuses it
     if kind not in _KINDS:
@@ -308,14 +319,14 @@ def _pack_typed(kind: str, value) -> bytes:
         if bounds:
             value = operator.index(value)
             if not bounds[0] <= value <= bounds[1]:
-                raise ValueError(f"{value} does not fit in a {kind} field")
+                raise ValueError(f"{_shown(value)} does not fit in a {kind} field")
         elif isinstance(value, int):
             value = float(value)  # past a double's range: OverflowError, not struct.error
         return layout.pack(value)
     except OverflowError:
-        raise ValueError(f"{value} does not fit in a {kind} field") from None
+        raise ValueError(f"{_shown(value)} does not fit in a {kind} field") from None
     except (TypeError, struct.error):
-        raise TypeError(f"a {kind} field cannot hold {value!r}") from None
+        raise TypeError(f"a {kind} field cannot hold {_shown(value)}") from None
 
 
 def _read_exactly(stream: BinaryIO, count: int) -> bytes:
@@ -406,4 +417,4 @@ def write_sort_file(
             requests += 1
         handle.flush(FlushLevel.APPLICATION_BUFFERS)
     total = record_count * RECORD_BYTES
-    return WorkloadResult(total, checksum, stopwatch.sample(total, requests))
+    return WorkloadResult(checksum, stopwatch.sample(total, requests))

@@ -196,24 +196,33 @@ def test_offset_always_lands_on_a_whole_block(tmp_path_factory, blocks, block, t
 
 # -- summaries -------------------------------------------------------------------
 
+def _one_second_trials(rates):
+    """Trials of one wall second each that moved ``rate`` MB apiece."""
+    return [ThroughputSample(round(rate * 1e6), 1.0, 0.5, 1) for rate in rates]
+
+
 def test_summarize_median_and_pstdev():
-    med, dev = sb.summarize([1.0, 2.0, 3.0])
-    assert med == 2.0
-    assert dev == pytest.approx(statistics.pstdev([1.0, 2.0, 3.0]))
-    med, dev = sb.summarize([1.0, 2.0, 3.0, 4.0])
-    assert med == 2.5
-    assert dev == pytest.approx(statistics.pstdev([1.0, 2.0, 3.0, 4.0]))
+    result = sb.BenchmarkResult.from_samples(_one_second_trials([1.0, 2.0, 3.0]), None)
+    assert result.mb_per_sec == 2.0
+    assert result.stddev_mb_per_sec == pytest.approx(statistics.pstdev([1.0, 2.0, 3.0]))
+    result = sb.BenchmarkResult.from_samples(_one_second_trials([1.0, 2.0, 3.0, 4.0]), None)
+    assert result.mb_per_sec == 2.5
+    assert result.stddev_mb_per_sec == pytest.approx(statistics.pstdev([1.0, 2.0, 3.0, 4.0]))
     with pytest.raises(ValueError):
-        sb.summarize([])
+        sb.BenchmarkResult.from_samples([], None)
 
 
-@given(rates=st.lists(
-    st.floats(min_value=1e-6, max_value=1e12, allow_nan=False, allow_infinity=False),
+@given(trials=st.lists(
+    st.tuples(st.integers(min_value=1, max_value=10**15),
+              st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)),
     min_size=1, max_size=16,
 ))
-def test_summarize_agrees_with_pstdev(rates):
-    med, dev = sb.summarize(rates)
-    assert med == statistics.median(rates)
+def test_summarize_agrees_with_pstdev(trials):
+    samples = [ThroughputSample(moved, wall, 0.5, 1) for moved, wall in trials]
+    rates = [moved / 1e6 / wall for moved, wall in trials]
+    result = sb.BenchmarkResult.from_samples(samples, None)
+    assert result.mb_per_sec == statistics.median(rates)
+    dev = result.stddev_mb_per_sec
     assert dev == pytest.approx(statistics.pstdev(rates), rel=1e-12, abs=1e-12 * max(rates))
     if len(rates) == 1:
         assert dev == 0.0
@@ -221,21 +230,20 @@ def test_summarize_agrees_with_pstdev(rates):
 
 def test_per_byte_cost_example():
     sample = ThroughputSample(bytes_moved=10**9, wall_seconds=9.9, cpu_seconds=5.0, request_count=1)
-    ns, cycles = sb.per_byte_cost(sample, 2.8)
-    assert ns == pytest.approx(5.0)
-    assert cycles == pytest.approx(14.0)
+    result = sb.BenchmarkResult.from_samples([sample], 2.8)
+    assert result.per_byte_ns == pytest.approx(5.0)
+    assert result.per_byte_cycles == pytest.approx(14.0)
 
 
 def test_per_byte_cost_without_clock_is_nan():
-    sample = ThroughputSample(1000, 1.0, 0.5, 1)
-    ns, cycles = sb.per_byte_cost(sample, None)
-    assert ns == pytest.approx(5e5)
-    assert math.isnan(cycles)
+    result = sb.BenchmarkResult.from_samples([ThroughputSample(1000, 1.0, 0.5, 1)], None)
+    assert result.per_byte_ns == pytest.approx(5e5)
+    assert math.isnan(result.per_byte_cycles)
 
 
-def test_per_byte_cost_rejects_zero_bytes():
-    with pytest.raises(ValueError):
-        sb.per_byte_cost(ThroughputSample(0, 1.0, 0.5, 0), 2.0)
+def test_results_store_only_their_samples_and_what_they_were_told():
+    assert [f.name for f in dataclasses.fields(sb.BenchmarkResult)] == ["samples", "clock_ghz", "config"]
+    assert [f.name for f in dataclasses.fields(sb.WorkloadResult)] == ["checksum", "sample"]
 
 
 def test_from_samples_medians():

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 import seqbench as sb
 from seqbench import fragger
-from seqbench.fragger import FragConfig
+from seqbench.fragger import FragConfig, _plan_directory_tree
 
 from conftest import files_on_disk, golden_text, open_fds, replay
 
@@ -68,7 +68,7 @@ def test_scaled_mode_shrinks_sizes_with_quota(tmp_path):
 
 def test_single_leaf_when_few_slots_needed(tmp_path):
     cfg = FragConfig(root=tmp_path, min_file=1 << 20, fill_pct=70)
-    leaves = sb.plan_directory_tree(cfg, volume_capacity=100 << 20)
+    leaves = _plan_directory_tree(cfg, volume_capacity=100 << 20)
     # 70 slots fit into one directory of 100
     assert [leaf.parts for leaf in leaves] == [()]  # the root itself
 
@@ -79,14 +79,14 @@ def test_thousand_slots_make_ten_leaves_depth_two(tmp_path):
         max_files_per_dir=100, max_subdirs=10,
     )
     # 50% of 2000 MiB in 1 MiB slots is exactly 1000
-    leaves = sb.plan_directory_tree(cfg, volume_capacity=2000 << 20)
+    leaves = _plan_directory_tree(cfg, volume_capacity=2000 << 20)
     assert len(leaves) == 10
     assert {len(leaf.parts) for leaf in leaves} == {1}  # one level below the root
 
 
 def test_default_plan_for_250_gb_volume(tmp_path):
     cfg = FragConfig(root=tmp_path)
-    leaves = sb.plan_directory_tree(cfg, volume_capacity=250 * 10**9)
+    leaves = _plan_directory_tree(cfg, volume_capacity=250 * 10**9)
     needed = min(math.ceil(0.70 * 250 * 10**9 / (1 << 20)), cfg.max_files)
     assert len(leaves) * cfg.max_files_per_dir >= needed
     assert len(leaves) == math.ceil(needed / cfg.max_files_per_dir)
@@ -97,7 +97,7 @@ def test_plan_respects_subdir_fanout(tmp_path):
         root=tmp_path, min_file=4096, fill_pct=50,
         max_files_per_dir=2, max_subdirs=3,
     )
-    leaves = sb.plan_directory_tree(cfg, volume_capacity=4096 * 1000)
+    leaves = _plan_directory_tree(cfg, volume_capacity=4096 * 1000)
     # every level of every leaf path stays inside the fanout limit
     for leaf in leaves:
         for part in leaf.parts:
@@ -131,13 +131,13 @@ def test_the_tree_has_room_for_every_file_a_run_holds_live(
     )
     fill_target = capacity * fill_pct // 100  # as run_cycles computes it
     most_live = min(max_files, -(-fill_target // min_file))
-    leaves = sb.plan_directory_tree(cfg, capacity)
+    leaves = _plan_directory_tree(cfg, capacity)
     assert len(leaves) * max_files_per_dir >= most_live
 
 
 def test_slots_never_exceed_max_files(tmp_path):
     cfg = FragConfig(root=tmp_path, max_files=50, min_file=4096)
-    leaves = sb.plan_directory_tree(cfg, volume_capacity=1 << 30)
+    leaves = _plan_directory_tree(cfg, volume_capacity=1 << 30)
     assert [leaf.parts for leaf in leaves] == [()]  # 50 files fit in the root
 
 

@@ -433,4 +433,4 @@ def test_concurrent_independent_copies(tmp_path):
 
 def test_default_hook_is_a_no_op():
     view = memoryview(b"abc")
-    assert sb.pipeline.process_hook(view) is None
+    assert sb.pipeline._process_hook(view) is None

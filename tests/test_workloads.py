@@ -212,6 +212,19 @@ def test_writes_are_deterministic(tmp_path):
         assert first.read_bytes() == second.read_bytes()
 
 
+
+@pytest.mark.parametrize(
+    "granularity",
+    [sb.ByteAtATime(), sb.LineAtATime(), sb.BlockAtATime(64), sb.TypedRecords()],
+    ids=lambda granularity: type(granularity).__name__,
+)
+def test_bytes_processed_is_the_samples_byte_count(tmp_path, granularity):
+    p = tmp_path / "w.bin"
+    written = sb.run_write(p, granularity, 3000, sb.make_rng(5))
+    read = sb.run_read(p, granularity)
+    for result in (written, read):
+        assert result.bytes_processed == result.sample.bytes_moved
+
 # -- written and read bytes pinned ------------------------------------------------
 
 #: The granularities of tests/golden/run_write_seed137.sha256, by the name it gives them.
@@ -464,6 +477,29 @@ def test_an_integer_past_a_doubles_range_is_a_value_error(tmp_path, value):
         sb.typed_roundtrip([("f64", value)], path)
     assert not path.exists()
 
+
+
+@pytest.mark.parametrize(
+    "kind, error, message",
+    [("u32", ValueError, "a 16610-bit integer does not fit in a u32 field"),
+     ("i64", ValueError, "a 16610-bit integer does not fit in a i64 field"),
+     ("f64", ValueError, "a 16610-bit integer does not fit in a f64 field"),
+     ("str", TypeError, "a str field cannot hold a 16610-bit integer")],
+)
+def test_an_integer_too_long_to_print_is_named_by_its_bit_length(tmp_path, kind, error, message):
+    """Python refuses to format an integer of more than 4,300 digits; the
+    message names 10**5000 without formatting it, and raises the documented type."""
+    path = tmp_path / "t.bin"
+    with pytest.raises(error, match=f"^{message}$"):
+        sb.typed_roundtrip([(kind, 10**5000)], path)
+    assert not path.exists()
+
+
+def test_an_ordinary_value_is_named_by_its_repr(tmp_path):
+    with pytest.raises(ValueError, match=r"^-1 does not fit in a u32 field$"):
+        sb.typed_roundtrip([("u32", -1)], tmp_path / "t.bin")
+    with pytest.raises(ValueError, match=r"^18446744073709551615 does not fit in a i64 field$"):
+        sb.typed_roundtrip([("i64", 2**64 - 1)], tmp_path / "t.bin")
 
 @pytest.mark.parametrize("value", [2**1023, 1.5, math.inf])
 def test_an_f64_round_trips_a_double_or_an_integer_within_its_range(tmp_path, value):
