@@ -118,6 +118,7 @@ deletes a random subset until only -k percent is used, and repeats.
   -k<pct>    keep percentage after deleting (default 5)
   -f<pct>    fill percentage while creating (default 70)
   -r<seed>   random seed (default 137)
+  -l<path>   write each create and delete to this file as it happens (default none)
 
 example:
   seqbench fragdisk -f95 -k10 /mnt/scratch"""
@@ -298,6 +299,7 @@ _FRAGDISK_FLAGS = {
     "k": ("keep_pct", _int, _NEEDS_VALUE),
     "f": ("fill_pct", _int, _NEEDS_VALUE),
     "r": ("seed", _int, _NEEDS_VALUE),
+    "l": ("event_log", lambda text, flag: Path(text), _NEEDS_VALUE),
 }
 
 #: asynccopy flag -> (AsyncCopyInvocation field, value parser, bare); every flag needs a value.

@@ -37,6 +37,10 @@ the copy run their slots on it, slot 0 on the calling thread and one
 bare ``_thread`` thread for each of the others, which inherits the
 trace and profile hooks set with ``threading``.  It waits until every
 slot has returned, and it is the one place that raises a slot's failure.
+A slot thread outlives its call: it parks for _PARK_SECONDS, and a
+run_slots call in that window hands it a slot instead of starting a
+thread, so back-to-back trials and copies pay for a thread start once.
+A forked child has no parked thread.
 """
 from __future__ import annotations
 
@@ -300,19 +304,84 @@ def preallocate(fd: int, size: int) -> None:
         os.ftruncate(fd, size)
 
 
+#: Seconds a slot thread stays parked after its slot returns, waiting for
+#: run_slots to hand it another, before it exits.  A parked thread saves
+#: the next call a thread start and end (about 60 µs of CPU per depth-2
+#: call on a 2-vCPU VM).  The
+#: window outlasts the gaps between the overlapped calls of a measurement
+#: or of back-to-back benchmark passes (tens of milliseconds), and is short
+#: enough that a program done with overlapped I/O soon holds no idle thread.
+_PARK_SECONDS = 0.25
+
+
+class _SlotThread:
+    """A thread that run_slots started: it runs ``run(index, hooks)``, then parks.
+
+    Parking puts it on ``_parked`` and releases ``done``, on which
+    run_slots waits, in that order, so that it is back on the park when
+    run_slots returns; it then waits up to _PARK_SECONDS on ``wake``.
+    run_slots claims a parked thread by taking it off ``_parked``, taking
+    ``done``, setting ``run`` and ``index`` and releasing ``wake``.  A
+    thread woken with ``run`` None (``_empty_park``), or that waits out the
+    window unclaimed, exits.
+    """
+
+    __slots__ = ("run", "index", "wake", "done")
+
+    def __init__(self, run, index: int):
+        self.run, self.index = run, index
+        self.wake, self.done = _thread.allocate_lock(), _thread.allocate_lock()
+        self.wake.acquire()
+        self.done.acquire()
+
+    def serve(self) -> None:
+        """The thread's body."""
+        hooks = sys.gettrace(), sys.getprofile()  # its own, which each slot puts back
+        while self.run is not None:
+            self.run(self.index, hooks)
+            self.run = None  # no slot closure outlives its call
+            _parked.append(self)
+            self.done.release()
+            if not self.wake.acquire(True, _PARK_SECONDS):
+                # list.remove and run_slots' list.pop are each one step under the
+                # interpreter lock, so exactly one of them takes this thread.
+                try:
+                    _parked.remove(self)
+                except ValueError:  # claimed as the wait ran out: the claimer releases wake
+                    self.wake.acquire()
+                else:
+                    return
+
+
+#: The parked slot threads, the most recently parked last.
+_parked: list[_SlotThread] = []
+os.register_at_fork(after_in_child=_parked.clear)  # a child has none of its parent's threads
+
+
+def _empty_park() -> None:
+    """Wake every parked slot thread with no slot, so that it exits now."""
+    while True:
+        try:
+            _parked.pop().wake.release()
+        except IndexError:
+            return
+
+
 def run_slots(
     depth: int, slot: Callable[[int], None], fail: Callable[[BaseException], None]
 ) -> None:
     """Run ``slot(0)`` .. ``slot(depth - 1)``, wait for all of them, raise any failure.
 
-    Slot 0 runs on the calling thread and each of the others on a bare
-    ``_thread`` thread, so depth 1 starts none.  Each such thread first
-    installs the ``threading.settrace`` and ``threading.setprofile``
-    hooks in force when run_slots was called, as ``threading``'s own
-    threads do, so tracers and profilers see slot frames.  An exception
-    escaping a slot, or raised while starting the threads, is recorded
-    and handed to ``fail``, which must make the other slots finish and
-    keep no exception; a failed start is an OSError (EAGAIN: the system
+    Slot 0 runs on the calling thread, so depth 1 starts no thread.  Each
+    of the others runs on a bare ``_thread`` thread: a parked one, which an
+    earlier call started and which waits _PARK_SECONDS after its slot for
+    another, or else a new one.  Each such thread first installs the
+    ``threading.settrace`` and ``threading.setprofile`` hooks in force when
+    run_slots was called, as ``threading``'s own threads do, so tracers and
+    profilers see slot frames; it puts its own hooks back before it parks.
+    An exception escaping a slot, or raised while starting the threads, is
+    recorded and handed to ``fail``, which must make the other slots finish
+    and keep no exception; a failed start is an OSError (EAGAIN: the system
     has no thread to give), runs neither that slot nor slot 0, and starts
     no later one.  An interrupt (a signal handler's exception, Ctrl-C)
     that reaches the calling thread while it runs slot 0 is that slot's
@@ -330,9 +399,9 @@ def run_slots(
         failures.append(exc)
         fail(exc)
 
-    def guarded(index: int, finished=None) -> None:
+    def guarded(index: int, hooks=None) -> None:
         try:
-            if finished is not None:  # a thread of its own: take the hooks, as threading's do
+            if hooks is not None:  # a slot thread: take the call's hooks, as threading's do
                 if trace is not None:
                     sys.settrace(trace)
                 if profile is not None:
@@ -341,29 +410,38 @@ def run_slots(
         except BaseException as exc:  # recorded: raised once every slot has finished
             failed(exc)
         finally:
-            if finished is not None:
-                finished.release()
+            if hooks is not None:  # and put back the thread's own before it parks
+                if trace is not None:
+                    sys.settrace(hooks[0])
+                if profile is not None:
+                    sys.setprofile(hooks[1])
 
-    running = []  # the lock of each started thread, held until its slot ends
+    threads = []  # the slot threads handed a slot; each one's done lock is held until it ends
     try:
         for index in range(1, depth):
-            finished = _thread.allocate_lock()
-            finished.acquire()
             try:
-                _thread.start_new_thread(guarded, (index, finished))
-            except RuntimeError as exc:  # the system has no thread to give
-                raise OSError(
-                    errno.EAGAIN, f"cannot start the thread of slot {index}: {exc}"
-                ) from None
-            running.append(finished)
+                thread = _parked.pop()
+            except IndexError:  # none parked: start one
+                thread = _SlotThread(guarded, index)
+                try:
+                    _thread.start_new_thread(thread.serve, ())
+                except RuntimeError as exc:  # the system has no thread to give
+                    raise OSError(
+                        errno.EAGAIN, f"cannot start the thread of slot {index}: {exc}"
+                    ) from None
+            else:
+                thread.done.acquire()
+                thread.run, thread.index = guarded, index
+                thread.wake.release()
+            threads.append(thread)
         if depth > 0:
             guarded(0)
     except BaseException as exc:  # recorded: raised once every slot has finished
         failed(exc)
-    for finished in running:
+    for thread in threads:
         while True:
             try:  # an interrupted acquire takes nothing and can be retried
-                with finished:
+                with thread.done:
                     pass
                 break
             except BaseException as exc:  # an interrupt: stop every slot, wait, re-raise

@@ -232,6 +232,8 @@ def _arm(target: str, fault, at: int = 1, *, when=None):
             patch.setattr(io, "open", _raw_open)
             patch.setattr(builtins, "open", _raw_open)  # the same function, by its other name
         else:
+            if thread:  # a parked slot thread would take the slot with no start to fault
+                sb.engine._empty_park()
             owner = _CALLS[target]
             patch.setattr(owner, target, _scripted(getattr(owner, target), script))
         yield script
@@ -247,11 +249,13 @@ def faults():
     binary stream opened while armed).  ``fault`` is an errno
     (that OSError is raised), SHORT or ZERO (a transfer moves half its
     bytes, in 4 KiB units on a direct descriptor, or none), REFUSED (a
-    thread start raises RuntimeError) or Interrupt.  ``when``, a predicate
-    of the call's arguments, limits the count to the calls it accepts.  A
-    ZERO that a loop retries SPIN_LIMIT times raises Spin.  ``script.fired``
-    lists the calls the fault changed; the calls are real again once the
-    block ends.
+    thread start raises RuntimeError) or Interrupt.  Arming
+    "start_new_thread" first ends every parked slot thread, so that the
+    calls it counts are the thread starts the block makes.  ``when``, a
+    predicate of the call's arguments, limits the count to the calls it
+    accepts.  A ZERO that a loop retries SPIN_LIMIT times raises Spin.
+    ``script.fired`` lists the calls the fault changed; the calls are real
+    again once the block ends.
     """
     return _arm
 
@@ -318,11 +322,13 @@ def os_threads() -> set[str]:
 def lingering_threads(before: set[str], timeout: float = 1.0) -> set[str]:
     """The OS threads not in ``before`` that still run ``timeout`` seconds on, or none.
 
-    A slot thread ends a few microseconds after it releases the lock that
-    ``run_slots`` waits on, so the threads are read until none is new or
-    ``timeout`` has passed.  Threads are told apart by id, not counted:
-    one that an earlier test started may still be ending when ``before``
-    is read, and its end must not hide a thread this test left behind.
+    A slot thread stays parked for ``engine._PARK_SECONDS`` (0.25 s) after
+    its slot, in case another ``run_slots`` call wants it, and then ends,
+    so the threads are read until none is new or ``timeout``, which is
+    longer than that window, has passed.  Threads are told apart by id,
+    not counted: one that an earlier test started may still be ending
+    when ``before`` is read, and its end must not hide a thread this test
+    left behind.
     """
     give_up = time.monotonic() + timeout
     while (new := os_threads() - before) and time.monotonic() < give_up:
@@ -334,16 +340,19 @@ def lingering_threads(before: set[str], timeout: float = 1.0) -> set[str]:
 def thread_starts(monkeypatch):
     """The slot index of every thread ``run_slots`` starts from now on, in order.
 
-    run_slots starts slot ``index`` with
-    ``_thread.start_new_thread(guarded, (index, finished))``; the spy
-    records ``index`` and starts the thread.
+    The park is emptied first, so the next call starts every thread it
+    needs, and a later call inside the window starts none.  run_slots
+    starts a slot thread with ``_thread.start_new_thread(thread.serve, ())``,
+    ``thread.index`` being its first slot; the spy records that index and
+    starts the thread.
     """
     started = []
     real = _thread.start_new_thread
 
     def counted(function, args, *rest):
-        started.append(args[0])
+        started.append(function.__self__.index)
         return real(function, args, *rest)
 
+    sb.engine._empty_park()
     monkeypatch.setattr(_thread, "start_new_thread", counted)
     return started

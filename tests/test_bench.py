@@ -10,6 +10,7 @@ import math
 import mmap
 import os
 import pathlib
+import signal
 import statistics
 import sys
 import threading
@@ -1070,17 +1071,57 @@ def test_depth_1_starts_no_thread(tmp_path, thread_starts):
 
 
 @pytest.mark.parametrize("depth", [2, 3, 4])
-def test_depth_d_starts_d_minus_1_threads_per_trial_and_per_copy(tmp_path, thread_starts, depth):
-    """The positive control of the thread-start spy: slots 1..depth-1 get a
-    thread each, in each of the three trials (a warm-up and two measured)."""
+def test_depth_d_starts_d_minus_1_threads_once_and_later_calls_reuse_them(
+    tmp_path, thread_starts, depth
+):
+    """The positive control of the thread-start spy: the first of three trials
+    (a warm-up and two measured) starts a thread for each of slots 1..depth-1.
+    The later trials and a copy, inside the park window, start none: they
+    take those threads from the park."""
     cfg = _cfg(tmp_path, async_depth=depth, max_requests=64)
     sb.run_measurement(cfg, trials=2, warmup=1, clock_ghz=1.0)
-    assert thread_starts == list(range(1, depth)) * 3
+    assert thread_starts == list(range(1, depth))
     thread_starts.clear()
     src = tmp_path / "src"
     src.write_bytes(sb.make_rng(1).bytes(10 * 4096))
     assert sb.copy_file(src, tmp_path / "dst", block=4096, depth=depth).write_requests == 10
-    assert thread_starts == list(range(1, depth))
+    assert thread_starts == []
+
+
+def test_depth_2_measurements_spaced_near_the_park_window_move_every_request(
+    tmp_path, monkeypatch, deadline
+):
+    """With a window of 1 ms, depth-2 measurements spaced by sleeps near it: a
+    parked thread is claimed, or has timed out, or times out as it is claimed.
+    Every call still moves all of its requests."""
+    monkeypatch.setattr(sb.engine, "_PARK_SECONDS", 0.001)
+    cfg = _cfg(tmp_path, async_depth=2, max_requests=8)
+    sb.run_measurement(cfg, trials=1, warmup=0)  # creates the target
+    for call in range(200):
+        time.sleep(0.0005 + call % 11 * 0.0001)  # 0.5 to 1.5 ms
+        assert sb.run_measurement(cfg, trials=1, warmup=0).bytes_moved == 8 * 4096, call
+
+
+def test_a_forked_child_starts_its_own_slot_threads(tmp_path, deadline):
+    """A depth-2 trial leaves slot 1's thread parked, then the process forks.
+    The child has no such thread, so its depth-2 trial starts one and exits 0."""
+    cfg = _cfg(tmp_path, async_depth=2, max_requests=64)
+    sb.run_measurement(cfg, trials=1, warmup=0)
+    assert sb.engine._parked
+    pid = os.fork()
+    if pid == 0:  # the child: no pytest past this point
+        code = 1
+        try:
+            code = int(sb.run_measurement(cfg, trials=1, warmup=0).bytes_moved != 64 * 4096)
+        finally:
+            os._exit(code)
+    try:
+        _, status = os.waitpid(pid, 0)
+    except BaseException:  # the deadline: a child that hangs is killed, not left behind
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 @pytest.mark.parametrize("kind", ["profile", "trace"])

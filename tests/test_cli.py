@@ -19,7 +19,7 @@ from seqbench.cli import (
 )
 from seqbench.core import Direction
 
-from conftest import run_cli
+from conftest import files_on_disk, replay, run_cli
 
 
 def csv_rows(stdout):
@@ -257,6 +257,7 @@ def test_fragdisk_fm_and_FM_are_distinct_flags(tmp_path):
         (["-Fm10", "-FM5", "/t"], "minimum file size"),
         (["-n-1", "/t"], "cycle"),
         (["-q", "/t"], "unknown flag"),
+        (["-l", "/t"], "-l needs an attached value"),
     ],
 )
 def test_fragdisk_rejects_bad_usage(argv, fragment):
@@ -367,7 +368,7 @@ def test_each_rejection_gives_its_exact_message(tool, argv, message):
 
 #: A value each usage-page placeholder accepts on its own, and the
 #: positionals each tool needs.
-_SAMPLES = {"size": "1M", "secs": "1", "count": "2", "pct": "10", "seed": "2"}
+_SAMPLES = {"size": "1M", "secs": "1", "count": "2", "pct": "10", "seed": "2", "path": "e.log"}
 _POSITIONALS = {"iospeed": ["f"], "fragdisk": ["d"], "examples": [], "asynccopy": []}
 
 
@@ -625,6 +626,22 @@ def test_a_fan_out_of_1_is_a_usage_error_before_any_file(tmp_path, deadline):
     assert code == 2
     assert "fragdisk: max_subdirs must be at least 2, got 1" in err
     assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_fragdisk_writes_the_events_of_its_report_to_its_log(tmp_path, monkeypatch):
+    """``-l`` names the event log: it holds exactly the creates and deletes
+    that the run's report lists, and they replay to the files left."""
+    reports = []
+    real = cli.run_cycles
+    monkeypatch.setattr(cli, "run_cycles", lambda cfg: reports.append(real(cfg)) or reports[-1])
+    log, aged = tmp_path / "events.log", tmp_path / "aged"
+    code, _, err = run_cli(
+        ["fragdisk", "-n1", "-c50", "-Fm4K", "-FM16K", "-f99", "-k10", f"-l{log}", str(aged)]
+    )
+    assert code == 0, err
+    events = log.read_text().splitlines()
+    assert events and events == list(reports[0].events)
+    assert replay(events) == files_on_disk(aged)
 
 
 def test_fragdisk_bounded_run(tmp_path):

@@ -1,5 +1,6 @@
 """Open dispositions, aligned buffers, direct-transfer validation, flushing."""
 import contextlib
+import ctypes
 import errno
 import fcntl
 import functools
@@ -9,7 +10,9 @@ import itertools
 import os
 import shutil
 import subprocess
+import sys
 import threading
+import time
 from array import array
 from collections import namedtuple
 
@@ -1107,6 +1110,85 @@ def test_run_slots_wait_survives_an_interrupt(interrupt_after):
     assert ended == [1]
     assert [type(exc) for exc in failures] == [Interrupt]
     assert not lingering_threads(before)
+
+
+def test_a_thread_claimed_as_its_wait_runs_out_still_runs_its_slot(monkeypatch, deadline):
+    """With a window of 1 ms, calls spaced by 0.5 to 1.6 ms.  Before each odd
+    call this thread sleeps 1 to 1.6 ms in libc's usleep, called through
+    ``ctypes.PyDLL``, which keeps the interpreter lock: a parked thread whose
+    wait runs out meanwhile cannot take itself off the park before the call
+    claims it, and must run that call's slot.  Before each even call it
+    sleeps in ``time.sleep``, so a wait can also run out unclaimed and its
+    thread end.  Every call runs each of its slots once."""
+    usleep = ctypes.PyDLL(None).usleep
+    usleep.argtypes = [ctypes.c_uint]
+    monkeypatch.setattr(sb.engine, "_PARK_SECONDS", 0.001)
+    ran = []
+    for call in range(200):
+        if call % 2:
+            usleep(1000 + call % 7 * 100)
+        else:
+            time.sleep(0.0005 + call % 11 * 0.0001)
+        run_slots(2, lambda index: ran.append((call, index)), lambda exc: None)
+    assert ran == [(call, index) for call in range(200) for index in (0, 1)]
+
+
+def test_concurrent_calls_share_the_park_and_run_every_slot_once(monkeypatch, deadline):
+    """Four threads make depth-3 calls at once, with a 1 ms window and a
+    short switch interval, so claims, parks and timeouts interleave: each
+    call runs each of its slots exactly once, and every thread ends."""
+    monkeypatch.setattr(sb.engine, "_PARK_SECONDS", 0.001)
+    ran, errors = [], []
+
+    def caller(name):
+        try:
+            for call in range(50):
+                run_slots(3, lambda index: ran.append((name, call, index)), errors.append)
+                time.sleep(call % 3 * 0.0005)
+        except BaseException as exc:  # a caller's failure fails the test below
+            errors.append(exc)
+
+    before = os_threads()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=caller, args=(name,)) for name in range(4)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(20)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert errors == []
+    assert sorted(ran) == [(n, c, i) for n in range(4) for c in range(50) for i in range(3)]
+    assert not lingering_threads(before)
+
+
+@pytest.mark.parametrize("kind", ["trace", "profile"])
+def test_a_hook_set_for_one_call_is_gone_when_its_thread_runs_the_next(kind, deadline):
+    """A call under a ``threading`` hook runs slot 1 with that hook.  The same
+    parked thread then runs slot 1 of a call made with the hook removed, and
+    has none: the thread put its own back before it parked."""
+    seen = {}
+
+    def hook(frame, event, arg):
+        return None
+
+    def slot(index):
+        seen[index] = getattr(sys, f"get{kind}")(), threading.get_ident()
+
+    install, current = getattr(threading, f"set{kind}"), getattr(threading, f"get{kind}")
+    previous = current()
+    install(hook)
+    try:
+        run_slots(2, slot, lambda exc: None)
+    finally:
+        install(previous)
+    hooked, thread = seen.pop(1)
+    assert hooked is hook
+    run_slots(2, slot, lambda exc: None)
+    assert seen[1] == (current(), thread)  # current() is None unless a tool traces the suite
 
 
 def test_a_thread_that_cannot_start_stops_every_slot(faults, deadline):
